@@ -2,12 +2,13 @@ GO ?= go
 FUZZTIME ?= 5s
 BIN ?= bin
 
-.PHONY: check build vet lint pragmas test race racestress fuzz bench conformance
+.PHONY: check build vet lint pragmas test race racestress fuzz perfbench-test bench conformance
 
 # Tier-1 verification: build + vet + determinism lint + full tests +
 # race detector over the parallel sharded engine + the concurrency
-# cross-validation harness + a short fuzz smoke over the wire parsers.
-check: build vet lint test race racestress fuzz
+# cross-validation harness + a short fuzz smoke over the wire parsers
+# and run files + the benchmark module's own tests.
+check: build vet lint test race racestress fuzz perfbench-test
 
 build:
 	$(GO) build ./...
@@ -55,6 +56,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzStackBuild -fuzztime=$(FUZZTIME) ./internal/resolver
+	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
+
+# The benchmark module's own tests: perfbench is a separate module, so
+# `go test ./...` above never builds it. This is the check that it still
+# compiles against the root module's exported API and that its traced
+# replay reproduces RunSurveyOn's Report.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Resolver conformance: the differential suite proving the layered
 # middleware stack event-for-event identical to the frozen pre-refactor

@@ -45,7 +45,7 @@ func main() {
 		invar    = flag.Bool("invariants", true, "check simulation invariants on every delivery and cache event")
 		stream   = flag.Bool("stream", false, "stream the population: synthesize each shard's ASes on demand and discard each world after its observations reduce (identical results, per-shard peak memory)")
 		fold     = flag.Bool("fold", false, "external-merge reduce (implies -stream): spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers; peak memory stays per-shard through the report")
-		maxPar   = flag.Int("maxparallel", 0, "with -stream, max concurrently live shard simulations (0 = one per CPU); the peak-memory knob")
+		maxPar   = flag.Int("maxparallel", 0, "max concurrently running shard simulations (0 = one per CPU); with -stream or -fold, the peak-memory knob")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)

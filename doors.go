@@ -61,25 +61,24 @@ type SurveyConfig struct {
 	// identity rather than drawn from shared streams, so the merged
 	// survey — targets, hits, report — is identical at any shard count.
 	Shards int
-	// Stream runs the memory-flat engine: RunSurvey synthesizes the
-	// population as a streaming ditl.View instead of materializing it,
-	// and each shard's world lives only while its worker simulates it —
-	// observations reduce incrementally and the world is discarded, so
-	// peak memory is per-shard, not per-population. The survey is
-	// bit-identical to the retained engine's; Survey.World and
-	// Survey.Worlds are nil in this mode.
+	// Stream discards each shard's world once its observations reduce
+	// instead of retaining it: RunSurvey synthesizes the population as a
+	// streaming ditl.View instead of materializing it, and each shard's
+	// world lives only while its worker simulates it, so peak memory is
+	// per-shard, not per-population. The survey is bit-identical either
+	// way; Survey.World and Survey.Worlds are nil in this mode.
 	Stream bool
-	// MaxParallel bounds how many shard simulations are live at once in
-	// Stream mode (the peak-memory knob); 0 picks GOMAXPROCS.
+	// MaxParallel bounds how many shard simulations run at once, in
+	// every mode (under Stream, the peak-memory knob); 0 picks
+	// GOMAXPROCS.
 	MaxParallel int
-	// Fold extends Stream with the external-merge reduce path: each
-	// shard's sorted hit run spills to a temporary run file as the
-	// shard finishes, and the final reduce streams the hierarchical
-	// k-way merge of those files through the reducers — peak residency
-	// stays O(live shards) all the way through the Report. The Report
-	// is bit-identical to the other engines'; Survey.Scanner's Targets,
-	// Hits and Partials are nil (Stats still carries the counts).
-	// Implies Stream.
+	// Fold extends Stream by spilling runs: each shard's sorted hit run
+	// spills to a temporary run file as the shard finishes, and the
+	// final reduce streams the hierarchical k-way merge of those files
+	// through the reducers — peak residency stays O(live shards) all the
+	// way through the Report. The Report is bit-identical;
+	// Survey.Scanner's Targets, Hits and Partials are nil (Stats still
+	// carries the counts). Implies Stream.
 	Fold bool
 	// Chaos, when Enabled, subjects the survey to a deterministic fault
 	// schedule (link flap, duplication, reordering, corruption, resolver

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,28 +14,40 @@ import (
 	"repro/internal/world"
 )
 
+// callLog is the runner's call record, appended to from pass-B workers.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *callLog) add(phase, call string, shard int) {
+	l.mu.Lock()
+	l.calls = append(l.calls, fmt.Sprintf("%s.%s[%d]", phase, call, shard))
+	l.mu.Unlock()
+}
+
 // fakePhase records the runner's calls into a shared log and
 // contributes a counting reducer under a (possibly shared) name.
 type fakePhase struct {
 	name    string
 	reducer string
-	log     *[]string
+	log     *callLog
 	runs    *int
 }
 
 func (p fakePhase) Name() string { return p.name }
 
 func (p fakePhase) Plan(sh *Shard) int {
-	*p.log = append(*p.log, fmt.Sprintf("%s.plan[%d]", p.name, sh.Index))
+	p.log.add(p.name, "plan", sh.Index)
 	return 0
 }
 
 func (p fakePhase) Schedule(sh *Shard, _ time.Duration) {
-	*p.log = append(*p.log, fmt.Sprintf("%s.sched[%d]", p.name, sh.Index))
+	p.log.add(p.name, "sched", sh.Index)
 }
 
 func (p fakePhase) Observe(sh *Shard) {
-	*p.log = append(*p.log, fmt.Sprintf("%s.obs[%d]", p.name, sh.Index))
+	p.log.add(p.name, "obs", sh.Index)
 }
 
 func (p fakePhase) Reducers() []analysis.Reducer {
@@ -49,7 +64,7 @@ func tinyConfig() Config {
 // in phase-list order.
 func TestRunnerPhaseOrdering(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
+	var log callLog
 	runs := 0
 	c := &Campaign{Name: "fake", Phases: []Phase{
 		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
@@ -59,33 +74,69 @@ func TestRunnerPhaseOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"a.plan[0]", "b.plan[0]", "a.sched[0]", "b.sched[0]", "a.obs[0]", "b.obs[0]"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("call order = %v, want %v", log, want)
+	if fmt.Sprint(log.calls) != fmt.Sprint(want) {
+		t.Fatalf("call order = %v, want %v", log.calls, want)
 	}
 	if runs != 2 {
 		t.Fatalf("distinct reducers ran %d times, want 2", runs)
 	}
 }
 
-// TestRunnerPlansAllShardsFirst checks the cross-shard ordering: with
-// K=2 both shards plan before either schedules, so no shard's timing
-// can depend on its own probe count alone.
+// TestRunnerPlansAllShardsFirst checks the cross-shard ordering at K=2
+// without pinning how pass-B workers interleave: every shard plans
+// before any shard schedules (so no shard's timing can depend on its
+// own probe count alone), and within a shard scheduling precedes hook
+// arming. A retained run plans each shard once; a Stream run plans it
+// again on its pass-B worker, after every pass-A plan.
 func TestRunnerPlansAllShardsFirst(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
-	runs := 0
-	c := &Campaign{Name: "fake", Phases: []Phase{
-		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
-	}}
-	cfg := tinyConfig()
-	cfg.Shards = 2
-	if _, err := Run(c, pop, cfg); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		stream bool
+		plans  int
+	}{{false, 1}, {true, 2}} {
+		var log callLog
+		runs := 0
+		c := &Campaign{Name: "fake", Phases: []Phase{
+			fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
+		}}
+		cfg := tinyConfig()
+		cfg.Shards = 2
+		cfg.Stream = tc.stream
+		if _, err := Run(c, pop, cfg); err != nil {
+			t.Fatal(err)
+		}
+		firstSched := len(log.calls)
+		for i, call := range log.calls {
+			if strings.Contains(call, ".sched[") {
+				firstSched = i
+				break
+			}
+		}
+		for k := 0; k < 2; k++ {
+			plan, sched, obs := fmt.Sprintf("a.plan[%d]", k), fmt.Sprintf("a.sched[%d]", k), fmt.Sprintf("a.obs[%d]", k)
+			planAt := slices.Index(log.calls, plan)
+			if planAt < 0 || planAt > firstSched {
+				t.Fatalf("stream=%v: shard %d first plans at %d, after the first schedule at %d: %v", tc.stream, k, planAt, firstSched, log.calls)
+			}
+			if n := count(log.calls, plan); n != tc.plans {
+				t.Fatalf("stream=%v: shard %d planned %d times, want %d: %v", tc.stream, k, n, tc.plans, log.calls)
+			}
+			schedAt, obsAt := slices.Index(log.calls, sched), slices.Index(log.calls, obs)
+			if schedAt < 0 || obsAt < schedAt || slices.Index(log.calls[schedAt:], plan) >= 0 {
+				t.Fatalf("stream=%v: shard %d: want every plan, then sched, then obs: %v", tc.stream, k, log.calls)
+			}
+		}
 	}
-	want := []string{"a.plan[0]", "a.plan[1]", "a.sched[0]", "a.obs[0]", "a.sched[1]", "a.obs[1]"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("call order = %v, want %v", log, want)
+}
+
+func count(calls []string, call string) int {
+	n := 0
+	for _, c := range calls {
+		if c == call {
+			n++
+		}
 	}
+	return n
 }
 
 // TestReduceMergeDeduplicates pins the reduce-merge rule: phases
@@ -93,7 +144,7 @@ func TestRunnerPlansAllShardsFirst(t *testing.T) {
 // into Report counters, so a duplicate run would double-count.
 func TestReduceMergeDeduplicates(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
+	var log callLog
 	runs := 0
 	c := &Campaign{Name: "fake", Phases: []Phase{
 		fakePhase{name: "a", reducer: "shared", log: &log, runs: &runs},

@@ -41,31 +41,32 @@ type Config struct {
 	// identity rather than drawn from shared streams, so the merged
 	// Result — targets, hits, report — is identical at any shard count.
 	Shards int
-	// Stream runs the memory-flat engine: each shard's world is built
-	// (typically from a ditl.View, which synthesizes specs on demand)
-	// only when its worker starts, its observations are partitioned the
-	// moment its simulation finishes, and the world is discarded before
-	// the merge — peak residency is the largest set of concurrently
-	// live shards, not the population. The merged Result is
-	// bit-identical to the retained engine's; the trade-off is that
-	// Result.World and Result.Worlds are nil (Result.Scanner carries
-	// the merged buffers, registry, and scanner addresses).
+	// Stream discards each shard's world once its observations are
+	// partitioned instead of retaining every world on the Result: a
+	// shard's world is built (typically from a ditl.View, which
+	// synthesizes specs on demand) only when its worker starts, so peak
+	// residency is the largest set of concurrently live shards, not the
+	// population. The merged Result is bit-identical either way; the
+	// trade-off is that Result.World and Result.Worlds are nil
+	// (Result.Scanner carries the merged buffers, registry, and scanner
+	// addresses).
 	Stream bool
-	// MaxParallel bounds how many shard simulations are live at once in
-	// Stream mode — it is the peak-memory knob: RSS scales with
-	// MaxParallel × shard size. 0 picks runtime.GOMAXPROCS(0). Ignored
-	// by the retained engine, which holds every shard at once.
+	// MaxParallel bounds how many shard simulations run at once, in
+	// every mode. 0 picks runtime.GOMAXPROCS(0). Under Stream it is the
+	// peak-memory knob — RSS scales with MaxParallel × shard size; a
+	// retained run builds every world up front, so there it bounds only
+	// concurrency.
 	MaxParallel int
-	// Fold extends Stream with the external-merge reduce path: each
-	// shard's sorted hit run spills to a temporary run file the moment
-	// the shard finishes, and the final reduce streams the hierarchical
-	// k-way merge of those files through the reducers instead of
-	// materializing merged buffers. Peak residency stays O(live shards)
-	// all the way through Report — nothing after a shard's simulation
-	// holds O(total targets) state. The Report is bit-identical to the
-	// other engines'; the trade-off is that Result.Scanner's Targets,
-	// Hits and Partials are nil (Stats still carries the counts, and
-	// reducers saw exactly the canonical sequences). Implies Stream.
+	// Fold extends Stream by spilling runs: each shard's sorted hit run
+	// spills to a temporary run file the moment the shard finishes, and
+	// the final reduce streams the hierarchical k-way merge of those
+	// files through the reducers instead of materializing merged
+	// buffers. Peak residency stays O(live shards) all the way through
+	// Report — nothing after a shard's simulation holds O(total targets)
+	// state. The Report is bit-identical; the trade-off is that
+	// Result.Scanner's Targets, Hits and Partials are nil (Stats still
+	// carries the counts, and reducers saw exactly the canonical
+	// sequences). Implies Stream.
 	Fold bool
 	// Chaos, when Enabled, subjects the campaign to a deterministic
 	// fault schedule keyed on causal identity. Infrastructure ASes (as
@@ -97,6 +98,25 @@ func (c Config) maxParallel() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// validate rejects values that would otherwise be silently reinterpreted
+// (a shard count below -1 read as "one per CPU", a churn share above 1
+// saturating), naming the offending field.
+func (c Config) validate() error {
+	switch {
+	case c.Shards < -1:
+		return fmt.Errorf("campaign: Shards = %d; want -1 (one per CPU), 0 or a positive count", c.Shards)
+	case c.MaxParallel < 0:
+		return fmt.Errorf("campaign: MaxParallel = %d; want 0 (one per CPU) or a positive bound", c.MaxParallel)
+	case !(c.ChurnFraction >= 0 && c.ChurnFraction <= 1):
+		return fmt.Errorf("campaign: ChurnFraction = %v; want a fraction in [0, 1]", c.ChurnFraction)
+	case !(c.World.LossRate >= 0 && c.World.LossRate <= 1):
+		return fmt.Errorf("campaign: World.LossRate = %v; want a probability in [0, 1]", c.World.LossRate)
+	case c.LifetimeThreshold < 0:
+		return fmt.Errorf("campaign: LifetimeThreshold = %v; want a non-negative duration", c.LifetimeThreshold)
+	}
+	return nil
+}
+
 // Result is a completed campaign run.
 type Result struct {
 	// Campaign is the phase list that ran.
@@ -104,9 +124,10 @@ type Result struct {
 	Population ditl.Pop
 	// World is the first shard's world (they share scanner addresses,
 	// registry, and global public-DNS addressing); Worlds lists every
-	// shard's world. Both are nil under Config.Stream — the streaming
-	// engine discards each world as soon as its shard's observations
-	// are partitioned.
+	// shard's world. Both are nil under Config.Stream (and Fold), which
+	// discard each world as soon as its shard's observations are
+	// partitioned. Retained or not, at most Config.MaxParallel shards
+	// simulate at once.
 	World  *world.World
 	Worlds []*world.World
 	// Scanner holds the merged results: Targets, Hits, Partials and
@@ -222,24 +243,34 @@ func (r *Runner) registryFor(pop ditl.Pop, opts world.Options) (*routing.Registr
 	return reg, nil
 }
 
-// Run executes the campaign over the population: build each shard's
-// world, drive every phase through Plan → Schedule → Observe, run the
-// shard simulations in parallel, partition each shard's observations as
-// its simulation finishes, and merge the partial reductions plus the
-// canonically ordered buffers into the Report with the phases'
-// deduplicated reducer set. c == nil runs the default survey campaign.
+// Run executes the campaign over the population as one pipeline of
+// pass A, pass B and a merge. c == nil runs the default survey
+// campaign.
 //
-// With Shards > 1 the population's ASes are partitioned into
-// contiguous shards, each simulated in its own world (own event queue,
-// own scanner instance) on its own goroutine over one shared read-only
-// routing registry. Probe timing is computed from the campaign-wide
-// probe total before any shard schedules, and the shard-local result
-// buffers are merged in canonical order afterwards, so the campaign is
-// deterministic: the same seeds produce the same Report at any shard
-// count, including 1.
+// The population's ASes are partitioned into contiguous shards, each
+// simulated in its own world (own event queue, own scanner instance)
+// over one shared read-only routing registry.
 //
-// Config.Stream selects the memory-flat engine (see runStreaming); the
-// default retains every shard's world on the Result.
+// Pass A (sequential) admits every shard's candidates and lets every
+// phase Plan. It yields the campaign-wide probe total before any shard
+// schedules, so the campaign window — and with it every probe
+// timestamp and the chaos fault schedule — is identical at every shard
+// count. A retained shard (neither Stream nor Fold) is built with its
+// world here and keeps its plan; every other shard plans on a host-less
+// planner dropped after its iteration, because keeping all K planners
+// would be O(total targets).
+//
+// Pass B runs runShard for every shard on a worker pool bounded by
+// MaxParallel: build and re-plan unless pass A kept the shard,
+// schedule, churn and chaos, observe, simulate, seal and partition,
+// then keep the runs in memory or spill them.
+//
+// One merge then combines the shards' stats, partial reductions,
+// public DNS and invariant reports in shard order, and reduces the
+// canonically ordered buffers — merged in memory, or streamed from the
+// spilled runs — into the Report with the phases' deduplicated reducer
+// set. The same seeds produce the same Report at any shard count,
+// including 1, whether worlds are retained and runs spilled or not.
 func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	r.mu.Lock()
 	r.active++
@@ -250,17 +281,15 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 		r.completed++
 		r.mu.Unlock()
 	}()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if c == nil {
 		c = NewSurvey()
 	}
-	// The streaming engines derive the IPv6 hit list in a dedicated
-	// view sweep up front: every shard's planner needs the complete
-	// list before any Plan, and the per-shard admission sweeps run
-	// concurrently later. The retained engine builds all shards
-	// sequentially anyway, so it accumulates the list during the
-	// admission sweep itself (see runRetained) — one pass over the view
-	// instead of two.
-	if cfg.Scanner.V6HitList == nil && (cfg.Stream || cfg.Fold) {
+	// Every shard's planner needs the complete IPv6 hit list before any
+	// Plan, so one dedicated view sweep derives it up front.
+	if cfg.Scanner.V6HitList == nil {
 		cfg.Scanner.V6HitList = V6HitList(pop)
 	}
 	cfg.World.Invariants = !cfg.DisableInvariants
@@ -268,10 +297,199 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Stream || cfg.Fold {
-		return r.runStreaming(c, pop, cfg, reg)
+
+	retain := !cfg.Stream && !cfg.Fold
+	shards := cfg.ShardCount()
+	parts := ditl.PartitionIndices(pop.NumASes(), shards)
+	if shards == 1 {
+		parts[0] = nil // build everything; preserves Build's fast path
 	}
-	return r.runRetained(c, pop, cfg, reg)
+
+	// Pass A.
+	kept := make([]*Shard, shards)
+	probes := 0
+	var planCfg scanner.Config
+	for k, indices := range parts {
+		sh, err := newShard(pop, reg, cfg, k, indices, retain)
+		if err != nil {
+			return nil, err
+		}
+		planCfg = sh.Scanner.Cfg
+		for _, ph := range c.Phases {
+			probes += ph.Plan(sh)
+		}
+		if retain {
+			kept[k] = sh
+		}
+	}
+	duration := scanner.CampaignDuration(probes, planCfg.Rate)
+	var inj *chaos.Injector
+	if cfg.Chaos.Enabled {
+		inj = chaos.NewInjector(cfg.Chaos)
+		inj.SetWindow(duration)
+		inj.SetEligibleRegistry(reg)
+	}
+
+	// Fold spills each shard's sorted hit run here the moment the shard
+	// finishes; the reduce streams the files back.
+	foldDir := ""
+	if cfg.Fold {
+		dir, err := os.MkdirTemp("", "doors-fold-")
+		if err != nil {
+			return nil, fmt.Errorf("campaign: fold spill dir: %w", err)
+		}
+		foldDir = dir
+		defer os.RemoveAll(dir)
+	}
+
+	// Pass B. The injector, registry, geo database, campaign and
+	// population view are all read-only across workers; the
+	// resolver-stats sink and the Runner's progress counter take their
+	// own locks.
+	gdb := GeoDB(pop)
+	outs := make([]*shardOut, shards)
+	var rsink resolver.StatsSink
+	sem := make(chan struct{}, cfg.maxParallel())
+	var wg sync.WaitGroup
+	for k := range parts {
+		wg.Add(1)
+		go func(k int, sh *Shard, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector, r *Runner, rsink *resolver.StatsSink) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], sh, duration, foldDir)
+			rsink.Add(outs[k].rstats)
+			r.shardDone()
+		}(k, kept[k], pop, cfg, gdb, inj, r, &rsink)
+	}
+	wg.Wait()
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+
+	// The merge, in shard order. Shards hold disjoint AS subsets in
+	// population order, so concatenating per-shard lists reproduces the
+	// single-shard ones exactly, and the per-shard partial reductions
+	// have disjoint key spaces (targets are per-AS, ASes per-shard).
+	var stats scanner.Stats
+	ctxs := make([]*analysis.Context, shards)
+	chaosCrashes := 0
+	nDNS := len(outs[0].publicDNS)
+	for k, o := range outs {
+		stats.Add(o.stats)
+		ctxs[k] = o.ctx
+		chaosCrashes += o.crashes
+		nDNS += len(o.asPublicDNS)
+	}
+	publicDNS := make([]netip.Addr, 0, nDNS)
+	publicDNS = append(publicDNS, outs[0].publicDNS...)
+	for _, o := range outs {
+		publicDNS = append(publicDNS, o.asPublicDNS...)
+	}
+
+	var inv *world.InvariantReport
+	if !cfg.DisableInvariants {
+		merged := world.InvariantReport{}
+		for _, o := range outs {
+			merged.Add(o.inv)
+		}
+		inv = &merged
+	}
+
+	// The merged result scanner: registry, addresses and stats, with no
+	// host and no world behind it. The in-memory merge materializes the
+	// merged buffers onto it; the fold reduce leaves them nil and
+	// streams the spilled runs instead.
+	sc := &scanner.Scanner{
+		Addr4: outs[0].addr4, Addr6: outs[0].addr6,
+		Reg: reg, Cfg: planCfg, Stats: stats,
+	}
+	var in analysis.Input
+	if cfg.Fold {
+		// Hierarchical external merge: pre-merge the spilled shard runs
+		// in contiguous groups of mergeFanIn until one level fits, then
+		// stream the final k-way merge through the reducers. Contiguous
+		// grouping + run-index stability make any grouping byte-identical
+		// to the flat merge (see internal/runs).
+		paths := make([]string, len(outs))
+		for k, o := range outs {
+			paths[k] = o.runPath
+		}
+		paths, err := reduceRuns(foldDir, paths)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: fold pre-merge: %w", err)
+		}
+		in = analysis.Input{
+			ScannerAddrs:      []netip.Addr{sc.Addr4, sc.Addr6},
+			Reg:               reg,
+			Geo:               gdb,
+			LifetimeThreshold: cfg.LifetimeThreshold,
+			FollowUpCount:     cfg.Scanner.FollowUpCount,
+			Stream: &analysis.Streams{
+				Hits:    foldHitStream(paths),
+				Targets: foldTargetStream(pop, reg, cfg.Scanner),
+			},
+		}
+	} else {
+		// Targets concatenate in shard order; hits and partials — each
+		// shard's already a canonically sorted run after SealRuns — k-way
+		// merge stably by run index into exactly-sized buffers. A stable
+		// merge of per-shard stable sorts in shard order equals the
+		// stable sort of the concatenation, so the merged sequences are
+		// bit-identical however the campaign was split. One shard's
+		// buffers pass through uncopied.
+		sc.Targets, sc.Hits, sc.Partials = outs[0].targets, outs[0].hits, outs[0].partials
+		if len(outs) > 1 {
+			nT, nH, nP := 0, 0, 0
+			hitRuns := make([][]scanner.Hit, len(outs))
+			partRuns := make([][]scanner.PartialHit, len(outs))
+			for k, o := range outs {
+				nT += len(o.targets)
+				nH += len(o.hits)
+				nP += len(o.partials)
+				hitRuns[k], partRuns[k] = o.hits, o.partials
+			}
+			targets := make([]scanner.Target, 0, nT)
+			for _, o := range outs {
+				targets = append(targets, o.targets...)
+			}
+			sc.Targets = targets
+			sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
+			sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
+		}
+		in = shardInput(sc, sc.Addr4, sc.Addr6, reg, gdb, cfg)
+	}
+	// MergeContexts re-binds the merged Input, so order-sensitive
+	// reducers read the canonical sequences, never shard-local order.
+	report := &analysis.Report{}
+	mctx := analysis.MergeContexts(in, ctxs)
+	mctx.Reduce(report, c.reducers())
+	if err := mctx.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: fold reduce: %w", err)
+	}
+
+	result := &Result{
+		Campaign:   c,
+		Population: pop,
+		Scanner:    sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
+		Probes: probes, Duration: duration,
+		ResolverStats: rsink.Total(),
+		Invariants:    inv, ChaosCrashes: chaosCrashes,
+	}
+	if retain {
+		result.Worlds = make([]*world.World, shards)
+		for k, o := range outs {
+			result.Worlds[k] = o.world
+		}
+		result.World = result.Worlds[0]
+	}
+	if inv != nil && !inv.Ok() {
+		return result, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
+			inv.ViolationCount, inv.Violations[0])
+	}
+	return result, nil
 }
 
 // Run executes one campaign on a fresh Runner. It is the one-shot
@@ -301,37 +519,38 @@ func shardInput(sc *scanner.Scanner, addr4, addr6 netip.Addr, reg *routing.Regis
 	}
 }
 
-// runRetained is the classic engine: every shard's world is built up
-// front and retained on the Result (tests inspect event-queue drop
-// counters and per-shard worlds). Since the incremental-reduce
-// restructuring it shares the streaming engine's analysis pipeline:
-// each shard's observations are partitioned on the shard's own
-// goroutine as soon as its simulation finishes, and the partial
-// reductions merge under the canonically ordered buffers.
-func (r *Runner) runRetained(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry) (*Result, error) {
-	shards := cfg.ShardCount()
+// shardOut is everything the merge keeps from a finished shard: the
+// scanner's result buffers, the partitioned observations, and the
+// handful of world-level scalars the merge needs. The world itself —
+// resolvers, caches, zones, and the event queue — rides along only in
+// a retained run; otherwise it is garbage the moment the shard's worker
+// returns.
+type shardOut struct {
+	targets      []scanner.Target
+	hits         []scanner.Hit
+	partials     []scanner.PartialHit
+	stats        scanner.Stats
+	addr4, addr6 netip.Addr
+	ctx          *analysis.Context
+	rstats       resolver.Stats
+	publicDNS    []netip.Addr
+	asPublicDNS  []netip.Addr
+	inv          world.InvariantReport
+	crashes      int
+	// world is the shard's world (retained runs only).
+	world *world.World
+	// runPath is the shard's spilled sorted hit run (Fold only;
+	// targets/hits/partials above stay nil in that mode).
+	runPath string
+	err     error
+}
 
-	// Stage 1: build each shard's world and scanner and admit its
-	// candidates — streamed straight off the population view, never
-	// collected into a slice — then let every phase plan (but not yet
-	// schedule) its probes. Admission for every shard completes before
-	// any shard plans: when no IPv6 hit list was configured, the
-	// admission sweep doubles as its derivation (the /64 of every v6
-	// candidate, admitted or not, exactly what a dedicated V6HitList
-	// sweep would collect), and planning reads the completed list.
-	parts := ditl.PartitionIndices(pop.NumASes(), shards)
-	worlds := make([]*world.World, shards)
-	shs := make([]*Shard, shards)
-	var hl map[netip.Prefix]bool
-	if cfg.Scanner.V6HitList == nil {
-		hl = make(map[netip.Prefix]bool, pop.V6AddrCount())
-		cfg.Scanner.V6HitList = hl
-	}
-	for k := range parts {
-		indices := parts[k]
-		if shards == 1 {
-			indices = nil // build everything; preserves Build's fast path
-		}
+// newShard admits the shard's candidates into a fresh scanner: a full
+// one over a newly built world when withWorld, else a host-less planner
+// — Plan needs only the targets, the registry, and the config.
+func newShard(pop ditl.Pop, reg *routing.Registry, cfg Config, k int, indices []int, withWorld bool) (*Shard, error) {
+	sh := &Shard{Index: k}
+	if withWorld {
 		w, err := world.BuildWith(pop, reg, cfg.World, indices)
 		if err != nil {
 			return nil, err
@@ -340,389 +559,42 @@ func (r *Runner) runRetained(c *Campaign, pop ditl.Pop, cfg Config, reg *routing
 		if err != nil {
 			return nil, err
 		}
-		admitShard(sc, pop, indices, hl)
-		worlds[k], shs[k] = w, &Shard{Index: k, World: w, Scanner: sc}
-	}
-	probes := 0
-	for _, sh := range shs {
-		for _, ph := range c.Phases {
-			probes += ph.Plan(sh)
-		}
-	}
-
-	// Stage 2: the campaign window depends only on the campaign-wide
-	// probe total and rate, so per-probe timestamps are identical no
-	// matter how the targets were partitioned. The chaos injector's
-	// fault window is likewise the campaign-wide duration, and one
-	// read-only injector is shared by every shard, so the fault schedule
-	// is shard-invariant too. Phases schedule in list order, then churn
-	// and chaos, then reactive hooks arm — the same event-queue
-	// insertion order at every shard count.
-	duration := scanner.CampaignDuration(probes, shs[0].Scanner.Cfg.Rate)
-	chaosCrashes := 0
-	var inj *chaos.Injector
-	if cfg.Chaos.Enabled {
-		inj = chaos.NewInjector(cfg.Chaos)
-		inj.SetWindow(duration)
-		inj.SetEligibleRegistry(reg)
-	}
-	for _, sh := range shs {
-		for _, ph := range c.Phases {
-			ph.Schedule(sh, duration)
-		}
-		if cfg.ChurnFraction > 0 {
-			sh.World.ScheduleChurn(cfg.ChurnFraction, duration, cfg.Scanner.Seed+99)
-		}
-		if inj != nil {
-			chaosCrashes += sh.World.ScheduleChaos(inj)
-		}
-		for _, ph := range c.Phases {
-			ph.Observe(sh)
-		}
-	}
-
-	// Stage 3: run the shard simulations in parallel and partition each
-	// shard's observations the moment its simulation finishes, still on
-	// the shard's goroutine. The shards share only the read-only
-	// registry, geo database, campaign and population — plus the
-	// resolver-stats sink and the Runner's progress counter, which take
-	// their own locks.
-	gdb := GeoDB(pop)
-	ctxs := make([]*analysis.Context, shards)
-	var rsink resolver.StatsSink
-	if shards == 1 {
-		worlds[0].Net.Run()
-		shs[0].Scanner.SealRuns()
-		ctxs[0] = analysis.Partition(shardInput(shs[0].Scanner, worlds[0].ScannerAddr4, worlds[0].ScannerAddr6, reg, gdb, cfg))
-		rsink.Add(worlds[0].ResolverStats())
-		r.shardDone()
+		sh.World, sh.Scanner = w, sc
 	} else {
-		var wg sync.WaitGroup
-		for k := range worlds {
-			wg.Add(1)
-			go func(k int, gdb *geo.DB, cfg Config, r *Runner, rsink *resolver.StatsSink) {
-				defer wg.Done()
-				worlds[k].Net.Run()
-				shs[k].Scanner.SealRuns()
-				ctxs[k] = analysis.Partition(shardInput(shs[k].Scanner, worlds[k].ScannerAddr4, worlds[k].ScannerAddr6, reg, gdb, cfg))
-				rsink.Add(worlds[k].ResolverStats())
-				r.shardDone()
-			}(k, gdb, cfg, r, &rsink)
-		}
-		wg.Wait()
+		sh.Scanner = scanner.NewPlanner(reg, cfg.Scanner)
 	}
-
-	// Stage 4: deterministic merge. Targets concatenate in shard order
-	// (= population order, since shards are contiguous); hits and
-	// partials — each shard's already a canonically sorted run after
-	// SealRuns — k-way merge stably by run index. A stable merge of
-	// per-shard stable sorts in shard order equals the stable sort of
-	// the concatenation the old engine computed, so the merged
-	// sequences are bit-identical however the campaign was split, and
-	// K=1 passes through untouched. The per-shard partial reductions
-	// union under the merged Input (their key spaces are disjoint:
-	// targets are per-AS and ASes are per-shard), which MergeContexts
-	// re-binds so order-sensitive reducers read the canonical
-	// sequences, never shard-local order.
-	sc := shs[0].Scanner
-	if len(shs) > 1 {
-		nT, nH, nP := 0, 0, 0
-		hitRuns := make([][]scanner.Hit, len(shs))
-		partRuns := make([][]scanner.PartialHit, len(shs))
-		for k, o := range shs {
-			nT += len(o.Scanner.Targets)
-			nH += len(o.Scanner.Hits)
-			nP += len(o.Scanner.Partials)
-			hitRuns[k], partRuns[k] = o.Scanner.Hits, o.Scanner.Partials
-		}
-		targets := make([]scanner.Target, 0, nT)
-		for _, o := range shs {
-			targets = append(targets, o.Scanner.Targets...)
-		}
-		sc.Targets = targets
-		sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
-		sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
-		for _, o := range shs[1:] {
-			sc.Stats.Add(o.Scanner.Stats)
-		}
-	}
-	publicDNS := mergedPublicDNS(worlds)
-
-	var inv *world.InvariantReport
-	if !cfg.DisableInvariants {
-		merged := world.InvariantReport{}
-		for _, w := range worlds {
-			merged.Add(w.Invariants.Report())
-		}
-		inv = &merged
-	}
-
-	report := &analysis.Report{}
-	analysis.MergeContexts(
-		shardInput(sc, worlds[0].ScannerAddr4, worlds[0].ScannerAddr6, reg, gdb, cfg),
-		ctxs,
-	).Reduce(report, c.reducers())
-
-	result := &Result{
-		Campaign:   c,
-		Population: pop, World: worlds[0], Worlds: worlds,
-		Scanner: sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
-		Probes: probes, Duration: duration,
-		ResolverStats: rsink.Total(),
-		Invariants:    inv, ChaosCrashes: chaosCrashes,
-	}
-	if inv != nil && !inv.Ok() {
-		return result, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
-			inv.ViolationCount, inv.Violations[0])
-	}
-	return result, nil
+	admitShard(sh.Scanner, pop, indices)
+	return sh, nil
 }
 
-// shardOut is everything the streaming engine keeps from a finished
-// shard: the scanner's result buffers, the partitioned observations,
-// and the handful of world-level scalars the merge needs. Notably
-// absent: the world itself — resolvers, caches, zones, and the event
-// queue all become garbage the moment the shard's worker returns.
-type shardOut struct {
-	targets      []scanner.Target
-	hits         []scanner.Hit
-	partials     []scanner.PartialHit
-	stats        scanner.Stats
-	cfg          scanner.Config
-	addr4, addr6 netip.Addr
-	ctx          *analysis.Context
-	rstats       resolver.Stats
-	publicDNS    []netip.Addr
-	asPublicDNS  []netip.Addr
-	inv          world.InvariantReport
-	crashes      int
-	// runPath is the shard's spilled sorted hit run (fold engine only;
-	// targets/hits/partials above stay nil in that mode).
-	runPath string
-	err     error
-}
-
-// runStreaming is the memory-flat engine. It makes two passes over the
-// population:
-//
-// Pass A (sequential, world-free): a host-less planner scanner per
-// shard admits the shard's candidates and lets every phase Plan, which
-// needs only the targets, the registry, and the config — no world. The
-// pass yields the campaign-wide probe total, preserving the timing
-// contract: all shards plan before any schedules, so the campaign
-// window (and with it every probe timestamp and the chaos fault
-// schedule) is identical to the retained engine's at every shard count.
-//
-// Pass B (bounded worker pool): each worker builds its shard's world
-// from the population view, re-plans, schedules, observes, runs the
-// simulation, partitions the shard's observations into an
-// analysis.Context, and keeps only the shardOut — the world is
-// unreachable before the next shard on that worker builds. Peak
-// residency is MaxParallel × (shard world + buffers), flat in the
-// population size once Shards scales with it.
-//
-// The merge is byte-for-byte the retained engine's: targets concatenate
-// in shard order, hits and partials sort canonically, and the disjoint
-// per-shard partial reductions union under the merged Input.
-func (r *Runner) runStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry) (*Result, error) {
-	shards := cfg.ShardCount()
-	parts := ditl.PartitionIndices(pop.NumASes(), shards)
-
-	// Pass A: world-free probe counting. Each planner lives only for
-	// its shard's loop iteration — retaining all K planners would be
-	// O(total targets), exactly what the streaming engine exists to
-	// avoid.
-	probes := 0
-	var planCfg scanner.Config
-	for k := range parts {
-		pl := scanner.NewPlanner(reg, cfg.Scanner)
-		if k == 0 {
-			planCfg = pl.Cfg
-		}
-		admitShard(pl, pop, parts[k], nil)
-		sh := &Shard{Index: k, Scanner: pl}
-		for _, ph := range c.Phases {
-			probes += ph.Plan(sh)
-		}
-	}
-	duration := scanner.CampaignDuration(probes, planCfg.Rate)
-	var inj *chaos.Injector
-	if cfg.Chaos.Enabled {
-		inj = chaos.NewInjector(cfg.Chaos)
-		inj.SetWindow(duration)
-		inj.SetEligibleRegistry(reg)
-	}
-
-	// The fold engine spills each shard's sorted hit run here the
-	// moment the shard finishes; the reduce streams the files back.
-	foldDir := ""
-	if cfg.Fold {
-		dir, err := os.MkdirTemp("", "doors-fold-")
-		if err != nil {
-			return nil, err
-		}
-		foldDir = dir
-		defer os.RemoveAll(dir)
-	}
-
-	// Pass B: simulate shards on a bounded worker pool. The injector,
-	// registry, geo database, campaign and population view are all
-	// read-only across workers; the resolver-stats sink and the
-	// Runner's progress counter take their own locks.
-	gdb := GeoDB(pop)
-	outs := make([]*shardOut, shards)
-	var rsink resolver.StatsSink
-	sem := make(chan struct{}, cfg.maxParallel())
-	var wg sync.WaitGroup
-	for k := range parts {
-		wg.Add(1)
-		go func(k int, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector, r *Runner, rsink *resolver.StatsSink) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[k] = runShardStreaming(c, pop, cfg, reg, gdb, inj, k, parts[k], duration, foldDir)
-			rsink.Add(outs[k].rstats)
-			r.shardDone()
-		}(k, pop, cfg, gdb, inj, r, &rsink)
-	}
-	wg.Wait()
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
-
-	// Scalar merge in shard order, common to both reduce paths.
-	var stats scanner.Stats
-	ctxs := make([]*analysis.Context, shards)
-	chaosCrashes := 0
-	for k, o := range outs {
-		stats.Add(o.stats)
-		ctxs[k] = o.ctx
-		chaosCrashes += o.crashes
-	}
-
-	n := len(outs[0].publicDNS)
-	for _, o := range outs {
-		n += len(o.asPublicDNS)
-	}
-	publicDNS := make([]netip.Addr, 0, n)
-	publicDNS = append(publicDNS, outs[0].publicDNS...)
-	for _, o := range outs {
-		publicDNS = append(publicDNS, o.asPublicDNS...)
-	}
-
-	var inv *world.InvariantReport
-	if !cfg.DisableInvariants {
-		merged := world.InvariantReport{}
-		for _, o := range outs {
-			merged.Add(o.inv)
-		}
-		inv = &merged
-	}
-
-	// The merged result scanner: registry, addresses and stats — it has
-	// no host and no world behind it, exactly like the buffers the
-	// retained merge leaves on shard 0's scanner. The classic streaming
-	// reduce materializes the merged buffers onto it; the fold reduce
-	// leaves them nil and streams the spilled runs instead.
-	sc := &scanner.Scanner{
-		Addr4: outs[0].addr4, Addr6: outs[0].addr6,
-		Reg: reg, Cfg: outs[0].cfg, Stats: stats,
-	}
-	var in analysis.Input
-	if cfg.Fold {
-		// Hierarchical external merge: pre-merge the spilled shard runs
-		// in contiguous groups of mergeFanIn until one level fits, then
-		// stream the final k-way merge through the reducers. Contiguous
-		// grouping + run-index stability make any grouping byte-identical
-		// to the flat merge (see internal/runs).
-		paths := make([]string, len(outs))
-		for k, o := range outs {
-			paths[k] = o.runPath
-		}
-		paths, err := reduceRuns(foldDir, paths)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: fold pre-merge: %w", err)
-		}
-		in = analysis.Input{
-			ScannerAddrs:      []netip.Addr{sc.Addr4, sc.Addr6},
-			Reg:               reg,
-			Geo:               gdb,
-			LifetimeThreshold: cfg.LifetimeThreshold,
-			FollowUpCount:     cfg.Scanner.FollowUpCount,
-			Stream: &analysis.Streams{
-				Hits:    foldHitStream(paths),
-				Targets: foldTargetStream(pop, reg, cfg.Scanner),
-			},
-		}
+// runShard simulates one shard end to end. kept is the shard pass A
+// built and planned with its world (retained runs), or nil: then the
+// shard is built from the population view and re-planned here. Then
+// schedule, churn and chaos, observe, run, seal, partition — and, when
+// foldDir is set, spill the sealed hit run to disk and drop the
+// buffers. A retained shard's world rides out on the shardOut;
+// otherwise everything but the shardOut is garbage when it returns.
+func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, kept *Shard, duration time.Duration, foldDir string) *shardOut {
+	out := &shardOut{}
+	sh := kept
+	if sh != nil {
+		out.world = sh.World
 	} else {
-		// Merge in shard order — identical to the retained engine's
-		// stage 4: targets concatenate, the sealed hit/partial runs
-		// k-way merge stably into exactly-sized buffers.
-		nT, nH, nP := 0, 0, 0
-		hitRuns := make([][]scanner.Hit, len(outs))
-		partRuns := make([][]scanner.PartialHit, len(outs))
-		for k, o := range outs {
-			nT += len(o.targets)
-			nH += len(o.hits)
-			nP += len(o.partials)
-			hitRuns[k], partRuns[k] = o.hits, o.partials
+		var err error
+		if sh, err = newShard(pop, reg, cfg, k, indices, true); err != nil {
+			return &shardOut{err: err}
 		}
-		targets := make([]scanner.Target, 0, nT)
-		for _, o := range outs {
-			targets = append(targets, o.targets...)
+		for _, ph := range c.Phases {
+			ph.Plan(sh)
 		}
-		sc.Targets = targets
-		sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
-		sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
-		in = shardInput(sc, sc.Addr4, sc.Addr6, reg, gdb, cfg)
 	}
-	report := &analysis.Report{}
-	mctx := analysis.MergeContexts(in, ctxs)
-	mctx.Reduce(report, c.reducers())
-	if err := mctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: fold reduce: %w", err)
-	}
-
-	result := &Result{
-		Campaign:   c,
-		Population: pop,
-		Scanner:    sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
-		Probes: probes, Duration: duration,
-		ResolverStats: rsink.Total(),
-		Invariants:    inv, ChaosCrashes: chaosCrashes,
-	}
-	if inv != nil && !inv.Ok() {
-		return result, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
-			inv.ViolationCount, inv.Violations[0])
-	}
-	return result, nil
-}
-
-// runShardStreaming simulates one shard end to end: build, plan,
-// schedule, observe, run, seal, partition — and, under the fold
-// engine (foldDir non-empty), spill the sealed hit run to disk and
-// drop the buffers. Everything but the returned shardOut is garbage
-// when it returns.
-func runShardStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, duration time.Duration, foldDir string) *shardOut {
-	w, err := world.BuildWith(pop, reg, cfg.World, indices)
-	if err != nil {
-		return &shardOut{err: err}
-	}
-	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
-	if err != nil {
-		return &shardOut{err: err}
-	}
-	admitShard(sc, pop, indices, nil)
-	sh := &Shard{Index: k, World: w, Scanner: sc}
-	for _, ph := range c.Phases {
-		ph.Plan(sh)
-	}
+	w, sc := sh.World, sh.Scanner
+	// Phases schedule in list order, then churn and chaos, then reactive
+	// hooks arm — the same event-queue insertion order at every shard
+	// count.
 	for _, ph := range c.Phases {
 		ph.Schedule(sh, duration)
 	}
-	out := &shardOut{}
 	if cfg.ChurnFraction > 0 {
 		w.ScheduleChurn(cfg.ChurnFraction, duration, cfg.Scanner.Seed+99)
 	}
@@ -736,7 +608,7 @@ func runShardStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Regis
 	sc.SealRuns()
 	out.ctx = analysis.Partition(shardInput(sc, w.ScannerAddr4, w.ScannerAddr6, reg, gdb, cfg))
 	out.rstats = w.ResolverStats()
-	out.stats, out.cfg = sc.Stats, sc.Cfg
+	out.stats = sc.Stats
 	out.addr4, out.addr6 = w.ScannerAddr4, w.ScannerAddr6
 	out.publicDNS, out.asPublicDNS = w.PublicDNS, w.ASPublicDNS
 	if !cfg.DisableInvariants {
@@ -761,30 +633,21 @@ func runShardStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Regis
 // admitShard streams the shard's DITL-derived candidate targets (live
 // resolvers and dead addresses alike; the scanner cannot tell them
 // apart, §3.6.2) straight off the population view into the scanner's
-// admission predicate — no intermediate slice. When hl is non-nil the
-// sweep also accumulates the IPv6 hit list: the /64 of every v6
-// candidate before admission filtering (an excluded address's subnet is
-// still known-active space), exactly the set V6HitList collects.
-func admitShard(sc *scanner.Scanner, pop ditl.Pop, indices []int, hl map[netip.Prefix]bool) {
+// admission predicate — no intermediate slice.
+func admitShard(sc *scanner.Scanner, pop ditl.Pop, indices []int) {
 	sc.AdmitHint(pop.CandidateCount(indices))
-	admit := func(a netip.Addr) {
-		if hl != nil && a.IsValid() && a.Is6() {
-			hl[routing.SubnetOf(a)] = true
-		}
-		sc.AdmitOne(a)
-	}
 	pop.EachAS(indices, func(_ int, as *ditl.ASSpec) {
 		for k := 0; k < as.NumResolvers(); k++ {
 			r := as.Resolver(k)
 			if r.HasV4() {
-				admit(r.Addr4)
+				sc.AdmitOne(r.Addr4)
 			}
 			if r.HasV6() {
-				admit(r.Addr6)
+				sc.AdmitOne(r.Addr6)
 			}
 		}
 		for _, d := range as.DeadTargets {
-			admit(d)
+			sc.AdmitOne(d)
 		}
 	})
 }
@@ -954,9 +817,9 @@ func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
 // V6HitList derives the IPv6 hit list (§3.2, [21]) from the population:
 // the /64s of every known-active v6 address (live resolvers and
 // once-seen dead targets alike — activity, not liveness). It is one of
-// the few deliberately population-sized structures in the streaming
-// engine: one /64 per known v6 address, shared read-only by every
-// shard's scanner.
+// the few deliberately population-sized structures in the pipeline:
+// one /64 per known v6 address, shared read-only by every shard's
+// scanner.
 func V6HitList(pop ditl.Pop) map[netip.Prefix]bool {
 	hl := make(map[netip.Prefix]bool, pop.V6AddrCount())
 	add := func(a netip.Addr) {
@@ -984,22 +847,4 @@ func GeoDB(pop ditl.Pop) *geo.DB {
 		db.Assign(as.ASN, as.Countries...)
 	})
 	return db
-}
-
-// mergedPublicDNS unions the public-DNS service addresses across shard
-// worlds: the shared public resolvers (identical in every shard) plus
-// each shard's per-AS replicas. Shards hold disjoint AS subsets in
-// population order, so concatenating in shard order reproduces the
-// single-shard list exactly.
-func mergedPublicDNS(worlds []*world.World) []netip.Addr {
-	n := len(worlds[0].PublicDNS)
-	for _, w := range worlds {
-		n += len(w.ASPublicDNS)
-	}
-	out := make([]netip.Addr, 0, n)
-	out = append(out, worlds[0].PublicDNS...)
-	for _, w := range worlds {
-		out = append(out, w.ASPublicDNS...)
-	}
-	return out
 }

@@ -31,6 +31,11 @@ import (
 // runMagic guards against feeding an unrelated file to the merge.
 const runMagic = "DRUN1"
 
+// maxSYNLen bounds a spilled SYN's length prefix: no captured packet is
+// longer than the largest IP datagram, so anything above is corruption
+// — and must not size an allocation.
+const maxSYNLen = 65535
+
 // HitRunWriter streams a sorted hit run to disk.
 type HitRunWriter struct {
 	f   *os.File
@@ -225,6 +230,9 @@ func (r *HitRunReader) Next() (Hit, bool) {
 	}
 	if r.err == nil && flag == 1 {
 		n := r.uvarint()
+		if r.err == nil && n > maxSYNLen {
+			r.fail(fmt.Errorf("runfile: spilled SYN length %d exceeds %d", n, maxSYNLen))
+		}
 		if r.err == nil {
 			raw := make([]byte, n)
 			if _, err := io.ReadFull(r.r, raw); err != nil {
