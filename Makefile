@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 BIN ?= bin
 
-.PHONY: check build vet lint pragmas test race racestress fuzz perfbench-test bench conformance
+.PHONY: check build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance
 
 # Tier-1 verification: build + vet + determinism lint + full tests +
 # race detector over the parallel sharded engine + the concurrency
@@ -64,6 +64,20 @@ fuzz:
 # replay reproduces RunSurveyOn's Report.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Correctness smoke at workload size: one short run of each benchmark
+# workload, which must end with "correct":true. That is the check of
+# the recorded admitted-target counts (17,800 / 17,800 / 98,205) and of
+# Report digest agreement at full workload size; perfbench-test runs
+# at 30 ASes.
+SMOKE_WORKLOADS := survey survey-chaos paperscale-sav
+
+perfbench-smoke:
+	@for w in $(SMOKE_WORKLOADS); do \
+		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w did not report correct" >&2; exit 1 ;; esac; \
+	done
 
 # Resolver conformance: the differential suite proving the layered
 # middleware stack event-for-event identical to the frozen pre-refactor

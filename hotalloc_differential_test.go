@@ -84,6 +84,20 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "detrand.Intn", func() {
 		sinkInt = detrand.Intn(97, 9, 10)
 	})
+	// A causal stream's draws go through *rand.Rand's dynamic calls, so
+	// only this test pins them: allocation-free inside the closed-form
+	// window (AllocsPerRun's 201 draws stay under draw 273) and after
+	// the stream has built its state.
+	rng := detrand.Rand(5, 6)
+	assertZeroAllocs(t, "detrand.Rand draw, first 273", func() {
+		sinkU64 = uint64(rng.Int63())
+	})
+	for i := 0; i < 100; i++ {
+		rng.Int63()
+	}
+	assertZeroAllocs(t, "detrand.Rand draw, past 273", func() {
+		sinkU64 = rng.Uint64()
+	})
 
 	// Resolver admission: the ACL walk is the first hop of every
 	// client query.

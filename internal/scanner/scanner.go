@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -300,6 +301,10 @@ type Scanner struct {
 	plans    []probePlan
 	nameBuf  []byte // scratch: wire-form probe name
 	msgBuf   []byte // scratch: packed query message
+
+	// hitList is Cfg.V6HitList's subnets in address order, built on the
+	// first IPv6 SourcesFor; the hit list must not change after that.
+	hitList []netip.Prefix
 }
 
 // New creates a scanner on host (whose AS must lack OSAV) monitoring
@@ -445,6 +450,43 @@ func (s *Scanner) targetRand(a netip.Addr) *rand.Rand {
 	return detrand.Rand(s.seed, hi, lo, saltSources)
 }
 
+// hotSubnets returns the hit-listed subnets inside prefixes other than
+// own, in address order; a subnet inside two nested prefixes appears
+// twice. Each prefix's subnets are one contiguous run of the sorted hit
+// list, found by binary search, so a target costs
+// O(prefixes · log list + hits) rather than a pass over the list.
+func (s *Scanner) hotSubnets(prefixes []netip.Prefix, own netip.Prefix) []netip.Prefix {
+	if s.hitList == nil {
+		s.hitList = make([]netip.Prefix, 0, len(s.Cfg.V6HitList))
+		for sub := range s.Cfg.V6HitList {
+			s.hitList = append(s.hitList, sub)
+		}
+		slices.SortFunc(s.hitList, comparePrefix)
+	}
+	var hot []netip.Prefix
+	for _, p := range prefixes {
+		first := p.Masked().Addr()
+		i, _ := slices.BinarySearchFunc(s.hitList, first, func(sub netip.Prefix, a netip.Addr) int {
+			return sub.Addr().Compare(a)
+		})
+		for ; i < len(s.hitList) && p.Contains(s.hitList[i].Addr()); i++ {
+			if s.hitList[i] != own {
+				hot = append(hot, s.hitList[i])
+			}
+		}
+	}
+	slices.SortFunc(hot, comparePrefix) // runs of unordered or nested prefixes interleave
+	return hot
+}
+
+// comparePrefix orders prefixes by address, then length.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
 // SourcesFor generates the spoofed sources for a target (§3.2): up to
 // MaxOtherPrefix other-prefix addresses, one same-prefix address, the
 // private/unique-local address, the target itself, and loopback.
@@ -467,20 +509,7 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	var candidates []netip.Prefix
 	seen := make(map[netip.Prefix]bool)
 	if v6 && len(s.Cfg.V6HitList) > 0 {
-		var hot []netip.Prefix
-		for sub := range s.Cfg.V6HitList {
-			if sub == own {
-				continue
-			}
-			for _, p := range prefixes {
-				if p.Contains(sub.Addr()) {
-					hot = append(hot, sub)
-					break
-				}
-			}
-		}
-		sort.Slice(hot, func(i, j int) bool { return hot[i].Addr().Less(hot[j].Addr()) })
-		for _, sub := range hot {
+		for _, sub := range s.hotSubnets(prefixes, own) {
 			if !seen[sub] {
 				seen[sub] = true
 				candidates = append(candidates, sub)
