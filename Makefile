@@ -2,13 +2,20 @@ GO ?= go
 FUZZTIME ?= 5s
 BIN ?= bin
 
-.PHONY: check build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance
+.PHONY: check fmt build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance
 
-# Tier-1 verification: build + vet + determinism lint + full tests +
-# race detector over the parallel sharded engine + the concurrency
-# cross-validation harness + a short fuzz smoke over the wire parsers
-# and run files + the benchmark module's own tests.
-check: build vet lint test race racestress fuzz perfbench-test
+# Tier-1 verification: formatting + build + vet + determinism lint +
+# full tests + race detector over the parallel sharded engine + the
+# concurrency cross-validation harness + a short fuzz smoke over the
+# wire parsers and run files + the benchmark module's own tests.
+check: fmt build vet lint test race racestress fuzz perfbench-test
+
+# Every tracked .go file outside testdata/ must be gofmt-clean; the
+# lint fixtures under testdata/ keep their deliberate layout.
+fmt:
+	@files="$$(git ls-files '*.go' ':!*/testdata/*')" || exit 1; \
+	bad="$$(gofmt -l $$files)"; \
+	if [ -n "$$bad" ]; then echo "gofmt -l lists:" >&2; echo "$$bad" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -42,8 +49,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Concurrency cross-validation: two streaming campaigns race through a
-# shared campaign.Runner at MaxParallel 4 under the race detector, and
+# Concurrency cross-validation: two streaming campaigns run at once over
+# one shared population view at MaxParallel 4 under the race detector, and
 # the concurrency-bearing packages must come back clean from lockguard
 # and golifetime — the dynamic and static halves of the same claim.
 racestress:

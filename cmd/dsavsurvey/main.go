@@ -91,7 +91,7 @@ func main() {
 	}
 
 	cfg := doors.SurveyConfig{
-		Campaign: c,
+		Campaign:   c,
 		Population: ditl.Params{Seed: *seed, ASes: *ases},
 		World: world.Options{
 			Seed: *seed + 1, LossRate: *loss,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/campaign"
 	"repro/internal/ditl"
 	"repro/internal/scanner"
 	"repro/internal/world"
@@ -154,7 +155,7 @@ func TestOptOutSuppressesProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Admit(CandidateAddrs(pop))
+	sc.Admit(campaign.CandidateAddrs(pop, nil))
 
 	// The operator of the first no-DSAV AS requests removal mid-setup.
 	var optedOut *ditl.ASSpec

@@ -12,8 +12,8 @@ import (
 	"log"
 	"net/netip"
 
-	doors "repro"
 	"repro/internal/analysis"
+	"repro/internal/campaign"
 	"repro/internal/ditl"
 	"repro/internal/report"
 	"repro/internal/scanner"
@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc.Admit(doors.CandidateAddrs(pop))
+	sc.Admit(campaign.CandidateAddrs(pop, nil))
 	fmt.Printf("Admitted %d targets (excluded: %d special-purpose, %d unrouted)\n",
 		sc.Stats.TargetsAdmitted, sc.Stats.ExcludedSpecial, sc.Stats.ExcludedUnrouted)
 
@@ -60,7 +60,7 @@ func main() {
 	rep := analysis.Analyze(analysis.Input{
 		Hits: sc.Hits, Partials: sc.Partials, Targets: sc.Targets,
 		ScannerAddrs: []netip.Addr{w.ScannerAddr4, w.ScannerAddr6},
-		Reg:          w.Reg, Geo: doors.GeoDB(pop),
+		Reg:          w.Reg, Geo: campaign.GeoDB(pop),
 	})
 
 	fmt.Println()

@@ -70,7 +70,9 @@ func TestRunnerPhaseOrdering(t *testing.T) {
 		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
 		fakePhase{name: "b", reducer: "rb", log: &log, runs: &runs},
 	}}
-	if _, err := Run(c, pop, tinyConfig()); err != nil {
+	cfg := tinyConfig()
+	cfg.Campaign = c
+	if _, err := Run(pop, cfg); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a.plan[0]", "b.plan[0]", "a.sched[0]", "b.sched[0]", "a.obs[0]", "b.obs[0]"}
@@ -102,7 +104,8 @@ func TestRunnerPlansAllShardsFirst(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Shards = 2
 		cfg.Stream = tc.stream
-		if _, err := Run(c, pop, cfg); err != nil {
+		cfg.Campaign = c
+		if _, err := Run(pop, cfg); err != nil {
 			t.Fatal(err)
 		}
 		firstSched := len(log.calls)
@@ -150,7 +153,9 @@ func TestReduceMergeDeduplicates(t *testing.T) {
 		fakePhase{name: "a", reducer: "shared", log: &log, runs: &runs},
 		fakePhase{name: "b", reducer: "shared", log: &log, runs: &runs},
 	}}
-	if _, err := Run(c, pop, tinyConfig()); err != nil {
+	cfg := tinyConfig()
+	cfg.Campaign = c
+	if _, err := Run(pop, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 1 {
@@ -238,7 +243,9 @@ func TestSAVSourceIsInternal(t *testing.T) {
 // target (every admitted target is routed, so a source always exists).
 func TestInboundSAVPlanState(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 3, ASes: 4})
-	res, err := Run(NewInboundSAV(), pop, tinyConfig())
+	cfg := tinyConfig()
+	cfg.Campaign = NewInboundSAV()
+	res, err := Run(pop, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

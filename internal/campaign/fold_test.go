@@ -28,7 +28,7 @@ func TestFoldMergeGroupingInvariance(t *testing.T) {
 		old := mergeFanIn
 		mergeFanIn = fanIn
 		defer func() { mergeFanIn = old }()
-		res, err := Run(nil, pop, cfg)
+		res, err := Run(pop, cfg)
 		if err != nil {
 			t.Fatalf("fanIn=%d: %v", fanIn, err)
 		}

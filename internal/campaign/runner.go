@@ -20,9 +20,16 @@ import (
 	"repro/internal/world"
 )
 
-// Config parameterizes a campaign run: the engine knobs every campaign
-// shares, independent of its phase list.
+// Config parameterizes a campaign run: the phase list and the engine
+// knobs every campaign shares. doors.SurveyConfig is this type.
 type Config struct {
+	// Population parameterizes the synthetic DITL target world that
+	// doors.RunSurvey generates (a streaming ditl.View under Stream or
+	// Fold). Run surveys the population it is handed and ignores it.
+	Population ditl.Params
+	// Campaign selects the phase list to run; nil runs the default
+	// survey campaign (reachability + characterization).
+	Campaign *Campaign
 	// World tunes the simulated Internet (loss, wildcard zone, DSAV
 	// counterfactuals).
 	World world.Options
@@ -146,9 +153,8 @@ type Result struct {
 	Duration time.Duration
 
 	// ResolverStats sums every simulated resolver's counters across all
-	// shards — the server-side complement to Scanner.Stats. Shards
-	// contribute as their simulations finish, in any order; the total
-	// is deterministic because stats addition is commutative.
+	// shards, in shard order — the server-side complement to
+	// Scanner.Stats.
 	ResolverStats resolver.Stats
 
 	// Invariants is the merged invariant-checker report (nil when the
@@ -162,90 +168,9 @@ type Result struct {
 	ChaosCrashes int
 }
 
-// Runner executes campaigns. One Runner is safe for concurrent Run
-// calls — the racestress harness and parameter sweeps drive several
-// campaigns at once through a shared Runner: the registry memo and the
-// progress counters below are the only cross-campaign state, every
-// access to them holds mu, and everything a shard goroutine touches is
-// either read-only (registry, geo database, campaign, population view)
-// or handed to it as an argument.
-type Runner struct {
-	mu sync.Mutex
-	// regCache memoizes BuildRegistry by population identity and world
-	// options: concurrent campaigns over the same population build the
-	// routing registry once and share it read-only.
-	//doors:guardedby mu
-	regCache map[regKey]*routing.Registry
-	// active counts campaigns currently inside Run.
-	//doors:guardedby mu
-	active int
-	// completed counts campaigns that have finished, success or error.
-	//doors:guardedby mu
-	completed int
-	// shardsDone counts shard simulations completed across all runs.
-	//doors:guardedby mu
-	shardsDone int
-}
-
-// regKey identifies one memoized registry. Pop implementations are
-// pointers and Options is a flat value struct, so the key is
-// comparable.
-type regKey struct {
-	pop  ditl.Pop
-	opts world.Options
-}
-
-// NewRunner returns a Runner ready for concurrent use.
-func NewRunner() *Runner {
-	return &Runner{regCache: make(map[regKey]*routing.Registry)}
-}
-
-// Progress reports the Runner's lifetime counters: campaigns currently
-// running, campaigns completed, and shard simulations finished.
-func (r *Runner) Progress() (active, completed, shardsDone int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.active, r.completed, r.shardsDone
-}
-
-// shardDone records one finished shard simulation. Called from shard
-// goroutines.
-func (r *Runner) shardDone() {
-	r.mu.Lock()
-	r.shardsDone++
-	r.mu.Unlock()
-}
-
-// registryFor returns the memoized registry for (pop, opts), building
-// it on first use. The build runs outside the lock — registries take
-// real work to construct and BuildRegistry is deterministic, so two
-// racing builders produce equivalent registries and the first to
-// publish wins.
-func (r *Runner) registryFor(pop ditl.Pop, opts world.Options) (*routing.Registry, error) {
-	key := regKey{pop: pop, opts: opts}
-	r.mu.Lock()
-	cached := r.regCache[key]
-	r.mu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	reg, err := world.BuildRegistry(pop, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if prior := r.regCache[key]; prior != nil {
-		reg = prior // a concurrent builder published first
-	} else {
-		r.regCache[key] = reg
-	}
-	r.mu.Unlock()
-	return reg, nil
-}
-
-// Run executes the campaign over the population as one pipeline of
-// pass A, pass B and a merge. c == nil runs the default survey
-// campaign.
+// Run executes cfg.Campaign over the population as one pipeline of
+// pass A, pass B and a merge. A nil cfg.Campaign runs the default
+// survey campaign.
 //
 // The population's ASes are partitioned into contiguous shards, each
 // simulated in its own world (own event queue, own scanner instance)
@@ -263,27 +188,21 @@ func (r *Runner) registryFor(pop ditl.Pop, opts world.Options) (*routing.Registr
 // Pass B runs runShard for every shard on a worker pool bounded by
 // MaxParallel: build and re-plan unless pass A kept the shard,
 // schedule, churn and chaos, observe, simulate, seal and partition,
-// then keep the runs in memory or spill them.
+// then keep the runs in memory or spill them. Workers share no mutable
+// state: each reads frozen inputs and writes only its own result.
 //
-// One merge then combines the shards' stats, partial reductions,
-// public DNS and invariant reports in shard order, and reduces the
-// canonically ordered buffers — merged in memory, or streamed from the
-// spilled runs — into the Report with the phases' deduplicated reducer
-// set. The same seeds produce the same Report at any shard count,
-// including 1, whether worlds are retained and runs spilled or not.
-func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
-	r.mu.Lock()
-	r.active++
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.active--
-		r.completed++
-		r.mu.Unlock()
-	}()
+// One merge then combines the shards' scanner and resolver stats,
+// partial reductions, public DNS and invariant reports in shard order,
+// and reduces the canonically ordered buffers — merged in memory, or
+// streamed from the spilled runs — into the Report with the phases'
+// deduplicated reducer set. The same seeds produce the same Report at
+// any shard count, including 1, whether worlds are retained and runs
+// spilled or not.
+func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	c := cfg.Campaign
 	if c == nil {
 		c = NewSurvey()
 	}
@@ -293,7 +212,7 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 		cfg.Scanner.V6HitList = V6HitList(pop)
 	}
 	cfg.World.Invariants = !cfg.DisableInvariants
-	reg, err := r.registryFor(pop, cfg.World)
+	reg, err := world.BuildRegistry(pop, cfg.World)
 	if err != nil {
 		return nil, err
 	}
@@ -343,24 +262,20 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	}
 
 	// Pass B. The injector, registry, geo database, campaign and
-	// population view are all read-only across workers; the
-	// resolver-stats sink and the Runner's progress counter take their
-	// own locks.
+	// population view are all read-only across workers, and each worker
+	// writes only its own outs slot.
 	gdb := GeoDB(pop)
 	outs := make([]*shardOut, shards)
-	var rsink resolver.StatsSink
 	sem := make(chan struct{}, cfg.maxParallel())
 	var wg sync.WaitGroup
 	for k := range parts {
 		wg.Add(1)
-		go func(k int, sh *Shard, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector, r *Runner, rsink *resolver.StatsSink) {
+		go func(k int, sh *Shard, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], sh, duration, foldDir)
-			rsink.Add(outs[k].rstats)
-			r.shardDone()
-		}(k, kept[k], pop, cfg, gdb, inj, r, &rsink)
+		}(k, kept[k], pop, cfg, gdb, inj)
 	}
 	wg.Wait()
 	for _, o := range outs {
@@ -374,11 +289,13 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	// single-shard ones exactly, and the per-shard partial reductions
 	// have disjoint key spaces (targets are per-AS, ASes per-shard).
 	var stats scanner.Stats
+	var rstats resolver.Stats
 	ctxs := make([]*analysis.Context, shards)
 	chaosCrashes := 0
 	nDNS := len(outs[0].publicDNS)
 	for k, o := range outs {
 		stats.Add(o.stats)
+		rstats.Add(o.rstats)
 		ctxs[k] = o.ctx
 		chaosCrashes += o.crashes
 		nDNS += len(o.asPublicDNS)
@@ -475,7 +392,7 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 		Population: pop,
 		Scanner:    sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
 		Probes: probes, Duration: duration,
-		ResolverStats: rsink.Total(),
+		ResolverStats: rstats,
 		Invariants:    inv, ChaosCrashes: chaosCrashes,
 	}
 	if retain {
@@ -490,13 +407,6 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 			inv.ViolationCount, inv.Violations[0])
 	}
 	return result, nil
-}
-
-// Run executes one campaign on a fresh Runner. It is the one-shot
-// entry point; callers running several campaigns (especially
-// concurrently, or over the same population) should share a Runner.
-func Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
-	return NewRunner().Run(c, pop, cfg)
 }
 
 // shardInput assembles one shard's analysis input: its own buffers over
@@ -547,7 +457,9 @@ type shardOut struct {
 
 // newShard admits the shard's candidates into a fresh scanner: a full
 // one over a newly built world when withWorld, else a host-less planner
-// — Plan needs only the targets, the registry, and the config.
+// — Plan needs only the targets, the registry, and the config. The
+// candidates stream straight off the population view into the
+// admission predicate, with no intermediate slice.
 func newShard(pop ditl.Pop, reg *routing.Registry, cfg Config, k int, indices []int, withWorld bool) (*Shard, error) {
 	sh := &Shard{Index: k}
 	if withWorld {
@@ -563,7 +475,8 @@ func newShard(pop ditl.Pop, reg *routing.Registry, cfg Config, k int, indices []
 	} else {
 		sh.Scanner = scanner.NewPlanner(reg, cfg.Scanner)
 	}
-	admitShard(sh.Scanner, pop, indices)
+	sh.Scanner.AdmitHint(pop.CandidateCount(indices))
+	ditl.EachCandidate(pop, indices, sh.Scanner.AdmitOne)
 	return sh, nil
 }
 
@@ -630,28 +543,6 @@ func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb 
 	return out
 }
 
-// admitShard streams the shard's DITL-derived candidate targets (live
-// resolvers and dead addresses alike; the scanner cannot tell them
-// apart, §3.6.2) straight off the population view into the scanner's
-// admission predicate — no intermediate slice.
-func admitShard(sc *scanner.Scanner, pop ditl.Pop, indices []int) {
-	sc.AdmitHint(pop.CandidateCount(indices))
-	pop.EachAS(indices, func(_ int, as *ditl.ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			if r.HasV4() {
-				sc.AdmitOne(r.Addr4)
-			}
-			if r.HasV6() {
-				sc.AdmitOne(r.Addr6)
-			}
-		}
-		for _, d := range as.DeadTargets {
-			sc.AdmitOne(d)
-		}
-	})
-}
-
 // mergeFanIn bounds how many run files the fold reduce holds open at
 // once. Package variable so the grouping-invariance test can shrink it;
 // any value ≥ 2 produces byte-identical output.
@@ -687,40 +578,11 @@ func reduceRuns(dir string, paths []string) ([]string, error) {
 // into a new run file. Peak residency: one decoded hit per input plus
 // the buffered writers.
 func mergeRunFiles(outPath string, inPaths []string) error {
-	srcs := make([]runs.Source[scanner.Hit], len(inPaths))
-	readers := make([]*scanner.HitRunReader, len(inPaths))
-	defer func() {
-		for _, rd := range readers {
-			if rd != nil {
-				rd.Close()
-			}
-		}
-	}()
-	for i, p := range inPaths {
-		rd, err := scanner.OpenHitRun(p)
-		if err != nil {
-			return err
-		}
-		readers[i], srcs[i] = rd, rd
-	}
 	w, err := scanner.CreateHitRun(outPath)
 	if err != nil {
 		return err
 	}
-	m := runs.NewMerger(scanner.LessHit, srcs...)
-	var h scanner.Hit
-	for {
-		var ok bool
-		h, ok = m.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(&h); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	if err := m.Err(); err != nil {
+	if err := drainRuns(inPaths, w.Write); err != nil {
 		w.Close()
 		return err
 	}
@@ -728,38 +590,51 @@ func mergeRunFiles(outPath string, inPaths []string) error {
 }
 
 // foldHitStream returns the re-drainable merged hit stream over the
-// final level of run files: each drain opens the files, streams their
-// stable k-way merge through yield one hit at a time, and closes them.
+// final level of run files.
 func foldHitStream(paths []string) func(yield func(h *scanner.Hit)) error {
 	return func(yield func(h *scanner.Hit)) error {
-		srcs := make([]runs.Source[scanner.Hit], len(paths))
-		readers := make([]*scanner.HitRunReader, len(paths))
-		defer func() {
-			for _, rd := range readers {
-				if rd != nil {
-					rd.Close()
-				}
-			}
-		}()
-		for i, p := range paths {
-			rd, err := scanner.OpenHitRun(p)
-			if err != nil {
-				return err
-			}
-			readers[i], srcs[i] = rd, rd
-		}
-		m := runs.NewMerger(scanner.LessHit, srcs...)
-		var h scanner.Hit
-		for {
-			var ok bool
-			h, ok = m.Next()
-			if !ok {
-				break
-			}
-			yield(&h)
-		}
-		return m.Err()
+		return drainRuns(paths, func(h *scanner.Hit) error {
+			yield(h)
+			return nil
+		})
 	}
+}
+
+// drainRuns opens the run files, streams their stable k-way merge
+// through fn one hit at a time, and closes them. fn's *Hit is valid
+// only for the call.
+func drainRuns(paths []string, fn func(h *scanner.Hit) error) error {
+	srcs := make([]runs.Source[scanner.Hit], len(paths))
+	readers := make([]*scanner.HitRunReader, len(paths))
+	defer func() {
+		for _, rd := range readers {
+			if rd != nil {
+				rd.Close()
+			}
+		}
+	}()
+	for i, p := range paths {
+		rd, err := scanner.OpenHitRun(p)
+		if err != nil {
+			return err
+		}
+		readers[i], srcs[i] = rd, rd
+	}
+	m := runs.NewMerger(scanner.LessHit, srcs...)
+	// One Hit for the whole drain: a per-iteration variable would put
+	// every hit on the heap, since fn sees its address.
+	var h scanner.Hit
+	for {
+		var ok bool
+		h, ok = m.Next()
+		if !ok {
+			break
+		}
+		if err := fn(&h); err != nil {
+			return err
+		}
+	}
+	return m.Err()
 }
 
 // foldTargetStream returns the re-drainable merged target stream: the
@@ -770,47 +645,21 @@ func foldHitStream(paths []string) func(yield func(h *scanner.Hit)) error {
 func foldTargetStream(pop ditl.Pop, reg *routing.Registry, cfg scanner.Config) func(yield func(t scanner.Target)) error {
 	return func(yield func(t scanner.Target)) error {
 		pl := scanner.NewPlanner(reg, cfg)
-		check := func(a netip.Addr) {
+		ditl.EachCandidate(pop, nil, func(a netip.Addr) {
 			if t, ok := pl.AdmitCheck(a); ok {
 				yield(t)
-			}
-		}
-		pop.EachAS(nil, func(_ int, as *ditl.ASSpec) {
-			for k := 0; k < as.NumResolvers(); k++ {
-				r := as.Resolver(k)
-				if r.HasV4() {
-					check(r.Addr4)
-				}
-				if r.HasV6() {
-					check(r.Addr6)
-				}
-			}
-			for _, d := range as.DeadTargets {
-				check(d)
 			}
 		})
 		return nil
 	}
 }
 
-// CandidateAddrs collects the DITL-derived candidate targets (live
-// resolvers and dead addresses alike; the scanner cannot tell them
-// apart, §3.6.2) of the population ASes named by indices (nil = all),
-// pre-sized from the population counts.
+// CandidateAddrs collects the DITL-derived candidate targets of the
+// population ASes named by indices (nil = all), pre-sized from the
+// population counts.
 func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
 	out := make([]netip.Addr, 0, pop.CandidateCount(indices))
-	pop.EachAS(indices, func(_ int, as *ditl.ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			if r.HasV4() {
-				out = append(out, r.Addr4)
-			}
-			if r.HasV6() {
-				out = append(out, r.Addr6)
-			}
-		}
-		out = append(out, as.DeadTargets...)
-	})
+	ditl.EachCandidate(pop, indices, func(a netip.Addr) { out = append(out, a) })
 	return out
 }
 
@@ -822,18 +671,9 @@ func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
 // scanner.
 func V6HitList(pop ditl.Pop) map[netip.Prefix]bool {
 	hl := make(map[netip.Prefix]bool, pop.V6AddrCount())
-	add := func(a netip.Addr) {
-		if a.IsValid() && a.Is6() {
+	ditl.EachCandidate(pop, nil, func(a netip.Addr) {
+		if a.Is6() {
 			hl[routing.SubnetOf(a)] = true
-		}
-	}
-	pop.EachAS(nil, func(_ int, as *ditl.ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			add(r.Addr6)
-		}
-		for _, d := range as.DeadTargets {
-			add(d)
 		}
 	})
 	return hl

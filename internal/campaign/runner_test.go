@@ -32,7 +32,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	} {
 		cfg := tinyConfig()
 		tc.set(&cfg)
-		res, err := Run(nil, pop, cfg)
+		res, err := Run(pop, cfg)
 		if err == nil || res != nil {
 			t.Fatalf("%s: bad value accepted", tc.field)
 		}
@@ -43,7 +43,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	// The boundary values stay legal.
 	cfg := tinyConfig()
 	cfg.Shards, cfg.ChurnFraction, cfg.World.LossRate = -1, 1, 0
-	if _, err := Run(nil, pop, cfg); err != nil {
+	if _, err := Run(pop, cfg); err != nil {
 		t.Fatalf("boundary config rejected: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestFoldSpillDirLifecycle(t *testing.T) {
 	old := mergeFanIn
 	mergeFanIn = 2 // three pre-merge levels of intermediate files
 	defer func() { mergeFanIn = old }()
-	if _, err := Run(nil, pop, cfg); err != nil {
+	if _, err := Run(pop, cfg); err != nil {
 		t.Fatal(err)
 	}
 	left, err := os.ReadDir(tmp)
@@ -77,7 +77,7 @@ func TestFoldSpillDirLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Setenv("TMPDIR", file)
-	res, err := Run(nil, pop, cfg)
+	res, err := Run(pop, cfg)
 	var pe *os.PathError
 	if res != nil || !errors.As(err, &pe) || !strings.HasPrefix(pe.Path, file+string(filepath.Separator)) {
 		t.Fatalf("fold run with TMPDIR a regular file: result %v, error %v; want the MkdirTemp error", res, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 
 	"repro/internal/oskernel"
 	"repro/internal/resolver"
@@ -175,9 +176,11 @@ func ReadJSON(r io.Reader) (*Population, error) {
 }
 
 // Validate checks a population's internal consistency — essential for
-// worlds imported from JSON: every address must fall inside its AS's
-// announced prefixes, no address may repeat, resolver indices must be
-// unique, and allocator overrides must be coherent.
+// worlds imported from JSON: every address and prefix must be of its
+// field's family, every address must fall inside its AS's announced
+// prefixes, no address may repeat, resolver indices must be unique,
+// enumerated fields must hold declared values, and allocator overrides
+// must be coherent.
 func (p *Population) Validate() error {
 	seenAddr := make(map[netip.Addr]bool)
 	seenASN := make(map[routing.ASN]bool)
@@ -189,6 +192,16 @@ func (p *Population) Validate() error {
 		seenASN[as.ASN] = true
 		if len(as.V4Prefixes) == 0 {
 			return fmt.Errorf("ditl: %v announces no IPv4 space", as.ASN)
+		}
+		for _, pr := range as.V4Prefixes {
+			if !pr.Addr().Is4() {
+				return fmt.Errorf("ditl: %v: v4_prefixes entry %v is not IPv4", as.ASN, pr)
+			}
+		}
+		for _, pr := range as.V6Prefixes {
+			if !pr.Addr().Is6() {
+				return fmt.Errorf("ditl: %v: v6_prefixes entry %v is not IPv6", as.ASN, pr)
+			}
 		}
 		contains := func(a netip.Addr) bool {
 			for _, pr := range as.Prefixes() {
@@ -232,6 +245,9 @@ func (p *Population) Validate() error {
 			if rs.SmallPoolSize > 0 && rs.SeqSize > 0 {
 				return fmt.Errorf("ditl: resolver %d has conflicting allocator overrides", rs.Index)
 			}
+			if err := checkFields(&rs); err != nil {
+				return err
+			}
 			if err := checkAddr(rs.Addr4, "resolver v4"); err != nil {
 				return err
 			}
@@ -244,6 +260,34 @@ func (p *Population) Validate() error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkFields rejects resolver fields holding values outside their
+// declared range — JSON carries the enumerations as bare numbers —
+// naming the JSON field.
+func checkFields(rs *ResolverSpec) error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("ditl: resolver %d: %s = %v; want %s", rs.Index, field, v, want)
+	}
+	switch {
+	case rs.HasV4() && !rs.Addr4.Is4():
+		return bad("addr4", rs.Addr4, "an IPv4 address")
+	case rs.HasV6() && !rs.Addr6.Is6():
+		return bad("addr6", rs.Addr6, "an IPv6 address")
+	case rs.Scope < ScopeOpen || rs.Scope > ScopeStrict:
+		return bad("scope", int(rs.Scope), fmt.Sprintf("%d..%d", ScopeOpen, ScopeStrict))
+	case rs.Upstream < UpstreamPublicDNS || rs.Upstream > UpstreamThirdParty:
+		return bad("upstream", int(rs.Upstream), fmt.Sprintf("%d..%d", UpstreamPublicDNS, UpstreamThirdParty))
+	case rs.History < HistorySameZero || rs.History > HistoryAbsent:
+		return bad("history", int(rs.History), fmt.Sprintf("%d..%d", HistorySameZero, HistoryAbsent))
+	case !slices.Contains(resolver.AllSoftware, rs.Software):
+		return bad("software", int(rs.Software), "a modeled implementation (resolver.AllSoftware)")
+	case !(rs.ForwardFraction >= 0 && rs.ForwardFraction <= 1):
+		return bad("forward_fraction", rs.ForwardFraction, "a fraction in [0, 1]")
+	case rs.SmallPoolSize < 0 || rs.SmallPoolSize > maxSmallPool:
+		return bad("small_pool", rs.SmallPoolSize, fmt.Sprintf("0..%d", maxSmallPool))
 	}
 	return nil
 }

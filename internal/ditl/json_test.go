@@ -135,4 +135,73 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := pop.Validate(); err == nil {
 		t.Error("conflicting allocator overrides accepted")
 	}
+
+	// Values JSON can carry but no generator produces: each must fail
+	// with an error naming its JSON field.
+	v6Resolver := func(pop *Population) (*ASSpec, int) {
+		for _, as := range pop.ASes {
+			for k := 0; k < as.NumResolvers(); k++ {
+				if r := as.Resolver(k); r.HasV6() {
+					return as, k
+				}
+			}
+		}
+		t.Fatal("no v6 resolver in population")
+		return nil, 0
+	}
+	for _, tc := range []struct {
+		field string
+		fn    func(pop *Population)
+	}{
+		{"v4_prefixes", func(pop *Population) {
+			pop.ASes[0].V4Prefixes = append(pop.ASes[0].V4Prefixes, netip.MustParsePrefix("2a00:ffff::/32"))
+		}},
+		{"v6_prefixes", func(pop *Population) {
+			pop.ASes[0].V6Prefixes = append(pop.ASes[0].V6Prefixes, netip.MustParsePrefix("9.9.0.0/16"))
+		}},
+		{"addr4", func(pop *Population) {
+			as, k := v6Resolver(pop)
+			r := as.Resolver(k)
+			r.Addr4, r.Addr6 = r.Addr6, netip.Addr{}
+			as.setResolver(k, r)
+		}},
+		{"addr6", func(pop *Population) {
+			corrupt(pop, func(r *ResolverSpec) { r.Addr4, r.Addr6 = netip.Addr{}, r.Addr4 })
+		}},
+		{"scope", func(pop *Population) { corrupt(pop, func(r *ResolverSpec) { r.Scope = 42 }) }},
+		{"upstream", func(pop *Population) { corrupt(pop, func(r *ResolverSpec) { r.Upstream = 2 }) }},
+		{"history", func(pop *Population) { corrupt(pop, func(r *ResolverSpec) { r.History = -1 }) }},
+		{"software", func(pop *Population) { corrupt(pop, func(r *ResolverSpec) { r.Software = 999 }) }},
+		{"forward_fraction", func(pop *Population) { corrupt(pop, func(r *ResolverSpec) { r.ForwardFraction = 7 }) }},
+		{"small_pool", func(pop *Population) {
+			corrupt(pop, func(r *ResolverSpec) { r.SmallPoolSize, r.SeqSize = 65535, 0 })
+		}},
+	} {
+		pop := fresh()
+		tc.fn(pop)
+		if err := pop.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad %s: Validate() = %v; want an error naming the field", tc.field, err)
+		}
+	}
+
+	// The largest pool that cannot wrap stays legal.
+	pop = fresh()
+	corrupt(pop, func(r *ResolverSpec) { r.SmallPoolSize, r.SeqSize = maxSmallPool, 0 })
+	if err := pop.Validate(); err != nil {
+		t.Errorf("small_pool = %d rejected: %v", maxSmallPool, err)
+	}
+
+	// Imported through ReadJSON, a pool that wraps past port 65535 once
+	// reached the allocator and panicked inside a survey's shard worker.
+	in := `{"params":{},"ases":[{"asn":64500,"v4_prefixes":["11.0.0.0/24"],"dsav":false,
+		"osav":false,"filter_bogons":true,"countries":["US"],"dead_targets":[],
+		"resolvers":[{"index":0,"addr4":"11.0.0.1","os":"Ubuntu 18.04","software":12,
+		"small_pool":65535,"scope":0,"seed":1,"band":"midlow","history":0}]}]}`
+	imported, err := ReadJSON(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := imported.Validate(); err == nil || !strings.Contains(err.Error(), "small_pool") {
+		t.Errorf("imported small_pool 65535: Validate() = %v; want an error naming small_pool", err)
+	}
 }

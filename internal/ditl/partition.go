@@ -1,5 +1,7 @@
 package ditl
 
+import "net/netip"
+
 // PartitionIndices splits the index range [0, n) into k contiguous,
 // balanced slices: the first n%k slices hold one extra index. The
 // concatenation of the slices, in order, is exactly 0..n-1, which is
@@ -39,19 +41,11 @@ func PartitionIndices(n, k int) [][]int {
 // O(len(indices)) without generating anything.
 func (p *Population) CandidateCount(indices []int) int {
 	n := 0
-	p.EachAS(indices, func(_ int, as *ASSpec) {
-		n += asCandidateCount(as)
-	})
+	EachCandidate(p, indices, func(netip.Addr) { n++ })
 	return n
 }
 
 // V6AddrCount returns the number of IPv6 candidate addresses (live and
 // dead) in the population — an upper bound on the IPv6 hit-list size,
 // used to pre-size the hit-list map.
-func (p *Population) V6AddrCount() int {
-	n := 0
-	for _, as := range p.ASes {
-		n += asV6AddrCount(as)
-	}
-	return n
-}
+func (p *Population) V6AddrCount() int { return p.Summarize().TargetsV6 }

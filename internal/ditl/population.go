@@ -638,6 +638,13 @@ func genDirect(rng *rand.Rand, spec *ResolverSpec, country countryProfile) {
 	}
 }
 
+// Allocator's override pools start at a port in [1024, 1024+poolStarts).
+const poolStarts = 50000
+
+// maxSmallPool is the largest SmallPoolSize whose uniform pool cannot
+// wrap past port 65535 from the highest start Allocator draws.
+const maxSmallPool = 65535 - (1024 + poolStarts - 1)
+
 // Allocator builds the resolver's port allocator from its spec.
 func (r *ResolverSpec) Allocator() resolver.PortAllocator {
 	rng := detrand.Rand(uint64(r.Seed), saltAllocator)
@@ -645,11 +652,11 @@ func (r *ResolverSpec) Allocator() resolver.PortAllocator {
 		return &resolver.FixedPort{Port: r.FixedPortOverride}
 	}
 	if r.SmallPoolSize > 0 {
-		lo := uint16(1024 + rng.Intn(50000))
+		lo := uint16(1024 + rng.Intn(poolStarts))
 		return resolver.NewUniform(oskernel.PortPool{Lo: lo, Hi: lo + uint16(r.SmallPoolSize)}, rng)
 	}
 	if r.SeqSize > 0 {
-		return resolver.NewSequential(uint16(1024+rng.Intn(50000)), r.SeqSize)
+		return resolver.NewSequential(uint16(1024+rng.Intn(poolStarts)), r.SeqSize)
 	}
 	return resolver.NewAllocator(r.Software, r.OS, rng)
 }
@@ -669,41 +676,8 @@ type Stats struct {
 // Summarize computes population statistics.
 func (p *Population) Summarize() Stats {
 	var s Stats
-	s.ASes = len(p.ASes)
 	for _, as := range p.ASes {
-		if !as.DSAV {
-			s.NoDSAV++
-		}
-		if len(as.V6Prefixes) > 0 {
-			s.V6ASes++
-		}
-		s.DeadTargets += len(as.DeadTargets)
-		for _, t := range as.DeadTargets {
-			if t.Is4() {
-				s.TargetsV4++
-			} else {
-				s.TargetsV6++
-			}
-		}
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			s.LiveResolvers++
-			if r.Forward {
-				s.Forwarders++
-			}
-			if r.Scope == ScopeOpen {
-				s.OpenResolvers++
-			}
-			if r.Band == BandZero {
-				s.ZeroPort++
-			}
-			if r.HasV4() {
-				s.TargetsV4++
-			}
-			if r.HasV6() {
-				s.TargetsV6++
-			}
-		}
+		tallyAS(&s, as)
 	}
 	return s
 }

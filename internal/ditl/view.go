@@ -72,9 +72,8 @@ type View struct {
 	residx []int32
 	// cands[i] = candidate addresses in ASes [0, i) (len n+1).
 	cands []int32
-	// v6Total = population-wide v6 candidate count.
-	v6Total int
-	// stats from the indexing pass (Summarize without a second sweep).
+	// stats from the indexing pass (Summarize without a second sweep);
+	// its target counts are the running candidate totals.
 	stats Stats
 }
 
@@ -94,16 +93,13 @@ func NewView(p Params) *View {
 	as := &ASSpec{slab: newResolverSlab()}
 	used := make(map[netip.Addr]bool)
 	resolverIdx := 0
-	candidates := 0
 	for i := 0; i < p.ASes; i++ {
 		as.slab.truncate()
 		resolverIdx = genAS(p, rng, i, resolverIdx, as, used)
-		candidates += asCandidateCount(as)
+		tallyAS(&v.stats, as)
 		v.draws = append(v.draws, cs.Draws())
 		v.residx = append(v.residx, int32(resolverIdx))
-		v.cands = append(v.cands, int32(candidates))
-		v.v6Total += asV6AddrCount(as)
-		tallyAS(&v.stats, as)
+		v.cands = append(v.cands, int32(v.stats.TargetsV4+v.stats.TargetsV6))
 	}
 	return v
 }
@@ -160,46 +156,32 @@ func (v *View) CandidateCount(indices []int) int {
 }
 
 // V6AddrCount implements Pop in O(1) from the indexing pass.
-func (v *View) V6AddrCount() int { return v.v6Total }
+func (v *View) V6AddrCount() int { return v.stats.TargetsV6 }
 
 // Summarize implements Pop; the statistics were tallied during the
 // indexing pass, so this is O(1).
 func (v *View) Summarize() Stats { return v.stats }
 
-// asCandidateCount counts an AS's candidate target addresses.
-//
-//doors:scratch as
-func asCandidateCount(as *ASSpec) int {
-	n := len(as.DeadTargets)
-	for k := 0; k < as.NumResolvers(); k++ {
-		r := as.Resolver(k)
-		if r.HasV4() {
-			n++
+// EachCandidate visits the DITL-derived candidate targets (live
+// resolvers and dead addresses alike; the scanner cannot tell them
+// apart, §3.6.2) of the ASes named by indices (nil = all) in
+// population order: each live resolver's v4 address, then its v6
+// address, then the AS's dead targets.
+func EachCandidate(pop Pop, indices []int, fn func(netip.Addr)) {
+	pop.EachAS(indices, func(_ int, as *ASSpec) {
+		for k := 0; k < as.NumResolvers(); k++ {
+			r := as.Resolver(k)
+			if r.HasV4() {
+				fn(r.Addr4)
+			}
+			if r.HasV6() {
+				fn(r.Addr6)
+			}
 		}
-		if r.HasV6() {
-			n++
+		for _, d := range as.DeadTargets {
+			fn(d)
 		}
-	}
-	return n
-}
-
-// asV6AddrCount counts an AS's IPv6 candidate addresses.
-//
-//doors:scratch as
-func asV6AddrCount(as *ASSpec) int {
-	n := 0
-	for k := 0; k < as.NumResolvers(); k++ {
-		r := as.Resolver(k)
-		if r.HasV6() {
-			n++
-		}
-	}
-	for _, d := range as.DeadTargets {
-		if d.Is6() {
-			n++
-		}
-	}
-	return n
+	})
 }
 
 // tallyAS folds one AS into population statistics.

@@ -9,10 +9,9 @@ import (
 )
 
 // golifetime requires every goroutine in non-test code to have a
-// provable bounded lifetime. A long-running service (the dsavd job
-// engine the campaign Runner is built for) cannot afford spawn sites
-// that leak: a goroutine nobody joins and nobody can cancel is memory
-// the process never gets back and work no shutdown can stop.
+// provable bounded lifetime. A long-running process cannot afford
+// spawn sites that leak: a goroutine nobody joins and nobody can cancel
+// is memory the process never gets back and work no shutdown can stop.
 //
 // A `go` statement passes if the spawn is:
 //

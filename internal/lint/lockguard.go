@@ -12,8 +12,8 @@ import (
 )
 
 // lockguard enforces annotated mutex discipline — the contract that
-// lets dsavd share a campaign.Runner, a fact store and a result cache
-// across concurrent HTTP handlers without a data race.
+// lets the parallel loader's workers share a fact store and a result
+// cache without a data race.
 //
 // Two markers carry the contract:
 //

@@ -54,23 +54,23 @@ type confQuery struct {
 // truncation → TCP retry, and repeats that only a warm cache changes.
 var confQueries = []confQuery{
 	{"www.dns-lab.org", dnswire.TypeA},
-	{"www.dns-lab.org", dnswire.TypeA},              // cache hit
-	{"www.dns-lab.org", dnswire.TypeAAAA},           // NODATA
-	{"1000.src.dst.asn.kw.dns-lab.org", dnswire.TypeA}, // deep NXDOMAIN (qmin walk)
+	{"www.dns-lab.org", dnswire.TypeA},                     // cache hit
+	{"www.dns-lab.org", dnswire.TypeAAAA},                  // NODATA
+	{"1000.src.dst.asn.kw.dns-lab.org", dnswire.TypeA},     // deep NXDOMAIN (qmin walk)
 	{"sub.1000.src.dst.asn.kw.dns-lab.org", dnswire.TypeA}, // RFC 8020 cut
-	{"4000.probe.tc.dns-lab.org", dnswire.TypeA}, // truncation → TCP
-	{"2001.b.dns-lab.org", dnswire.TypeA},        // delegation already cached
-	{"www.dns-lab.org", dnswire.TypeA},           // hit again, later
+	{"4000.probe.tc.dns-lab.org", dnswire.TypeA},           // truncation → TCP
+	{"2001.b.dns-lab.org", dnswire.TypeA},                  // delegation already cached
+	{"www.dns-lab.org", dnswire.TypeA},                     // hit again, later
 }
 
 // confScenario is one cell of the config axis. cfg must build a fresh
 // Config per call (port allocators are stateful).
 type confScenario struct {
-	name         string
-	cfg          func(obs *traceObs) Config
-	upstream     bool // attach a live upstream resolver at 192.0.9.8
-	wildcard     bool // subject zone synthesizes wildcard answers
-	queries      []confQuery
+	name     string
+	cfg      func(obs *traceObs) Config
+	upstream bool // attach a live upstream resolver at 192.0.9.8
+	wildcard bool // subject zone synthesizes wildcard answers
+	queries  []confQuery
 }
 
 // confFault is one cell of the fault axis.

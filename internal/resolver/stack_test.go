@@ -31,11 +31,11 @@ func TestValidateStack(t *testing.T) {
 		{[]string{"forward"}, true},
 		{[]string{"iterate"}, true},
 		{[]string{"acl", "cache", "forward"}, true},
-		{[]string{}, false},                           // no resolution layer
-		{[]string{"acl", "cache"}, false},             // no resolution layer
-		{[]string{"cache", "acl", "iterate"}, false},  // out of order
+		{[]string{}, false},                            // no resolution layer
+		{[]string{"acl", "cache"}, false},              // no resolution layer
+		{[]string{"cache", "acl", "iterate"}, false},   // out of order
 		{[]string{"cache", "cache", "iterate"}, false}, // duplicate
-		{[]string{"cache", "qmin", "forward"}, false}, // qmin without iterate
+		{[]string{"cache", "qmin", "forward"}, false},  // qmin without iterate
 		{[]string{"cache", "bogus", "iterate"}, false}, // unknown
 	}
 	for _, c := range cases {

@@ -1,10 +1,8 @@
 package resolver
 
-import "sync"
-
 // Add accumulates o into s field-wise. Addition is commutative, so
-// summing resolver stats in any order — map iteration over a world's
-// resolvers, shard completion order — yields the same total.
+// summing resolver stats in any order (map iteration over a world's
+// resolvers) yields the same total.
 func (s *Stats) Add(o Stats) {
 	s.ClientQueries += o.ClientQueries
 	s.Refused += o.Refused
@@ -16,29 +14,4 @@ func (s *Stats) Add(o Stats) {
 	s.ServFail += o.ServFail
 	s.Crashes += o.Crashes
 	s.LoopsDetected += o.LoopsDetected
-}
-
-// StatsSink accumulates resolver stats from concurrent contributors —
-// shard goroutines summing their world's resolvers as each simulation
-// finishes. A Resolver itself is confined to its network's event-loop
-// goroutine (see netsim); the sink is the one place resolver counters
-// cross goroutines, so it is the one place they take a lock.
-type StatsSink struct {
-	mu sync.Mutex
-	//doors:guardedby mu
-	total Stats
-}
-
-// Add folds s into the sink.
-func (k *StatsSink) Add(s Stats) {
-	k.mu.Lock()
-	k.total.Add(s)
-	k.mu.Unlock()
-}
-
-// Total returns the accumulated stats.
-func (k *StatsSink) Total() Stats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.total
 }

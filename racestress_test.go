@@ -4,11 +4,11 @@ package doors
 // golifetime analyzers make a static claim — the engine's concurrency
 // discipline is sound — and these tests make the dynamic half of the
 // argument under `go test -race`. TestRaceStressConcurrentCampaigns
-// drives two streaming campaigns through one shared campaign.Runner at
-// high MaxParallel, so the runner's registry memo, progress counters
-// and resolver-stats sinks are all exercised from many goroutines at
-// once; any locking hole the analyzers missed is the race detector's
-// to find, and any determinism hole shows up as a result mismatch.
+// runs two streaming campaigns at once over one shared population view
+// at high MaxParallel, so up to 2 × MaxParallel shard workers run
+// together. The engine's workers share no mutable state, only frozen
+// inputs: any sharing hole is the race detector's to find, and any
+// determinism hole shows up as a result mismatch.
 // TestRaceStressLintAgreement closes the loop from the other side: the
 // concurrency-bearing packages must come back clean from exactly those
 // two analyzers, so a race-detector pass here is never read as
@@ -38,27 +38,24 @@ func TestRaceStressConcurrentCampaigns(t *testing.T) {
 	}
 	pop := ditl.NewView(cfg.Population)
 
-	// Sequential baseline on its own Runner.
-	base, err := campaign.NewRunner().Run(cfg.Campaign, pop, cfg.engineConfig())
+	// Sequential baseline.
+	base, err := campaign.Run(pop, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Two campaigns over the same population view race through one
-	// shared Runner: both hit the same registry memo entry, both bump
-	// the shared progress counters, and each runs 8 shard simulations
-	// on up to 4 worker goroutines.
-	r := campaign.NewRunner()
+	// Two campaigns over the same population view run at once, each
+	// running 8 shard simulations on up to 4 worker goroutines.
 	const runs = 2
 	results := make([]*Survey, runs)
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
-		go func(i int, r *campaign.Runner, pop ditl.Pop, cfg SurveyConfig) {
+		go func(i int, pop ditl.Pop, cfg SurveyConfig) {
 			defer wg.Done()
-			results[i], errs[i] = r.Run(cfg.Campaign, pop, cfg.engineConfig())
-		}(i, r, pop, cfg)
+			results[i], errs[i] = campaign.Run(pop, cfg)
+		}(i, pop, cfg)
 	}
 	wg.Wait()
 
@@ -80,12 +77,7 @@ func TestRaceStressConcurrentCampaigns(t *testing.T) {
 		}
 	}
 	if base.ResolverStats.ClientQueries == 0 {
-		t.Error("baseline resolver stats are empty: the sink never saw the shards")
-	}
-	active, completed, shardsDone := r.Progress()
-	if active != 0 || completed != runs || shardsDone != runs*cfg.Shards {
-		t.Errorf("runner progress = (%d active, %d completed, %d shards), want (0, %d, %d)",
-			active, completed, shardsDone, runs, runs*cfg.Shards)
+		t.Error("baseline resolver stats are empty: the merge never saw the shards")
 	}
 }
 
