@@ -5,10 +5,11 @@ BIN ?= bin
 .PHONY: check fmt build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance
 
 # Tier-1 verification: formatting + build + vet + determinism lint +
-# full tests + race detector over the parallel sharded engine + the
-# concurrency cross-validation harness + a short fuzz smoke over the
-# wire parsers and run files + the benchmark module's own tests.
-check: fmt build vet lint test race racestress fuzz perfbench-test
+# the suppression audit + full tests + race detector over the parallel
+# sharded engine + the concurrency cross-validation harness + a short
+# fuzz smoke over the wire parsers and run files + the benchmark
+# module's own tests.
+check: fmt build vet lint pragmas test race racestress fuzz perfbench-test
 
 # Every tracked .go file outside testdata/ must be gofmt-clean; the
 # lint fixtures under testdata/ keep their deliberate layout.

@@ -10,17 +10,10 @@
 //	go vet -vettool=$(pwd)/bin/doorsvet ./...
 //
 // Given package patterns instead of a vet config file, it loads and
-// checks them standalone, which is convenient during development.
-// Standalone runs analyze independent packages of the dependency
-// graph concurrently (bounded by GOMAXPROCS; -parallel N overrides
-// the pool size, -parallel 1 forces the sequential walk) and memoize
-// per-package results under bin/.doorsvet-cache, keyed by tool
-// identity + source content + dependency keys, so repeat runs only
-// re-analyze what changed; pass -nocache to force a full analysis:
+// checks them standalone in one sequential, uncached pass over the
+// dependency graph, which is convenient during development:
 //
 //	doorsvet ./...
-//	doorsvet -nocache ./...
-//	doorsvet -parallel 1 ./...
 //
 // The -pragmas mode audits the suppression surface instead of
 // linting: it lists every //lint:allow pragma in the tree (file:line,
@@ -36,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/lint"
@@ -53,37 +45,10 @@ func main() {
 		}
 		os.Exit(auditPragmas(root))
 	}
-	nocache := false
-	parallel := 0
-	for len(args) > 0 {
-		if args[0] == "-nocache" {
-			nocache = true
-			args = args[1:]
-			continue
-		}
-		if args[0] == "-parallel" && len(args) > 1 {
-			n, err := strconv.Atoi(args[1])
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "doorsvet: -parallel wants a positive integer, got %q\n", args[1])
-				os.Exit(2)
-			}
-			parallel = n
-			args = args[2:]
-			continue
-		}
-		break
-	}
 	// Package patterns (no flags, no *.cfg) select standalone mode;
 	// everything else follows the vettool protocol.
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") && !strings.HasSuffix(args[0], ".cfg") {
-		opts := loader.Options{Parallel: parallel}
-		if !nocache {
-			opts.CacheDir = filepath.Join("bin", ".doorsvet-cache")
-		}
-		diags, stats, err := loader.RunWith(".", args, lint.Suite(), opts)
-		if err == nil && !nocache && stats.Hits+stats.Misses > 0 {
-			fmt.Fprintf(os.Stderr, "doorsvet: cache: %d hits, %d misses\n", stats.Hits, stats.Misses)
-		}
+		diags, err := loader.Run(".", args, lint.Suite())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doorsvet: %v\n", err)
 			os.Exit(2)
@@ -102,9 +67,9 @@ func main() {
 // auditPragmas prints the suppression audit and returns the exit
 // code: 0 when every pragma is well-formed and live, 2 when one lacks
 // a reason, names a check the suite does not have, or is stale. The
-// staleness proof is a full uncached analyzer run with pragma-usage
-// recording switched on: any pragma the run never consulted to
-// suppress a finding no longer earns its place in the tree.
+// staleness proof is a full analyzer run with pragma-usage recording
+// switched on: any pragma the run never consulted to suppress a
+// finding no longer earns its place in the tree.
 func auditPragmas(root string) int {
 	pragmas, err := lint.ListPragmas(root)
 	if err != nil {
@@ -126,8 +91,7 @@ func auditPragmas(root string) int {
 		}
 	}
 
-	// Stale detection: re-run the suite (uncached — cache hits skip
-	// analysis and would record nothing) recording which pragmas fire.
+	// Stale detection: re-run the suite recording which pragmas fire.
 	lint.RecordPragmaUsage()
 	if _, err := loader.Run(root, []string{"./..."}, lint.Suite()); err != nil {
 		fmt.Fprintf(os.Stderr, "doorsvet: pragma usage analysis: %v\n", err)

@@ -76,9 +76,6 @@ func New(host *netsim.Host, zones ...*Zone) (*Server, error) {
 	return s, nil
 }
 
-// AddZone serves an additional zone.
-func (s *Server) AddZone(z *Zone) { s.zones = append(s.zones, z) }
-
 // zoneFor picks the most specific served zone containing name.
 func (s *Server) zoneFor(name dnswire.Name) *Zone {
 	var best *Zone

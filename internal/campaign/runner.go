@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -107,7 +108,9 @@ func (c Config) maxParallel() int {
 
 // validate rejects values that would otherwise be silently reinterpreted
 // (a shard count below -1 read as "one per CPU", a churn share above 1
-// saturating), naming the offending field.
+// saturating, a negative probe rate packing the scan into one second)
+// or that panic mid-run (a negative MaxOtherPrefix), naming the
+// offending field.
 func (c Config) validate() error {
 	switch {
 	case c.Shards < -1:
@@ -120,6 +123,19 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: World.LossRate = %v; want a probability in [0, 1]", c.World.LossRate)
 	case c.LifetimeThreshold < 0:
 		return fmt.Errorf("campaign: LifetimeThreshold = %v; want a non-negative duration", c.LifetimeThreshold)
+	case c.World.AllDSAV && c.World.NoDSAV:
+		return fmt.Errorf("campaign: World.AllDSAV = true and World.NoDSAV = true; want at most one DSAV counterfactual")
+	case !(c.Scanner.Rate >= 0 && c.Scanner.Rate <= math.MaxFloat64):
+		return fmt.Errorf("campaign: Scanner.Rate = %v; want 0 (the default) or a positive, finite rate", c.Scanner.Rate)
+	case c.Scanner.MaxOtherPrefix < 0:
+		return fmt.Errorf("campaign: Scanner.MaxOtherPrefix = %d; want 0 (the default) or a positive cap", c.Scanner.MaxOtherPrefix)
+	case c.Scanner.FollowUpCount < 0:
+		return fmt.Errorf("campaign: Scanner.FollowUpCount = %d; want 0 (the default) or a positive count", c.Scanner.FollowUpCount)
+	case c.Scanner.FollowUpSpacing < 0:
+		return fmt.Errorf("campaign: Scanner.FollowUpSpacing = %v; want 0 (the default) or a positive duration", c.Scanner.FollowUpSpacing)
+	}
+	if err := c.Chaos.Validate(); err != nil {
+		return fmt.Errorf("campaign: Chaos.%w", err)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/ditl"
 )
 
@@ -29,6 +30,24 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"World.LossRate", func(c *Config) { c.World.LossRate = -0.01 }},
 		{"World.LossRate", func(c *Config) { c.World.LossRate = 2 }},
 		{"LifetimeThreshold", func(c *Config) { c.LifetimeThreshold = -time.Second }},
+		{"World.NoDSAV", func(c *Config) { c.World.AllDSAV, c.World.NoDSAV = true, true }},
+		{"Scanner.Rate", func(c *Config) { c.Scanner.Rate = -5 }},
+		{"Scanner.Rate", func(c *Config) { c.Scanner.Rate = math.NaN() }},
+		{"Scanner.Rate", func(c *Config) { c.Scanner.Rate = math.Inf(1) }},
+		{"Scanner.MaxOtherPrefix", func(c *Config) { c.Scanner.MaxOtherPrefix = -5 }},
+		{"Scanner.FollowUpCount", func(c *Config) { c.Scanner.FollowUpCount = -3 }},
+		{"Scanner.FollowUpSpacing", func(c *Config) { c.Scanner.FollowUpSpacing = -time.Second }},
+		{"Chaos.FlapRate", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.FlapRate = 1.5 }},
+		{"Chaos.DupProb", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.DupProb = -0.1 }},
+		{"Chaos.ReorderProb", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.ReorderProb = 2 }},
+		{"Chaos.CorruptProb", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.CorruptProb = math.NaN() }},
+		{"Chaos.CrashRate", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.CrashRate = math.NaN() }},
+		{"Chaos.FlapCount", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.FlapCount = -1 }},
+		{"Chaos.FlapDuration", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.FlapDuration = -time.Second }},
+		{"Chaos.DupDelay", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.DupDelay = -time.Millisecond }},
+		{"Chaos.ReorderMax", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.ReorderMax = -time.Millisecond }},
+		{"Chaos.OutageDuration", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.OutageDuration = -time.Second }},
+		{"Chaos.SkewMax", func(c *Config) { c.Chaos = chaos.Default(1); c.Chaos.SkewMax = -time.Millisecond }},
 	} {
 		cfg := tinyConfig()
 		tc.set(&cfg)
@@ -40,11 +59,25 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			t.Fatalf("%s: error does not name the field: %v", tc.field, err)
 		}
 	}
-	// The boundary values stay legal.
-	cfg := tinyConfig()
-	cfg.Shards, cfg.ChurnFraction, cfg.World.LossRate = -1, 1, 0
-	if _, err := Run(pop, cfg); err != nil {
-		t.Fatalf("boundary config rejected: %v", err)
+	// The boundary values stay legal: the default chaos schedule, the
+	// zero (default) probe rate, and a disabled chaos config whose
+	// unread fields hold garbage.
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"boundaries", func(c *Config) { c.Shards, c.ChurnFraction, c.World.LossRate = -1, 1, 0 }},
+		{"chaos.Default", func(c *Config) { c.Chaos = chaos.Default(1) }},
+		{"Rate 0", func(c *Config) { c.Scanner.Rate = 0 }},
+		{"disabled chaos", func(c *Config) {
+			c.Chaos = chaos.Config{CrashRate: math.NaN(), FlapCount: -1, OutageDuration: -time.Second}
+		}},
+	} {
+		cfg := tinyConfig()
+		tc.set(&cfg)
+		if _, err := Run(pop, cfg); err != nil {
+			t.Fatalf("%s: legal config rejected: %v", tc.name, err)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@
 package chaos
 
 import (
+	"fmt"
 	"net/netip"
 	"time"
 
@@ -112,6 +113,44 @@ func Default(seed uint64) Config {
 		OutageDuration: 2 * time.Second,
 		SkewMax:        40 * time.Millisecond,
 	}
+}
+
+// Validate rejects an enabled schedule whose values the injector would
+// silently misread, naming the offending field: a probability outside
+// [0, 1] or NaN (a NaN CrashRate crashes every eligible resolver), a
+// negative flap count, or a negative duration (a negative
+// OutageDuration makes every crash permanent). A disabled Config is
+// always valid: none of its other fields is read.
+func (c Config) Validate() error {
+	if !c.Enabled {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FlapRate", c.FlapRate}, {"DupProb", c.DupProb}, {"ReorderProb", c.ReorderProb},
+		{"CorruptProb", c.CorruptProb}, {"CrashRate", c.CrashRate},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("%s = %v; want a probability in [0, 1]", f.name, f.v)
+		}
+	}
+	if c.FlapCount < 0 {
+		return fmt.Errorf("FlapCount = %d; want a non-negative count", c.FlapCount)
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"FlapDuration", c.FlapDuration}, {"DupDelay", c.DupDelay}, {"ReorderMax", c.ReorderMax},
+		{"OutageDuration", c.OutageDuration}, {"SkewMax", c.SkewMax},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s = %v; want a non-negative duration", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Injector evaluates a Config's fault schedule. It holds no mutable

@@ -31,9 +31,6 @@ func New() *DB { return &DB{byASN: make(map[routing.ASN][]string)} }
 // Assign records the countries for an AS.
 func (db *DB) Assign(asn routing.ASN, countries ...string) { db.byASN[asn] = countries }
 
-// CountriesOf returns the countries for an AS.
-func (db *DB) CountriesOf(asn routing.ASN) []string { return db.byASN[asn] }
-
 // CountryRow is one row of a per-country aggregation (Tables 1-2).
 type CountryRow struct {
 	Country        string

@@ -42,12 +42,12 @@ import (
 // lockguard GuardFact/LockFact pair.
 const FactSchemaVersion = 3
 
-// Facts is a suite-global fact store, safe for concurrent use: the
-// parallel loader analyzes independent packages from many goroutines,
-// all exporting into and importing from this one store. (The
-// dependency order still guarantees a package's facts are complete
+// Facts is a suite-global fact store, safe for concurrent use. Every
+// driver in this module fills it from one goroutine in dependency
+// order, which is what guarantees a package's facts are complete
 // before any importer asks for them; the mutex only protects the map
-// structure.)
+// structure, and its lockguard annotations let the suite check its
+// own shared state.
 type Facts struct {
 	mu sync.Mutex
 	//doors:guardedby mu
@@ -205,35 +205,15 @@ type gobFact struct {
 func (s *Facts) Encode() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.encode(nil)
-}
-
-// EncodePackage serializes only the facts attached to pkgPath — its
-// objects' facts and its package facts. This is the per-package slice
-// the loader's result cache persists, so a cache hit can restore one
-// package's exports without replaying the rest of the store.
-func (s *Facts) EncodePackage(pkgPath string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.encode(func(p string) bool { return p == pkgPath })
-}
-
-//doors:requires-lock s.mu
-func (s *Facts) encode(keep func(pkgPath string) bool) ([]byte, error) {
 	var entries []gobFact
 	for k, f := range s.objects {
 		path, ok := objectPath(k.obj)
 		if !ok {
 			continue // facts on unaddressable objects stay process-local
 		}
-		if pp := pkgPathOf(k.obj); keep == nil || keep(pp) {
-			entries = append(entries, gobFact{PkgPath: pp, Object: path, Fact: f})
-		}
+		entries = append(entries, gobFact{PkgPath: pkgPathOf(k.obj), Object: path, Fact: f})
 	}
 	for k, f := range s.packages {
-		if keep != nil && !keep(k.path) {
-			continue
-		}
 		entries = append(entries, gobFact{PkgPath: k.path, Fact: f})
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -268,9 +248,9 @@ func (s *Facts) Decode(data []byte, lookup func(path string) *types.Package) err
 		return fmt.Errorf("decoding facts: %v", err)
 	}
 	// Resolve every entry before taking the lock: lookup may be
-	// arbitrarily expensive (the loader's importer reads export data
-	// under its own mutex), and calling out while holding s.mu would
-	// couple the two lock orders.
+	// arbitrarily expensive (it may read export data behind a lock of
+	// its own), and calling out while holding s.mu would couple the
+	// two lock orders.
 	type resolved struct {
 		objKey *objectFactKey
 		pkgKey *packageFactKey

@@ -125,10 +125,10 @@ func (a allowed) at(pass *analysis.Pass, pos token.Pos) bool {
 
 // pragmaRecorder is the opt-in recorder behind the stale-pragma audit:
 // when enabled, every pragma that actually suppresses a finding is
-// noted here, and `doorsvet -pragmas` flags the rest as stale. The
-// parallel loader runs analyzers from many goroutines, so the state is
-// lockguard-annotated and mutex-guarded — the suite checks its own
-// recorder.
+// noted here, and `doorsvet -pragmas` flags the rest as stale. It is
+// process-global state that analyzers write from their passes, so it
+// is lockguard-annotated and mutex-guarded whatever the driver's
+// threading — the suite checks its own recorder.
 type pragmaRecorder struct {
 	mu sync.Mutex
 	// used maps file path (as seen by the driver) -> pragma lines hit.

@@ -6,17 +6,10 @@
 // Standard-library dependencies are imported from the compiler's
 // export data and never analyzed.
 //
-// Independent packages of the dependency graph are analyzed
-// concurrently under a bounded worker pool: a package is scheduled
-// only when every package it depends on has completed, so facts still
-// flow strictly from importee to importer and every pass sees a
-// complete dependency store — the same guarantee the sequential
-// post-order walk gave, minus the idle cores. Output is deterministic
-// regardless of completion order: diagnostics are collected per
-// package and assembled in the go list order before the final
-// position sort. The pool itself is written to the contract the suite
-// enforces — lockguard-annotated shared state, WaitGroup-joined
-// workers — because doorsvet lints itself.
+// Packages are visited in one sequential walk of the go list order,
+// which is a dependency post-order: every package is analyzed after
+// all of its dependencies, so facts flow strictly from importee to
+// importer and every pass sees a complete dependency store.
 //
 // Re-running the analyzers over dependencies — not just the named
 // target packages — is what makes interprocedural facts work in
@@ -28,7 +21,7 @@
 // for the packages the patterns named.
 //
 // It is the standalone complement to internal/lint/unitchecker, used
-// for ad-hoc runs ("doorsvet ./...") and by tests.
+// for ad-hoc runs ("doorsvet ./..."), the -pragmas audit, and tests.
 package loader
 
 import (
@@ -45,9 +38,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/lint/analysis"
 )
@@ -55,12 +46,10 @@ import (
 // listPackage is the subset of `go list -json` output the loader uses.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	CgoFiles   []string
 	Export     string
-	Deps       []string
 	DepOnly    bool
 	Standard   bool
 	Module     *struct{ Path string }
@@ -73,119 +62,15 @@ type Diagnostic struct {
 	Message  string
 }
 
-// checkedPkg is one source-type-checked in-module package.
-type checkedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-// Options configures a loader run.
-type Options struct {
-	// Parallel is the worker-pool size; <= 0 means GOMAXPROCS.
-	// Parallel == 1 reproduces the sequential post-order walk exactly.
-	Parallel int
-	// CacheDir enables the persistent result cache (see cache.go).
-	CacheDir string
-}
-
 // Run loads patterns (e.g. "./...") in dir, applies analyzers to every
 // in-module package in dependency order (facts flow from importee to
 // importer), and returns the diagnostics of the non-dependency target
-// packages sorted by position.
+// packages sorted by position. The first error in dependency order
+// ends the run: a dependency's real failure is reported, never a
+// dependent's cascading one.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunWith(dir, patterns, analyzers, Options{})
-	return diags, err
-}
-
-// RunCached is Run backed by the persistent per-package result cache
-// rooted at cacheDir (see cache.go): packages whose key — tool
-// identity, source content, dependency keys — matches a stored entry
-// skip analysis entirely, replaying their recorded diagnostics and
-// re-binding their exported facts from export data.
-func RunCached(dir string, patterns []string, analyzers []*analysis.Analyzer, cacheDir string) ([]Diagnostic, CacheStats, error) {
-	return RunWith(dir, patterns, analyzers, Options{CacheDir: cacheDir})
-}
-
-// RunWith is Run with explicit Options.
-func RunWith(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Options) ([]Diagnostic, CacheStats, error) {
-	var cache *resultCache
-	if opts.CacheDir != "" {
-		c, err := openCache(opts.CacheDir, analyzers)
-		if err == nil {
-			cache = c
-		}
-		// A broken cache must never break the lint: run uncached.
-	}
-	return run(dir, patterns, analyzers, cache, opts.Parallel)
-}
-
-// node is one package's scheduling state. pending and dependents are
-// touched only by the coordinating goroutine; diags/err/skipped are
-// written by the single worker that owns the node and read by the
-// coordinator after its completion message — the done channel provides
-// the happens-before edge.
-type node struct {
-	p          *listPackage
-	pending    int // unprocessed in-graph dependencies
-	dependents []*node
-	diags      []Diagnostic
-	err        error
-}
-
-// runState is the shared mutable state of one loader run. Workers for
-// independent packages touch it concurrently, so every field is
-// mutex-guarded; the importer has its own lock (see impMu in run) so
-// export-data decoding never nests inside this one.
-type runState struct {
-	mu sync.Mutex
-	//doors:guardedby mu
-	checked map[string]*checkedPkg
-	//doors:guardedby mu
-	stats CacheStats
-	//doors:guardedby mu
-	failed bool // a package errored: remaining nodes skip analysis
-}
-
-func (st *runState) lookupChecked(path string) *checkedPkg {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.checked[path]
-}
-
-func (st *runState) setChecked(path string, cp *checkedPkg) {
-	st.mu.Lock()
-	st.checked[path] = cp
-	st.mu.Unlock()
-}
-
-func (st *runState) fail() {
-	st.mu.Lock()
-	st.failed = true
-	st.mu.Unlock()
-}
-
-func (st *runState) hasFailed() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.failed
-}
-
-func (st *runState) countHit() {
-	st.mu.Lock()
-	st.stats.Hits++
-	st.mu.Unlock()
-}
-
-func (st *runState) countMiss() {
-	st.mu.Lock()
-	st.stats.Misses++
-	st.mu.Unlock()
-}
-
-func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *resultCache, parallel int) ([]Diagnostic, CacheStats, error) {
 	if err := analysis.Validate(analyzers); err != nil {
-		return nil, CacheStats{}, err
+		return nil, err
 	}
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -194,13 +79,11 @@ func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *r
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, CacheStats{}, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
 	// go list -deps emits a depth-first post-order: every package
-	// appears after all of its dependencies. The parallel scheduler
-	// re-derives the partial order from Deps; the list order is kept
-	// for deterministic output assembly and error selection.
+	// appears after all of its dependencies.
 	exports := make(map[string]string) // package path -> export data file
 	var ordered []*listPackage
 	dec := json.NewDecoder(&stdout)
@@ -209,7 +92,7 @@ func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *r
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, CacheStats{}, fmt.Errorf("go list output: %v", err)
+			return nil, fmt.Errorf("go list output: %v", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -217,13 +100,10 @@ func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *r
 		ordered = append(ordered, p)
 	}
 
+	// Imports resolve to packages already checked from source this
+	// run, and otherwise (the standard library) to gc export data.
 	fset := token.NewFileSet()
-	st := &runState{checked: make(map[string]*checkedPkg)}
-
-	// The gc export-data importer is not safe for concurrent use;
-	// impMu serializes it. Source-checked packages resolve through
-	// runState first, so the common case never touches export data.
-	var impMu sync.Mutex
+	checked := make(map[string]*types.Package)
 	gcImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -232,91 +112,30 @@ func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *r
 		return os.Open(file)
 	})
 	imp := importerFunc(func(path string) (*types.Package, error) {
-		if cp := st.lookupChecked(path); cp != nil {
-			return cp.pkg, nil
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
 		}
-		impMu.Lock()
-		defer impMu.Unlock()
 		return gcImporter.Import(path)
 	})
 
 	facts := analysis.NewFacts()
-
-	// Build the dependency graph. Deps is the transitive closure, so
-	// scheduling is more conservative than import-edge precision — a
-	// package waits for everything beneath it — which is exactly the
-	// completeness facts need and costs nothing at this graph size.
-	nodes := make(map[string]*node, len(ordered))
-	for _, p := range ordered {
-		nodes[p.ImportPath] = &node{p: p}
-	}
-	for _, p := range ordered {
-		n := nodes[p.ImportPath]
-		for _, d := range p.Deps {
-			if dep, ok := nodes[d]; ok {
-				n.pending++
-				dep.dependents = append(dep.dependents, n)
-			}
-		}
-	}
-
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ordered) && len(ordered) > 0 {
-		workers = len(ordered)
-	}
-
-	// Bounded worker pool over the ready frontier. Buffers are sized
-	// to the whole graph so neither the coordinator's enqueues nor the
-	// workers' completion sends ever block: the coordinator is free to
-	// drain completions, and every worker exits when queue closes.
-	queue := make(chan *node, len(ordered))
-	completions := make(chan *node, len(ordered))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(q, done chan *node, st *runState, facts *analysis.Facts, fset *token.FileSet, imp types.Importer, cache *resultCache, exports map[string]string, analyzers []*analysis.Analyzer) {
-			defer wg.Done()
-			for n := range q {
-				processNode(n, st, facts, fset, imp, cache, exports, analyzers)
-				done <- n
-			}
-		}(queue, completions, st, facts, fset, imp, cache, exports, analyzers)
-	}
-	for _, p := range ordered {
-		if n := nodes[p.ImportPath]; n.pending == 0 {
-			queue <- n
-		}
-	}
-	for completed := 0; completed < len(ordered); completed++ {
-		n := <-completions
-		for _, d := range n.dependents {
-			d.pending--
-			if d.pending == 0 {
-				queue <- d
-			}
-		}
-	}
-	close(queue)
-	wg.Wait()
-
-	// Deterministic assembly: the go list order, not completion order.
-	// The first error in that order is the root cause — dependencies
-	// precede dependents, so a dependent's cascading type-check error
-	// never shadows the package that actually broke.
 	var diags []Diagnostic
-	st.mu.Lock()
-	stats := st.stats
-	st.mu.Unlock()
 	for _, p := range ordered {
-		n := nodes[p.ImportPath]
-		if n.err != nil {
-			return nil, stats, n.err
+		if p.Standard {
+			continue // stdlib: export data only, never analyzed
+		}
+		if len(p.CgoFiles) > 0 {
+			if p.DepOnly {
+				continue
+			}
+			return nil, fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
+		}
+		pkgDiags, err := analyze(p, fset, imp, checked, facts, analyzers)
+		if err != nil {
+			return nil, err
 		}
 		if !p.DepOnly {
-			diags = append(diags, n.diags...)
+			diags = append(diags, pkgDiags...)
 		}
 	}
 
@@ -333,90 +152,23 @@ func run(dir string, patterns []string, analyzers []*analysis.Analyzer, cache *r
 		}
 		return a.Message < b.Message
 	})
-	return diags, stats, nil
+	return diags, nil
 }
 
-// processNode analyzes one package: cache probe, parse, type-check,
-// analyzer passes, cache store. It runs on a worker goroutine; every
-// shared structure it touches (runState, the fact store, the cache's
-// key memo, the importer) is independently synchronized.
-func processNode(n *node, st *runState, facts *analysis.Facts, fset *token.FileSet, imp types.Importer, cache *resultCache, exports map[string]string, analyzers []*analysis.Analyzer) {
-	p := n.p
-	if p.Standard {
-		if cache != nil {
-			cache.setKey(p.ImportPath, keyStdlib) // covered by the tool key's Go version
-		}
-		return // stdlib: export data only, never analyzed
-	}
-	if len(p.CgoFiles) > 0 {
-		if p.DepOnly {
-			if cache != nil {
-				cache.setKey(p.ImportPath, keyUncacheable)
-			}
-			return
-		}
-		n.err = fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
-		st.fail()
-		return
-	}
-	if st.hasFailed() {
-		// Another package already broke the run; its error wins (it
-		// precedes this node in dependency order or the assembly pass
-		// picks the earliest). Skipping keeps workers from burning
-		// time on passes whose output is discarded.
-		if cache != nil {
-			cache.setKey(p.ImportPath, keyUncacheable)
-		}
-		return
-	}
-
-	// Cache probe: a package whose key — tool identity, source bytes,
-	// dependency keys — matches a stored entry replays its recorded
-	// diagnostics and re-binds its exported facts from export data,
-	// skipping parse, type-check and analysis. The export-data
-	// requirement keeps fact identity sound: importers type-checked
-	// from source resolve the hit package through the same gcImporter
-	// the fact decode used.
-	var cacheKey string
-	if cache != nil {
-		cacheKey = cache.keyFor(p)
-		if cacheKey != "" && exports[p.ImportPath] != "" {
-			if e, ok := cache.load(cacheKey); ok {
-				st.countHit()
-				lookup := func(path string) *types.Package {
-					pkg, err := imp.Import(path)
-					if err != nil {
-						return nil
-					}
-					return pkg
-				}
-				if err := facts.Decode(e.Facts, lookup); err != nil {
-					n.err = fmt.Errorf("%s: cached facts: %v", p.ImportPath, err)
-					st.fail()
-					return
-				}
-				n.diags = e.Diags
-				return
-			}
-		}
-		st.countMiss()
-	}
-
+// analyze parses and type-checks one in-module package, records it in
+// checked for its importers, and runs every analyzer over it with the
+// shared fact store bound.
+func analyze(p *listPackage, fset *token.FileSet, imp types.Importer, checked map[string]*types.Package, facts *analysis.Facts, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			n.err = err
-			st.fail()
-			return
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		if cache != nil {
-			cache.setKey(p.ImportPath, keyUncacheable)
-		}
-		return
+		return nil, nil
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -430,22 +182,15 @@ func processNode(n *node, st *runState, facts *analysis.Facts, fset *token.FileS
 	tc := &types.Config{Importer: imp, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
 	pkg, err := tc.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		n.err = fmt.Errorf("%s: %v", p.ImportPath, err)
-		st.fail()
-		return
+		return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 	}
-	st.setChecked(p.ImportPath, &checkedPkg{pkg: pkg, files: files, info: info})
+	checked[p.ImportPath] = pkg
 	module := ""
 	if p.Module != nil {
 		module = p.Module.Path
 	}
-	// Diagnostics are always collected per package — even for
-	// dependency passes, whose findings are dropped from this run's
-	// output — because the cache entry must replay them faithfully
-	// if a later run names this package as a target.
-	var pkgDiags []Diagnostic
+	var diags []Diagnostic
 	for _, a := range analyzers {
-		a := a
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      fset,
@@ -455,7 +200,7 @@ func processNode(n *node, st *runState, facts *analysis.Facts, fset *token.FileS
 			Module:    module,
 			Dir:       p.Dir,
 			Report: func(d analysis.Diagnostic) {
-				pkgDiags = append(pkgDiags, Diagnostic{
+				diags = append(diags, Diagnostic{
 					Analyzer: a.Name,
 					Position: fset.Position(d.Pos),
 					Message:  d.Message,
@@ -464,17 +209,10 @@ func processNode(n *node, st *runState, facts *analysis.Facts, fset *token.FileS
 		}
 		facts.Bind(pass)
 		if _, err := a.Run(pass); err != nil {
-			n.err = fmt.Errorf("%s: %s: %v", p.ImportPath, a.Name, err)
-			st.fail()
-			return
+			return nil, fmt.Errorf("%s: %s: %v", p.ImportPath, a.Name, err)
 		}
 	}
-	n.diags = pkgDiags
-	if cache != nil && cacheKey != "" {
-		if factBytes, err := facts.EncodePackage(p.ImportPath); err == nil {
-			cache.store(cacheKey, pkgDiags, factBytes)
-		}
-	}
+	return diags, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

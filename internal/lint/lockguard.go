@@ -12,8 +12,8 @@ import (
 )
 
 // lockguard enforces annotated mutex discipline — the contract that
-// lets the parallel loader's workers share a fact store and a result
-// cache without a data race.
+// keeps mutex-guarded shared state, such as the lint suite's own fact
+// store and pragma recorder, free of data races.
 //
 // Two markers carry the contract:
 //

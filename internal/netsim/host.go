@@ -102,9 +102,6 @@ func (h *Host) SendRaw(raw []byte) { h.net.inject(h, raw) }
 // paper discusses in §3.6.2.
 func (h *Host) SetDown(down bool) { h.down = down }
 
-// Down reports whether the host is offline.
-func (h *Host) Down() bool { return h.down }
-
 // deliver dispatches an accepted packet to the matching socket.
 // crossedBorder records whether the packet entered the host's AS from
 // outside (the fact the invariant checker needs to re-assert border

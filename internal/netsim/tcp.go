@@ -69,9 +69,6 @@ type TCPConn struct {
 // LocalAddr returns this side's address.
 func (c *TCPConn) LocalAddr() netip.Addr { return c.key.local }
 
-// LocalPort returns this side's port.
-func (c *TCPConn) LocalPort() uint16 { return c.key.localPort }
-
 // RemoteAddr returns the peer address.
 func (c *TCPConn) RemoteAddr() netip.Addr { return c.key.remote }
 

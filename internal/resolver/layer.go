@@ -115,20 +115,6 @@ func init() {
 	registerLayer(LayerIterate, 4, func(r *Resolver) Layer { r.lyr.iter = iterateLayer{r: r}; return &r.lyr.iter })
 }
 
-// RegisteredLayers returns every registered layer name in canonical
-// stack order.
-func RegisteredLayers() []string {
-	names := make([]string, 0, len(layerRegistry))
-	for rank := 0; len(names) < len(layerRegistry); rank++ {
-		for n, spec := range layerRegistry {
-			if spec.rank == rank {
-				names = append(names, n)
-			}
-		}
-	}
-	return names
-}
-
 // ValidateStack checks that names is a buildable middleware stack:
 // every name registered, canonical order (strictly increasing rank,
 // which also forbids duplicates), at least one resolution layer

@@ -118,8 +118,7 @@ type World struct {
 	// port-allocator state is consumed in an order that depends only on
 	// that AS's own traffic — the property that makes a sharded survey
 	// produce identical results at any shard count. Together with
-	// PublicDNS these form the §3.6.1 middlebox-accounting allowlist
-	// (AllPublicDNS).
+	// PublicDNS these form the §3.6.1 middlebox-accounting allowlist.
 	ASPublicDNS []netip.Addr
 	// Resolvers indexes built resolvers by address (ground truth for
 	// validation).
@@ -138,14 +137,6 @@ type World struct {
 	asPublic          map[routing.ASN][]netip.Addr
 	asThird           map[routing.ASN]netip.Addr
 	analysts          map[routing.ASN]*netsim.Host
-}
-
-// AllPublicDNS returns the full middlebox-accounting allowlist: the
-// shared public resolver addresses plus every per-AS replica.
-func (w *World) AllPublicDNS() []netip.Addr {
-	out := make([]netip.Addr, 0, len(w.PublicDNS)+len(w.ASPublicDNS))
-	out = append(out, w.PublicDNS...)
-	return append(out, w.ASPublicDNS...)
 }
 
 // ScheduleChurn takes a seeded fraction of resolver hosts offline at
