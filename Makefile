@@ -57,12 +57,13 @@ race:
 racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
-# Short native-fuzz smoke over the wire parsers and the resolver
-# layer-stack builder (one -fuzz target per invocation is a go tool
-# limitation). Raise FUZZTIME for a real hunt.
+# Short native-fuzz smoke over the wire parsers, the datagram writers
+# and the resolver layer-stack builder (one -fuzz target per invocation
+# is a go tool limitation). Raise FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
+	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzStackBuild -fuzztime=$(FUZZTIME) ./internal/resolver
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
 

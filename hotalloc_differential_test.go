@@ -19,6 +19,7 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/ditl"
 	"repro/internal/eventq"
+	"repro/internal/packet"
 	"repro/internal/resolver"
 	"repro/internal/routing"
 	"repro/internal/runs"
@@ -97,6 +98,20 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	}
 	assertZeroAllocs(t, "detrand.Rand draw, past 273", func() {
 		sinkU64 = rng.Uint64()
+	})
+
+	// Internet checksums: the IPv4 header sum every build and decode
+	// takes, and the transport sum over pseudo-header and segment.
+	dst4 := netip.MustParseAddr("198.51.100.7")
+	datagram, err := packet.BuildUDP(a4, dst4, 40000, 53, 64, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertZeroAllocs(t, "packet.Checksum", func() {
+		sinkU64 = uint64(packet.Checksum(datagram[:20]))
+	})
+	assertZeroAllocs(t, "packet.TransportChecksum", func() {
+		sinkU64 = uint64(packet.TransportChecksum(a4, dst4, packet.IPProtoUDP, datagram[20:]))
 	})
 
 	// Resolver admission: the ACL walk is the first hop of every

@@ -1,73 +1,21 @@
 // Package packet implements the wire formats carried on simulated links:
-// IPv4, IPv6, UDP, and TCP. The design follows the layered model used by
-// gopacket: each protocol is a Layer that can decode itself from bytes
-// and serialize itself into a prepend-oriented buffer, so a full packet
-// is built by serializing layers from the innermost payload outward.
+// IPv4, IPv6, UDP, and TCP. BuildUDP and BuildTCP size a datagram
+// exactly and write its IP header, transport header, payload and both
+// checksums into one allocation. Decode parses a datagram into one
+// Packet that holds its headers by value, checking the IPv4 header
+// checksum and the transport checksum over the bytes in place.
 //
 // Packets inside the simulator are real bytes. Border filters, kernels,
 // and endpoints all parse the same serialized representation, so the
 // code paths exercised are the ones a raw-socket implementation would
-// use on a real network.
+// use on a real network. A built datagram is never written again, and a
+// decoded Packet's payload and TCP option data alias the datagram.
 package packet
 
 import (
-	"fmt"
+	"encoding/binary"
 	"net/netip"
 )
-
-// LayerType identifies a protocol layer.
-type LayerType uint8
-
-const (
-	LayerTypeNone LayerType = iota
-	LayerTypeIPv4
-	LayerTypeIPv6
-	LayerTypeUDP
-	LayerTypeTCP
-	LayerTypePayload
-)
-
-// String returns the conventional protocol name.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeIPv6:
-		return "IPv6"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypePayload:
-		return "Payload"
-	default:
-		return "None"
-	}
-}
-
-// Layer is a decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the protocol.
-	LayerType() LayerType
-	// DecodeFromBytes parses data into the receiver, replacing any
-	// previous state.
-	DecodeFromBytes(data []byte) error
-	// NextLayerType reports the type of the layer carried in this
-	// layer's payload, or LayerTypeNone if unknown/none.
-	NextLayerType() LayerType
-	// LayerPayload returns the bytes carried by this layer, valid after
-	// DecodeFromBytes.
-	LayerPayload() []byte
-}
-
-// SerializableLayer is a Layer that can write itself into a SerializeBuffer.
-type SerializableLayer interface {
-	Layer
-	// SerializeTo prepends the layer onto b. The current contents of b
-	// are treated as this layer's payload (so lengths and checksums can
-	// be computed).
-	SerializeTo(b *SerializeBuffer) error
-}
 
 // IP protocol numbers used by the simulator.
 const (
@@ -75,131 +23,271 @@ const (
 	IPProtoUDP = 17
 )
 
-// SerializeBuffer builds packets by prepending. It mirrors gopacket's
-// SerializeBuffer: serialize the payload first, then each header from the
-// innermost outward; each SerializeTo call prepends its header bytes.
-type SerializeBuffer struct {
-	data  []byte // window within backing
-	start int    // offset of data[0] within backing
-	back  []byte
-}
+const (
+	ipv4MinLen    = 20
+	ipv6HeaderLen = 40
+	udpHeaderLen  = 8
+	tcpMinLen     = 20
+)
 
-// NewSerializeBuffer returns a buffer with room for typical headers.
-func NewSerializeBuffer() *SerializeBuffer {
-	const prepend = 128
-	b := &SerializeBuffer{back: make([]byte, prepend, prepend+512)}
-	b.start = prepend
-	b.data = b.back[prepend:prepend]
-	return b
-}
-
-// Bytes returns the current packet contents. The slice is invalidated by
-// further Prepend/Append calls.
-func (b *SerializeBuffer) Bytes() []byte { return b.data }
-
-// Len reports the current packet length.
-func (b *SerializeBuffer) Len() int { return len(b.data) }
-
-// Clear resets the buffer to empty, retaining backing storage.
-func (b *SerializeBuffer) Clear() {
-	b.start = len(b.back)
-	if b.start == 0 {
-		b.back = make([]byte, 128)
-		b.start = 128
-	}
-	b.data = b.back[b.start:b.start]
-}
-
-// PrependBytes returns a slice of n fresh bytes at the front of the packet.
-func (b *SerializeBuffer) PrependBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative prepend")
-	}
-	if b.start < n {
-		// Grow headroom.
-		grow := n - b.start + 128
-		nb := make([]byte, len(b.back)+grow)
-		copy(nb[grow:], b.back)
-		b.back = nb
-		b.start += grow
-	}
-	b.start -= n
-	b.data = b.back[b.start : b.start+n+len(b.data)]
-	return b.data[:n]
-}
-
-// AppendBytes returns a slice of n fresh bytes at the end of the packet.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative append")
-	}
-	end := b.start + len(b.data)
-	if end+n > len(b.back) {
-		nb := make([]byte, end+n+256)
-		copy(nb, b.back)
-		b.back = nb
-	}
-	b.back = b.back[:cap(b.back)]
-	b.data = b.back[b.start : end+n]
-	return b.data[len(b.data)-n:]
-}
-
-// Serialize writes layers (outermost first) around the given payload and
-// returns the packet bytes. It is the convenience entry point used by
-// endpoints: Serialize(payload, udp, ip) produces ip(udp(payload)).
-func Serialize(payload []byte, layers ...SerializableLayer) ([]byte, error) {
-	b := NewSerializeBuffer()
-	if len(payload) > 0 {
-		copy(b.AppendBytes(len(payload)), payload)
-	}
-	for _, l := range layers {
-		if err := l.SerializeTo(b); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out, nil
-}
-
-// Payload is a raw application payload layer.
-type Payload []byte
-
-// LayerType implements Layer.
-func (p *Payload) LayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements Layer.
-func (p *Payload) DecodeFromBytes(data []byte) error {
-	*p = append((*p)[:0], data...)
-	return nil
-}
-
-// NextLayerType implements Layer.
-func (p *Payload) NextLayerType() LayerType { return LayerTypeNone }
-
-// LayerPayload implements Layer.
-func (p *Payload) LayerPayload() []byte { return nil }
-
-// SerializeTo implements SerializableLayer.
-func (p *Payload) SerializeTo(b *SerializeBuffer) error {
-	copy(b.PrependBytes(len(*p)), *p)
-	return nil
-}
-
-// addrIs4 reports whether a is a plain IPv4 address (not 4-in-6).
-func addrIs4(a netip.Addr) bool { return a.Is4() }
-
-// DecodeError reports a malformed packet.
-type DecodeError struct {
-	Layer  LayerType
-	Reason string
-}
+// wireError reports a malformed datagram, or one that cannot be built.
+type wireError string
 
 // Error implements error.
-func (e *DecodeError) Error() string {
-	return fmt.Sprintf("packet: bad %s: %s", e.Layer, e.Reason)
+func (e wireError) Error() string { return "packet: " + string(e) }
+
+// IPv4 is an IPv4 header (RFC 791). Options are not modeled; IHL is
+// always 5 on serialization and options are skipped on decode.
+type IPv4 struct {
+	TOS      uint8
+	ID       uint16
+	DontFrag bool
+	TTL      uint8
+	Protocol uint8
+	Src, Dst netip.Addr
 }
 
-func decodeErr(t LayerType, reason string) error {
-	return &DecodeError{Layer: t, Reason: reason}
+// IPv6 is an IPv6 fixed header (RFC 8200). Extension headers are not
+// modeled; NextHeader is the transport protocol directly.
+type IPv6 struct {
+	TrafficClass uint8
+	FlowLabel    uint32 // 20 bits
+	NextHeader   uint8
+	HopLimit     uint8
+	Src, Dst     netip.Addr
+}
+
+// UDP is a UDP header (RFC 768).
+type UDP struct {
+	SrcPort, DstPort uint16
+}
+
+// Packet is a fully decoded IP datagram as seen on a simulated link.
+type Packet struct {
+	// Exactly one of V4/V6 is non-nil.
+	V4 *IPv4
+	V6 *IPv6
+	// Exactly one of UDP/TCP is non-nil for transport datagrams the
+	// simulator understands; both nil means an unknown protocol.
+	UDP *UDP
+	TCP *TCP
+	// Data is the transport payload.
+	Data []byte
+	// Raw is the original wire representation.
+	Raw []byte
+
+	// The decoded headers the pointers above refer to, held by value so
+	// that a decode is one allocation.
+	v4  IPv4
+	v6  IPv6
+	tcp TCP
+	udp UDP
+}
+
+// Src returns the network-layer source address.
+func (p *Packet) Src() netip.Addr {
+	if p.V4 != nil {
+		return p.V4.Src
+	}
+	return p.V6.Src
+}
+
+// Dst returns the network-layer destination address.
+func (p *Packet) Dst() netip.Addr {
+	if p.V4 != nil {
+		return p.V4.Dst
+	}
+	return p.V6.Dst
+}
+
+// IsIPv6 reports whether the packet is IPv6.
+func (p *Packet) IsIPv6() bool { return p.V6 != nil }
+
+// SrcPort returns the transport source port (0 if no transport layer).
+func (p *Packet) SrcPort() uint16 {
+	switch {
+	case p.UDP != nil:
+		return p.UDP.SrcPort
+	case p.TCP != nil:
+		return p.TCP.SrcPort
+	}
+	return 0
+}
+
+// DstPort returns the transport destination port (0 if no transport layer).
+func (p *Packet) DstPort() uint16 {
+	switch {
+	case p.UDP != nil:
+		return p.UDP.DstPort
+	case p.TCP != nil:
+		return p.TCP.DstPort
+	}
+	return 0
+}
+
+// Decode parses a wire-format datagram, sniffing the IP version from the
+// first nibble. Transport checksums are verified against the IP
+// pseudo-header.
+func Decode(raw []byte) (*Packet, error) {
+	if len(raw) == 0 {
+		return nil, wireError("empty packet")
+	}
+	p := &Packet{Raw: raw}
+	var (
+		proto uint8
+		seg   []byte
+		err   error
+	)
+	switch raw[0] >> 4 {
+	case 4:
+		p.V4 = &p.v4
+		seg, err = p.v4.decode(raw)
+		proto = p.v4.Protocol
+	case 6:
+		p.V6 = &p.v6
+		seg, err = p.v6.decode(raw)
+		proto = p.v6.NextHeader
+	default:
+		return nil, wireError("unknown IP version")
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch proto {
+	case IPProtoUDP:
+		p.UDP = &p.udp
+		p.Data, err = p.udp.decode(p.Src(), p.Dst(), seg)
+	case IPProtoTCP:
+		p.TCP = &p.tcp
+		p.Data, err = p.tcp.decode(p.Src(), p.Dst(), seg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decode parses an IPv4 header, verifying its checksum, and returns the
+// datagram's payload.
+func (ip *IPv4) decode(data []byte) ([]byte, error) {
+	if len(data) < ipv4MinLen {
+		return nil, wireError("bad IPv4: truncated header")
+	}
+	ihl := int(data[0]&0x0f) * 4
+	if ihl < ipv4MinLen || ihl > len(data) {
+		return nil, wireError("bad IPv4: bad IHL")
+	}
+	total := int(binary.BigEndian.Uint16(data[2:4]))
+	if total < ihl || total > len(data) {
+		return nil, wireError("bad IPv4: bad total length")
+	}
+	if Checksum(data[:ihl]) != 0 {
+		return nil, wireError("bad IPv4: header checksum mismatch")
+	}
+	ip.TOS = data[1]
+	ip.ID = binary.BigEndian.Uint16(data[4:6])
+	ip.DontFrag = data[6]&0x40 != 0
+	ip.TTL = data[8]
+	ip.Protocol = data[9]
+	ip.Src = netip.AddrFrom4([4]byte(data[12:16]))
+	ip.Dst = netip.AddrFrom4([4]byte(data[16:20]))
+	return data[ihl:total], nil
+}
+
+// decode parses an IPv6 fixed header and returns the datagram's payload.
+func (ip *IPv6) decode(data []byte) ([]byte, error) {
+	if len(data) < ipv6HeaderLen {
+		return nil, wireError("bad IPv6: truncated header")
+	}
+	plen := int(binary.BigEndian.Uint16(data[4:6]))
+	if ipv6HeaderLen+plen > len(data) {
+		return nil, wireError("bad IPv6: bad payload length")
+	}
+	vtf := binary.BigEndian.Uint32(data[0:4])
+	ip.TrafficClass = uint8(vtf >> 20)
+	ip.FlowLabel = vtf & 0xfffff
+	ip.NextHeader = data[6]
+	ip.HopLimit = data[7]
+	ip.Src = netip.AddrFrom16([16]byte(data[8:24]))
+	ip.Dst = netip.AddrFrom16([16]byte(data[24:40]))
+	return data[ipv6HeaderLen : ipv6HeaderLen+plen], nil
+}
+
+// decode parses a UDP header, verifying a nonzero checksum, and returns
+// the datagram's payload.
+func (u *UDP) decode(src, dst netip.Addr, data []byte) ([]byte, error) {
+	if len(data) < udpHeaderLen {
+		return nil, wireError("bad UDP: truncated header")
+	}
+	length := int(binary.BigEndian.Uint16(data[4:6]))
+	if length < udpHeaderLen || length > len(data) {
+		return nil, wireError("bad UDP: bad length")
+	}
+	if binary.BigEndian.Uint16(data[6:8]) != 0 && TransportChecksum(src, dst, IPProtoUDP, data[:length]) != 0 {
+		return nil, wireError("bad UDP: checksum mismatch")
+	}
+	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
+	u.DstPort = binary.BigEndian.Uint16(data[2:4])
+	return data[udpHeaderLen:length], nil
+}
+
+// newDatagram checks the addresses and the datagram's length, allocates
+// the whole datagram for a segLen-byte transport segment, and writes the
+// IP header. It returns the datagram and the segment within it.
+func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []byte, err error) {
+	switch {
+	case !src.IsValid() || !dst.IsValid():
+		return nil, nil, wireError("invalid address")
+	case src.Is4() != dst.Is4():
+		return nil, nil, wireError("mixed address families")
+	case src.Is4() && ipv4MinLen+segLen > 0xffff:
+		return nil, nil, wireError("IPv4 total length over 65535")
+	case !src.Is4() && segLen > 0xffff:
+		return nil, nil, wireError("IPv6 payload length over 65535")
+	}
+	if src.Is4() {
+		raw = make([]byte, ipv4MinLen+segLen)
+		raw[0] = 4<<4 | 5
+		binary.BigEndian.PutUint16(raw[2:4], uint16(len(raw)))
+		raw[6] = 0x40 // don't fragment
+		raw[8] = ttl
+		raw[9] = proto
+		s, d := src.As4(), dst.As4()
+		copy(raw[12:16], s[:])
+		copy(raw[16:20], d[:])
+		binary.BigEndian.PutUint16(raw[10:12], Checksum(raw[:ipv4MinLen]))
+		return raw, raw[ipv4MinLen:], nil
+	}
+	raw = make([]byte, ipv6HeaderLen+segLen)
+	raw[0] = 6 << 4
+	binary.BigEndian.PutUint16(raw[4:6], uint16(segLen))
+	raw[6] = proto
+	raw[7] = ttl
+	s, d := src.As16(), dst.As16()
+	copy(raw[8:24], s[:])
+	copy(raw[24:40], d[:])
+	return raw, raw[ipv6HeaderLen:], nil
+}
+
+// BuildUDP serializes a UDP datagram inside the appropriate IP version for
+// the given addresses. ttl is used as the IPv4 TTL or IPv6 hop limit.
+func BuildUDP(src, dst netip.Addr, srcPort, dstPort uint16, ttl uint8, payload []byte) ([]byte, error) {
+	length := udpHeaderLen + len(payload)
+	if length > 0xffff {
+		return nil, wireError("UDP datagram too long")
+	}
+	raw, seg, err := newDatagram(src, dst, IPProtoUDP, ttl, length)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint16(seg[0:2], srcPort)
+	binary.BigEndian.PutUint16(seg[2:4], dstPort)
+	binary.BigEndian.PutUint16(seg[4:6], uint16(length))
+	copy(seg[udpHeaderLen:], payload)
+	sum := TransportChecksum(src, dst, IPProtoUDP, seg)
+	if sum == 0 {
+		sum = 0xffff // RFC 768: transmitted as all ones
+	}
+	binary.BigEndian.PutUint16(seg[6:8], sum)
+	return raw, nil
 }
