@@ -152,8 +152,10 @@ func (c *nameCompressor) append(buf []byte, n Name) ([]byte, error) {
 		if len(buf) < 0x4000 {
 			c.offsets[key] = len(buf)
 		}
-		labels := rest.Labels()
-		label := labels[0]
+		label, parent := string(rest), Root
+		if i := strings.IndexByte(label, '.'); i >= 0 {
+			label, parent = label[:i], rest[i+1:]
+		}
 		if len(label) > maxLabel {
 			return nil, errLabelTooLong
 		}
@@ -162,14 +164,15 @@ func (c *nameCompressor) append(buf []byte, n Name) ([]byte, error) {
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
-		rest = rest.Parent()
+		rest = parent
 	}
 }
 
 // readName decodes a (possibly compressed) name starting at off in msg.
 // It returns the name and the offset just past the name's in-place bytes.
 func readName(msg []byte, off int) (Name, int, error) {
-	var sb strings.Builder
+	var name [maxNameWire + 1]byte // each label and its trailing dot
+	n := 0
 	jumped := false
 	next := off
 	hops := 0
@@ -183,11 +186,10 @@ func readName(msg []byte, off int) (Name, int, error) {
 			if !jumped {
 				next = off + 1
 			}
-			name := Name(sb.String())
-			if len(name)+2 > maxNameWire+1 && name != "" {
+			if n > maxNameWire {
 				return "", 0, errNameTooLong
 			}
-			return name, next, nil
+			return Name(name[:max(n-1, 0)]), next, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
 				return "", 0, errTruncated
@@ -212,14 +214,13 @@ func readName(msg []byte, off int) (Name, int, error) {
 			if off+1+l > len(msg) {
 				return "", 0, errTruncated
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
-			}
-			sb.Write(msg[off+1 : off+1+l])
-			off += 1 + l
-			if sb.Len() > maxNameWire {
+			if n+l+1 > len(name) {
 				return "", 0, errNameTooLong
 			}
+			n += copy(name[n:], msg[off+1:off+1+l])
+			name[n] = '.'
+			n++
+			off += 1 + l
 		}
 	}
 }
