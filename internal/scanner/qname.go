@@ -24,13 +24,31 @@ import (
 // asn the target's AS number, and kw the experiment keyword. Follow-up
 // probes use the same five labels under the v4/v6/tc subzones.
 
-// EncodeAddr renders an address as a DNS label ("v4-198-51-100-7",
-// "v6-2001-db8--53").
-func EncodeAddr(a netip.Addr) string {
+// AppendAddrLabel appends an address's DNS label ("v4-198-51-100-7",
+// "v6-2001-db8--53") to dst: a family tag, then the address's text form
+// with every '.' and ':' rewritten to '-'. DecodeAddr parses every such
+// label. A 4-in-6 address decodes to a different IPv6 address, because
+// the dots of its embedded IPv4 address become '-' too.
+func AppendAddrLabel(dst []byte, a netip.Addr) []byte {
 	if a.Is4() {
-		return "v4-" + strings.ReplaceAll(a.String(), ".", "-")
+		dst = append(dst, "v4-"...)
+	} else {
+		dst = append(dst, "v6-"...)
 	}
-	return "v6-" + strings.ReplaceAll(a.String(), ":", "-")
+	start := len(dst)
+	dst = a.AppendTo(dst)
+	for i := start; i < len(dst); i++ {
+		if dst[i] == '.' || dst[i] == ':' {
+			dst[i] = '-'
+		}
+	}
+	return dst
+}
+
+// EncodeAddr renders an address as a DNS label (see AppendAddrLabel).
+func EncodeAddr(a netip.Addr) string {
+	var buf [64]byte
+	return string(AppendAddrLabel(buf[:0], a))
 }
 
 // DecodeAddr parses a label produced by EncodeAddr.

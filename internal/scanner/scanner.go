@@ -267,9 +267,12 @@ func (st *Stats) Add(o Stats) {
 // their DNS-label encodings, and the wire-encoded constant tail of the
 // probe name (dst.asn.kw.zone) that every probe to this target shares.
 type probePlan struct {
-	target    Target
-	sources   []netip.Addr
-	srcLabels []string
+	target  Target
+	sources []netip.Addr
+	// srcLabels packs the sources' labels in wire form, each behind its
+	// length byte; source j's starts at labelAt[j].
+	srcLabels []byte
+	labelAt   []uint32
 	nameTail  []byte // wire form incl. terminal root byte; nil = slow path
 }
 
@@ -562,15 +565,18 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 func (s *Scanner) Plan() int {
 	s.plans = make([]probePlan, 0, len(s.Targets))
 	total := 0
+	var labels []byte // reused across targets, then copied exactly
 	for _, t := range s.Targets {
 		srcs := s.SourcesFor(t)
-		labels := make([]string, len(srcs))
+		at := make([]uint32, len(srcs))
+		labels = labels[:0]
 		maxLabel := 0
 		for i, src := range srcs {
-			labels[i] = EncodeAddr(src)
-			if len(labels[i]) > maxLabel {
-				maxLabel = len(labels[i])
-			}
+			at[i] = uint32(len(labels))
+			labels = AppendAddrLabel(append(labels, 0), src)
+			n := len(labels) - int(at[i]) - 1
+			labels[at[i]] = byte(n)
+			maxLabel = max(maxLabel, n)
 		}
 		// Wire-encode the constant name tail once per target. All main
 		// probes to this target splice ts and source labels in front of
@@ -585,7 +591,8 @@ func (s *Scanner) Plan() int {
 		if err != nil || 22+maxLabel+len(tail) > 255 {
 			tail = nil // fall back to the allocating path
 		}
-		s.plans = append(s.plans, probePlan{target: t, sources: srcs, srcLabels: labels, nameTail: tail})
+		s.plans = append(s.plans, probePlan{target: t, sources: srcs,
+			srcLabels: slices.Clone(labels), labelAt: at, nameTail: tail})
 		total += len(srcs)
 	}
 	if s.Hits == nil {
@@ -680,11 +687,10 @@ func (s *Scanner) sendPlanned(now time.Duration, pi, j int) {
 
 	var tsDigits [20]byte
 	ts := strconv.AppendInt(tsDigits[:0], int64(now), 10)
-	label := p.srcLabels[j]
+	at := p.labelAt[j]
 	nb := append(s.nameBuf[:0], byte(len(ts)))
 	nb = append(nb, ts...)
-	nb = append(nb, byte(len(label)))
-	nb = append(nb, label...)
+	nb = append(nb, p.srcLabels[at:at+1+uint32(p.srcLabels[at])]...)
 	nb = append(nb, p.nameTail...)
 	s.nameBuf = nb
 

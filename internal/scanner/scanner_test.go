@@ -35,6 +35,30 @@ func TestEncodeDecodeAddrV6(t *testing.T) {
 	}
 }
 
+// TestAppendAddrLabel pins the label of each address form and requires
+// DecodeAddr to parse it. A 4-in-6 address's dots become '-' like its
+// colons, so its label decodes to a different IPv6 address.
+func TestAppendAddrLabel(t *testing.T) {
+	for _, c := range []struct{ addr, label, decoded string }{
+		{"198.51.100.7", "v4-198-51-100-7", "198.51.100.7"},
+		{"2001:db8::53", "v6-2001-db8--53", "2001:db8::53"},
+		{"::ffff:192.0.2.1", "v6---ffff-192-0-2-1", "::ffff:192:0:2:1"},
+		{"::", "v6---", "::"},
+	} {
+		a := addr(c.addr)
+		got := AppendAddrLabel([]byte("x."), a)
+		if string(got) != "x."+c.label {
+			t.Errorf("AppendAddrLabel(%s) appended %q, want %q", c.addr, got[2:], c.label)
+		}
+		if enc := EncodeAddr(a); enc != c.label {
+			t.Errorf("EncodeAddr(%s) = %q, want %q", c.addr, enc, c.label)
+		}
+		if dec, err := DecodeAddr(c.label); err != nil || dec != addr(c.decoded) {
+			t.Errorf("DecodeAddr(%q) = %v, %v; want %s", c.label, dec, err, c.decoded)
+		}
+	}
+}
+
 func TestDecodeAddrRejectsJunk(t *testing.T) {
 	for _, s := range []string{"", "x4-1-2-3-4", "v4-1-2-3", "v6-zz", "v4-300-1-1-1"} {
 		if _, err := DecodeAddr(s); err == nil {
