@@ -24,12 +24,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Determinism lint: the doorsvet analyzer suite (internal/lint) run as
-# a vet tool, so findings come through the same unit-at-a-time cached
-# pipeline as go vet. The -vettool path must be absolute — vet runs
-# the tool with the package directory as its working directory.
+# Determinism lint: the doorsvet analyzer suite (internal/lint) over
+# every package, in one sequential pass over the dependency graph.
 lint: $(BIN)/doorsvet
-	$(GO) vet -vettool=$(abspath $(BIN)/doorsvet) ./...
+	$(BIN)/doorsvet ./...
 
 # Suppression audit: list every //lint:allow pragma (file:line, check,
 # reason); fails when a pragma lacks its reason or names an unknown
@@ -37,8 +35,7 @@ lint: $(BIN)/doorsvet
 pragmas: $(BIN)/doorsvet
 	$(BIN)/doorsvet -pragmas .
 
-# Rebuild only when the suite's sources change, so a cached binary
-# (CI restores bin/doorsvet keyed on these files) is reused as-is.
+# Rebuild only when the suite's sources change.
 DOORSVET_SRCS := $(shell find cmd/doorsvet internal/lint -name '*.go' -not -path '*/testdata/*')
 
 $(BIN)/doorsvet: $(DOORSVET_SRCS)
@@ -52,8 +49,9 @@ race:
 
 # Concurrency cross-validation: two streaming campaigns run at once over
 # one shared population view at MaxParallel 4 under the race detector, and
-# the concurrency-bearing packages must come back clean from lockguard
-# and golifetime — the dynamic and static halves of the same claim.
+# the concurrency-bearing packages must come back clean from frozenshare,
+# shardcapture and golifetime — the dynamic and static halves of the
+# same claim.
 racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 

@@ -1,19 +1,16 @@
 // Command doorsvet runs the determinism, hot-path and concurrency
 // lint suite (internal/lint): detrandonly, saltbands, sortedemit,
-// wallclock, frozenshare, shardcapture, hotalloc, retain, lockguard
-// and golifetime.
+// wallclock, frozenshare, shardcapture, hotalloc, retain and
+// golifetime.
 //
-// It speaks the go vet vettool protocol, which is how `make lint`
-// invokes it:
+// Given package patterns, it loads and checks them in one sequential,
+// uncached pass over the dependency graph (internal/lint/loader). Each
+// finding prints to standard error as "file.go:line:col: message
+// (analyzer)", and the exit status is 1 when there are findings and 2
+// when loading fails. This is what `make lint` runs:
 //
 //	go build -o bin/doorsvet ./cmd/doorsvet
-//	go vet -vettool=$(pwd)/bin/doorsvet ./...
-//
-// Given package patterns instead of a vet config file, it loads and
-// checks them standalone in one sequential, uncached pass over the
-// dependency graph, which is convenient during development:
-//
-//	doorsvet ./...
+//	bin/doorsvet ./...
 //
 // The -pragmas mode audits the suppression surface instead of
 // linting: it lists every //lint:allow pragma in the tree (file:line,
@@ -33,7 +30,6 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/loader"
-	"repro/internal/lint/unitchecker"
 )
 
 func main() {
@@ -45,23 +41,23 @@ func main() {
 		}
 		os.Exit(auditPragmas(root))
 	}
-	// Package patterns (no flags, no *.cfg) select standalone mode;
-	// everything else follows the vettool protocol.
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") && !strings.HasSuffix(args[0], ".cfg") {
-		diags, err := loader.Run(".", args, lint.Suite())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doorsvet: %v\n", err)
+	for _, a := range args {
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprintln(os.Stderr, "usage: doorsvet [packages] | doorsvet -pragmas [dir]")
 			os.Exit(2)
 		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", d.Position, d.Message, d.Analyzer)
-		}
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
 	}
-	unitchecker.Main(lint.Suite()...)
+	diags, err := loader.Run(".", args, lint.Suite())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doorsvet: %v\n", err)
+		os.Exit(2)
+	}
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", d.Position, d.Message, d.Analyzer)
+	}
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
 }
 
 // auditPragmas prints the suppression audit and returns the exit

@@ -117,18 +117,22 @@ func TestSurveyDeterministic(t *testing.T) {
 	}
 }
 
-// TestAllDSAVCounterfactual verifies the ablation: with DSAV enabled
-// everywhere, internal-source spoofing reaches nothing.
+// TestAllDSAVCounterfactual checks the ablation against what DSAV
+// guarantees. A DSAV border drops every inbound packet whose source
+// the destination AS originates, so with DSAV everywhere a timely main
+// probe hit can only come from a private or loopback source, or from
+// the scanner's own address (the open-resolver follow-up). Late hits
+// from internal sources do occur: the IDS analyst re-resolves names
+// dropped at a DSAV border, and the Report's lifetime threshold
+// excludes those hits.
 func TestAllDSAVCounterfactual(t *testing.T) {
-	pop := ditl.Generate(ditl.Params{Seed: 9, ASes: 40})
-	base, err := RunSurveyOn(pop, SurveyConfig{Scanner: scanner.Config{Seed: 10, Rate: 5000}})
+	pop := ditl.Generate(ditl.Params{Seed: 9, ASes: 120})
+	sc := scanner.Config{Seed: 10, Rate: 5000}
+	base, err := RunSurveyOn(pop, SurveyConfig{Scanner: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	protected, err := RunSurveyOn(pop, SurveyConfig{
-		World:   worldOptsAllDSAV(),
-		Scanner: scanner.Config{Seed: 10, Rate: 5000},
-	})
+	protected, err := RunSurveyOn(pop, SurveyConfig{World: worldOptsAllDSAV(), Scanner: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +142,24 @@ func TestAllDSAVCounterfactual(t *testing.T) {
 	if protected.Report.V4.ReachableAddrs >= base.Report.V4.ReachableAddrs/2 {
 		t.Fatalf("DSAV-everywhere still reaches %d of %d addresses",
 			protected.Report.V4.ReachableAddrs, base.Report.V4.ReachableAddrs)
+	}
+
+	const threshold = 10 * time.Second // the Report's default lifetime threshold
+	own := []netip.Addr{protected.Scanner.Addr4, protected.Scanner.Addr6}
+	timely := 0
+	for _, h := range protected.Scanner.Hits {
+		if h.Kind != scanner.ProbeMain || h.Lifetime > threshold {
+			continue
+		}
+		timely++
+		switch cat := scanner.Categorize(h.Src, h.Dst, own); cat {
+		case scanner.CatPrivate, scanner.CatLoopback, scanner.CatNotSpoofed:
+		default:
+			t.Errorf("timely %s hit through DSAV: %v -> %v (lifetime %v)", cat, h.Src, h.Dst, h.Lifetime)
+		}
+	}
+	if timely == 0 {
+		t.Fatal("no timely hits under AllDSAV: the source check ran on nothing")
 	}
 }
 

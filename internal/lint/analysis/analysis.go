@@ -1,8 +1,7 @@
 // Package analysis is a minimal, dependency-free subset of
 // golang.org/x/tools/go/analysis: just enough surface for the doorsvet
-// suite to define modular per-package checks and for the drivers in
-// internal/lint/unitchecker (go vet -vettool protocol) and
-// internal/lint/loader (standalone package patterns) to run them.
+// suite to define modular per-package checks and for the driver in
+// internal/lint/loader (and the analysistest harness) to run them.
 //
 // The container this repo builds in has no module proxy access, so the
 // real x/tools module cannot be fetched; the types here mirror its API
@@ -12,8 +11,6 @@
 package analysis
 
 import (
-	"encoding/gob"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -21,26 +18,21 @@ import (
 	"reflect"
 )
 
-// An Analyzer describes one analysis function and its options.
+// An Analyzer describes one analysis function and the facts it uses.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. It must be
-	// a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// Go identifier.
 	Name string
 
 	// Doc is the analyzer's documentation; the first line is used as a
 	// summary.
 	Doc string
 
-	// Flags defines any flags accepted by the analyzer.
-	Flags flag.FlagSet
-
 	// Run applies the analyzer to a package.
 	Run func(*Pass) (interface{}, error)
 
 	// FactTypes lists the concrete types of facts this analyzer exports
 	// or imports, as pointers to zero values (e.g. new(FrozenType)).
-	// Validate registers each with encoding/gob so the unitchecker
-	// driver can serialize them into the unit's facts (vetx) file.
 	//
 	// Unlike x/tools, facts here live in one suite-global store keyed
 	// by concrete fact type rather than in per-analyzer namespaces, so
@@ -73,9 +65,8 @@ type Pass struct {
 
 	// The fact machinery, bound by the driver (Facts.Bind). Facts are
 	// typed values attached to package-level objects or whole packages
-	// during one pass and visible to every later pass — including
-	// passes over importing packages in other driver processes, via
-	// gob serialization into the unit's vetx file.
+	// during one pass and visible to every later pass, including passes
+	// over importing packages.
 
 	// ExportObjectFact attaches fact to obj, which must belong to the
 	// package under analysis.
@@ -89,16 +80,11 @@ type Pass struct {
 	// ImportPackageFact copies pkg's fact of ptr's concrete type into
 	// *ptr, reporting whether one was found.
 	ImportPackageFact func(pkg *types.Package, ptr Fact) bool
-	// AllObjectFacts and AllPackageFacts list every fact currently in
-	// the store, in deterministic order.
-	AllObjectFacts  func() []ObjectFact
-	AllPackageFacts func() []PackageFact
 }
 
 // A Fact is a typed datum attached to an object or package by one
 // analyzer pass and consumed by later passes. Concrete fact types must
-// be pointers to structs with at least one exported field (a gob
-// requirement) and are registered via Analyzer.FactTypes.
+// be pointers to structs and are declared via Analyzer.FactTypes.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()
@@ -108,12 +94,6 @@ type Fact interface {
 type ObjectFact struct {
 	Object types.Object
 	Fact   Fact
-}
-
-// PackageFact pairs a package with one of its facts.
-type PackageFact struct {
-	Package *types.Package
-	Fact    Fact
 }
 
 // Reportf formats a diagnostic message and reports it at pos.
@@ -133,8 +113,7 @@ type Diagnostic struct {
 }
 
 // Validate reports an error if any analyzer is misconfigured (nil Run,
-// empty or duplicate names, malformed fact types), and registers every
-// declared fact type with encoding/gob so fact files round-trip.
+// empty or duplicate names, malformed fact types).
 func Validate(analyzers []*Analyzer) error {
 	seen := make(map[string]bool)
 	for _, a := range analyzers {
@@ -158,7 +137,6 @@ func Validate(analyzers []*Analyzer) error {
 			if t := reflect.TypeOf(f); t.Kind() != reflect.Ptr {
 				return fmt.Errorf("analyzer %q fact type %T is not a pointer", a.Name, f)
 			}
-			gob.Register(f) // idempotent for a stable concrete type
 		}
 	}
 	return nil

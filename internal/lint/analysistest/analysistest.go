@@ -25,7 +25,7 @@
 // RunWith runs a whole analyzer stack over every fixture package in
 // dependency order with one shared fact store, so cross-package fact
 // flow (p2 importing p1's frozen type) is exercised exactly as the
-// standalone loader driver would.
+// loader exercises it.
 package analysistest
 
 import (

@@ -62,21 +62,17 @@ func (m *MutatingMethod) String() string { return "mutating" }
 // construction context.
 //
 // A construction context is a top-level function whose name is main or
-// init, starts with New/Build/Make/Generate/Freeze (any case), matches
-// an extra prefix from -frozenshare.ctors, or is a method of a locally
-// declared frozen type (those are classified and checked at their call
-// sites instead). Mutating a local by-value copy of a frozen struct
-// stays legal. The escape hatch is //lint:allow frozenshare -- <why>.
+// init, starts with New/Build/Make/Generate/Freeze (any case), or is a
+// method of a locally declared frozen type (those are classified and
+// checked at their call sites instead). Mutating a local by-value copy
+// of a frozen struct stays legal.
+//
+// The escape hatch is //lint:allow frozenshare -- <why>.
 var FrozenShare = &analysis.Analyzer{
 	Name:      "frozenshare",
 	Doc:       "prove frozen-after-construction types are never mutated outside construction",
 	FactTypes: []analysis.Fact{new(FrozenType), new(MutatingMethod)},
 	Run:       runFrozenShare,
-}
-
-func init() {
-	FrozenShare.Flags.String("ctors", "",
-		"comma-separated extra constructor name prefixes treated as construction contexts")
 }
 
 // frozenMarker is the type-level marker comment.
@@ -448,13 +444,6 @@ func (fs *frozenState) ctorContext(fd *ast.FuncDecl) bool {
 	for _, p := range ctorPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
-		}
-	}
-	if extra := fs.pass.Analyzer.Flags.Lookup("ctors").Value.String(); extra != "" {
-		for _, p := range strings.Split(extra, ",") {
-			if p = strings.TrimSpace(p); p != "" && strings.HasPrefix(name, p) {
-				return true
-			}
 		}
 	}
 	return false

@@ -37,7 +37,7 @@ import (
 // the callee is unknowable; a pragma is the escape hatch.
 //
 // Verdicts are exported as AllocFact object facts, so effects flow
-// cross-package through both drivers. Functions marked //doors:hotpath
+// cross-package through the fact store. Functions marked //doors:hotpath
 // (or auto-marked, see autoHotPath) must be Never; a violation reports
 // the full call-chain witness down to the allocating expression.
 //

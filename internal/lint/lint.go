@@ -1,10 +1,9 @@
-// Package lint is the doorsvet analyzer suite: ten checks that turn
+// Package lint is the doorsvet analyzer suite: nine checks that turn
 // the repository's determinism, performance and concurrency discipline
 // — the conventions that make the sharded survey engine merge into a
 // bit-identical analysis.Report at any shard count, keep its hot paths
-// allocation-free, and make its shared mutable state safe to drive
-// from concurrent callers — from reviewer lore into compiler-checked
-// rules.
+// allocation-free, and keep its shard goroutines from sharing mutable
+// state — from reviewer lore into compiler-checked rules.
 //
 //   - detrandonly: randomness must be derived from causal identity via
 //     internal/detrand, never drawn from raw math/rand streams.
@@ -25,11 +24,6 @@
 //   - retain: //doors:scratch parameters are never retained past the
 //     call — not stored, sent, appended away, captured, or passed to
 //     a retaining callee (interprocedural, via RetainsFact facts).
-//   - lockguard: //doors:guardedby fields are only touched inside
-//     their mutex's critical section and //doors:requires-lock methods
-//     are only called with the lock held; double-acquires and
-//     lock-order inversions are caught too (interprocedural, via
-//     GuardFact and LockFact facts).
 //   - golifetime: every go statement is joined (WaitGroup, result
 //     channel) or cancelable (context, done channel) — no leaked
 //     goroutines.
@@ -55,13 +49,12 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Suite returns the full doorsvet analyzer suite. Order matters:
-// drivers run analyzers in slice order over each package, and
+// Suite returns the full doorsvet analyzer suite. Order matters: the
+// loader runs analyzers in slice order over each package, and
 // shardcapture consumes the FrozenType facts frozenshare exports, so
-// FrozenShare must precede ShardCapture. HotAlloc, Retain, LockGuard
-// and GoLifetime only consume their own facts, which both drivers
-// persist per analyzer, so their positions are free; they run last as
-// the newest checks.
+// FrozenShare must precede ShardCapture. HotAlloc, Retain and
+// GoLifetime only consume their own facts, so their positions are
+// free; they run last as the newest checks.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetrandOnly,
@@ -72,7 +65,6 @@ func Suite() []*analysis.Analyzer {
 		ShardCapture,
 		HotAlloc,
 		Retain,
-		LockGuard,
 		GoLifetime,
 	}
 }
@@ -126,13 +118,12 @@ func (a allowed) at(pass *analysis.Pass, pos token.Pos) bool {
 // pragmaRecorder is the opt-in recorder behind the stale-pragma audit:
 // when enabled, every pragma that actually suppresses a finding is
 // noted here, and `doorsvet -pragmas` flags the rest as stale. It is
-// process-global state that analyzers write from their passes, so it
-// is lockguard-annotated and mutex-guarded whatever the driver's
-// threading — the suite checks its own recorder.
+// process-global state that analyzers write from their passes. The
+// loader runs passes from one goroutine; mu keeps the recorder safe
+// for any caller that does not.
 type pragmaRecorder struct {
 	mu sync.Mutex
-	// used maps file path (as seen by the driver) -> pragma lines hit.
-	//doors:guardedby mu
+	// used maps file path (as seen by the loader) -> pragma lines hit.
 	used map[string]map[int]bool
 }
 

@@ -46,14 +46,6 @@ func TestRetain(t *testing.T) {
 		[]*analysis.Analyzer{lint.Retain}, "rt1", "rt2")
 }
 
-func TestLockGuard(t *testing.T) {
-	// lg2 imports lg1: its guarded-access, requires-lock, callee
-	// self-deadlock and inversion findings only exist if lg1's
-	// GuardFact and LockFact entries crossed the package boundary.
-	analysistest.RunWith(t, "testdata/lockguard",
-		[]*analysis.Analyzer{lint.LockGuard}, "lg1", "lg2")
-}
-
 func TestGoLifetime(t *testing.T) {
 	analysistest.Run(t, "testdata/golifetime", lint.GoLifetime, "gl1")
 }

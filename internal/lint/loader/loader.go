@@ -1,10 +1,10 @@
-// Package loader runs the doorsvet analyzers outside go vet: it loads
-// package patterns by shelling out to "go list -export -deps -json"
-// (offline-safe; the repo has no external module dependencies),
-// type-checks every in-module package from source, and applies every
-// analyzer to each of them over one shared in-memory fact store.
-// Standard-library dependencies are imported from the compiler's
-// export data and never analyzed.
+// Package loader is the doorsvet driver: it loads package patterns by
+// shelling out to "go list -export -deps -json" (offline-safe; the
+// repo has no external module dependencies), type-checks every
+// in-module package from source, and applies every analyzer to each of
+// them over one shared in-memory fact store. Standard-library
+// dependencies are imported from the compiler's export data and never
+// analyzed.
 //
 // Packages are visited in one sequential walk of the go list order,
 // which is a dependency post-order: every package is analyzed after
@@ -12,16 +12,15 @@
 // importer and every pass sees a complete dependency store.
 //
 // Re-running the analyzers over dependencies — not just the named
-// target packages — is what makes interprocedural facts work in
-// standalone mode: when p2 imports p1's frozen registry type, p1's
-// pass exports the FrozenType/MutatingMethod facts that p2's pass then
-// consults, with object identity preserved because both passes share
-// one type-checker world (no serialization round-trip; that path
-// belongs to internal/lint/unitchecker). Diagnostics are only reported
-// for the packages the patterns named.
+// target packages — is what makes interprocedural facts work: when p2
+// imports p1's frozen registry type, p1's pass exports the
+// FrozenType/MutatingMethod facts that p2's pass then consults, with
+// object identity preserved because both passes share one
+// type-checker world. Diagnostics are only reported for the packages
+// the patterns named.
 //
-// It is the standalone complement to internal/lint/unitchecker, used
-// for ad-hoc runs ("doorsvet ./..."), the -pragmas audit, and tests.
+// It backs `make lint` ("doorsvet ./..."), the -pragmas audit, and
+// tests.
 package loader
 
 import (

@@ -11,7 +11,7 @@ import (
 	"repro/internal/lint/loader"
 )
 
-// TestCrossPackageFactFlow drives the standalone loader end to end
+// TestCrossPackageFactFlow drives the loader end to end
 // over a scratch module in which p2 mutates p1's frozen registry after
 // construction: the diagnostic in p2 exists only if p1's facts reached
 // p2's pass through the loader's shared store and dependency-order
@@ -87,7 +87,7 @@ func Probe(r *p1.Registry) {
 
 // TestFanOutGraphDiagnostics runs the loader over a wide graph — one
 // fact-exporting base package, several independent leaves, and a top
-// package whose finding depends on the base's lockguard facts — and
+// package whose finding depends on the base's frozenshare facts — and
 // pins the exact diagnostic count: every leaf is analyzed and reported,
 // and base's facts reach top's pass.
 func TestFanOutGraphDiagnostics(t *testing.T) {
@@ -103,15 +103,13 @@ func TestFanOutGraphDiagnostics(t *testing.T) {
 		}
 	}
 	write("go.mod", "module m\n\ngo 1.22\n")
-	write("base/base.go", `// Package base exports a guarded table.
+	write("base/base.go", `// Package base exports a frozen table.
 package base
 
-import "sync"
-
-// Table pairs a mutex with the rows it guards.
+// Table is read-only once built.
+//
+//doors:frozen
 type Table struct {
-	Mu sync.Mutex
-	//doors:guardedby Mu
 	Rows map[string]int
 }
 `)
@@ -127,7 +125,7 @@ func Fire() {
 }
 `, i, i))
 	}
-	write("top/top.go", `// Package top violates base's guard contract.
+	write("top/top.go", `// Package top violates base's frozen contract.
 package top
 
 import (
@@ -140,8 +138,8 @@ import (
 	_ "m/leaf5"
 )
 
-// Poke writes a guarded field lockless: a cross-package finding that
-// only exists if base's GuardFact reached this package's pass.
+// Poke writes through the frozen table: a cross-package finding that
+// only exists if base's FrozenType fact reached this package's pass.
 func Poke(t *base.Table, k string) {
 	t.Rows[k] = 1
 }
@@ -151,14 +149,14 @@ func Poke(t *base.Table, k string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 7 { // 6 leaks + 1 guarded write
+	if len(diags) != 7 { // 6 leaks + 1 frozen write
 		t.Fatalf("want 7 diagnostics, got %d: %v", len(diags), diags)
 	}
 	byAnalyzer := map[string]int{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
 	}
-	if byAnalyzer["golifetime"] != 6 || byAnalyzer["lockguard"] != 1 {
-		t.Fatalf("want 6 golifetime + 1 lockguard diagnostics, got %v: %v", byAnalyzer, diags)
+	if byAnalyzer["golifetime"] != 6 || byAnalyzer["frozenshare"] != 1 {
+		t.Fatalf("want 6 golifetime + 1 frozenshare diagnostics, got %v: %v", byAnalyzer, diags)
 	}
 }

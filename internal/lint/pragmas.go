@@ -39,7 +39,6 @@ var checkNames = map[string]bool{
 	"shardcapture": true,
 	"hotalloc":     true,
 	"retain":       true,
-	"lockguard":    true,
 	"golifetime":   true,
 }
 

@@ -29,7 +29,7 @@ import (
 //
 // Retention is classified for every function — not just marked ones —
 // and exported as RetainsFact object facts, so the taint follows calls
-// across package boundaries through both drivers (world.buildTargetAS's
+// across package boundaries through the fact store (world.buildTargetAS's
 // scratch proof rests on ditl's exported facts). Declared scratch
 // parameters are exported as ScratchFact for the audit surface.
 //

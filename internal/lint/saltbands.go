@@ -42,7 +42,7 @@ var SaltBands = &analysis.Analyzer{
 // global overlap check (bands must be compared across packages that
 // never import each other, which facts cannot reach), but publishing
 // the declaration through the facts channel lets future analyzers
-// consume it and exercises the package-fact round trip end to end.
+// consume it.
 type BandsFact struct {
 	Bands []BandRange
 }
@@ -127,8 +127,8 @@ func runSaltBands(pass *analysis.Pass) (interface{}, error) {
 		pass.ExportPackageFact(fact)
 	}
 
-	// Overlaps are reported by every participating package (once per
-	// vet unit), at the local declaration.
+	// Overlaps are reported by every participating package, at the
+	// local declaration.
 	for _, lb := range locals {
 		for _, other := range bands {
 			if other.file == lb.band.file && other.line == lb.band.line {
@@ -241,9 +241,9 @@ func registryRoot(dir string) string {
 	return dir
 }
 
-// bandCache memoizes per-root scans: the standalone driver runs the
-// analyzer once per package over the same tree. Drivers are
-// single-threaded per process, so plain map access is fine.
+// bandCache memoizes per-root scans: the loader runs the analyzer once
+// per package over the same tree, from one goroutine, so plain map
+// access is fine.
 var bandCache = map[string][]saltBand{}
 
 // scanBands parses every non-test Go file under root and collects salt

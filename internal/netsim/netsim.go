@@ -26,10 +26,10 @@
 // until Run returns. Nothing in this package takes a lock, on purpose:
 // parallelism lives one level up, where the campaign engine runs one
 // Network per shard goroutine and the shards share only read-only
-// structures (routing registry, population view) or explicitly
-// lock-guarded sinks. Handing a live Network, or any object inside it,
-// to another goroutine is a race; the lockguard/golifetime analyzers
-// and the racestress harness enforce the boundary from both sides.
+// structures (routing registry, population view). Handing a live
+// Network, or any object inside it, to another goroutine is a race;
+// the frozenshare/shardcapture/golifetime analyzers and the racestress
+// harness enforce the boundary from both sides.
 package netsim
 
 import (

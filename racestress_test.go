@@ -1,17 +1,19 @@
 package doors
 
-// Race-stress cross-validation (make racestress): the lockguard and
-// golifetime analyzers make a static claim — the engine's concurrency
-// discipline is sound — and these tests make the dynamic half of the
-// argument under `go test -race`. TestRaceStressConcurrentCampaigns
-// runs two streaming campaigns at once over one shared population view
-// at high MaxParallel, so up to 2 × MaxParallel shard workers run
-// together. The engine's workers share no mutable state, only frozen
-// inputs: any sharing hole is the race detector's to find, and any
-// determinism hole shows up as a result mismatch.
+// Race-stress cross-validation (make racestress): the frozenshare,
+// shardcapture and golifetime analyzers make a static claim — shared
+// inputs stay read-only, shard goroutines capture only shard-local or
+// frozen state, and every goroutine is joined — and these tests make
+// the dynamic half of the argument under `go test -race`.
+// TestRaceStressConcurrentCampaigns runs two streaming campaigns at
+// once over one shared population view at high MaxParallel, so up to
+// 2 × MaxParallel shard workers run together. The engine's workers
+// share no mutable state, only frozen inputs: any sharing hole is the
+// race detector's to find, and any determinism hole shows up as a
+// result mismatch.
 // TestRaceStressLintAgreement closes the loop from the other side: the
 // concurrency-bearing packages must come back clean from exactly those
-// two analyzers, so a race-detector pass here is never read as
+// three analyzers, so a race-detector pass here is never read as
 // "annotations unnecessary" and a clean lint report is never read as
 // "stress test redundant".
 
@@ -85,13 +87,14 @@ func TestRaceStressLintAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-package analysis in -short mode")
 	}
+	// FrozenShare runs first: shardcapture reads its FrozenType facts.
 	diags, err := loader.Run(".", []string{
 		"./internal/campaign/...",
 		"./internal/resolver/...",
 		"./internal/world/...",
 		"./internal/netsim/...",
 		"./internal/lint/...",
-	}, []*analysis.Analyzer{lint.LockGuard, lint.GoLifetime})
+	}, []*analysis.Analyzer{lint.FrozenShare, lint.ShardCapture, lint.GoLifetime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +102,6 @@ func TestRaceStressLintAgreement(t *testing.T) {
 		t.Errorf("%s: %s (%s)", d.Position, d.Message, d.Analyzer)
 	}
 	if len(diags) > 0 {
-		t.Fatalf("%d lockguard/golifetime findings: static and dynamic verdicts disagree", len(diags))
+		t.Fatalf("%d frozenshare/shardcapture/golifetime findings: static and dynamic verdicts disagree", len(diags))
 	}
 }

@@ -14,8 +14,8 @@ status=$?
 cat "$out" >&2
 
 if [ $status -ne 0 ] && [ "${GITHUB_ACTIONS:-}" = "true" ]; then
-    # vet findings look like "path/file.go:12:34: message"; strip the
-    # workspace prefix so annotation paths are repo-relative.
+    # doorsvet findings look like "path/file.go:12:34: message"; strip
+    # the workspace prefix so annotation paths are repo-relative.
     sed -nE 's|^('"${GITHUB_WORKSPACE:-$PWD}"'/)?([^ :]+\.go):([0-9]+):([0-9]+): (.*)$|::error file=\2,line=\3,col=\4::\5|p' "$out"
 fi
 exit $status
