@@ -63,6 +63,13 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		q.After(time.Millisecond, tick)
 		q.Step()
 	})
+	// The probe cursor's cycle: re-arm under a reserved number, run.
+	seq := q.Reserve(1024)
+	assertZeroAllocs(t, "eventq.Queue.AtSeq+Step", func() {
+		q.AtSeq(q.Now()+time.Millisecond, seq, tick)
+		seq++
+		q.Step()
+	})
 
 	// detrand draws: causal-identity hashing, variadic args included
 	// (the arg slices must stay on the stack).
@@ -138,6 +145,19 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	})
 	assertZeroAllocs(t, "routing.IsSpecialPurpose", func() {
 		sinkBool = routing.IsSpecialPurpose(a4)
+	})
+	reg := routing.NewRegistry()
+	if err := reg.Add(&routing.AS{ASN: 64500, Prefixes: []netip.Prefix{
+		netip.MustParsePrefix("192.0.2.0/24"),
+		netip.MustParsePrefix("2001:db8::/32"),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	assertZeroAllocs(t, "routing.Registry.OriginOf v4", func() {
+		sinkBool = reg.OriginOf(a4) != nil
+	})
+	assertZeroAllocs(t, "routing.Registry.OriginOf v6", func() {
+		sinkBool = reg.OriginOf(a6) != nil
 	})
 
 	// The merge core: run comparators and a warmed Merger draining

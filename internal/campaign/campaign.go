@@ -56,9 +56,12 @@ type Phase interface {
 	// before any scheduling, so the campaign window can derive from the
 	// survey-wide probe total.
 	Plan(sh *Shard) int
-	// Schedule enqueues the planned probes. window is the survey-wide
-	// campaign duration — identical at every shard count — and all probe
-	// times must derive from it and from per-target causal identity.
+	// Schedule places the planned probes on the shard's event queue.
+	// window is the survey-wide campaign duration — identical at every
+	// shard count — and all probe times must derive from it and from
+	// per-target causal identity. Each probe must run in the tie order
+	// that enqueueing it here would give; an event armed later keeps
+	// that order only under a number reserved here (eventq.Reserve).
 	Schedule(sh *Shard, window time.Duration)
 	// Observe installs reactive hooks (e.g. the scanner's FollowUp
 	// trigger) before the simulation runs. Purely scheduled phases leave

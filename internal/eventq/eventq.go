@@ -5,6 +5,8 @@
 // Determinism is a design requirement. Events scheduled for the same
 // instant run in the order they were scheduled (FIFO among equal
 // timestamps), so a seeded simulation always produces identical results.
+// An event armed with AtSeq takes its place in that order from the
+// moment Reserve claimed its number, not from when it was armed.
 //
 // The queue is the hottest structure in a survey run: every packet hop
 // costs at least one event. It is therefore a hand-rolled binary heap of
@@ -94,24 +96,44 @@ func (q *Queue) siftDown(i int) {
 	h[i] = idx
 }
 
-// At schedules fn to run at virtual time at. Scheduling in the past is a
-// programming error; such events are clamped to run "now" so the clock
-// never moves backward.
+// At schedules fn to run at virtual time at, under the next
+// schedule-order number. Scheduling in the past is a programming error;
+// such events are clamped to run "now" so the clock never moves
+// backward.
 //
 //doors:hotpath
 func (q *Queue) At(at time.Duration, fn Event) {
+	q.seq++
+	q.AtSeq(at, q.seq, fn)
+}
+
+// Reserve claims the next n schedule-order numbers, which At will not
+// hand out, and returns the first of them.
+func (q *Queue) Reserve(n int) uint64 {
+	first := q.seq + 1
+	q.seq += uint64(n)
+	return first
+}
+
+// AtSeq schedules fn to run at virtual time at under seq, one of the
+// numbers Reserve claimed, each used once. An event armed late under a
+// reserved number runs exactly where it would have run had At
+// scheduled it when the number was reserved, ties included — as long
+// as it is armed before its turn comes. Past times clamp as in At.
+//
+//doors:hotpath
+func (q *Queue) AtSeq(at time.Duration, seq uint64, fn Event) {
 	if at < q.now {
 		at = q.now
 	}
-	q.seq++
 	var idx uint32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.items[idx] = item{at: at, seq: q.seq, fn: fn}
+		q.items[idx] = item{at: at, seq: seq, fn: fn}
 	} else {
 		idx = uint32(len(q.items))
-		q.items = append(q.items, item{at: at, seq: q.seq, fn: fn})
+		q.items = append(q.items, item{at: at, seq: seq, fn: fn})
 	}
 	q.heap = append(q.heap, idx)
 	q.siftUp(len(q.heap) - 1)

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -268,5 +269,102 @@ func TestRunReleasesLargeSlabs(t *testing.T) {
 	q.Run()
 	if q.items == nil {
 		t.Fatal("partial drain released slabs with events still queued")
+	}
+}
+
+// cursorArm names how runCursors arms each cursor's events.
+type cursorArm int
+
+const (
+	armEager    cursorArm = iota // every event through At up front
+	armReserved                  // Reserve up front, re-arm through AtSeq
+	armPlainAt                   // re-arm through At: fresh numbers
+)
+
+// runCursors plays a set of cursors — each a non-decreasing run of
+// instants, as a probe schedule is — and returns the order their events
+// ran in. Some events schedule a run-time At event 0–2 ms ahead, on
+// the same millisecond grid, so run-time events land on instants
+// cursor events also hold. Cursor event (c, j) logs c*100+j; the
+// run-time event it schedules logs -(c*100+j+1).
+func runCursors(times [][]time.Duration, arm cursorArm) []int {
+	q := New()
+	var log []int
+	first := make([]uint64, len(times))
+	var event func(c, j int) Event
+	event = func(c, j int) Event {
+		return func(now time.Duration) {
+			id := c*100 + j
+			log = append(log, id)
+			if (c*7+j)%3 == 0 {
+				q.After(time.Duration(j%3)*time.Millisecond, func(time.Duration) { log = append(log, -(id + 1)) })
+			}
+			if j+1 == len(times[c]) {
+				return
+			}
+			switch arm {
+			case armReserved:
+				q.AtSeq(times[c][j+1], first[c]+uint64(j+1), event(c, j+1))
+			case armPlainAt:
+				q.At(times[c][j+1], event(c, j+1))
+			}
+		}
+	}
+	for c, ts := range times {
+		switch arm {
+		case armEager:
+			for j, at := range ts {
+				q.At(at, event(c, j))
+			}
+		case armReserved:
+			first[c] = q.Reserve(len(ts))
+			q.AtSeq(ts[0], first[c], event(c, 0))
+		case armPlainAt:
+			q.At(ts[0], event(c, 0))
+		}
+	}
+	q.Run()
+	return log
+}
+
+// TestReservedSeqMatchesEagerOrder is the differential pin for lazy
+// scheduling: cursors that hold one pending event each and re-arm
+// under reserved numbers run every event in the order eager At
+// scheduling gives, ties and run-time events included. Re-arming
+// through plain At on the same scenario must diverge, which shows the
+// scenario has the ties that make the reservation necessary.
+func TestReservedSeqMatchesEagerOrder(t *testing.T) {
+	x := uint64(0x9e3779b97f4a7c15)
+	draw := func(n uint64) uint64 { // xorshift64
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	times := make([][]time.Duration, 60)
+	events := 0
+	for c := range times {
+		at := time.Duration(draw(5)) * time.Millisecond
+		for j := 0; j < 1+int(draw(12)); j++ {
+			times[c] = append(times[c], at)
+			at += time.Duration(draw(3)) * time.Millisecond // 0 ties within the cursor
+			events++
+		}
+	}
+
+	eager := runCursors(times, armEager)
+	if len(eager) <= events {
+		t.Fatalf("%d events logged for %d cursor events: no run-time events", len(eager), events)
+	}
+	if got := runCursors(times, armReserved); !slices.Equal(got, eager) {
+		i := 0
+		for i < len(got) && i < len(eager) && got[i] == eager[i] {
+			i++
+		}
+		t.Fatalf("reserved re-arming diverges from eager order at event %d of %d: %v vs %v",
+			i, len(eager), got[i:min(i+5, len(got))], eager[i:min(i+5, len(eager))])
+	}
+	if got := runCursors(times, armPlainAt); slices.Equal(got, eager) {
+		t.Fatal("plain At re-arming matched eager order: the scenario lacks the ties it is meant to test")
 	}
 }

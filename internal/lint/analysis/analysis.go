@@ -64,9 +64,9 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	// The fact machinery, bound by the driver (Facts.Bind). Facts are
-	// typed values attached to package-level objects or whole packages
-	// during one pass and visible to every later pass, including passes
-	// over importing packages.
+	// typed values attached to package-level objects during one pass
+	// and visible to every later pass, including passes over importing
+	// packages.
 
 	// ExportObjectFact attaches fact to obj, which must belong to the
 	// package under analysis.
@@ -75,16 +75,11 @@ type Pass struct {
 	// to obj (by this pass or any earlier one, in any package) into
 	// *ptr, reporting whether one was found.
 	ImportObjectFact func(obj types.Object, ptr Fact) bool
-	// ExportPackageFact attaches fact to the package under analysis.
-	ExportPackageFact func(fact Fact)
-	// ImportPackageFact copies pkg's fact of ptr's concrete type into
-	// *ptr, reporting whether one was found.
-	ImportPackageFact func(pkg *types.Package, ptr Fact) bool
 }
 
-// A Fact is a typed datum attached to an object or package by one
-// analyzer pass and consumed by later passes. Concrete fact types must
-// be pointers to structs and are declared via Analyzer.FactTypes.
+// A Fact is a typed datum attached to an object by one analyzer pass
+// and consumed by later passes. Concrete fact types must be pointers to
+// structs and are declared via Analyzer.FactTypes.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()

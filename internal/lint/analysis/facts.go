@@ -1,7 +1,7 @@
 // Facts: the interprocedural half of the analysis API. A Facts store
 // holds every fact exported while a driver runs the suite — one store
 // per run, shared by all analyzers and all packages the driver visits,
-// keyed by (object-or-package, concrete fact type).
+// keyed by (object, concrete fact type).
 //
 // The loader and the analysistest harness analyze a whole package
 // graph in one process, in dependency order, so one in-memory store
@@ -22,9 +22,8 @@ import (
 // before any importer asks for them; the mutex only protects the map
 // structure.
 type Facts struct {
-	mu       sync.Mutex
-	objects  map[objectFactKey]Fact
-	packages map[packageFactKey]Fact
+	mu      sync.Mutex
+	objects map[objectFactKey]Fact
 }
 
 type objectFactKey struct {
@@ -32,17 +31,9 @@ type objectFactKey struct {
 	t   reflect.Type
 }
 
-type packageFactKey struct {
-	path string
-	t    reflect.Type
-}
-
 // NewFacts returns an empty store.
 func NewFacts() *Facts {
-	return &Facts{
-		objects:  make(map[objectFactKey]Fact),
-		packages: make(map[packageFactKey]Fact),
-	}
+	return &Facts{objects: make(map[objectFactKey]Fact)}
 }
 
 // Bind wires the store into pass's fact function fields. Export
@@ -61,17 +52,6 @@ func (s *Facts) Bind(pass *Pass) {
 	pass.ImportObjectFact = func(obj types.Object, ptr Fact) bool {
 		s.mu.Lock()
 		src := s.objects[objectFactKey{obj, factType(ptr)}]
-		s.mu.Unlock()
-		return copyFact(src, ptr)
-	}
-	pass.ExportPackageFact = func(fact Fact) {
-		s.mu.Lock()
-		s.packages[packageFactKey{pass.Pkg.Path(), factType(fact)}] = fact
-		s.mu.Unlock()
-	}
-	pass.ImportPackageFact = func(pkg *types.Package, ptr Fact) bool {
-		s.mu.Lock()
-		src := s.packages[packageFactKey{pkg.Path(), factType(ptr)}]
 		s.mu.Unlock()
 		return copyFact(src, ptr)
 	}

@@ -97,13 +97,13 @@ const hotPathMarker = "//doors:hotpath"
 // path suffix. They are checked even without a //doors:hotpath marker,
 // so a refactor cannot silently drop one from the proof obligation.
 var autoHotPath = map[string][]string{
-	"internal/eventq":   {"Queue.At", "Queue.After", "Queue.Step"},
+	"internal/eventq":   {"Queue.At", "Queue.AtSeq", "Queue.After", "Queue.Step"},
 	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
 	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
 	"internal/resolver": {"aclLayer.Admit", "ACL.Allows", "forwardLayer.advance", "forwardLayer.OnFinish", "forwardLayer.OnCrash", "cacheLayer.OnCrash"},
 	"internal/runs":     {"Merger.Next"},
-	"internal/scanner":  {"Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
-	"internal/routing":  {"SubnetOf", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.Routed", "Registry.OriginOf", "Trie.Lookup"},
+	"internal/scanner":  {"Scanner.sendNext", "Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
+	"internal/routing":  {"SubnetOf", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},
 }
 
 // nonAllocCalls is the curated allowlist of external functions known

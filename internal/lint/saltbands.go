@@ -31,39 +31,9 @@ import (
 // checks that every salt passed to detrand.Mix/Float64/Intn/Rand is a
 // constant from a registered band rather than a bare magic number.
 var SaltBands = &analysis.Analyzer{
-	Name:      "saltbands",
-	Doc:       "check detrand domain-separation salts against the global band registry",
-	FactTypes: []analysis.Fact{new(BandsFact)},
-	Run:       runSaltBands,
-}
-
-// BandsFact is the package fact saltbands exports: the salt bands this
-// package declares. The analyzer itself still scans source for the
-// global overlap check (bands must be compared across packages that
-// never import each other, which facts cannot reach), but publishing
-// the declaration through the facts channel lets future analyzers
-// consume it.
-type BandsFact struct {
-	Bands []BandRange
-}
-
-// BandRange is one registered `salt* = N + iota` block: [Start,
-// Start+Count).
-type BandRange struct {
-	Name  string
-	Start int64
-	Count int64
-}
-
-// AFact marks BandsFact as an analyzer fact.
-func (*BandsFact) AFact() {}
-
-func (f *BandsFact) String() string {
-	parts := make([]string, len(f.Bands))
-	for i, b := range f.Bands {
-		parts[i] = fmt.Sprintf("%s [%d,%d)", b.Name, b.Start, b.Start+b.Count)
-	}
-	return "bands(" + strings.Join(parts, ", ") + ")"
+	Name: "saltbands",
+	Doc:  "check detrand domain-separation salts against the global band registry",
+	Run:  runSaltBands,
 }
 
 // saltBand is one registered `salt* = N + iota` const block.
@@ -113,18 +83,6 @@ func runSaltBands(pass *analysis.Pass) (interface{}, error) {
 				locals = append(locals, localBand{band: b, pos: gd.Pos()})
 			}
 		}
-	}
-
-	if len(locals) > 0 {
-		fact := &BandsFact{}
-		for _, lb := range locals {
-			fact.Bands = append(fact.Bands, BandRange{
-				Name:  lb.band.name,
-				Start: lb.band.start,
-				Count: lb.band.count,
-			})
-		}
-		pass.ExportPackageFact(fact)
 	}
 
 	// Overlaps are reported by every participating package, at the

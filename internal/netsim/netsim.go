@@ -366,6 +366,16 @@ func (n *Network) inject(origin *Host, raw []byte) {
 			n.drop(DropTTLExceeded, pkt, dstAS)
 			return
 		}
+		// pkt now describes the datagram the receiver gets; its payload
+		// and TCP option data still alias the pre-transit bytes, which
+		// differ from raw only in the IP header. The fault hook and the
+		// drop hooks saw pkt before this update; none of them keeps it.
+		pkt.Raw = raw
+		if pkt.V4 != nil {
+			pkt.V4.TTL -= hops
+		} else {
+			pkt.V6.HopLimit -= hops
+		}
 	}
 	if fault.Corrupt && len(raw) > 0 {
 		out := make([]byte, len(raw))
@@ -373,23 +383,33 @@ func (n *Network) inject(origin *Host, raw []byte) {
 		bit := fault.CorruptBit % (len(out) * 8)
 		out[bit/8] ^= 1 << (bit % 8)
 		raw = out
+		pkt = nil // the flipped bit must meet the receiver's decode
 	}
 
 	n.Q.After(latency, func(now time.Duration) {
-		n.arrive(raw, dstAS, crossesBorder)
+		n.arrive(raw, pkt, dstAS, crossesBorder)
 	})
 	if fault.Duplicate {
+		// The copy decodes into a Packet of its own.
 		n.Q.After(latency+fault.DupDelay, func(now time.Duration) {
-			n.arrive(raw, dstAS, crossesBorder)
+			n.arrive(raw, nil, dstAS, crossesBorder)
 		})
 	}
 }
 
 // arrive runs the destination-side pipeline: border filters, middlebox
-// interception, host lookup, kernel checks, socket demux.
-func (n *Network) arrive(raw []byte, dstAS *routing.AS, crossedBorder bool) {
-	pkt, err := packet.Decode(raw)
-	if err != nil {
+// interception, host lookup, kernel checks, socket demux. pkt is raw as
+// inject decoded it, or nil when raw must be decoded here. Transit
+// rewrote at most the TTL or hop limit and the IPv4 header checksum,
+// so of everything Decode checks only that checksum is verified again.
+func (n *Network) arrive(raw []byte, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool) {
+	if pkt == nil {
+		var err error
+		if pkt, err = packet.Decode(raw); err != nil {
+			n.drop(DropMalformed, nil, dstAS)
+			return
+		}
+	} else if pkt.V4 != nil && packet.Checksum(raw[:int(raw[0]&0x0f)*4]) != 0 {
 		n.drop(DropMalformed, nil, dstAS)
 		return
 	}

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -495,5 +497,81 @@ func BenchmarkUDPThroughSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src.SendUDP(addr("192.0.2.1"), 4000, addr("198.51.100.1"), 53, payload)
 		n.Run()
+	}
+}
+
+// TestDeliveredPacketIsItsBytesDecoded pins the one-decode-per-hop
+// handoff: the Packet a receiver gets from inject, with its TTL or hop
+// limit and Raw updated in transit, must equal a fresh decode of the
+// bytes it arrived as — across a border and within an AS, for IPv4 and
+// IPv6, UDP and TCP. A duplicated datagram's two copies decode into
+// Packets of their own, and a corrupted one fails its decode at
+// arrival.
+func TestDeliveredPacketIsItsBytesDecoded(t *testing.T) {
+	w := newWorld(t, nil)
+	var delivered []*packet.Packet
+	w.net.SetDeliveryHook(func(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossed bool) {
+		delivered = append(delivered, pkt)
+	})
+	w.net.SetFaultHook(func(now time.Duration, raw []byte, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
+		switch string(pkt.Data) {
+		case "dup":
+			return TransitFault{Duplicate: true, DupDelay: time.Millisecond}
+		case "corrupt":
+			return TransitFault{Corrupt: true, CorruptBit: 8 * (len(raw) - 1)} // a payload bit
+		}
+		return TransitFault{}
+	})
+	listen53(t, w.target)
+	if err := w.auth.BindTCP(53, func(c *TCPConn) {
+		c.OnData = func(now time.Duration, data []byte) { c.Send([]byte("response")) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct{ src, dst, payload string }{
+		{"192.0.2.10", "198.51.100.53", "v4 across"},
+		{"2001:db8:100::10", "2001:db8:200::53", "v6 across"},
+		{"192.0.2.10", "198.51.100.53", "dup"},
+		{"192.0.2.10", "198.51.100.53", "corrupt"},
+	} {
+		w.scanner.SendRaw(spoofedUDP(t, addr(d.src), addr(d.dst), d.payload))
+	}
+	w.target.SendRaw(spoofedUDP(t, addr("203.0.113.7"), addr("198.51.100.53"), "v4 within"))
+	if _, err := w.target.DialTCP(addr("198.51.100.53"), 50001, addr("192.0.3.53"), 53, func(c *TCPConn) {
+		c.OnData = func(now time.Duration, data []byte) { c.Close() }
+		c.Send([]byte("query over tcp"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.net.Run()
+
+	var dups []*packet.Packet
+	tcp := 0
+	for _, pkt := range delivered {
+		fresh, err := packet.Decode(pkt.Raw)
+		if err != nil {
+			t.Fatalf("delivered datagram does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(pkt.V4, fresh.V4) || !reflect.DeepEqual(pkt.V6, fresh.V6) ||
+			!reflect.DeepEqual(pkt.UDP, fresh.UDP) || !reflect.DeepEqual(pkt.TCP, fresh.TCP) ||
+			!bytes.Equal(pkt.Data, fresh.Data) {
+			t.Errorf("delivered Packet differs from a decode of its bytes:\n got  %+v %+v %+v %+v\n want %+v %+v %+v %+v",
+				pkt.V4, pkt.V6, pkt.UDP, pkt.TCP, fresh.V4, fresh.V6, fresh.UDP, fresh.TCP)
+		}
+		if pkt.TCP != nil {
+			tcp++
+		}
+		if string(pkt.Data) == "dup" {
+			dups = append(dups, pkt)
+		}
+	}
+	if len(delivered) != 5+tcp || tcp < 4 { // UDP: v4 and v6 across, two dups, v4 within
+		t.Fatalf("delivered %d packets, %d of them TCP (drops %v)", len(delivered), tcp, w.net.Drops())
+	}
+	if len(dups) != 2 || dups[0] == dups[1] {
+		t.Fatalf("duplicate delivered as %d packets, shared=%v", len(dups), len(dups) == 2 && dups[0] == dups[1])
+	}
+	if got := w.net.Drops()[DropMalformed]; got != 1 {
+		t.Fatalf("malformed drops = %d, want 1 (the corrupted datagram)", got)
 	}
 }

@@ -132,11 +132,3 @@ func (r *Registry) OriginOf(addr netip.Addr) *AS {
 	}
 	return r.byASN[asn]
 }
-
-// Routed reports whether addr is covered by any announced prefix.
-//
-//doors:hotpath
-func (r *Registry) Routed(addr netip.Addr) bool {
-	_, ok := r.trie.Lookup(addr)
-	return ok
-}

@@ -96,8 +96,8 @@ func TestRegistryOrigin(t *testing.T) {
 	if r.OriginOf(mustAddr("8.8.8.8")) != nil {
 		t.Fatal("unrouted address has origin")
 	}
-	if !r.Routed(mustAddr("203.0.113.1")) || r.Routed(mustAddr("9.9.9.9")) {
-		t.Fatal("Routed misreports")
+	if r.OriginOf(mustAddr("203.0.113.1")) == nil || r.OriginOf(mustAddr("9.9.9.9")) != nil {
+		t.Fatal("OriginOf misreports routedness")
 	}
 	asns := r.ASNs()
 	if len(asns) != 2 || asns[0] != 64500 || asns[1] != 64501 {
@@ -260,6 +260,134 @@ func TestQuickTrieMatchesLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTrieMatchesLinearScanRandomSets checks Lookup against a linear
+// longest-match scan over random v4 and v6 prefix sets: default routes,
+// host routes, prefixes nested inside earlier ones, repeats of earlier
+// prefixes (the later mapping wins) and prefixes given with host bits
+// set. The probes are random addresses plus every prefix's first and
+// last address and their neighbours, each also in IPv4-mapped form,
+// which looks up in the v6 table: no v4 prefix contains it.
+func TestTrieMatchesLinearScanRandomSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randAddr := func(v4 bool) netip.Addr {
+		if v4 {
+			var b [4]byte
+			rng.Read(b[:])
+			return netip.AddrFrom4(b)
+		}
+		var b [16]byte
+		rng.Read(b[:])
+		return netip.AddrFrom16(b)
+	}
+	// graft copies p's network bits over a.
+	graft := func(p netip.Prefix, a netip.Addr) netip.Addr {
+		pb, ab := p.Addr().AsSlice(), a.AsSlice()
+		for i := 0; i < p.Bits(); i++ {
+			m := byte(0x80) >> (i % 8)
+			ab[i/8] = ab[i/8]&^m | pb[i/8]&m
+		}
+		out, _ := netip.AddrFromSlice(ab)
+		return out
+	}
+	// last is the highest address in p.
+	last := func(p netip.Prefix) netip.Addr {
+		b := p.Masked().Addr().AsSlice()
+		for i := p.Bits(); i < len(b)*8; i++ {
+			b[i/8] |= byte(0x80) >> (i % 8)
+		}
+		out, _ := netip.AddrFromSlice(b)
+		return out
+	}
+	type route struct {
+		p   netip.Prefix
+		asn ASN
+	}
+	linear := func(routes []route, a netip.Addr) (ASN, bool) {
+		best, bestBits, ok := ASN(0), -1, false
+		for _, r := range routes {
+			if r.p.Contains(a) && r.p.Bits() >= bestBits { // >=: a repeat replaces
+				best, bestBits, ok = r.asn, r.p.Bits(), true
+			}
+		}
+		return best, ok
+	}
+
+	for round := 0; round < 40; round++ {
+		var tr Trie
+		var routes []route
+		distinct := map[netip.Prefix]bool{}
+		insert := func(p netip.Prefix) {
+			asn := ASN(len(routes) + 1)
+			tr.Insert(p, asn)
+			routes = append(routes, route{p.Masked(), asn})
+			distinct[p.Masked()] = true
+		}
+		if round%2 == 0 {
+			insert(mustPrefix("0.0.0.0/0"))
+			insert(mustPrefix("::/0"))
+		}
+		if round%4 == 1 {
+			insert(mustPrefix("::ffff:0:0/96")) // covers every IPv4-mapped address
+		}
+		for i := 0; i < 80; i++ {
+			v4 := rng.Intn(2) == 0
+			size := 128
+			if v4 {
+				size = 32
+			}
+			a := randAddr(v4)
+			bits := rng.Intn(size + 1)
+			switch rng.Intn(5) {
+			case 0: // host route
+				bits = size
+			case 1, 2: // nested inside (or equal to) an earlier prefix
+				if len(routes) == 0 {
+					break
+				}
+				if r := routes[rng.Intn(len(routes))]; r.p.Addr().Is4() == v4 {
+					a = graft(r.p, a)
+					bits = r.p.Bits() + rng.Intn(size-r.p.Bits()+1)
+				}
+			case 3: // repeat an earlier prefix, host bits set
+				if len(routes) > 0 {
+					r := routes[rng.Intn(len(routes))]
+					insert(netip.PrefixFrom(graft(r.p, randAddr(r.p.Addr().Is4())), r.p.Bits()))
+					continue
+				}
+			}
+			insert(netip.PrefixFrom(a, bits)) // a keeps its host bits
+		}
+		if tr.Len() != len(distinct) {
+			t.Fatalf("round %d: Len = %d, want %d distinct prefixes", round, tr.Len(), len(distinct))
+		}
+
+		var probes []netip.Addr
+		for i := 0; i < 200; i++ {
+			probes = append(probes, randAddr(i%2 == 0))
+		}
+		for _, r := range routes {
+			lo, hi := r.p.Addr(), last(r.p)
+			probes = append(probes, lo, hi, lo.Prev(), hi.Next())
+		}
+		for _, a := range probes {
+			if !a.IsValid() {
+				continue // Prev of the lowest or Next of the highest address
+			}
+			check := func(a netip.Addr) {
+				got, gotOK := tr.Lookup(a)
+				want, wantOK := linear(routes, a)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("round %d: Lookup(%v) = %v,%v; linear scan says %v,%v", round, a, got, gotOK, want, wantOK)
+				}
+			}
+			check(a)
+			if a.Is4() {
+				check(netip.AddrFrom16(a.As16()))
+			}
+		}
 	}
 }
 

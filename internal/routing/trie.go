@@ -6,6 +6,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -34,15 +35,16 @@ type Trie struct {
 // Len reports the number of inserted prefixes.
 func (t *Trie) Len() int { return t.n }
 
-func addrBit(a netip.Addr, i int) int {
-	b := a.As16()
+// addrWords returns addr's bits as two big-endian words, most
+// significant bit first: an IPv4 address fills the top 32 bits of hi,
+// an IPv6 address (IPv4-mapped included) all 128.
+func addrWords(a netip.Addr) (hi, lo uint64) {
 	if a.Is4() {
-		b = netip.AddrFrom16(a.As16()).As16()
-		// For IPv4, index from the start of the 4-byte form.
-		b4 := a.As4()
-		return int(b4[i/8]>>(7-i%8)) & 1
+		b := a.As4()
+		return uint64(binary.BigEndian.Uint32(b[:])) << 32, 0
 	}
-	return int(b[i/8]>>(7-i%8)) & 1
+	b := a.As16()
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 }
 
 // Insert maps prefix to asn, replacing any previous mapping for the exact
@@ -54,9 +56,13 @@ func (t *Trie) Insert(prefix netip.Prefix, asn ASN) {
 		root = &t.v4
 	}
 	node := root
-	a := prefix.Addr()
+	w, lo := addrWords(prefix.Addr())
 	for i := 0; i < prefix.Bits(); i++ {
-		bit := addrBit(a, i)
+		if i == 64 {
+			w = lo
+		}
+		bit := w >> 63
+		w <<= 1
 		if node.child[bit] == nil {
 			node.child[bit] = &trieNode{}
 		}
@@ -70,7 +76,8 @@ func (t *Trie) Insert(prefix netip.Prefix, asn ASN) {
 }
 
 // Lookup returns the origin ASN for the longest matching prefix and
-// whether any prefix matched.
+// whether any prefix matched. The address is read into two words once;
+// each level takes its bit off the top of the current word.
 //
 //doors:hotpath
 func (t *Trie) Lookup(addr netip.Addr) (ASN, bool) {
@@ -86,8 +93,13 @@ func (t *Trie) Lookup(addr netip.Addr) (ASN, bool) {
 	if node.set {
 		best, found = node.val, true
 	}
+	w, lo := addrWords(addr)
 	for i := 0; i < bits && node != nil; i++ {
-		node = node.child[addrBit(addr, i)]
+		if i == 64 {
+			w = lo
+		}
+		node = node.child[w>>63]
+		w <<= 1
 		if node != nil && node.set {
 			best, found = node.val, true
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/detrand"
 	"repro/internal/dnswire"
+	"repro/internal/eventq"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -274,6 +275,14 @@ type probePlan struct {
 	srcLabels []byte
 	labelAt   []uint32
 	nameTail  []byte // wire form incl. terminal root byte; nil = slow path
+
+	// The probe cursor Schedule arms: the target's phase in the window,
+	// the next source to send, that send's reserved schedule-order
+	// number, and the one event that sends and re-arms.
+	phase float64
+	next  int
+	seq   uint64
+	fire  eventq.Event
 }
 
 // Scanner is the measurement client.
@@ -299,6 +308,7 @@ type Scanner struct {
 	FollowUp func(Decoded)
 
 	seed     uint64
+	window   time.Duration // Schedule's campaign window
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
@@ -390,17 +400,21 @@ const (
 
 // admitVerdict is the one definition of the admission predicate, in
 // filter order: batch Admit, the campaign engines' streaming admission,
-// and the fold engine's target-stream re-derivation all reach it.
-func (s *Scanner) admitVerdict(a netip.Addr) admitVerdict {
+// and the fold engine's target-stream re-derivation all reach it. An
+// admitted address comes back with its origin AS, from the one route
+// lookup the predicate makes.
+func (s *Scanner) admitVerdict(a netip.Addr) (admitVerdict, *routing.AS) {
+	if routing.IsSpecialPurpose(a) {
+		return admitSpecial, nil
+	}
+	as := s.Reg.OriginOf(a)
 	switch {
-	case routing.IsSpecialPurpose(a):
-		return admitSpecial
-	case !s.Reg.Routed(a):
-		return admitUnrouted
+	case as == nil:
+		return admitUnrouted, nil
 	case s.optedOut(a):
-		return admitOptOut
+		return admitOptOut, nil
 	default:
-		return admitOK
+		return admitOK, as
 	}
 }
 
@@ -408,7 +422,7 @@ func (s *Scanner) admitVerdict(a netip.Addr) admitVerdict {
 // recording the outcome: the target list grows on admission, the stats
 // count either way.
 func (s *Scanner) AdmitOne(a netip.Addr) {
-	switch s.admitVerdict(a) {
+	switch v, as := s.admitVerdict(a); v {
 	case admitSpecial:
 		s.Stats.ExcludedSpecial++
 	case admitUnrouted:
@@ -416,7 +430,7 @@ func (s *Scanner) AdmitOne(a netip.Addr) {
 	case admitOptOut:
 		s.Stats.ExcludedOptOut++
 	default:
-		s.Targets = append(s.Targets, Target{Addr: a, ASN: s.Reg.OriginOf(a).ASN})
+		s.Targets = append(s.Targets, Target{Addr: a, ASN: as.ASN})
 		s.Stats.TargetsAdmitted++
 	}
 }
@@ -428,10 +442,11 @@ func (s *Scanner) AdmitOne(a netip.Addr) {
 // slice. It reflects the scanner's opt-out state at call time, which
 // for a fresh planner is admission-time state (empty).
 func (s *Scanner) AdmitCheck(a netip.Addr) (Target, bool) {
-	if s.admitVerdict(a) != admitOK {
+	v, as := s.admitVerdict(a)
+	if v != admitOK {
 		return Target{}, false
 	}
-	return Target{Addr: a, ASN: s.Reg.OriginOf(a).ASN}, true
+	return Target{Addr: a, ASN: as.ASN}, true
 }
 
 // SealRuns seals the observation buffers into canonically sorted runs
@@ -614,30 +629,51 @@ func CampaignDuration(total int, rate float64) time.Duration {
 	return d
 }
 
-// Schedule enqueues every planned probe, spreading each target's
-// queries evenly over the campaign duration with a per-target phase.
-func (s *Scanner) Schedule(duration time.Duration) {
+// Schedule plays out every planned probe, spreading each target's
+// queries evenly over the campaign window with a per-target phase. A
+// target keeps one pending event, its probe cursor: each send re-arms
+// the cursor for the target's next source under the schedule-order
+// number Schedule reserved for it, so probes run at the instants and in
+// the order enqueueing them all up front would give, ties included,
+// while the queue holds one event per target instead of one per probe.
+func (s *Scanner) Schedule(window time.Duration) {
 	q := s.Host.Network().Q
+	s.window = window
 	for pi := range s.plans {
 		p := &s.plans[pi]
-		k := len(p.sources)
-		if k == 0 {
+		if len(p.sources) == 0 {
 			continue
 		}
 		hi, lo := detrand.AddrWords(p.target.Addr)
-		phase := detrand.Float64(s.seed, hi, lo, saltPhase)
-		pi := pi
-		for j := range p.sources {
-			at := time.Duration((float64(j) + phase) / float64(k) * float64(duration))
-			j := j
-			q.At(at, func(now time.Duration) {
-				s.sendPlanned(now, pi, j)
-			})
-		}
+		p.phase = detrand.Float64(s.seed, hi, lo, saltPhase)
+		p.seq = q.Reserve(len(p.sources))
+		p.fire = func(now time.Duration) { s.sendNext(now, pi) }
+		q.AtSeq(s.probeAt(p, 0), p.seq, p.fire)
 	}
 }
 
-// ScheduleAll enqueues every probe, deriving the campaign duration from
+// probeAt is the send time of plan p's source j: (j+phase)/k of the
+// window, for k sources.
+func (s *Scanner) probeAt(p *probePlan, j int) time.Duration {
+	return time.Duration((float64(j) + p.phase) / float64(len(p.sources)) * float64(s.window))
+}
+
+// sendNext is plan pi's probe cursor: it sends the next source's probe
+// and re-arms for the one after.
+//
+//doors:hotpath
+func (s *Scanner) sendNext(now time.Duration, pi int) {
+	p := &s.plans[pi]
+	j := p.next
+	p.next++
+	if p.next < len(p.sources) {
+		p.seq++
+		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
+	}
+	s.sendPlanned(now, pi, j)
+}
+
+// ScheduleAll schedules every probe, deriving the campaign duration from
 // this scanner's own probe count (the single-shard path). It returns
 // the probe count and the experiment duration. If no FollowUp hook is
 // installed yet, the standard §3.5 follow-up set is wired in, so the

@@ -6,7 +6,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/dnswire"
+	"repro/internal/eventq"
+	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/routing"
 )
 
@@ -356,5 +360,85 @@ func TestScheduleRateIsRespected(t *testing.T) {
 	rate := float64(total) / duration.Seconds()
 	if rate < 80 || rate > 120 {
 		t.Fatalf("emergent rate %.0f qps, want ≈100", rate)
+	}
+}
+
+// TestScheduleKeepsEagerOrderUnderTies squeezes a campaign into one
+// microsecond, so probe instants collide across targets hundreds of
+// times, and requires the probe cursors to send in the order the
+// eager schedule gives: every probe enqueued up front, target by
+// target and source by source, ties broken by that order. The fault
+// hook sees each probe as it is injected, in send order.
+func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
+	const window = time.Microsecond
+	reg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 64500, Prefixes: []netip.Prefix{prefix("5.1.0.0/22"), prefix("2a00:5::/48")}},
+		{ASN: 64501, Prefixes: []netip.Prefix{prefix("6.0.0.0/16")}},
+		{ASN: 64502, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}},
+	} {
+		if err := reg.Add(as); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := netsim.New(reg, netsim.Config{Seed: 1})
+	host, err := nw.Attach("scanner", reg.AS(64502), addr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(host, addr("198.51.100.1"), netip.Addr{}, reg, nil, Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []netip.Addr
+	for i := 0; i < 12; i++ {
+		cands = append(cands, netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
+	}
+	cands = append(cands, addr("5.1.1.77"), addr("5.1.2.8"), addr("2a00:5::53"), addr("2a00:5:0:7::9"))
+	s.Admit(cands)
+	s.Plan()
+
+	type send struct {
+		at       time.Duration
+		src, dst netip.Addr
+	}
+	// The eager schedule, played on a queue of its own.
+	ref := eventq.New()
+	var want []send
+	for pi := range s.plans {
+		p := &s.plans[pi]
+		k := len(p.sources)
+		hi, lo := detrand.AddrWords(p.target.Addr)
+		phase := detrand.Float64(s.seed, hi, lo, saltPhase)
+		for j, src := range p.sources {
+			at := time.Duration((float64(j) + phase) / float64(k) * float64(window))
+			ref.At(at, func(now time.Duration) { want = append(want, send{now, src, p.target.Addr}) })
+		}
+	}
+	ref.Run()
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		if want[i].at == want[i-1].at && want[i].dst != want[i-1].dst {
+			ties++
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("only %d cross-target ties in %d probes; the window is not tight enough to test tie order", ties, len(want))
+	}
+
+	var got []send
+	nw.SetFaultHook(func(now time.Duration, _ []byte, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		got = append(got, send{now, pkt.Src(), pkt.Dst()})
+		return netsim.TransitFault{}
+	})
+	s.Schedule(window)
+	nw.Run()
+	if len(got) != len(want) {
+		t.Fatalf("sent %d probes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("probe %d of %d: sent %+v, eager schedule sends %+v", i, len(want), got[i], want[i])
+		}
 	}
 }
