@@ -4,7 +4,9 @@ package doors_test
 // small seeded survey is diffed against a checked-in fixture, so ANY
 // behavioural drift — a changed counter, a reordered table row, a new
 // field defaulting wrong — fails loudly instead of slipping past the
-// spot checks in ExampleRunSurvey.
+// spot checks in ExampleRunSurvey. Each case pins one campaign and
+// engine: the default survey on the retained engine, and the
+// inbound-SAV scan on the fold engine (spilled runs, streamed merge).
 //
 // To regenerate after an intentional change:
 //
@@ -19,19 +21,51 @@ import (
 	"testing"
 
 	doors "repro"
+	"repro/internal/campaign"
 	"repro/internal/ditl"
 	"repro/internal/scanner"
 )
 
-const goldenPath = "testdata/golden_report.json"
-
 func TestGoldenReport(t *testing.T) {
-	survey, err := doors.RunSurvey(doors.SurveyConfig{
-		Population: ditl.Params{Seed: 7, ASes: 40},
-		Scanner:    scanner.Config{Seed: 8, Rate: 10000},
-	})
+	for _, tc := range []struct {
+		name, path string
+		cfg        doors.SurveyConfig
+	}{
+		{
+			name: "default",
+			path: "testdata/golden_report.json",
+			cfg: doors.SurveyConfig{
+				Population: ditl.Params{Seed: 7, ASes: 40},
+				Scanner:    scanner.Config{Seed: 8, Rate: 10000},
+			},
+		},
+		{
+			// Raising DeadTargetMean gives the one-probe-per-target
+			// scan enough targets to reach some at 40 ASes.
+			name: "inbound-sav-fold",
+			path: "testdata/golden_report_inbound_sav.json",
+			cfg: doors.SurveyConfig{
+				Population: ditl.Params{Seed: 7, ASes: 40, DeadTargetMean: 40},
+				Campaign:   campaign.NewInboundSAV(),
+				Scanner:    scanner.Config{Seed: 8, Rate: 10000},
+				Shards:     4,
+				Fold:       true,
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc.path, tc.cfg)
+		})
+	}
+}
+
+func checkGolden(t *testing.T, path string, cfg doors.SurveyConfig) {
+	survey, err := doors.RunSurvey(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if survey.Report.V4.ReachableAddrs+survey.Report.V6.ReachableAddrs == 0 {
+		t.Fatal("survey reached no target; the fixture would pin an empty report")
 	}
 	got, err := json.MarshalIndent(survey.Report, "", "  ")
 	if err != nil {
@@ -40,24 +74,24 @@ func TestGoldenReport(t *testing.T) {
 	got = append(got, '\n')
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, len(got))
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create the fixture)", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("report drifted from %s:\n%s\n\nIf the change is intentional, "+
 			"regenerate with UPDATE_GOLDEN=1 go test -run TestGoldenReport .",
-			goldenPath, firstDiff(got, want))
+			path, firstDiff(got, want))
 	}
 }
 
