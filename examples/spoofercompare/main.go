@@ -64,8 +64,7 @@ func main() {
 	camp := &spoofer.Campaign{}
 	spooferDetected := make(map[routing.ASN]bool)
 	for i, as := range pop.ASes {
-		sub := routing.EnumerateSubnets(as.V4Prefixes[0], 1)[0]
-		pub := routing.AddrAt(sub, 220)
+		pub := routing.AddrAt(routing.SubnetAt(as.V4Prefixes[0], 0), 220)
 		host, err := n.Attach(fmt.Sprintf("vol-%d", i), reg.AS(as.ASN), pub)
 		if err != nil {
 			log.Fatal(err)

@@ -140,6 +140,13 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "routing.SubnetOf", func() {
 		sinkPfx = routing.SubnetOf(a6)
 	})
+	p4, p6 := netip.MustParsePrefix("198.51.0.0/18"), netip.MustParsePrefix("2001:db8::/48")
+	assertZeroAllocs(t, "routing.SubnetCount+SubnetAt v4", func() {
+		sinkPfx = routing.SubnetAt(p4, routing.SubnetCount(p4, 64)-1)
+	})
+	assertZeroAllocs(t, "routing.SubnetCount+SubnetAt v6", func() {
+		sinkPfx = routing.SubnetAt(p6, routing.SubnetCount(p6, 16)-1)
+	})
 	assertZeroAllocs(t, "routing.IsPrivate", func() {
 		sinkBool = routing.IsPrivate(netip.MustParseAddr("fc00::1"))
 	})

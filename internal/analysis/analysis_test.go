@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"net/netip"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,6 +322,48 @@ func TestDefaultBandsPartition(t *testing.T) {
 	for r := 0; r <= 65536; r += 13 {
 		if _, ok := stats.BandFor(bands, r); !ok {
 			t.Fatalf("range %d not covered", r)
+		}
+	}
+}
+
+// DefaultBands derives once per process and hands out copies: each
+// equals a fresh derivation from the §5.3.2 pools, a caller's edit stays
+// its own, and concurrent callers (the shard workers) share nothing
+// they can write.
+func TestDefaultBandsIsAPrivateCopy(t *testing.T) {
+	want := stats.DeriveBands([]stats.PoolSpec{
+		{Label: "Windows DNS", Size: 2500},
+		{Label: "FreeBSD", Size: 16383},
+		{Label: "Linux", Size: 28232},
+		{Label: "Full Port Range", Size: 64511},
+	}, stats.SampleSize, 0.999, 65536)
+	got := DefaultBands()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultBands() = %v, want %v", got, want)
+	}
+	got[1].Hi, got[len(got)-1].Label = 7, "mutated"
+	if again := DefaultBands(); !reflect.DeepEqual(again, want) {
+		t.Fatalf("after a caller's edit, DefaultBands() = %v, want %v", again, want)
+	}
+	copies := make([][]stats.Band, 8)
+	var wg sync.WaitGroup
+	for i := range copies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b := DefaultBands()
+			b[1].Lo = i
+			copies[i] = b
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range copies {
+		if b[1].Lo != i {
+			t.Fatalf("copy %d was written by another caller: Lo = %d", i, b[1].Lo)
+		}
+		b[1].Lo = want[1].Lo
+		if !reflect.DeepEqual(b, want) {
+			t.Fatalf("copy %d = %v, want %v", i, b, want)
 		}
 	}
 }

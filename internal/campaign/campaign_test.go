@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"net/netip"
 	"slices"
 	"strings"
 	"sync"
@@ -9,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/detrand"
 	"repro/internal/ditl"
+	"repro/internal/routing"
 	"repro/internal/scanner"
 	"repro/internal/world"
 )
@@ -203,16 +206,53 @@ func TestNewFromPhases(t *testing.T) {
 	}
 }
 
+// savSourceForSlice is savSourceFor written with a candidate slice:
+// list every other subnet, then index it with the same draw. fallback
+// reports that the list was empty and the same-subnet pick ran.
+func savSourceForSlice(reg *routing.Registry, t scanner.Target, seed uint64) (src netip.Addr, ok, fallback bool) {
+	as := reg.AS(t.ASN)
+	if as == nil {
+		return netip.Addr{}, false, false
+	}
+	prefixes := as.V4Prefixes()
+	if t.Addr.Is6() {
+		prefixes = as.V6Prefixes()
+	}
+	own := routing.SubnetOf(t.Addr)
+	var candidates []netip.Prefix
+	for _, p := range prefixes {
+		for j := 0; j < routing.SubnetCount(p, savSubnetFanout); j++ {
+			if sub := routing.SubnetAt(p, j); sub != own {
+				candidates = append(candidates, sub)
+			}
+		}
+	}
+	hi, lo := detrand.AddrWords(t.Addr)
+	if len(candidates) > 0 {
+		sub := candidates[detrand.Intn(len(candidates), seed, hi, lo, saltSAVSubnet)]
+		return routing.RandomHostAddr(sub, detrand.Rand(seed, hi, lo, saltSAVSource)), true, false
+	}
+	rng := detrand.Rand(seed, hi, lo, saltSAVSource)
+	for tries := 0; tries < 16; tries++ {
+		if a := routing.RandomHostAddr(own, rng); a != t.Addr {
+			return a, true, true
+		}
+	}
+	return netip.Addr{}, false, true
+}
+
 // TestSAVSourceIsInternal checks the inbound-SAV source pick: always an
-// address of the target's own AS, never the target itself, and stable
-// across calls (causal identity, no shared stream).
+// address of the target's own AS, never the target itself, stable
+// across calls (causal identity, no shared stream), and for every
+// target equal to the candidate-slice pick, IPv6 targets and
+// single-/24 ASes (the same-subnet fallback) included.
 func TestSAVSourceIsInternal(t *testing.T) {
-	pop := ditl.Generate(ditl.Params{Seed: 3, ASes: 8})
+	pop := ditl.Generate(ditl.Params{Seed: 3, ASes: 300})
 	reg, err := world.BuildRegistry(pop, world.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	checked, v6, fallbacks := 0, 0, 0
 	for _, a := range CandidateAddrs(pop, nil) {
 		as := reg.OriginOf(a)
 		if as == nil {
@@ -220,8 +260,18 @@ func TestSAVSourceIsInternal(t *testing.T) {
 		}
 		tgt := scanner.Target{Addr: a, ASN: as.ASN}
 		src, ok := savSourceFor(reg, tgt, 2)
+		want, wantOK, fallback := savSourceForSlice(reg, tgt, 2)
+		if src != want || ok != wantOK {
+			t.Fatalf("source for %v = %v, %v; the candidate slice picks %v, %v", a, src, ok, want, wantOK)
+		}
 		if !ok {
 			continue
+		}
+		if a.Is6() {
+			v6++
+		}
+		if fallback {
+			fallbacks++
 		}
 		if src == a {
 			t.Fatalf("source for %v is the target itself", a)
@@ -234,8 +284,9 @@ func TestSAVSourceIsInternal(t *testing.T) {
 		}
 		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no candidates checked")
+	t.Logf("checked %d targets: %d IPv6, %d same-subnet fallbacks", checked, v6, fallbacks)
+	if checked == 0 || v6 == 0 || fallbacks == 0 {
+		t.Fatalf("checked %d targets, %d IPv6 and %d same-subnet fallbacks; want some of each", checked, v6, fallbacks)
 	}
 }
 

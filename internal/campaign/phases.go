@@ -126,17 +126,9 @@ func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.A
 		prefixes = as.V4Prefixes()
 	}
 	own := routing.SubnetOf(t.Addr)
-	var candidates []netip.Prefix
-	for _, p := range prefixes {
-		for _, sub := range routing.EnumerateSubnets(p, savSubnetFanout) {
-			if sub != own {
-				candidates = append(candidates, sub)
-			}
-		}
-	}
 	hi, lo := detrand.AddrWords(t.Addr)
-	if len(candidates) > 0 {
-		sub := candidates[detrand.Intn(len(candidates), seed, hi, lo, saltSAVSubnet)]
+	if n, _ := otherSubnet(prefixes, own, -1); n > 0 {
+		_, sub := otherSubnet(prefixes, own, detrand.Intn(n, seed, hi, lo, saltSAVSubnet))
 		return routing.RandomHostAddr(sub, detrand.Rand(seed, hi, lo, saltSAVSource)), true
 	}
 	rng := detrand.Rand(seed, hi, lo, saltSAVSource)
@@ -146,4 +138,22 @@ func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.A
 		}
 	}
 	return netip.Addr{}, false
+}
+
+// otherSubnet walks savSourceFor's candidates, the first
+// savSubnetFanout subnets of each prefix other than own, in prefix then
+// address order. It returns how many there are and, for 0 <= k < n,
+// the k-th of them, so a pick needs no candidate slice.
+func otherSubnet(prefixes []netip.Prefix, own netip.Prefix, k int) (n int, kth netip.Prefix) {
+	for _, p := range prefixes {
+		for j, c := 0, routing.SubnetCount(p, savSubnetFanout); j < c; j++ {
+			if sub := routing.SubnetAt(p, j); sub != own {
+				if n == k {
+					kth = sub
+				}
+				n++
+			}
+		}
+	}
+	return n, kth
 }

@@ -103,7 +103,7 @@ var autoHotPath = map[string][]string{
 	"internal/resolver": {"aclLayer.Admit", "ACL.Allows", "forwardLayer.advance", "forwardLayer.OnFinish", "forwardLayer.OnCrash", "cacheLayer.OnCrash"},
 	"internal/runs":     {"Merger.Next"},
 	"internal/scanner":  {"Scanner.sendNext", "Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
-	"internal/routing":  {"SubnetOf", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},
+	"internal/routing":  {"SubnetOf", "SubnetCount", "SubnetAt", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},
 }
 
 // nonAllocCalls is the curated allowlist of external functions known

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"encoding/binary"
+	"math"
+	"math/big"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -151,35 +154,139 @@ func TestIsPrivateAndLoopback(t *testing.T) {
 	}
 }
 
-func TestEnumerateSubnetsV4(t *testing.T) {
-	subs := EnumerateSubnets(mustPrefix("198.51.0.0/22"), 0)
-	if len(subs) != 4 {
-		t.Fatalf("a /22 splits into %d /24s, want 4", len(subs))
+func TestSubnetAtV4(t *testing.T) {
+	p := mustPrefix("198.51.0.0/22")
+	if n := SubnetCount(p, 0); n != 4 {
+		t.Fatalf("a /22 splits into %d /24s, want 4", n)
 	}
-	if subs[0] != mustPrefix("198.51.0.0/24") || subs[3] != mustPrefix("198.51.3.0/24") {
-		t.Fatalf("subnets = %v", subs)
+	if SubnetAt(p, 0) != mustPrefix("198.51.0.0/24") || SubnetAt(p, 3) != mustPrefix("198.51.3.0/24") {
+		t.Fatalf("subnets 0 and 3 = %v, %v", SubnetAt(p, 0), SubnetAt(p, 3))
 	}
 	// A /24 or smaller yields its enclosing /24.
-	subs = EnumerateSubnets(mustPrefix("198.51.100.128/25"), 0)
-	if len(subs) != 1 || subs[0] != mustPrefix("198.51.100.0/24") {
-		t.Fatalf("small prefix subnets = %v", subs)
+	p = mustPrefix("198.51.100.128/25")
+	if n, sub := SubnetCount(p, 0), SubnetAt(p, 0); n != 1 || sub != mustPrefix("198.51.100.0/24") {
+		t.Fatalf("small prefix: %d subnets, first %v", n, sub)
 	}
 }
 
-func TestEnumerateSubnetsCap(t *testing.T) {
-	subs := EnumerateSubnets(mustPrefix("10.0.0.0/8"), 97)
-	if len(subs) != 97 {
-		t.Fatalf("cap: got %d subnets, want 97 (the paper's other-prefix cap)", len(subs))
+func TestSubnetCountCap(t *testing.T) {
+	if n := SubnetCount(mustPrefix("10.0.0.0/8"), 97); n != 97 {
+		t.Fatalf("cap: got %d subnets, want 97 (the paper's other-prefix cap)", n)
 	}
 }
 
-func TestEnumerateSubnetsV6(t *testing.T) {
-	subs := EnumerateSubnets(mustPrefix("2001:db8:0:4::/62"), 0)
-	if len(subs) != 4 {
-		t.Fatalf("a /62 splits into %d /64s, want 4", len(subs))
+func TestSubnetAtV6(t *testing.T) {
+	p := mustPrefix("2001:db8:0:4::/62")
+	if n := SubnetCount(p, 0); n != 4 {
+		t.Fatalf("a /62 splits into %d /64s, want 4", n)
 	}
-	if subs[1] != mustPrefix("2001:db8:0:5::/64") {
-		t.Fatalf("subnets = %v", subs)
+	if sub := SubnetAt(p, 1); sub != mustPrefix("2001:db8:0:5::/64") {
+		t.Fatalf("subnet 1 = %v", sub)
+	}
+}
+
+// An IPv6 /0 or /1 holds 2^64 or 2^63 /64s, more than an int counts: the
+// count saturates instead of wrapping to zero or going negative.
+func TestSubnetCountShortV6Prefixes(t *testing.T) {
+	for _, c := range []struct {
+		p, first, sixteenth, last netip.Prefix
+	}{
+		{mustPrefix("::/0"), mustPrefix("::/64"), mustPrefix("0:0:0:f::/64"), mustPrefix("7fff:ffff:ffff:ffff::/64")},
+		{mustPrefix("8000::/1"), mustPrefix("8000::/64"), mustPrefix("8000:0:0:f::/64"), mustPrefix("ffff:ffff:ffff:ffff::/64")},
+	} {
+		if n := SubnetCount(c.p, 16); n != 16 {
+			t.Errorf("SubnetCount(%v, 16) = %d, want 16", c.p, n)
+		}
+		if n := SubnetCount(c.p, 0); n != math.MaxInt {
+			t.Errorf("SubnetCount(%v, 0) = %d, want math.MaxInt", c.p, n)
+		}
+		for i, want := range map[int]netip.Prefix{0: c.first, 15: c.sixteenth, math.MaxInt: c.last} {
+			if got := SubnetAt(c.p, i); got != want {
+				t.Errorf("SubnetAt(%v, %d) = %v, want %v", c.p, i, got, want)
+			}
+		}
+	}
+}
+
+// nextSubnet is the stepping loop SubnetAt replaced: it advances addr by
+// one subnet of the given prefix length.
+func nextSubnet(addr netip.Addr, bits int) netip.Addr {
+	if addr.Is4() {
+		a := addr.As4()
+		v := binary.BigEndian.Uint32(a[:])
+		v += 1 << (32 - bits)
+		binary.BigEndian.PutUint32(a[:], v)
+		return netip.AddrFrom4(a)
+	}
+	a := addr.As16()
+	hi := binary.BigEndian.Uint64(a[0:8])
+	hi += 1 << (64 - bits) // bits <= 64 for our /64 subdivision
+	binary.BigEndian.PutUint64(a[0:8], hi)
+	return netip.AddrFrom16(a)
+}
+
+// refSubnets lists prefix's first n subnets by stepping from its masked
+// address with nextSubnet.
+func refSubnets(prefix netip.Prefix, n int) []netip.Prefix {
+	bits := V6SubnetBits
+	if prefix.Addr().Is4() {
+		bits = V4SubnetBits
+	}
+	out := make([]netip.Prefix, 0, n)
+	for cur := prefix.Masked().Addr(); len(out) < n; cur = nextSubnet(cur, bits) {
+		p, _ := cur.Prefix(bits)
+		out = append(out, p)
+	}
+	return out
+}
+
+// refSubnetCount is prefix's subnet count in big-integer arithmetic,
+// capped at max when max > 0 and at math.MaxInt.
+func refSubnetCount(prefix netip.Prefix, max int) int {
+	bits := V6SubnetBits
+	if prefix.Addr().Is4() {
+		bits = V4SubnetBits
+	}
+	n := big.NewInt(1)
+	if shift := bits - prefix.Bits(); shift > 0 {
+		n.Lsh(n, uint(shift))
+	}
+	if max > 0 && n.Cmp(big.NewInt(int64(max))) > 0 {
+		return max
+	}
+	if n.Cmp(big.NewInt(math.MaxInt)) > 0 {
+		return math.MaxInt
+	}
+	return int(n.Int64())
+}
+
+func TestSubnetAtMatchesStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 600; trial++ {
+		v4 := trial%2 == 0
+		var b [16]byte
+		rng.Read(b[:])
+		addr, maxBits := netip.AddrFrom16(b), 128
+		if v4 {
+			addr, maxBits = netip.AddrFrom4([4]byte(b[:4])), 32
+		}
+		p := netip.PrefixFrom(addr, rng.Intn(maxBits+1))
+		for _, pref := range []netip.Prefix{p, p.Masked()} { // host bits set, then clear
+			if got, want := SubnetCount(pref, 0), refSubnetCount(pref, 0); got != want {
+				t.Fatalf("SubnetCount(%v, 0) = %d, want %d", pref, got, want)
+			}
+			for _, max := range []int{1, 2, 4, 8, 16, 64, 98} {
+				n := SubnetCount(pref, max)
+				if want := refSubnetCount(pref, max); n != want {
+					t.Fatalf("SubnetCount(%v, %d) = %d, want %d", pref, max, n, want)
+				}
+				for i, want := range refSubnets(pref, n) {
+					if got := SubnetAt(pref, i); got != want {
+						t.Fatalf("SubnetAt(%v, %d) = %v, want %v", pref, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

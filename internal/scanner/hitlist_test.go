@@ -51,8 +51,8 @@ func sourcesForScan(s *Scanner, t Target) []netip.Addr {
 		}
 	}
 	for _, p := range prefixes {
-		for _, sub := range routing.EnumerateSubnets(p, s.Cfg.MaxOtherPrefix+1) {
-			if sub != own && !seen[sub] {
+		for j, n := 0, routing.SubnetCount(p, s.Cfg.MaxOtherPrefix+1); j < n; j++ {
+			if sub := routing.SubnetAt(p, j); sub != own && !seen[sub] {
 				seen[sub] = true
 				candidates = append(candidates, sub)
 			}

@@ -185,8 +185,8 @@ func internalSourceFor(c *Client) (netip.Addr, bool) {
 		if p.Addr().Is4() != c.Addr.Is4() {
 			continue
 		}
-		sub := routing.EnumerateSubnets(p, 2)
-		for _, s := range sub {
+		for j, n := 0, routing.SubnetCount(p, 2); j < n; j++ {
+			s := routing.SubnetAt(p, j)
 			for off := uint64(1); off < 20; off++ {
 				a := routing.AddrAt(s, off)
 				if a != c.Addr {

@@ -140,8 +140,7 @@ func TestCampaignAgreesWithGroundTruth(t *testing.T) {
 	for i, as := range pop.ASes {
 		// One volunteer per AS; a third run behind NAT (the paper's
 		// complaint about Spoofer coverage).
-		sub := routing.EnumerateSubnets(as.V4Prefixes[0], 1)[0]
-		pub := routing.AddrAt(sub, 200)
+		pub := routing.AddrAt(routing.SubnetAt(as.V4Prefixes[0], 0), 200)
 		host, err := n.Attach(fmt.Sprintf("vol-%d", i), reg.AS(as.ASN), pub)
 		if err != nil {
 			t.Fatal(err)

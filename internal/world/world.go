@@ -643,27 +643,25 @@ func aclFor(spec *ditl.ResolverSpec, as *routing.AS) resolver.ACL {
 		// and dst-as-src do not.
 		rng := detrand.Rand(uint64(spec.Seed), saltACLSubnets)
 		for _, p := range as.V4Prefixes() {
-			subs := routing.EnumerateSubnets(p, 16)
 			own := netip.Prefix{}
 			if spec.Addr4.IsValid() {
 				own = routing.SubnetOf(spec.Addr4)
 			}
 			picked := 0
-			for _, s := range subs {
-				if s != own && rng.Float64() < 0.6 && picked < 2 {
+			for j, n := 0, routing.SubnetCount(p, 16); j < n; j++ {
+				if s := routing.SubnetAt(p, j); s != own && rng.Float64() < 0.6 && picked < 2 {
 					acl.Allowed = append(acl.Allowed, s)
 					picked++
 				}
 			}
 		}
 		for _, p := range as.V6Prefixes() {
-			subs := routing.EnumerateSubnets(p, 8)
 			own := netip.Prefix{}
 			if spec.Addr6.IsValid() {
 				own = routing.SubnetOf(spec.Addr6)
 			}
-			for _, s := range subs {
-				if s != own {
+			for j, n := 0, routing.SubnetCount(p, 8); j < n; j++ {
+				if s := routing.SubnetAt(p, j); s != own {
 					acl.Allowed = append(acl.Allowed, s)
 					break
 				}
@@ -759,7 +757,7 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 	// it to a dedicated open forwarder resolving via public DNS, so the
 	// auth servers see the public DNS service, not the target AS.
 	if spec.Middlebox {
-		a := routing.RandomHostAddr(routing.EnumerateSubnets(spec.V4Prefixes[0], 1)[0],
+		a := routing.RandomHostAddr(routing.SubnetAt(spec.V4Prefixes[0], 0),
 			detrand.Rand(w.seed, uint64(spec.ASN), saltMboxAddr))
 		if w.Net.HostAt(a) == nil {
 			pub, err := w.publicFor(i, spec.ASN)
@@ -806,9 +804,10 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 			return err
 		}
 		rng := detrand.Rand(w.seed, uint64(spec.ASN), saltAnalystAddr)
-		sub := routing.EnumerateSubnets(spec.V4Prefixes[len(spec.V4Prefixes)-1], 4)
+		pref := spec.V4Prefixes[len(spec.V4Prefixes)-1]
+		nsub := routing.SubnetCount(pref, 4)
 		for tries := 0; tries < 8; tries++ {
-			a := routing.RandomHostAddr(sub[rng.Intn(len(sub))], rng)
+			a := routing.RandomHostAddr(routing.SubnetAt(pref, rng.Intn(nsub)), rng)
 			if w.Net.HostAt(a) == nil {
 				h, err := w.Net.Attach(fmt.Sprintf("analyst-as%d", spec.ASN), as, a)
 				if err != nil {
