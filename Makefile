@@ -56,13 +56,13 @@ racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
 # Short native-fuzz smoke over the wire parsers, the datagram writers
-# and the resolver layer-stack builder (one -fuzz target per invocation
+# and the resolver's client-query path (one -fuzz target per invocation
 # is a go tool limitation). Raise FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/packet
-	$(GO) test -run='^$$' -fuzz=FuzzStackBuild -fuzztime=$(FUZZTIME) ./internal/resolver
+	$(GO) test -run='^$$' -fuzz=FuzzClientQuery -fuzztime=$(FUZZTIME) ./internal/resolver
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
 
 # The benchmark module's own tests: perfbench is a separate module, so
@@ -86,13 +86,13 @@ perfbench-smoke:
 		case "$$last" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w did not report correct" >&2; exit 1 ;; esac; \
 	done
 
-# Resolver conformance: the differential suite proving the layered
-# middleware stack event-for-event identical to the frozen pre-refactor
-# monolith (internal/resolver/monolith) across the query × config ×
-# fault matrix, plus the forwarder-chain loop-detection property tests,
-# all under the race detector.
+# Resolver conformance: the differential suite proving the resolver
+# event-for-event identical to the frozen monolith
+# (internal/resolver/monolith) across the query × config × fault
+# matrix, plus the crash-flush and retransmission-key tests, all under
+# the race detector.
 conformance:
-	$(GO) test -race -run 'TestConformance|TestLoopDetection|TestSelfForwarding|TestTwoNodeForwardCycle|TestForwardChain|TestCrashWith' -v ./internal/resolver
+	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending' -v ./internal/resolver
 
 # Headline performance numbers (event-queue allocations, survey
 # wall-clock single-shard vs sharded), recorded as BENCH_1.json.

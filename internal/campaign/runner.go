@@ -178,9 +178,7 @@ type Result struct {
 	Invariants *world.InvariantReport
 	// ChaosCrashes is the number of resolver crashes the chaos schedule
 	// injected across all shards (0 without chaos). Each crash drops
-	// the crashed resolver's in-flight queries and asks every layer of
-	// its middleware stack to drop its soft state (cache flush when a
-	// cache layer is compiled in).
+	// the crashed resolver's in-flight queries and flushes its cache.
 	ChaosCrashes int
 }
 

@@ -1,10 +1,7 @@
 // Package chaos is the simulator's deterministic fault-injection layer:
 // link flaps, packet duplication, reordering and corruption, resolver
-// crash-and-restart, and per-AS clock skew. A crash's state loss is
-// per-middleware-layer: each layer of the crashed resolver's stack
-// drops its own soft state (the cache layer flushes; a stack without a
-// cache layer has no cache to lose), so what a crash costs follows from
-// the resolver's configuration, not from a hard-wired flush.
+// crash-and-restart, and per-AS clock skew. A crashed resolver loses
+// its cache and its in-flight queries.
 //
 // Every fault decision is derived with internal/detrand causal-identity
 // hashing from the experiment seed plus the identity of the thing being
@@ -82,9 +79,8 @@ type Config struct {
 	CorruptProb float64
 
 	// CrashRate is the fraction of eligible resolvers that crash once
-	// during the campaign, losing their in-flight queries and whatever
-	// soft state their stack's layers hold (for stacks with a cache
-	// layer, the cache).
+	// during the campaign, losing their in-flight queries and their
+	// cache.
 	CrashRate float64
 	// OutageDuration is how long a crashed resolver's host stays down
 	// before the restart comes back up.

@@ -100,7 +100,7 @@ var autoHotPath = map[string][]string{
 	"internal/eventq":   {"Queue.At", "Queue.AtSeq", "Queue.After", "Queue.Step"},
 	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
 	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
-	"internal/resolver": {"aclLayer.Admit", "ACL.Allows", "forwardLayer.advance", "forwardLayer.OnFinish", "forwardLayer.OnCrash", "cacheLayer.OnCrash"},
+	"internal/resolver": {"ACL.Allows", "cache.flush"},
 	"internal/runs":     {"Merger.Next"},
 	"internal/scanner":  {"Scanner.sendNext", "Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
 	"internal/routing":  {"SubnetOf", "SubnetCount", "SubnetAt", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},

@@ -91,8 +91,8 @@ func (c *cache) getPositive(name dnswire.Name, typ dnswire.Type) ([]dnswire.RR, 
 // flush discards every cached entry — the cold cache a resolver restarts
 // with after a crash. It clears the maps in place rather than
 // reallocating them: flush sits on the crash-recovery hot path
-// (cacheLayer.OnCrash), and the emptied maps keep their buckets for
-// the refill that follows.
+// (Resolver.Crash), and the emptied maps keep their buckets for the
+// refill that follows.
 func (c *cache) flush() {
 	clear(c.pos)
 	clear(c.neg)

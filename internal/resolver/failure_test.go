@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,5 +261,70 @@ func TestManySimultaneousClientQueries(t *testing.T) {
 	}
 	if got := len(h.res.portRef); got != 1 {
 		t.Fatalf("%d bound ports after completion, want just 53", got)
+	}
+}
+
+// TestRetransmitNeverOverwritesPending fills every transaction ID of a
+// fixed port with a pending query, then retransmits on that port. No
+// free key exists, so the retransmission must give up with SERVFAIL
+// rather than take over another query's entry: a replaced entry would
+// drop that query's response and its timeout would delete the
+// retransmission's key.
+func TestRetransmitNeverOverwritesPending(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 5300}, Seed: 58})
+	r := h.res
+	held := make([]*outstanding, 65536)
+	for id := range held {
+		key := pendKey{port: 5300, id: uint16(id)}
+		held[id] = &outstanding{key: key}
+		r.pending[key] = held[id]
+	}
+
+	var got *dnswire.Message
+	h.client.BindUDP(5353, func(now time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, payload []byte) {
+		if m, err := dnswire.Unpack(payload); err == nil && m.QR {
+			got = m
+		}
+	})
+	j := &job{
+		client: addr("192.0.2.10"), clientPort: 5353, local: addr("198.51.100.53"),
+		id: 7, qname: "retx.dns-lab.org", qtype: dnswire.TypeA, depth: r.cfg.MaxSteps,
+	}
+	r.retransmit(&outstanding{job: j, server: addr("192.0.9.1"), qname: j.qname, qtype: j.qtype, attempt: 1})
+	h.net.Run()
+
+	for id, out := range held {
+		key := pendKey{port: 5300, id: uint16(id)}
+		if r.pending[key] != out {
+			t.Fatalf("retransmit replaced the pending entry for %+v", key)
+		}
+	}
+	if got == nil || got.RCode != dnswire.RCodeServFail {
+		t.Fatalf("resp = %+v, want SERVFAIL when no transaction ID is free", got)
+	}
+}
+
+// TestCrashWithCacheLayerFlushes pins crash semantics: Crash empties
+// the cache and reports exactly one flush to the cache observer.
+func TestCrashWithCacheLayerFlushes(t *testing.T) {
+	obs := &traceObs{}
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 35, CacheObserver: obs})
+	h.authZone.AddAddr("warm.dns-lab.org", addr("192.0.9.104"), 300)
+	h.query(t, "warm.dns-lab.org", dnswire.TypeA)
+	if _, ok := h.res.CachedAnswer("warm.dns-lab.org", dnswire.TypeA); !ok {
+		t.Fatal("cache not warm before crash")
+	}
+	h.res.Crash(h.net.Now())
+	if _, ok := h.res.CachedAnswer("warm.dns-lab.org", dnswire.TypeA); ok {
+		t.Fatal("cache survived a crash")
+	}
+	flushes := 0
+	for _, e := range obs.events {
+		if strings.HasPrefix(e, "flush") {
+			flushes++
+		}
+	}
+	if flushes != 1 {
+		t.Fatalf("crash emitted %d flush events, want 1 (trace: %v)", flushes, obs.events)
 	}
 }

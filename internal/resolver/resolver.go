@@ -1,25 +1,21 @@
 // Package resolver implements the recursive DNS resolvers that populate
-// the simulated Internet as a stack of composable middleware layers.
+// the simulated Internet.
 //
-// A resolver is a small event-driven core — client-query admission,
-// upstream I/O (UDP retransmission, TCP retry on truncation), transaction
-// and port bookkeeping — plus a per-resolver compiled stack of Layer
-// values that carry all policy: client ACLs ("acl"), positive/negative/
-// delegation caching ("cache"), RFC 7816 QNAME minimization ("qmin"),
-// forwarding — single-upstream or multi-hop chains with loop detection —
-// ("forward"), and iterative resolution from root hints ("iterate").
-// Layers are registered by name; Config.Layers selects a stack
-// explicitly, and DefaultStack derives one from the rest of the
-// configuration so a resolver's hot path walks only the layers it
-// actually uses. See DESIGN.md §11 for the layer contract.
+// A resolver's policy follows from its Config and root hints: the ACL
+// admits or refuses each client query, the cache is always there, QNAME
+// minimization (RFC 7816) and iteration apply only with root hints, and
+// forwarding only when Forward lists upstreams. Each resolution step
+// tries a cache hit, then forwarding, then iteration, in that fixed
+// order, and ends in SERVFAIL when none applies (DESIGN.md §11). Around
+// that policy sits the event-driven mechanism: upstream I/O (UDP
+// retransmission, TCP retry on truncation) and transaction and port
+// bookkeeping.
 //
 // The package's behaviour is pinned by a differential conformance
-// harness against internal/resolver/monolith, a frozen copy of the
-// pre-refactor implementation: for every configuration the monolith can
-// express, the layered stack emits bit-identical events (packets, RNG
-// draws, cache-observer traces). New capability — forwarder chains,
-// loop detection, cache-less stacks — lives strictly outside that
-// shared configuration space.
+// harness against internal/resolver/monolith, a frozen copy of an
+// earlier implementation with the same Config fields: every cell of
+// its query × config × fault matrix emits bit-identical events
+// (packets, RNG draws, cache-observer traces) through both.
 package resolver
 
 import (
@@ -75,29 +71,17 @@ func (a ACL) Allows(src netip.Addr) bool {
 
 // Config parameterizes a resolver.
 type Config struct {
-	// ACL is the client access policy (enforced by the "acl" layer;
-	// an Open ACL compiles to no layer at all).
+	// ACL is the client access policy.
 	ACL ACL
 	// Ports allocates source ports for outgoing queries.
 	Ports PortAllocator
 	// Forward, when non-empty, lists upstream resolvers to forward to
-	// instead of recursing; one is drawn per query. Mutually exclusive
-	// with ForwardChain.
+	// instead of recursing; one is drawn per query.
 	Forward []netip.Addr
-	// ForwardChain, when non-empty, is an ordered multi-hop forwarder
-	// chain: hop 0 is tried first, and when a hop fails — its
-	// retransmissions exhaust, or it answers with a non-useful RCode —
-	// the next hop is tried before giving up. Chains also arm the
-	// forward layer's loop guard: a client query for a question this
-	// resolver already holds in flight upstream is answered REFUSED,
-	// which is what terminates forwarding cycles (A→B→A and
-	// self-forwarding included) instead of letting them amplify until
-	// every hop's timeout fires. Mutually exclusive with Forward.
-	ForwardChain []netip.Addr
 	// ForwardFraction is the fraction of queries forwarded when Forward
-	// or ForwardChain is set (1.0 = pure forwarder; intermediate values
-	// model the mixed-behaviour targets of §5.4). Selection is by
-	// query-name hash, so it is deterministic.
+	// is set (1.0 = pure forwarder; intermediate values model the
+	// mixed-behaviour targets of §5.4). Selection is by query-name hash,
+	// so it is deterministic.
 	ForwardFraction float64
 	// QnameMin enables RFC 7816 QNAME minimization.
 	QnameMin bool
@@ -111,28 +95,21 @@ type Config struct {
 	// (default 2).
 	Retries int
 	// MaxSteps bounds resolution work per client query (default 40).
-	// It is the job's depth budget: every re-entry into the layer
-	// stack spends one unit, and an exhausted budget ends the job with
-	// SERVFAIL — the depth-based loop detection of the layer contract.
+	// It is the job's depth budget: every resolution step spends one
+	// unit, and an exhausted budget ends the job with SERVFAIL.
 	MaxSteps int
 	// Use0x20 randomizes query-name letter case on upstream queries
 	// (draft-vixie-dnsext-dns0x20): responses whose question does not
 	// echo the exact case are rejected, adding ~1 bit of anti-spoofing
 	// entropy per letter on top of the port and transaction ID.
-	// 0x20 is a core wire transform, not a layer: it rewrites every
-	// upstream query whatever stack is compiled.
 	Use0x20 bool
 	// Seed seeds the resolver's private RNG (transaction IDs, server
 	// selection, port randomness).
 	Seed int64
 	// CacheObserver, when set, receives cache put/serve/flush events —
 	// the hook the world's invariant checker uses to assert TTL safety
-	// under churn and crash. Observed events are emitted by the cache
-	// layer; a stack compiled without one emits nothing.
+	// under churn and crash.
 	CacheObserver CacheObserver
-	// Layers names the middleware stack explicitly, in canonical order
-	// (see ValidateStack). nil derives DefaultStack(roots, cfg).
-	Layers []string
 }
 
 // Stats counts resolver activity.
@@ -146,9 +123,6 @@ type Stats struct {
 	Timeouts        uint64
 	ServFail        uint64
 	Crashes         uint64
-	// LoopsDetected counts client queries the forward layer's loop
-	// guard refused (forwarder chains only; always 0 otherwise).
-	LoopsDetected uint64
 }
 
 // Resolver is a recursive DNS resolver (or forwarder) bound to a
@@ -159,12 +133,11 @@ type Resolver struct {
 	Stats Stats
 
 	cfg     Config
+	qmin    bool // QNAME minimization applies: QnameMin with root hints to iterate from
 	rng     *rand.Rand
+	cache   *cache
 	pending map[pendKey]*outstanding
 	portRef map[uint16]int
-
-	stack stack
-	lyr   layerSet
 }
 
 type pendKey struct {
@@ -195,18 +168,14 @@ type job struct {
 	qname      dnswire.Name
 	qtype      dnswire.Type
 
-	depth        int    // remaining stack re-entries (MaxSteps budget)
-	minConfirmed int    // labels proven to exist (QNAME minimization)
-	fullFallback bool   // lenient qmin switched to full-name queries
-	fwdHop       int    // current hop in a forwarder chain
-	fwdGuarded   bool   // job holds a loop-guard in-flight registration
-	fwdGuard     fwdKey // the registered key, kept so OnFinish releases it without re-canonicalizing
+	depth        int  // remaining resolution steps (MaxSteps budget)
+	minConfirmed int  // labels proven to exist (QNAME minimization)
+	fullFallback bool // lenient qmin switched to full-name queries
 	finished     bool
 }
 
 // New binds a resolver to host. roots are the root server addresses
-// (root hints). The middleware stack is cfg.Layers when set, otherwise
-// DefaultStack(roots, cfg).
+// (root hints).
 func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 	if cfg.Ports == nil {
 		return nil, fmt.Errorf("resolver: %s: nil port allocator", host.Name)
@@ -220,25 +189,21 @@ func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 40
 	}
-	if len(cfg.Forward) > 0 && len(cfg.ForwardChain) > 0 {
-		return nil, fmt.Errorf("resolver: %s: Forward and ForwardChain are mutually exclusive", host.Name)
-	}
-	if len(roots) == 0 && len(cfg.Forward) == 0 && len(cfg.ForwardChain) == 0 {
+	if len(roots) == 0 && len(cfg.Forward) == 0 {
 		return nil, fmt.Errorf("resolver: %s: no root hints and no forwarders", host.Name)
 	}
 	r := &Resolver{
 		Host: host, Roots: roots, cfg: cfg,
+		qmin:    cfg.QnameMin && len(roots) > 0,
 		rng:     detrand.Rand(uint64(cfg.Seed), saltStream),
+		cache:   newCache(host.Network().Now),
 		pending: make(map[pendKey]*outstanding),
 		portRef: make(map[uint16]int),
 	}
-	names := cfg.Layers
-	if names == nil {
-		names = DefaultStack(roots, cfg)
+	if len(host.Addrs) > 0 {
+		r.cache.owner = host.Addrs[0]
 	}
-	if err := r.compileStack(names); err != nil {
-		return nil, fmt.Errorf("resolver: %s: %w", host.Name, err)
-	}
+	r.cache.obs = cfg.CacheObserver
 	if err := host.BindUDP(53, r.dispatch); err != nil {
 		return nil, err
 	}
@@ -248,9 +213,6 @@ func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 
 // Config returns the resolver's configuration.
 func (r *Resolver) Config() Config { return r.cfg }
-
-// StackNames returns the compiled middleware stack, outermost first.
-func (r *Resolver) StackNames() []string { return r.stack.names }
 
 // dispatch routes every received UDP datagram: responses to pending
 // upstream queries by (port, id); everything else is a client query.
@@ -288,7 +250,7 @@ func (r *Resolver) HandleQuery(now time.Duration, src netip.Addr, srcPort uint16
 	}
 	r.Stats.ClientQueries++
 	q := msg.Q()
-	if a := r.stack.admit; a != nil && !a.Admit(src) {
+	if !r.cfg.ACL.Allows(src) {
 		r.Stats.Refused++
 		rep := msg.Reply()
 		rep.RCode = dnswire.RCodeRefused
@@ -313,16 +275,12 @@ func (r *Resolver) reply(client netip.Addr, clientPort uint16, local netip.Addr,
 	r.Host.SendUDP(local, 53, client, clientPort, out)
 }
 
-// finish responds to the job's client and marks it complete, notifying
-// any layers holding per-job state (the forward layer's loop guard).
+// finish responds to the job's client and marks it complete.
 func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 	if j.finished {
 		return
 	}
 	j.finished = true
-	for _, l := range r.stack.finish {
-		l.OnFinish(j)
-	}
 	r.Stats.Responded++
 	if rcode == dnswire.RCodeServFail {
 		r.Stats.ServFail++
@@ -333,8 +291,8 @@ func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 	r.reply(j.client, j.clientPort, j.local, rep)
 }
 
-// step re-enters the layer stack for j, spending one unit of its depth
-// budget; an exhausted budget ends the job with SERVFAIL.
+// step advances j by one resolution step, spending one unit of its
+// depth budget; an exhausted budget ends the job with SERVFAIL.
 func (r *Resolver) step(j *job) {
 	if j.finished {
 		return
@@ -344,33 +302,78 @@ func (r *Resolver) step(j *job) {
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	r.resolve(j, j.depth)
+	r.resolve(j)
 }
 
-// resolve is the stack core: it walks the compiled step layers in
-// order until one disposes of the step (serves from cache, issues an
-// upstream query, or finishes the job). A stack whose layers all
-// decline — a forwarder whose fraction excludes the name and no
-// iterate layer, say — ends in SERVFAIL, exactly as the monolith's
-// fall-through did.
-func (r *Resolver) resolve(j *job, depth int) {
-	for _, l := range r.stack.steps {
-		if l.Step(j, depth) {
-			return
-		}
+// resolve takes the first step that applies, in a fixed order: serve a
+// cache hit, forward (when upstreams are set and the name falls inside
+// ForwardFraction), iterate (when there are root hints), or else fail
+// with SERVFAIL.
+func (r *Resolver) resolve(j *job) {
+	switch rrs, hit := r.cache.getPositive(j.qname, j.qtype); {
+	case hit:
+		r.finish(j, dnswire.RCodeNoError, rrs)
+	case r.cache.getNegative(j.qname):
+		r.finish(j, dnswire.RCodeNXDomain, nil)
+	case r.shouldForward(j.qname):
+		up := r.cfg.Forward[r.rng.Intn(len(r.cfg.Forward))]
+		r.Stats.Forwarded++
+		r.sendUpstream(j, up, j.qname, j.qtype, true)
+	case len(r.Roots) > 0:
+		r.iterate(j)
+	default:
+		r.finish(j, dnswire.RCodeServFail, nil)
 	}
-	r.finish(j, dnswire.RCodeServFail, nil)
 }
 
-// forwardFractionHit applies the ForwardFraction policy for a query
-// name (shared by the single-upstream and chain forwarding modes).
-func (r *Resolver) forwardFractionHit(name dnswire.Name) bool {
+// shouldForward applies the forwarding policy for a query name.
+func (r *Resolver) shouldForward(name dnswire.Name) bool {
+	if len(r.cfg.Forward) == 0 {
+		return false
+	}
 	if r.cfg.ForwardFraction >= 1 || r.cfg.ForwardFraction == 0 {
-		return true // forwarding configured: default is a pure forwarder
+		return true // Forward set: default is a pure forwarder
 	}
 	h := fnv.New32a()
 	h.Write([]byte(name.Canonical()))
 	return float64(h.Sum32()%1000) < r.cfg.ForwardFraction*1000
+}
+
+// iterate sends j's next iterative query to the closest cached
+// delegation's servers, or to the root hints.
+func (r *Resolver) iterate(j *job) {
+	zone := dnswire.Root
+	servers := r.Roots
+	if d, ok := r.cache.closestDelegation(j.qname); ok {
+		zone, servers = d.apex, d.addrs
+	}
+	qname, qtype := j.qname, j.qtype
+	if r.qmin {
+		qname, qtype = minimized(j, zone)
+	}
+	server, ok := r.pickServer(servers)
+	if !ok {
+		r.finish(j, dnswire.RCodeServFail, nil)
+		return
+	}
+	r.sendUpstream(j, server, qname, qtype, false)
+}
+
+// minimized is the question QNAME minimization sends to zone's servers:
+// one label beyond what is already proven, as TypeNS, until the full
+// name is reached (or the job fell back to full-name queries).
+func minimized(j *job, zone dnswire.Name) (dnswire.Name, dnswire.Type) {
+	if j.fullFallback {
+		return j.qname, j.qtype
+	}
+	base := zone.CountLabels()
+	if j.minConfirmed > base {
+		base = j.minConfirmed
+	}
+	if base+1 < j.qname.CountLabels() {
+		return suffixLabels(j.qname, base+1), dnswire.TypeNS
+	}
+	return j.qname, j.qtype
 }
 
 // suffixLabels returns the last k labels of name.
@@ -415,6 +418,21 @@ func (r *Resolver) releasePort(port uint16) {
 	}
 }
 
+// newKey draws a transaction ID for port that no pending query holds,
+// redrawing up to eight times on a clash; ok is false when every draw
+// clashed.
+func (r *Resolver) newKey(port uint16) (key pendKey, ok bool) {
+	key = pendKey{port: port, id: uint16(r.rng.Intn(65536))}
+	for tries := 0; tries < 8; tries++ {
+		if _, clash := r.pending[key]; !clash {
+			return key, true
+		}
+		key.id = uint16(r.rng.Intn(65536))
+	}
+	_, clash := r.pending[key]
+	return key, !clash
+}
+
 // sendUpstream issues one upstream query attempt (recursive when rd is
 // set — forwarding — otherwise iterative) and schedules its timeout.
 func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, qtype dnswire.Type, rd bool) {
@@ -423,21 +441,8 @@ func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, q
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	port := r.cfg.Ports.Next()
-	id := uint16(r.rng.Intn(65536))
-	key := pendKey{port: port, id: id}
-	for tries := 0; tries < 8; tries++ {
-		if _, clash := r.pending[key]; !clash {
-			break
-		}
-		id = uint16(r.rng.Intn(65536))
-		key = pendKey{port: port, id: id}
-	}
-	if _, clash := r.pending[key]; clash {
-		r.finish(j, dnswire.RCodeServFail, nil)
-		return
-	}
-	if !r.bindPort(port) {
+	key, ok := r.newKey(r.cfg.Ports.Next())
+	if !ok || !r.bindPort(key.port) {
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
@@ -446,51 +451,30 @@ func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, q
 	if r.cfg.Use0x20 {
 		wireName = randomizeCase(qname, r.rng)
 	}
-	q := dnswire.NewQuery(id, wireName, qtype)
+	q := dnswire.NewQuery(key.id, wireName, qtype)
 	q.RD = rd
 	q.SetEDNS(dnswire.DefaultEDNSSize)
 	payload, err := q.Pack()
 	if err != nil {
-		r.releasePort(port)
+		r.releasePort(key.port)
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
 	out := &outstanding{job: j, key: key, server: server, qname: qname, wireName: wireName, qtype: qtype, rd: rd}
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
-	r.Host.SendUDP(local, port, server, 53, payload)
-
-	r.Host.Network().Q.After(r.cfg.Timeout, func(now time.Duration) {
-		if out.done {
-			return
-		}
-		out.done = true
-		delete(r.pending, key)
-		r.releasePort(port)
-		r.Stats.Timeouts++
-		if out.attempt < r.cfg.Retries {
-			next := &outstanding{job: j, server: server, qname: qname, qtype: qtype, attempt: out.attempt + 1, rd: rd}
-			r.retransmit(next, rd)
-			return
-		}
-		r.upstreamFailed(j, rd)
-	})
+	r.Host.SendUDP(local, key.port, server, 53, payload)
+	r.armTimeout(out)
 }
 
 // retransmit re-issues an attempt with a fresh port and transaction ID.
-func (r *Resolver) retransmit(out *outstanding, rd bool) {
+func (r *Resolver) retransmit(out *outstanding) {
 	j := out.job
 	if j.finished {
 		return
 	}
-	port := r.cfg.Ports.Next()
-	id := uint16(r.rng.Intn(65536))
-	key := pendKey{port: port, id: id}
-	if _, clash := r.pending[key]; clash {
-		id = uint16(r.rng.Intn(65536))
-		key = pendKey{port: port, id: id}
-	}
-	if !r.bindPort(port) {
+	key, ok := r.newKey(r.cfg.Ports.Next())
+	if !ok || !r.bindPort(key.port) {
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
@@ -498,11 +482,11 @@ func (r *Resolver) retransmit(out *outstanding, rd bool) {
 	if r.cfg.Use0x20 {
 		out.wireName = randomizeCase(out.qname, r.rng)
 	}
-	q := dnswire.NewQuery(id, out.wireName, out.qtype)
-	q.RD = rd
+	q := dnswire.NewQuery(key.id, out.wireName, out.qtype)
+	q.RD = out.rd
 	payload, err := q.Pack()
 	if err != nil {
-		r.releasePort(port)
+		r.releasePort(key.port)
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
@@ -510,44 +494,31 @@ func (r *Resolver) retransmit(out *outstanding, rd bool) {
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
 	local := r.Host.Addr(out.server.Is6())
-	r.Host.SendUDP(local, port, out.server, 53, payload)
+	r.Host.SendUDP(local, key.port, out.server, 53, payload)
+	r.armTimeout(out)
+}
 
-	attempt := out.attempt
+// armTimeout schedules out's timeout: an attempt still unanswered is
+// abandoned, then retransmitted while retries remain, and its job ends
+// in SERVFAIL once they are spent.
+func (r *Resolver) armTimeout(out *outstanding) {
 	r.Host.Network().Q.After(r.cfg.Timeout, func(now time.Duration) {
 		if out.done {
 			return
 		}
 		out.done = true
-		delete(r.pending, key)
-		r.releasePort(port)
+		delete(r.pending, out.key)
+		r.releasePort(out.key.port)
 		r.Stats.Timeouts++
-		if attempt < r.cfg.Retries {
-			next := &outstanding{job: j, server: out.server, qname: out.qname, qtype: out.qtype, attempt: attempt + 1, rd: rd}
-			r.retransmit(next, rd)
+		if out.attempt < r.cfg.Retries {
+			r.retransmit(&outstanding{job: out.job, server: out.server, qname: out.qname, qtype: out.qtype, attempt: out.attempt + 1, rd: out.rd})
 			return
 		}
-		r.upstreamFailed(j, rd)
+		r.finish(out.job, dnswire.RCodeServFail, nil)
 	})
 }
 
-// upstreamFailed ends an upstream attempt whose retransmissions are
-// exhausted (or that answered uselessly). A forward layer with chain
-// hops remaining advances to the next hop; otherwise the job fails —
-// the monolith's unconditional SERVFAIL.
-func (r *Resolver) upstreamFailed(j *job, rd bool) {
-	if rd && r.stack.fwd != nil {
-		if next, ok := r.stack.fwd.advance(j); ok {
-			r.Stats.Forwarded++
-			r.sendUpstream(j, next, j.qname, j.qtype, true)
-			return
-		}
-	}
-	r.finish(j, dnswire.RCodeServFail, nil)
-}
-
-// onResponse processes an upstream response (UDP or TCP). The skeleton
-// classifies the message; the qmin and cache layers supply the policy
-// for intermediate results and for what gets remembered.
+// onResponse processes an upstream response (UDP or TCP).
 func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP bool) {
 	j := out.job
 	if j.finished {
@@ -563,15 +534,21 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 
 	switch {
 	case msg.RCode == dnswire.RCodeNXDomain:
-		if q := r.stack.qmin; q != nil && q.onNXDomain(j, out, msg) {
+		if r.qmin && r.cfg.QnameMinLenient && !j.fullFallback && !out.qname.Equal(j.qname) {
+			// A lenient implementation distrusts an intermediate
+			// NXDOMAIN: it neither caches it nor halts, and retries with
+			// the full name (RFC 7816 fallback). A strict one caches it
+			// per RFC 8020 and halts (§3.6.4's 55%), like any NXDOMAIN.
+			j.fullFallback = true
+			r.step(j)
 			return
 		}
-		r.stack.cacheNegative(out.qname, negativeTTL(msg))
+		r.cache.putNegative(out.qname, negativeTTL(msg))
 		r.finish(j, dnswire.RCodeNXDomain, nil)
 
 	case len(msg.Answer) > 0:
 		ttl := msg.Answer[0].TTL
-		r.stack.cachePositive(out.qname, out.qtype, msg.Answer, ttl)
+		r.cache.putPositive(out.qname, out.qtype, msg.Answer, ttl)
 		if out.qname.Equal(j.qname) && out.qtype == j.qtype {
 			r.finish(j, dnswire.RCodeNoError, msg.Answer)
 			return
@@ -586,18 +563,21 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 			r.finish(j, dnswire.RCodeServFail, nil)
 			return
 		}
-		r.stack.cacheDelegation(apex, addrs, ttl)
+		r.cache.putDelegation(apex, addrs, ttl)
 		r.step(j)
 
 	case msg.RCode == dnswire.RCodeNoError:
-		// NODATA: the name exists but has no records of this type.
-		if q := r.stack.qmin; q != nil && q.onNoData(j, out) {
+		// NODATA: the name exists but has no records of this type. For
+		// a minimized query that proves the labels so far: descend.
+		if r.qmin && !j.fullFallback && !out.qname.Equal(j.qname) {
+			j.minConfirmed = out.qname.CountLabels()
+			r.step(j)
 			return
 		}
 		r.finish(j, dnswire.RCodeNoError, nil)
 
 	default:
-		r.upstreamFailed(j, out.rd)
+		r.finish(j, dnswire.RCodeServFail, nil)
 	}
 }
 
@@ -703,29 +683,21 @@ func negativeTTL(msg *dnswire.Message) uint32 {
 }
 
 // CachedAnswer exposes the positive cache for inspection — used by the
-// attack simulator's verification step and by tests. A stack compiled
-// without a cache layer has nothing to expose.
+// attack simulator's verification step and by tests.
 func (r *Resolver) CachedAnswer(name dnswire.Name, typ dnswire.Type) ([]dnswire.RR, bool) {
-	if r.stack.cache == nil {
-		return nil, false
-	}
-	return r.stack.cache.c.getPositive(name, typ)
+	return r.cache.getPositive(name, typ)
 }
 
-// Crash simulates a process crash and immediate restart: every layer
-// holding soft state drops it (the cache layer flushes — a stack
-// without one has no cache to lose and survives with nothing but its
-// pending queries abandoned), every in-flight upstream query is
-// abandoned (its response, if it arrives, no longer matches any pending
-// state), and ephemeral ports are released. Clients whose queries were
-// in flight simply never hear back — exactly what a restarted resolver
-// looks like from outside. The port-53 service binding survives because
-// the supervisor restarts the process instantly in virtual time.
+// Crash simulates a process crash and immediate restart: the cache is
+// flushed, every in-flight upstream query is abandoned (its response,
+// if it arrives, no longer matches any pending state), and ephemeral
+// ports are released. Clients whose queries were in flight simply never
+// hear back — exactly what a restarted resolver looks like from
+// outside. The port-53 service binding survives because the supervisor
+// restarts the process instantly in virtual time.
 func (r *Resolver) Crash(now time.Duration) {
 	r.Stats.Crashes++
-	for _, l := range r.stack.crash {
-		l.OnCrash(now)
-	}
+	r.cache.flush()
 	for key, out := range r.pending {
 		out.done = true
 		delete(r.pending, key)

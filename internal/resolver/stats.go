@@ -13,5 +13,4 @@ func (s *Stats) Add(o Stats) {
 	s.Timeouts += o.Timeouts
 	s.ServFail += o.ServFail
 	s.Crashes += o.Crashes
-	s.LoopsDetected += o.LoopsDetected
 }

@@ -193,11 +193,9 @@ func (w *World) ResolverStats() resolver.Stats {
 
 // ScheduleChaos installs inj as the world's transit fault layer and
 // schedules the resolver crashes its schedule selects: at the crash
-// time every layer of the resolver's middleware stack drops its soft
-// state (the cache layer flushes; a stack compiled without one has no
-// cache to lose), in-flight queries are abandoned, and the host goes
-// down for the injector's outage duration, then comes back up (restart
-// with a cold cache). Crash selection and timing are keyed on
+// time the resolver flushes its cache and abandons its in-flight
+// queries, and the host goes down for the injector's outage duration,
+// then comes back up (restart with a cold cache). Crash selection and timing are keyed on
 // each resolver's primary address, so the same resolvers crash at the
 // same virtual times at any shard count. Returns the number of crashes
 // scheduled in this world.
@@ -738,9 +736,8 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 			cfg.Forward = []netip.Addr{up}
 			cfg.ForwardFraction = rs.ForwardFraction
 			if rs.ForwardFraction == 0 || rs.ForwardFraction >= 1 {
-				// Pure forwarder: no root hints, so DefaultStack derives
-				// a stack without the iterate (and qmin) layers and the
-				// hot path never consults them.
+				// Pure forwarder: no root hints, so it never iterates
+				// and never minimizes QNAMEs.
 				roots = nil
 			}
 		}
@@ -770,16 +767,11 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 			}
 			h.OS = oskernel.UbuntuModern
 			h.ScrubFingerprint = true
-			// The middlebox's stack is named explicitly: an open pure
-			// forwarder is just cache+forward, and skipping the unused
-			// acl/qmin/iterate layers keeps its hot path minimal. (This
-			// matches what DefaultStack would derive — stating it here
-			// documents the shape and pins it against config drift.)
+			// The middlebox is an open pure forwarder: no root hints.
 			mb, err := resolver.New(h, nil, resolver.Config{
 				ACL:           resolver.ACL{Open: true},
 				Ports:         resolver.NewUniform(oskernel.PoolLinux, detrand.Rand(w.seed, uint64(spec.ASN), saltMboxPorts)),
 				Forward:       []netip.Addr{pub[0]},
-				Layers:        []string{resolver.LayerCache, resolver.LayerForward},
 				Seed:          int64(detrand.Mix(w.seed, uint64(spec.ASN), saltMboxSeed)),
 				CacheObserver: w.cacheObs(),
 			})
