@@ -55,11 +55,13 @@ race:
 racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
-# Short native-fuzz smoke over the wire parsers, the datagram writers
-# and the resolver's client-query path (one -fuzz target per invocation
-# is a go tool limitation). Raise FUZZTIME for a real hunt.
+# Short native-fuzz smoke over the wire parsers, the DNS packer against
+# its reference, the datagram writers and the resolver's client-query
+# path (one -fuzz target per invocation is a go tool limitation). Raise
+# FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
+	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzClientQuery -fuzztime=$(FUZZTIME) ./internal/resolver

@@ -19,6 +19,7 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/ditl"
 	"repro/internal/eventq"
+	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/resolver"
 	"repro/internal/routing"
@@ -166,6 +167,34 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "routing.Registry.OriginOf v6", func() {
 		sinkBool = reg.OriginOf(a6) != nil
 	})
+
+	// netsim's verdict path: a datagram its addresses doom is counted
+	// without being built or scheduled, so sending one allocates
+	// nothing.
+	nreg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 64500, Prefixes: []netip.Prefix{netip.MustParsePrefix("192.0.2.0/24")}},
+		{ASN: 64501, Prefixes: []netip.Prefix{netip.MustParsePrefix("198.51.100.0/24")}, DSAV: true},
+	} {
+		if err := nreg.Add(as); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := netsim.New(nreg, netsim.Config{Seed: 1})
+	sender, err := nw.Attach("sender", nreg.AS(64500), a4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoofed := netip.MustParseAddr("198.51.100.9")
+	assertZeroAllocs(t, "netsim.Host.SendUDP, DSAV drop", func() {
+		sinkBool = sender.SendUDP(spoofed, 40000, dst4, 53, payload) == nil
+	})
+	assertZeroAllocs(t, "netsim.Host.SendUDP, no host", func() {
+		sinkBool = sender.SendUDP(a4, 40000, dst4, 53, payload) == nil
+	})
+	if d := nw.Drops(); d[netsim.DropDSAV] == 0 || d[netsim.DropNoHost] == 0 || nw.Q.Len() != 0 {
+		t.Fatalf("doomed sends: drops %v, %d events pending", d, nw.Q.Len())
+	}
 
 	// The merge core: run comparators and a warmed Merger draining
 	// in-memory runs. Merger.Next's only dynamic calls are the Source

@@ -141,13 +141,12 @@ func (s *Server) handleUDP(now time.Duration, src netip.Addr, srcPort uint16, ds
 	if r == nil {
 		return
 	}
+	limit := 0 // the classic 512 octets
 	if size, ok := msg.EDNSSize(); ok {
 		r.SetEDNS(dnswire.DefaultEDNSSize)
-		r, _ = dnswire.TruncateForUDPSize(r, int(size))
-	} else {
-		r, _ = dnswire.TruncateForUDP(r)
+		limit = int(size)
 	}
-	out, err := r.Pack()
+	out, err := r.PackUDP(limit)
 	if err != nil {
 		return
 	}

@@ -38,21 +38,3 @@ func (m *Message) EDNSSize() (uint16, bool) {
 	}
 	return 0, false
 }
-
-// TruncateForUDPSize is TruncateForUDP with an explicit size limit,
-// used when the requester advertised EDNS.
-func TruncateForUDPSize(m *Message, limit int) (*Message, bool) {
-	if limit < maxUDPPayload {
-		limit = maxUDPPayload
-	}
-	packed, err := m.Pack()
-	if err != nil || len(packed) <= limit {
-		return m, false
-	}
-	t := &Message{
-		ID: m.ID, QR: m.QR, OpCode: m.OpCode, AA: m.AA, TC: true,
-		RD: m.RD, RA: m.RA, RCode: m.RCode,
-	}
-	t.Question = append(t.Question, m.Question...)
-	return t, true
-}

@@ -61,14 +61,28 @@ func bigResponse(id uint16) *Message {
 	return m
 }
 
+// packedTC packs m with PackUDP and reports whether the result came
+// back truncated.
+func packedTC(t *testing.T, m *Message, limit int) bool {
+	t.Helper()
+	b, err := m.PackUDP(limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unpack(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got.TC
+}
+
 func TestTruncateForUDPSizeHonorsEDNS(t *testing.T) {
 	// ~830 bytes: truncated at 512, intact at 1232.
 	m := bigResponse(5)
-	if _, truncated := TruncateForUDPSize(m, 1232); truncated {
+	if packedTC(t, m, 1232) {
 		t.Fatal("response truncated despite EDNS headroom")
 	}
-	tr, truncated := TruncateForUDPSize(m, 512)
-	if !truncated || !tr.TC {
+	if !packedTC(t, m, 512) {
 		t.Fatal("response not truncated at the classic limit")
 	}
 }
@@ -76,12 +90,11 @@ func TestTruncateForUDPSizeHonorsEDNS(t *testing.T) {
 func TestTruncateForUDPSizeFloor(t *testing.T) {
 	m := bigResponse(6)
 	// A limit below 512 behaves as 512 (RFC 6891 floor).
-	tr, truncated := TruncateForUDPSize(m, 100)
-	if !truncated || !tr.TC {
+	if !packedTC(t, m, 100) {
 		t.Fatal("floor behaviour wrong")
 	}
 	small := NewQuery(1, "a.example.org", TypeA).Reply()
-	if _, truncated := TruncateForUDPSize(small, 100); truncated {
+	if packedTC(t, small, 100) {
 		t.Fatal("small response truncated under floored limit")
 	}
 }

@@ -8,12 +8,12 @@ import (
 // fuzzSeeds packs a spread of golden messages — query, EDNS query,
 // referral with glue, answer, SOA-bearing NXDOMAIN, truncated reply —
 // so the fuzzer starts from structurally valid corners of the format.
-func fuzzSeeds(f *F) [][]byte {
+func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	add := func(m *Message) {
 		b, err := m.Pack()
 		if err != nil {
-			f.Fatalf("seed pack: %v", err)
+			tb.Fatalf("seed pack: %v", err)
 		}
 		seeds = append(seeds, b)
 	}
@@ -69,15 +69,12 @@ func fuzzSeeds(f *F) [][]byte {
 	return seeds
 }
 
-// F narrows *testing.F to what fuzzSeeds needs (keeps it callable from
-// both fuzz targets if more are added).
-type F = testing.F
-
 // FuzzUnpack asserts the wire parser's safety properties on arbitrary
 // bytes: Unpack never panics; whatever it accepts, Pack can serialize
 // without panicking; and what Pack emits, Unpack accepts again with the
-// header and section counts preserved (parse→serialize→parse is a fixed
-// point of acceptance).
+// header and section counts preserved and every question and record
+// name equal to the one packed (parse→serialize→parse is a fixed point
+// of acceptance, and compression never swaps one name for another).
 func FuzzUnpack(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -104,6 +101,9 @@ func FuzzUnpack(f *testing.F) {
 		if len(m2.Question) != len(m.Question) || len(m2.Answer) != len(m.Answer) ||
 			len(m2.Authority) != len(m.Authority) || len(m2.Additional) != len(m.Additional) {
 			t.Fatalf("section counts changed across repack")
+		}
+		if err := survives(m, repacked); err != nil {
+			t.Fatalf("repack changed a name: %v\noriginal: %x\nrepacked: %x", err, data, repacked)
 		}
 	})
 }

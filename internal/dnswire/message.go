@@ -149,8 +149,8 @@ type Message struct {
 	Additional []RR
 }
 
-// maxUDPPayload is the classic 512-byte UDP limit; responses longer than
-// this are truncated when serialized for UDP unless EDNS0 raises it.
+// maxUDPPayload is the classic 512-byte UDP limit; PackUDP truncates
+// responses longer than this unless EDNS0 raises it.
 const maxUDPPayload = 512
 
 // NewQuery builds a recursion-desired query for (name, type).
@@ -196,7 +196,30 @@ func (m *Message) Q() Question {
 
 // Pack serializes the message with name compression.
 func (m *Message) Pack() ([]byte, error) {
-	buf := make([]byte, 12, 512)
+	buf, _, err := m.pack()
+	return buf, err
+}
+
+// PackUDP serializes the message for a UDP response of at most limit
+// octets (raised to 512, the classic limit, when lower). A message that
+// does not fit is cut to its header and question section with TC set
+// and the other section counts zeroed, which is what sends the client
+// to TCP. Compression pointers only point backwards, so the cut bytes
+// are those the header and question alone would pack to.
+func (m *Message) PackUDP(limit int) ([]byte, error) {
+	buf, question, err := m.pack()
+	if err != nil || len(buf) <= max(limit, maxUDPPayload) {
+		return buf, err
+	}
+	buf[2] |= 1 << 1 // TC, bit 9 of the flags
+	clear(buf[6:12])
+	return buf[:question], nil
+}
+
+// pack serializes the message and returns where its question section
+// ends.
+func (m *Message) pack() (buf []byte, question int, err error) {
+	buf = make([]byte, 12, 512)
 	binary.BigEndian.PutUint16(buf[0:2], m.ID)
 	var flags uint16
 	if m.QR {
@@ -222,26 +245,26 @@ func (m *Message) Pack() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[8:10], uint16(len(m.Authority)))
 	binary.BigEndian.PutUint16(buf[10:12], uint16(len(m.Additional)))
 
-	c := newNameCompressor()
-	var err error
+	var c compressor
 	for _, q := range m.Question {
 		if buf, err = c.append(buf, q.Name); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Type))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Class))
 	}
+	question = len(buf)
 	for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
 		for i := range sec {
-			if buf, err = packRR(buf, c, &sec[i]); err != nil {
-				return nil, err
+			if buf, err = packRR(buf, &c, &sec[i]); err != nil {
+				return nil, 0, err
 			}
 		}
 	}
-	return buf, nil
+	return buf, question, nil
 }
 
-func packRR(buf []byte, c *nameCompressor, rr *RR) ([]byte, error) {
+func packRR(buf []byte, c *compressor, rr *RR) ([]byte, error) {
 	var err error
 	if buf, err = c.append(buf, rr.Name); err != nil {
 		return nil, err
@@ -429,20 +452,4 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 		rr.Data = append([]byte(nil), rdata...)
 	}
 	return rr, end, nil
-}
-
-// TruncateForUDP reports whether the packed form fits in a plain-UDP
-// response; if not, it returns a truncated copy (header + question with
-// TC set), which is what causes the client's TCP retry.
-func TruncateForUDP(m *Message) (*Message, bool) {
-	packed, err := m.Pack()
-	if err != nil || len(packed) <= maxUDPPayload {
-		return m, false
-	}
-	t := &Message{
-		ID: m.ID, QR: m.QR, OpCode: m.OpCode, AA: m.AA, TC: true,
-		RD: m.RD, RA: m.RA, RCode: m.RCode,
-	}
-	t.Question = append(t.Question, m.Question...)
-	return t, true
 }

@@ -267,32 +267,46 @@ func TestUnpackForwardPointerRejected(t *testing.T) {
 
 func TestTruncateForUDP(t *testing.T) {
 	m := NewQuery(5, "big.example.org", TypeTXT).Reply()
+	m.AA, m.RA = true, true
 	var txt []string
 	for i := 0; i < 10; i++ {
 		txt = append(txt, strings.Repeat("x", 200))
 	}
 	m.Answer = []RR{{Name: "big.example.org", Type: TypeTXT, Class: ClassIN, TTL: 1, Txt: txt}}
-	tr, truncated := TruncateForUDP(m)
-	if !truncated {
-		t.Fatal("oversized response not truncated")
-	}
-	if !tr.TC {
-		t.Fatal("TC bit not set")
-	}
-	if len(tr.Answer) != 0 {
-		t.Fatal("truncated response should drop answers")
-	}
-	packed, err := tr.Pack()
+	m.SetEDNS(DefaultEDNSSize)
+	packed, err := m.PackUDP(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(packed) > 512 {
 		t.Fatalf("truncated response still %d bytes", len(packed))
 	}
+	tr, err := Unpack(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.TC {
+		t.Fatal("TC bit not set")
+	}
+	if len(tr.Answer) != 0 || len(tr.Additional) != 0 {
+		t.Fatal("truncated response should drop answers and the OPT record")
+	}
+	if tr.ID != 5 || !tr.QR || !tr.AA || !tr.RA || !tr.RD || tr.Q() != m.Q() {
+		t.Fatalf("truncated header or question changed: %+v", tr)
+	}
+	// The cut is what packing the header and question alone gives.
+	alone := &Message{ID: m.ID, QR: m.QR, AA: m.AA, TC: true, RD: m.RD, RA: m.RA, Question: m.Question}
+	if want := mustPack(t, alone); !bytes.Equal(packed, want) {
+		t.Fatalf("cut = %x, want %x", packed, want)
+	}
 
 	small := NewQuery(5, "small.example.org", TypeA).Reply()
-	if _, truncated := TruncateForUDP(small); truncated {
-		t.Fatal("small response truncated")
+	packed, err = small.PackUDP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(packed, mustPack(t, small)) {
+		t.Fatal("small response changed by PackUDP")
 	}
 }
 

@@ -5,6 +5,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -29,6 +30,7 @@ var (
 	errLabelTooLong = errors.New("dnswire: label exceeds 63 octets")
 	errBadPointer   = errors.New("dnswire: bad compression pointer")
 	errTruncated    = errors.New("dnswire: truncated message")
+	errDottedLabel  = errors.New("dnswire: label contains '.'")
 )
 
 // NewName builds a Name from labels, left to right.
@@ -75,18 +77,64 @@ func (n Name) IsSubdomainOf(zone Name) bool {
 	if zone == "" {
 		return true
 	}
-	ln, lz := strings.ToLower(string(n)), strings.ToLower(string(zone))
-	if ln == lz {
-		return true
+	d := len(n) - len(zone)
+	switch {
+	case d < 0:
+		return false
+	case d == 0:
+		return equalFold(string(n), string(zone))
+	default:
+		return n[d-1] == '.' && equalFold(string(n[d:]), string(zone))
 	}
-	return strings.HasSuffix(ln, "."+lz)
 }
 
 // Equal reports case-insensitive equality.
-func (n Name) Equal(m Name) bool { return strings.EqualFold(string(n), string(m)) }
+func (n Name) Equal(m Name) bool { return equalFold(string(n), string(m)) }
 
-// Canonical returns the lowercased form, used as a map key.
-func (n Name) Canonical() Name { return Name(strings.ToLower(string(n))) }
+// Canonical returns the lowercased form, used as a map key. It returns
+// n itself when n has no upper-case letter.
+func (n Name) Canonical() Name {
+	i := 0
+	for i < len(n) && !isUpper(n[i]) {
+		i++
+	}
+	if i == len(n) {
+		return n
+	}
+	var b strings.Builder
+	b.Grow(len(n))
+	b.WriteString(string(n[:i]))
+	for ; i < len(n); i++ {
+		b.WriteByte(lower(n[i]))
+	}
+	return Name(b.String())
+}
+
+func isUpper(c byte) bool { return 'A' <= c && c <= 'Z' }
+
+func lower(c byte) byte {
+	if isUpper(c) {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// equalFold reports whether a and b are equal under ASCII case folding,
+// the only folding names get (RFC 4343 §3): A-Z match a-z, and every
+// other octet matches only itself. Unicode folding would equate
+// distinct octets (every invalid UTF-8 byte folds to U+FFFD, and the
+// Kelvin sign to k).
+func equalFold(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if a[i] != b[i] && lower(a[i]) != lower(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // String returns the presentation form with a trailing dot.
 func (n Name) String() string {
@@ -125,32 +173,81 @@ func appendName(buf []byte, n Name) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// nameCompressor tracks label-suffix offsets while encoding a message.
-type nameCompressor struct {
-	offsets map[Name]int
+// compressor remembers the names already written to a message, so a
+// later name can end in a pointer to an earlier occurrence of one of
+// its suffixes (RFC 1035 §4.1.4). It compares a suffix only against
+// the names written before the current one: no suffix of a name equals
+// a shorter suffix of the same name. The first names are kept inline,
+// so a message of a few names packs without allocating for them.
+type compressor struct {
+	inline [8]writtenName
+	n      int           // names in inline
+	more   []writtenName // the names after the first len(inline)
 }
 
-func newNameCompressor() *nameCompressor {
-	return &nameCompressor{offsets: make(map[Name]int)}
+// writtenName is a name whose first lit octets went out as labels at
+// message offset off. Its suffix starting at byte i of the name, for i
+// < lit, starts at offset off+i.
+type writtenName struct {
+	name     Name
+	off, lit int
 }
 
-// append serializes n into buf using compression pointers where a suffix
-// has already been written.
-func (c *nameCompressor) append(buf []byte, n Name) ([]byte, error) {
+// maxPointer bounds the offsets a compression pointer can reach.
+const maxPointer = 0x4000
+
+func (c *compressor) add(w writtenName) {
+	if w.lit == 0 || w.off >= maxPointer {
+		return
+	}
+	if c.n < len(c.inline) {
+		c.inline[c.n] = w
+		c.n++
+		return
+	}
+	c.more = append(c.more, w)
+}
+
+// find returns the lowest offset at which suffix went out as labels,
+// or -1.
+func (c *compressor) find(suffix Name) int {
+	for i := range c.inline[:c.n] {
+		if off := c.inline[i].offsetOf(suffix); off >= 0 {
+			return off
+		}
+	}
+	for i := range c.more {
+		if off := c.more[i].offsetOf(suffix); off >= 0 {
+			return off
+		}
+	}
+	return -1
+}
+
+// offsetOf returns the offset at which w's suffix equal to suffix went
+// out as labels, or -1 when w has no such suffix or wrote it out of a
+// pointer's reach.
+func (w *writtenName) offsetOf(suffix Name) int {
+	at := len(w.name) - len(suffix)
+	if at < 0 || at >= w.lit || w.off+at >= maxPointer || (at > 0 && w.name[at-1] != '.') ||
+		!equalFold(string(w.name[at:]), string(suffix)) {
+		return -1
+	}
+	return w.off + at
+}
+
+// append serializes n into buf, ending it in a compression pointer at
+// its longest suffix already written.
+func (c *compressor) append(buf []byte, n Name) ([]byte, error) {
 	if wire := len(string(n)) + 2; n != "" && wire > maxNameWire {
 		return nil, errNameTooLong
 	}
+	start := len(buf)
 	rest := n
-	for {
-		if rest == "" {
-			return append(buf, 0), nil
-		}
-		key := rest.Canonical()
-		if off, ok := c.offsets[key]; ok && off < 0x4000 {
+	for rest != "" {
+		if off := c.find(rest); off >= 0 {
+			c.add(writtenName{name: n, off: start, lit: len(buf) - start})
 			return append(buf, 0xc0|byte(off>>8), byte(off)), nil
-		}
-		if len(buf) < 0x4000 {
-			c.offsets[key] = len(buf)
 		}
 		label, parent := string(rest), Root
 		if i := strings.IndexByte(label, '.'); i >= 0 {
@@ -166,6 +263,8 @@ func (c *nameCompressor) append(buf []byte, n Name) ([]byte, error) {
 		buf = append(buf, label...)
 		rest = parent
 	}
+	c.add(writtenName{name: n, off: start, lit: len(buf) - start})
+	return append(buf, 0), nil
 }
 
 // readName decodes a (possibly compressed) name starting at off in msg.
@@ -216,6 +315,11 @@ func readName(msg []byte, off int) (Name, int, error) {
 			}
 			if n+l+1 > len(name) {
 				return "", 0, errNameTooLong
+			}
+			if bytes.IndexByte(msg[off+1:off+1+l], '.') >= 0 {
+				// The presentation form has no escapes: a '.' inside a
+				// label would read back as a label boundary.
+				return "", 0, errDottedLabel
 			}
 			n += copy(name[n:], msg[off+1:off+1+l])
 			name[n] = '.'

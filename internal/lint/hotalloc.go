@@ -101,6 +101,7 @@ var autoHotPath = map[string][]string{
 	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
 	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
 	"internal/resolver": {"ACL.Allows", "cache.flush"},
+	"internal/netsim":   {"Network.judge", "Network.dropUnbuilt", "Network.unwatched", "ingress", "pathHops"},
 	"internal/runs":     {"Merger.Next"},
 	"internal/scanner":  {"Scanner.sendNext", "Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
 	"internal/routing":  {"SubnetOf", "SubnetCount", "SubnetAt", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},

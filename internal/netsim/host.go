@@ -82,9 +82,18 @@ func (h *Host) BindUDP(port uint16, fn UDPHandler) error {
 // UnbindUDP removes a UDP binding.
 func (h *Host) UnbindUDP(port uint16) { delete(h.udp, port) }
 
-// SendUDP transmits a datagram from src (which should be one of the
-// host's addresses for honest traffic) to dst.
+// SendUDP transmits a datagram from src (which may be spoofed; the
+// host's own addresses for honest traffic) to dst. It returns
+// packet.BuildUDP's error for addresses or a payload no datagram can
+// carry. A datagram whose addresses alone doom it, with nothing to read
+// its bytes, is counted under its drop reason and never built.
 func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) error {
+	if err := packet.CheckUDP(src, dst, len(payload)); err != nil {
+		return err
+	}
+	if h.net.dropUnbuilt(h.AS, src, dst, h.ttl()) {
+		return nil
+	}
 	raw, err := packet.BuildUDP(src, dst, srcPort, dstPort, h.ttl(), payload)
 	if err != nil {
 		return err

@@ -8,7 +8,14 @@
 //
 // Packets on simulated links are real serialized IPv4/IPv6 datagrams
 // (internal/packet); every filter and endpoint parses the same bytes a
-// raw socket would produce.
+// raw socket would produce. The one exception is a datagram nobody
+// reads: when its drop depends on its addresses alone (loopback
+// destination, OSAV, no route, TTL, bogon source, DSAV, no host) and no
+// socket, drop hook, tracer, loss draw or fault will read its bytes, it
+// is counted under the same drop reason without being serialized, or
+// without the transit copy and arrival event when it arrived as bytes.
+// A tracer turns the exception off, so a traced network is the reference
+// path.
 //
 // Each Network is single-threaded and driven by a virtual-time event
 // queue, so a seeded run is fully deterministic. All randomness (jitter,
@@ -34,7 +41,6 @@ package netsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
@@ -70,6 +76,7 @@ const (
 	DropKernelSpoof            // kernel refused dst-as-src/loopback source
 	DropNoListener             // no socket bound to the destination port
 	DropChaos                  // injected fault (link flap, induced loss)
+	numDropReasons
 )
 
 // String names the drop reason.
@@ -109,8 +116,9 @@ func (r DropReason) String() string {
 // packet.
 type Interceptor func(now time.Duration, pkt *packet.Packet) bool
 
-// DropHook observes discarded packets (used to model IDS logging and the
-// resulting delayed "human analyst" queries of §3.6.3).
+// DropHook observes the packets dropped on their way into one AS (used
+// to model IDS logging and the resulting delayed "human analyst"
+// queries of §3.6.3).
 type DropHook func(now time.Duration, reason DropReason, pkt *packet.Packet, dstAS *routing.AS)
 
 // DeliveryHook observes every packet accepted by a socket (or consumed
@@ -165,10 +173,10 @@ type Network struct {
 	seed         uint64
 	hosts        map[netip.Addr]*Host
 	interceptors map[routing.ASN]Interceptor
-	dropHook     DropHook
+	dropHooks    map[routing.ASN]DropHook
 	deliveryHook DeliveryHook
 	faults       FaultHook
-	drops        map[DropReason]uint64
+	drops        [numDropReasons]uint64
 	delivered    uint64
 	tracer       *Tracer
 }
@@ -188,7 +196,7 @@ func New(reg *routing.Registry, cfg Config) *Network {
 		seed:         uint64(cfg.Seed),
 		hosts:        make(map[netip.Addr]*Host),
 		interceptors: make(map[routing.ASN]Interceptor),
-		drops:        make(map[DropReason]uint64),
+		dropHooks:    make(map[routing.ASN]DropHook),
 	}
 }
 
@@ -201,11 +209,14 @@ func (n *Network) Run() time.Duration { return n.Q.Run() }
 // RunFor advances virtual time by d.
 func (n *Network) RunFor(d time.Duration) time.Duration { return n.Q.RunFor(d) }
 
-// Drops returns the per-reason drop counters.
+// Drops returns the per-reason drop counters, for every reason that
+// dropped a packet.
 func (n *Network) Drops() map[DropReason]uint64 {
-	out := make(map[DropReason]uint64, len(n.drops))
-	for k, v := range n.drops {
-		out[k] = v
+	out := make(map[DropReason]uint64)
+	for r, v := range n.drops {
+		if v != 0 {
+			out[DropReason(r)] = v
+		}
 	}
 	return out
 }
@@ -213,11 +224,16 @@ func (n *Network) Drops() map[DropReason]uint64 {
 // Delivered reports how many packets reached a socket.
 func (n *Network) Delivered() uint64 { return n.delivered }
 
-// SetInterceptor installs a transparent middlebox for an AS.
+// SetInterceptor installs a transparent middlebox for an AS. Call it
+// before any traffic: a datagram in flight was judged without it.
 func (n *Network) SetInterceptor(asn routing.ASN, f Interceptor) { n.interceptors[asn] = f }
 
-// SetDropHook installs an observer for dropped packets.
-func (n *Network) SetDropHook(h DropHook) { n.dropHook = h }
+// SetDropHook installs an observer for the packets dropped on their way
+// into AS asn; it runs when and where each drop happens, with the
+// packet. Drops before the route lookup (OSAV, no route) have no
+// destination AS and reach no hook. Call it before any traffic: a
+// datagram in flight may already have been counted without its packet.
+func (n *Network) SetDropHook(asn routing.ASN, h DropHook) { n.dropHooks[asn] = h }
 
 // SetDeliveryHook installs an observer for delivered packets.
 func (n *Network) SetDeliveryHook(h DeliveryHook) { n.deliveryHook = h }
@@ -229,9 +245,15 @@ func (n *Network) SetFaultHook(h FaultHook) { n.faults = h }
 func (n *Network) HostAt(addr netip.Addr) *Host { return n.hosts[addr] }
 
 // Attach creates a host in the given AS bound to the given addresses.
+// Hosts attach before any traffic: with events pending it returns an
+// error, because a datagram in flight to one of the addresses may
+// already have been dropped for having no host.
 func (n *Network) Attach(name string, as *routing.AS, addrs ...netip.Addr) (*Host, error) {
 	if as == nil {
 		return nil, fmt.Errorf("netsim: host %q has no AS", name)
+	}
+	if pending := n.Q.Len(); pending > 0 {
+		return nil, fmt.Errorf("netsim: host %q attached with %d events pending; attach hosts before any traffic", name, pending)
 	}
 	h := &Host{
 		net: n, Name: name, AS: as,
@@ -254,9 +276,20 @@ func (n *Network) drop(reason DropReason, pkt *packet.Packet, dstAS *routing.AS)
 	if n.tracer != nil {
 		n.tracer.record(traceEventFor(n.Q.Now(), pkt, false, reason, dstAS))
 	}
-	if n.dropHook != nil {
-		n.dropHook(n.Q.Now(), reason, pkt, dstAS)
+	if dstAS != nil {
+		if h := n.dropHooks[dstAS.ASN]; h != nil {
+			h(n.Q.Now(), reason, pkt, dstAS)
+		}
 	}
+}
+
+// unwatched reports whether nothing records a drop on the way into
+// dstAS (nil before the route lookup): no tracer, and no drop hook on
+// the AS.
+//
+//doors:hotpath
+func (n *Network) unwatched(dstAS *routing.AS) bool {
+	return n.tracer == nil && (dstAS == nil || n.dropHooks[dstAS.ASN] == nil)
 }
 
 // traceDelivery records a successful socket delivery and feeds the
@@ -286,14 +319,102 @@ func flowKey(pkt *packet.Packet) uint64 {
 }
 
 // pathHops returns a stable per-(srcAS,dstAS) hop count in [5, 20], so
-// TTL observations are deterministic for a given topology.
+// TTL observations are deterministic for a given topology. The hash is
+// FNV-1a over both ASNs, big-endian.
+//
+//doors:hotpath
 func pathHops(src, dst routing.ASN) uint8 {
-	h := fnv.New32a()
-	var b [8]byte
-	b[0], b[1], b[2], b[3] = byte(src>>24), byte(src>>16), byte(src>>8), byte(src)
-	b[4], b[5], b[6], b[7] = byte(dst>>24), byte(dst>>16), byte(dst>>8), byte(dst)
-	h.Write(b[:])
-	return uint8(5 + h.Sum32()%16)
+	h := uint32(2166136261)
+	for _, b := range [8]byte{
+		byte(src >> 24), byte(src >> 16), byte(src >> 8), byte(src),
+		byte(dst >> 24), byte(dst >> 16), byte(dst >> 8), byte(dst),
+	} {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return uint8(5 + h%16)
+}
+
+// verdict is what a datagram's addresses decide about it.
+type verdict struct {
+	// drop is the first drop in pipeline order that the addresses and
+	// the TTL alone decide, or DropNone.
+	drop DropReason
+	// dstAS originates the destination; nil for a drop before the route
+	// lookup.
+	dstAS *routing.AS
+	// hops is the transit hop count across the border; 0 within an AS.
+	hops uint8
+}
+
+// judge runs the checks of the pipeline that read only a datagram's
+// addresses and TTL, in pipeline order: loopback destination, OSAV,
+// route, then — past the loss and fault draws, which read the bytes and
+// stay with the caller — TTL, bogon source, DSAV, middlebox and host. A
+// datagram whose AS has a middlebox, or whose address is bound, gets no
+// drop: what happens to it there reads its bytes or the host's state.
+// Sending and injecting both judge through it, so the two cannot
+// disagree about a datagram.
+//
+//doors:hotpath
+func (n *Network) judge(origin *routing.AS, src, dst netip.Addr, ttl uint8) verdict {
+	if dst.IsLoopback() { // loopback destinations never leave the host
+		return verdict{drop: DropNoRoute}
+	}
+	if origin.OSAV && !origin.Originates(src) { // egress OSAV (BCP 38)
+		return verdict{drop: DropOSAV}
+	}
+	dstAS := n.Registry.OriginOf(dst)
+	if dstAS == nil {
+		return verdict{drop: DropNoRoute}
+	}
+	v := verdict{dstAS: dstAS}
+	if dstAS != origin {
+		v.hops = pathHops(origin.ASN, dstAS.ASN)
+		if v.drop = DropTTLExceeded; ttl > v.hops {
+			v.drop = ingress(dstAS, src)
+		}
+		if v.drop != DropNone {
+			return v
+		}
+	}
+	if n.interceptors[dstAS.ASN] == nil && n.hosts[dst] == nil {
+		v.drop = DropNoHost
+	}
+	return v
+}
+
+// ingress applies dstAS's border filters to a source arriving from
+// outside: bogon filtering drops special-purpose sources, and DSAV drops
+// a source the AS itself originates.
+//
+//doors:hotpath
+func ingress(dstAS *routing.AS, src netip.Addr) DropReason {
+	switch {
+	case dstAS.FilterBogons && routing.IsSpecialPurpose(src):
+		return DropBogonSource
+	case dstAS.DSAV && dstAS.Originates(src):
+		return DropDSAV
+	}
+	return DropNone
+}
+
+// dropUnbuilt counts the drop of a datagram not yet built, and reports
+// that it did, when the datagram's addresses decide the drop and nothing
+// would read its bytes: no loss draw or fault hook hashes them, and no
+// tracer or drop hook records the drop. Whether it drops on sending or
+// on arrival, the count is the same.
+//
+//doors:hotpath
+func (n *Network) dropUnbuilt(origin *routing.AS, src, dst netip.Addr, ttl uint8) bool {
+	if n.cfg.LossRate > 0 || n.faults != nil || n.tracer != nil {
+		return false
+	}
+	v := n.judge(origin, src, dst, ttl)
+	if v.drop == DropNone || !n.unwatched(v.dstAS) {
+		return false
+	}
+	n.drops[v.drop]++
+	return true
 }
 
 // inject sends raw bytes from origin into the network. This is the
@@ -304,25 +425,12 @@ func (n *Network) inject(origin *Host, raw []byte) {
 		n.drop(DropMalformed, nil, nil)
 		return
 	}
-	src, dst := pkt.Src(), pkt.Dst()
-
-	// Loopback destinations never leave the host.
-	if dst.IsLoopback() {
-		n.drop(DropNoRoute, pkt, nil)
+	v := n.judge(origin.AS, pkt.Src(), pkt.Dst(), pkt.TTL())
+	if v.dstAS == nil { // loopback destination, OSAV or no route
+		n.drop(v.drop, pkt, nil)
 		return
 	}
-
-	// Egress: origin AS applies OSAV (BCP 38) if configured.
-	if origin.AS.OSAV && !origin.AS.Originates(src) {
-		n.drop(DropOSAV, pkt, nil)
-		return
-	}
-
-	dstAS := n.Registry.OriginOf(dst)
-	if dstAS == nil {
-		n.drop(DropNoRoute, pkt, nil)
-		return
-	}
+	dstAS := v.dstAS
 
 	crossesBorder := dstAS != origin.AS
 	latency := n.cfg.BaseLatency
@@ -356,25 +464,35 @@ func (n *Network) inject(origin *Host, raw []byte) {
 		latency += fault.ExtraDelay
 	}
 
+	if v.drop == DropTTLExceeded {
+		n.drop(DropTTLExceeded, pkt, dstAS)
+		return
+	}
+	// A bogon, DSAV or no-host verdict drops the datagram on arrival on
+	// its addresses alone. Unless a fault flips a bit the receiver's
+	// decode must meet, or something records the drop, count it (once
+	// per copy) without the transit copy and the arrival event.
+	if v.drop != DropNone && !fault.Corrupt && n.unwatched(dstAS) {
+		n.drops[v.drop]++
+		if fault.Duplicate {
+			n.drops[v.drop]++
+		}
+		return
+	}
+
 	// Transit TTL decrement, applied to the serialized packet so the
 	// receiver observes a hop-decremented TTL (what p0f sees).
 	if crossesBorder {
-		hops := pathHops(origin.AS.ASN, dstAS.ASN)
-		var ok bool
-		raw, ok = decrementTTL(raw, hops)
-		if !ok {
-			n.drop(DropTTLExceeded, pkt, dstAS)
-			return
-		}
+		raw = decrementTTL(raw, v.hops)
 		// pkt now describes the datagram the receiver gets; its payload
 		// and TCP option data still alias the pre-transit bytes, which
 		// differ from raw only in the IP header. The fault hook and the
 		// drop hooks saw pkt before this update; none of them keeps it.
 		pkt.Raw = raw
 		if pkt.V4 != nil {
-			pkt.V4.TTL -= hops
+			pkt.V4.TTL -= v.hops
 		} else {
-			pkt.V6.HopLimit -= hops
+			pkt.V6.HopLimit -= v.hops
 		}
 	}
 	if fault.Corrupt && len(raw) > 0 {
@@ -416,15 +534,8 @@ func (n *Network) arrive(raw []byte, pkt *packet.Packet, dstAS *routing.AS, cros
 	src, dst := pkt.Src(), pkt.Dst()
 
 	if crossedBorder {
-		// Ingress bogon filtering: special-purpose sources dropped.
-		if dstAS.FilterBogons && routing.IsSpecialPurpose(src) {
-			n.drop(DropBogonSource, pkt, dstAS)
-			return
-		}
-		// Ingress DSAV: a source address the AS itself originates must
-		// not arrive on an external interface.
-		if dstAS.DSAV && dstAS.Originates(src) {
-			n.drop(DropDSAV, pkt, dstAS)
+		if reason := ingress(dstAS, src); reason != DropNone {
+			n.drop(reason, pkt, dstAS)
 			return
 		}
 	}
@@ -454,29 +565,20 @@ func (n *Network) arrive(raw []byte, pkt *packet.Packet, dstAS *routing.AS, cros
 	host.deliver(pkt, crossedBorder)
 }
 
-// decrementTTL rewrites the TTL/hop-limit field in place, fixing the
-// IPv4 header checksum, and reports whether the packet survives.
-func decrementTTL(raw []byte, hops uint8) ([]byte, bool) {
+// decrementTTL returns a copy of raw with its TTL or hop limit lowered
+// by hops, which judge found smaller, and the IPv4 header checksum fixed.
+func decrementTTL(raw []byte, hops uint8) []byte {
 	out := make([]byte, len(raw))
 	copy(out, raw)
 	switch out[0] >> 4 {
 	case 4:
-		ttl := out[8]
-		if ttl <= hops {
-			return nil, false
-		}
-		out[8] = ttl - hops
-		// Recompute header checksum.
+		out[8] -= hops
 		ihl := int(out[0]&0x0f) * 4
 		out[10], out[11] = 0, 0
 		sum := packet.Checksum(out[:ihl])
 		out[10], out[11] = byte(sum>>8), byte(sum)
 	case 6:
-		hl := out[7]
-		if hl <= hops {
-			return nil, false
-		}
-		out[7] = hl - hops
+		out[7] -= hops
 	}
-	return out, true
+	return out
 }

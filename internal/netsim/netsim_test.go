@@ -285,7 +285,7 @@ func TestDropHookObservesDSAVDrop(t *testing.T) {
 	w := newWorld(t, func(_, as2, _ *routing.AS) { as2.DSAV = true })
 	listen53(t, w.target)
 	var seen []DropReason
-	w.net.SetDropHook(func(now time.Duration, r DropReason, pkt *packet.Packet, dstAS *routing.AS) {
+	w.net.SetDropHook(200, func(now time.Duration, r DropReason, pkt *packet.Packet, dstAS *routing.AS) {
 		seen = append(seen, r)
 		if r == DropDSAV && dstAS.ASN != 200 {
 			t.Errorf("drop hook AS = %v", dstAS.ASN)

@@ -100,7 +100,9 @@ func (t *Tracer) Dump(w io.Writer) error {
 }
 
 // SetTracer attaches (or, with nil, detaches) a packet tracer. The
-// tracer observes every delivery and drop.
+// tracer observes every delivery and drop, so a traced network builds
+// and schedules every datagram. Call it before any traffic: a datagram
+// sent untraced may already have been counted without being built.
 func (n *Network) SetTracer(t *Tracer) { n.tracer = t }
 
 // traceEventFor builds a TraceEvent from a decoded packet.

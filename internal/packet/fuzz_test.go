@@ -127,6 +127,9 @@ func FuzzBuild(f *testing.F) {
 			raw, err = BuildTCP(src, dst, want, ttl, payload)
 		} else {
 			raw, err = BuildUDP(src, dst, sport, dport, ttl, payload)
+			if check := CheckUDP(src, dst, len(payload)); (check == nil) != (err == nil) {
+				t.Fatalf("CheckUDP = %v, BuildUDP = %v", check, err)
+			}
 		}
 		if err != nil {
 			return

@@ -8,8 +8,11 @@
 // Packets inside the simulator are real bytes. Border filters, kernels,
 // and endpoints all parse the same serialized representation, so the
 // code paths exercised are the ones a raw-socket implementation would
-// use on a real network. A built datagram is never written again, and a
-// decoded Packet's payload and TCP option data alias the datagram.
+// use on a real network; the simulator skips building only a datagram
+// whose bytes nothing would read (internal/netsim). CheckUDP tells,
+// without building, whether BuildUDP would fail. A built datagram is
+// never written again, and a decoded Packet's payload and TCP option
+// data alias the datagram.
 package packet
 
 import (
@@ -98,6 +101,14 @@ func (p *Packet) Dst() netip.Addr {
 		return p.V4.Dst
 	}
 	return p.V6.Dst
+}
+
+// TTL returns the IPv4 TTL or the IPv6 hop limit.
+func (p *Packet) TTL() uint8 {
+	if p.V4 != nil {
+		return p.V4.TTL
+	}
+	return p.V6.HopLimit
 }
 
 // IsIPv6 reports whether the packet is IPv6.
@@ -231,20 +242,26 @@ func (u *UDP) decode(src, dst netip.Addr, data []byte) ([]byte, error) {
 	return data[udpHeaderLen:length], nil
 }
 
-// newDatagram checks the addresses and the datagram's length, allocates
-// the whole datagram for a segLen-byte transport segment, and writes the
-// IP header. It returns the datagram and the segment within it.
-func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []byte, err error) {
+// checkDatagram returns the error newDatagram would return for these
+// addresses and a segLen-byte transport segment.
+func checkDatagram(src, dst netip.Addr, segLen int) error {
 	switch {
 	case !src.IsValid() || !dst.IsValid():
-		return nil, nil, wireError("invalid address")
+		return wireError("invalid address")
 	case src.Is4() != dst.Is4():
-		return nil, nil, wireError("mixed address families")
+		return wireError("mixed address families")
 	case src.Is4() && ipv4MinLen+segLen > 0xffff:
-		return nil, nil, wireError("IPv4 total length over 65535")
+		return wireError("IPv4 total length over 65535")
 	case !src.Is4() && segLen > 0xffff:
-		return nil, nil, wireError("IPv6 payload length over 65535")
+		return wireError("IPv6 payload length over 65535")
 	}
+	return nil
+}
+
+// newDatagram allocates the whole datagram for a segLen-byte transport
+// segment, after checkDatagram passed, and writes the IP header. It
+// returns the datagram and the segment within it.
+func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []byte) {
 	if src.Is4() {
 		raw = make([]byte, ipv4MinLen+segLen)
 		raw[0] = 4<<4 | 5
@@ -256,7 +273,7 @@ func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []
 		copy(raw[12:16], s[:])
 		copy(raw[16:20], d[:])
 		binary.BigEndian.PutUint16(raw[10:12], Checksum(raw[:ipv4MinLen]))
-		return raw, raw[ipv4MinLen:], nil
+		return raw, raw[ipv4MinLen:]
 	}
 	raw = make([]byte, ipv6HeaderLen+segLen)
 	raw[0] = 6 << 4
@@ -266,20 +283,27 @@ func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []
 	s, d := src.As16(), dst.As16()
 	copy(raw[8:24], s[:])
 	copy(raw[24:40], d[:])
-	return raw, raw[ipv6HeaderLen:], nil
+	return raw, raw[ipv6HeaderLen:]
+}
+
+// CheckUDP returns the error BuildUDP would return for these addresses
+// and a payloadLen-byte payload, without building anything.
+func CheckUDP(src, dst netip.Addr, payloadLen int) error {
+	length := udpHeaderLen + payloadLen
+	if length > 0xffff {
+		return wireError("UDP datagram too long")
+	}
+	return checkDatagram(src, dst, length)
 }
 
 // BuildUDP serializes a UDP datagram inside the appropriate IP version for
 // the given addresses. ttl is used as the IPv4 TTL or IPv6 hop limit.
 func BuildUDP(src, dst netip.Addr, srcPort, dstPort uint16, ttl uint8, payload []byte) ([]byte, error) {
-	length := udpHeaderLen + len(payload)
-	if length > 0xffff {
-		return nil, wireError("UDP datagram too long")
-	}
-	raw, seg, err := newDatagram(src, dst, IPProtoUDP, ttl, length)
-	if err != nil {
+	if err := CheckUDP(src, dst, len(payload)); err != nil {
 		return nil, err
 	}
+	length := udpHeaderLen + len(payload)
+	raw, seg := newDatagram(src, dst, IPProtoUDP, ttl, length)
 	binary.BigEndian.PutUint16(seg[0:2], srcPort)
 	binary.BigEndian.PutUint16(seg[2:4], dstPort)
 	binary.BigEndian.PutUint16(seg[4:6], uint16(length))

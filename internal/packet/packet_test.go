@@ -190,6 +190,25 @@ func TestBuildRejectsOversizeIPv6(t *testing.T) {
 	}
 }
 
+// TestCheckUDPMatchesBuildUDP: CheckUDP returns BuildUDP's error without
+// building, at each of BuildUDP's limits.
+func TestCheckUDPMatchesBuildUDP(t *testing.T) {
+	for _, c := range []struct {
+		src, dst netip.Addr
+		n        int
+	}{
+		{netip.Addr{}, v4b, 0}, {v6a, netip.Addr{}, 0}, {v4a, v6b, 0},
+		{v4a, v4b, 65507}, {v4a, v4b, 65508},
+		{v6a, v6b, 65527}, {v6a, v6b, 65528},
+	} {
+		_, want := BuildUDP(c.src, c.dst, 1, 2, 64, make([]byte, c.n))
+		got := CheckUDP(c.src, c.dst, c.n)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("CheckUDP(%v, %v, %d) = %v, BuildUDP = %v", c.src, c.dst, c.n, got, want)
+		}
+	}
+}
+
 // TestBuildWireBytes pins the writers' output byte for byte. The hex was
 // produced by the earlier layer-by-layer serializer, so the direct
 // writers are proven to put the same datagrams on the wire.

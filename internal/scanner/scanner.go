@@ -312,8 +312,9 @@ type Scanner struct {
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
-	nameBuf  []byte // scratch: wire-form probe name
-	msgBuf   []byte // scratch: packed query message
+	nameBuf  []byte              // scratch: wire-form probe name
+	msgBuf   []byte              // scratch: packed query message
+	kwTails  [ProbeTC + 1][]byte // wire-form keyword.zone per kind (kindTail)
 
 	// hitList is Cfg.V6HitList's subnets in address order, built on the
 	// first IPv6 SourcesFor; the hit list must not change after that.
@@ -702,9 +703,8 @@ func (s *Scanner) probeIDs(now time.Duration, src, dst netip.Addr, kind ProbeKin
 	return txn, sport
 }
 
-// sendPlanned emits one planned main probe using the precomputed name
-// skeleton, avoiding the per-probe name/message allocations of
-// SendProbe.
+// sendPlanned emits one planned main probe, splicing its timestamp and
+// source labels onto the plan's precomputed name tail.
 //
 //doors:hotpath
 func (s *Scanner) sendPlanned(now time.Duration, pi, j int) {
@@ -718,52 +718,96 @@ func (s *Scanner) sendPlanned(now time.Duration, pi, j int) {
 	if s.optedOut(t.Addr) {
 		return
 	}
-	src := p.sources[j]
-	txn, sport := s.probeIDs(now, src, t.Addr, ProbeMain)
-
-	var tsDigits [20]byte
-	ts := strconv.AppendInt(tsDigits[:0], int64(now), 10)
 	at := p.labelAt[j]
-	nb := append(s.nameBuf[:0], byte(len(ts)))
-	nb = append(nb, ts...)
+	nb := appendTSLabel(s.nameBuf[:0], now)
 	nb = append(nb, p.srcLabels[at:at+1+uint32(p.srcLabels[at])]...)
 	nb = append(nb, p.nameTail...)
 	s.nameBuf = nb
-
-	s.msgBuf = dnswire.AppendQuery(s.msgBuf[:0], txn, nb, dnswire.TypeA)
-	//lint:allow hotalloc -- packet serialization hands ownership of the raw bytes to the simulated network; reusing that buffer would corrupt in-flight frames
-	raw, err := packet.BuildUDP(src, t.Addr, sport, 53, 64, s.msgBuf)
-	if err != nil {
-		return
-	}
-	s.Stats.ProbesSent++
-	//lint:allow hotalloc -- Host is the netsim boundary interface; delivery scheduling beyond it is the simulator's cost, not the scanner's
-	s.Host.SendRaw(raw)
+	s.send(now, p.sources[j], t, ProbeMain)
 }
 
 // SendProbe emits one spoofed-source (or, for a real-source probe like
 // the open-resolver check, unspoofed) DNS query at virtual time now.
 // This is the general path used by follow-up probes and by campaign
 // phases that schedule their own probe sets; scheduled main probes go
-// through sendPlanned. IDs and the encoded name derive from the probe's
-// identity, so the emission is shard-invariant.
+// through sendPlanned. Both write the query name straight to wire form,
+// the bytes EncodeQName packed by dnswire would give. IDs and the
+// encoded name derive from the probe's identity, so the emission is
+// shard-invariant.
 func (s *Scanner) SendProbe(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	if s.optedOut(t.Addr) {
 		return
 	}
-	name := EncodeQName(now, src, t.Addr, t.ASN, s.Cfg.Keyword, kind)
+	tail := s.kindTail(kind)
+	if tail == nil {
+		return
+	}
+	nb := appendTSLabel(s.nameBuf[:0], now)
+	srcAt := len(nb)
+	nb = appendAddrWire(nb, src)
+	dstAt := len(nb)
+	nb = appendAddrWire(nb, t.Addr)
+	asnAt := len(nb)
+	nb = append(nb, 0)
+	nb = strconv.AppendUint(nb, uint64(t.ASN), 10)
+	nb[asnAt] = byte(len(nb) - asnAt - 1)
+	nb = append(nb, tail...)
+	s.nameBuf = nb
+	if dstAt-srcAt-1 > maxLabel || asnAt-dstAt-1 > maxLabel || len(nb) > maxName {
+		return // an address label or the name is too long to pack
+	}
+	s.send(now, src, t, kind)
+}
+
+// The wire-form limits of a DNS name (RFC 1035 §2.3.4).
+const (
+	maxLabel = 63
+	maxName  = 255
+)
+
+// appendTSLabel appends the probe's timestamp label, in wire form.
+func appendTSLabel(b []byte, now time.Duration) []byte {
+	at := len(b)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(now), 10)
+	b[at] = byte(len(b) - at - 1)
+	return b
+}
+
+// appendAddrWire appends a's label (see AppendAddrLabel) in wire form,
+// behind its length octet.
+func appendAddrWire(b []byte, a netip.Addr) []byte {
+	at := len(b)
+	b = append(b, 0)
+	b = AppendAddrLabel(b, a)
+	b[at] = byte(len(b) - at - 1)
+	return b
+}
+
+// kindTail returns the wire form of keyword.zone, the tail every probe
+// of kind shares, or nil when the keyword makes no valid name. Each is
+// encoded once; the keyword must not change after the first probe.
+func (s *Scanner) kindTail(kind ProbeKind) []byte {
+	if kind < ProbeMain || kind > ProbeTC {
+		kind = ProbeMain // zoneFor's default zone
+	}
+	if s.kwTails[kind] == nil {
+		s.kwTails[kind], _ = dnswire.AppendName(nil, dnswire.Name(s.Cfg.Keyword)+"."+zoneFor(kind))
+	}
+	return s.kwTails[kind]
+}
+
+// send packs the query for the name in nameBuf and sends it from src to
+// the target's port 53, counting it once the network takes it.
+//
+//doors:hotpath
+func (s *Scanner) send(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	txn, sport := s.probeIDs(now, src, t.Addr, kind)
-	q := dnswire.NewQuery(txn, name, dnswire.TypeA)
-	payload, err := q.Pack()
-	if err != nil {
-		return
+	s.msgBuf = dnswire.AppendQuery(s.msgBuf[:0], txn, s.nameBuf, dnswire.TypeA)
+	//lint:allow hotalloc -- Host is the netsim boundary: building and scheduling a datagram that can arrive is the simulator's cost, and one its addresses doom is counted without either
+	if s.Host.SendUDP(src, sport, t.Addr, 53, s.msgBuf) == nil {
+		s.Stats.ProbesSent++
 	}
-	raw, err := packet.BuildUDP(src, t.Addr, sport, 53, 64, payload)
-	if err != nil {
-		return
-	}
-	s.Stats.ProbesSent++
-	s.Host.SendRaw(raw)
 }
 
 // monitor is the real-time authoritative-log hook (§3.5): the first

@@ -1,7 +1,9 @@
 package scanner
 
 import (
+	"bytes"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -440,5 +442,81 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("probe %d of %d: sent %+v, eager schedule sends %+v", i, len(want), got[i], want[i])
 		}
+	}
+}
+
+// TestProbesAreEncodeQNamePacked pins the wire-form probe writers:
+// every probe, scheduled or sent through SendProbe, of every kind and
+// family, carries exactly the query EncodeQName's name packs to, under
+// the probe's own transaction ID and source port, with TTL 64. A
+// keyword that makes no valid name sends nothing and counts nothing.
+func TestProbesAreEncodeQNamePacked(t *testing.T) {
+	reg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 64500, Prefixes: []netip.Prefix{prefix("5.1.0.0/22"), prefix("2a00:5::/48")}},
+		{ASN: 64502, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}},
+	} {
+		if err := reg.Add(as); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := netsim.New(reg, netsim.Config{Seed: 1})
+	host, err := nw.Attach("scanner", reg.AS(64502), addr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(host, addr("198.51.100.1"), netip.Addr{}, reg, nil, Config{Seed: 7, Keyword: "Kw.x1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sent struct {
+		now time.Duration
+		pkt *packet.Packet
+	}
+	var got []sent
+	nw.SetFaultHook(func(now time.Duration, _ []byte, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		got = append(got, sent{now, pkt})
+		return netsim.TransitFault{Drop: true}
+	})
+	s.Admit([]netip.Addr{addr("5.1.1.77"), addr("2a00:5:0:7::9")})
+	s.Plan()
+	s.Schedule(time.Second)
+	nw.Run()
+	planned := len(got)
+	kinds := []ProbeKind{ProbeMain, ProbeV4, ProbeV6, ProbeTC, ProbeKind(9)}
+	for i, tgt := range s.Targets {
+		for _, k := range kinds {
+			s.SendProbe(nw.Now(), s.plans[i].sources[0], tgt, k)
+		}
+	}
+	if len(got) != planned+len(s.Targets)*len(kinds) || s.Stats.ProbesSent != uint64(len(got)) {
+		t.Fatalf("%d datagrams (%d planned), ProbesSent %d", len(got), planned, s.Stats.ProbesSent)
+	}
+	for i, g := range got {
+		kind := ProbeMain
+		if i >= planned {
+			kind = kinds[(i-planned)%len(kinds)]
+		}
+		p := g.pkt
+		asn := reg.OriginOf(p.Dst()).ASN
+		txn, sport := s.probeIDs(g.now, p.Src(), p.Dst(), kind)
+		want, err := dnswire.NewQuery(txn, EncodeQName(g.now, p.Src(), p.Dst(), asn, s.Cfg.Keyword, kind), dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Data, want) || p.UDP.SrcPort != sport || p.UDP.DstPort != 53 || p.TTL() != 64 {
+			t.Fatalf("probe %d (kind %v) sent %x from port %d, TTL %d; want %x from port %d, TTL 64",
+				i, kind, p.Data, p.UDP.SrcPort, p.TTL(), want, sport)
+		}
+	}
+
+	s.Cfg.Keyword = strings.Repeat("k", 64)
+	s.kwTails = [len(s.kwTails)][]byte{}
+	s.SendProbe(time.Second, s.plans[0].sources[0], s.Targets[0], ProbeV4)
+	if _, err := dnswire.NewQuery(1, EncodeQName(time.Second, s.plans[0].sources[0], s.Targets[0].Addr, 64500, s.Cfg.Keyword, ProbeV4), dnswire.TypeA).Pack(); err == nil {
+		t.Fatal("a 64-octet keyword label packed")
+	}
+	if s.Stats.ProbesSent != uint64(len(got)) {
+		t.Fatalf("an unpackable probe counted as sent: %d, want %d", s.Stats.ProbesSent, len(got))
 	}
 }

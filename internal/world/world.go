@@ -483,7 +483,7 @@ func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) e
 			if !PublishesPTR(&rs) {
 				continue
 			}
-			target := dnswire.Name(fmt.Sprintf("r%d.%s", rs.Index, domain))
+			target := dnswire.Name(fmt.Sprintf("r%d.%s", rs.Index, string(domain)))
 			if rs.HasV4() {
 				v4rev.AddRecord(dnswire.RR{
 					Name: contactReverse(rs.Addr4), Type: dnswire.TypePTR,
@@ -813,55 +813,55 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 	return nil
 }
 
-// wireIDS installs the drop hook that models §3.6.3: when a spoofed
-// query is dropped at an IDS-equipped border, an analyst later resolves
-// the logged name through the AS's public-DNS replica, producing an
-// auth-side query with a lifetime far beyond the 10-second threshold.
-// Whether and when an analyst reacts is hashed from the dropped query's
-// identity (AS, name, drop time), not drawn from a shared stream, so
-// the reaction set is the same for an AS no matter what other ASes
-// share its simulation.
+// wireIDS installs, on each AS with an analyst, the drop hook that
+// models §3.6.3: when a spoofed query is dropped at that IDS-equipped
+// border, the analyst later resolves the logged name through the AS's
+// public-DNS replica, producing an auth-side query with a lifetime far
+// beyond the 10-second threshold. Whether and when an analyst reacts is
+// hashed from the dropped query's identity (AS, name, drop time), not
+// drawn from a shared stream, so the reaction set is the same for an AS
+// no matter what other ASes share its simulation. ASes without an
+// analyst get no hook, so the network need not build the datagrams their
+// borders drop.
 func (w *World) wireIDS() {
-	w.Net.SetDropHook(func(now time.Duration, reason netsim.DropReason, pkt *packet.Packet, dstAS *routing.AS) {
-		if reason != netsim.DropDSAV && reason != netsim.DropBogonSource {
-			return
-		}
-		if pkt == nil || pkt.UDP == nil || pkt.UDP.DstPort != 53 || dstAS == nil {
-			return
-		}
-		analyst := w.analysts[dstAS.ASN]
-		if analyst == nil {
-			return
-		}
-		pub := w.asPublic[dstAS.ASN]
+	for asn, analyst := range w.analysts {
+		pub := w.asPublic[asn]
 		if len(pub) == 0 {
-			return
+			continue
 		}
-		msg, err := dnswire.Unpack(pkt.Data)
-		if err != nil || msg.QR || len(msg.Question) == 0 {
-			return
-		}
-		name := msg.Q().Name
-		if !name.IsSubdomainOf(Zone) {
-			return
-		}
-		key := detrand.Mix(w.seed, uint64(dstAS.ASN),
-			detrand.HashBytes(w.seed, []byte(name)), uint64(now))
-		if detrand.Float64(key, saltIDSSample) > 0.25 {
-			return
-		}
-		delay := w.AnalystDelayMin +
-			time.Duration(detrand.Mix(key, saltIDSDelay)%uint64(w.AnalystDelayMax-w.AnalystDelayMin))
 		upstream := pub[0]
-		w.Net.Q.After(delay, func(time.Duration) {
-			q := dnswire.NewQuery(uint16(detrand.Mix(key, saltIDSTxn)), name, dnswire.TypeA)
-			payload, err := q.Pack()
-			if err != nil {
+		w.Net.SetDropHook(asn, func(now time.Duration, reason netsim.DropReason, pkt *packet.Packet, dstAS *routing.AS) {
+			if reason != netsim.DropDSAV && reason != netsim.DropBogonSource {
 				return
 			}
-			analyst.SendUDP(analyst.Addrs[0], 40000, upstream, 53, payload)
+			if pkt == nil || pkt.UDP == nil || pkt.UDP.DstPort != 53 {
+				return
+			}
+			msg, err := dnswire.Unpack(pkt.Data)
+			if err != nil || msg.QR || len(msg.Question) == 0 {
+				return
+			}
+			name := msg.Q().Name
+			if !name.IsSubdomainOf(Zone) {
+				return
+			}
+			key := detrand.Mix(w.seed, uint64(dstAS.ASN),
+				detrand.HashBytes(w.seed, []byte(name)), uint64(now))
+			if detrand.Float64(key, saltIDSSample) > 0.25 {
+				return
+			}
+			delay := w.AnalystDelayMin +
+				time.Duration(detrand.Mix(key, saltIDSDelay)%uint64(w.AnalystDelayMax-w.AnalystDelayMin))
+			w.Net.Q.After(delay, func(time.Duration) {
+				q := dnswire.NewQuery(uint16(detrand.Mix(key, saltIDSTxn)), name, dnswire.TypeA)
+				payload, err := q.Pack()
+				if err != nil {
+					return
+				}
+				analyst.SendUDP(analyst.Addrs[0], 40000, upstream, 53, payload)
+			})
 		})
-	})
+	}
 }
 
 // contactReverse mirrors contact.ReverseName without importing the
