@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 BIN ?= bin
 
-.PHONY: check fmt build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance
+.PHONY: check fmt build vet lint pragmas test race racestress fuzz perfbench-test perfbench-smoke bench conformance prodlines
 
 # Tier-1 verification: formatting + build + vet + determinism lint +
 # the suppression audit + full tests + race detector over the parallel
@@ -95,6 +95,11 @@ perfbench-smoke:
 # the race detector.
 conformance:
 	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending' -v ./internal/resolver
+
+# Production Go line count: non-test .go files outside testdata/ and the
+# benchmark module (perfbench/), the figure tracked next to ns/op.
+prodlines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
 # Headline performance numbers (event-queue allocations, survey
 # wall-clock single-shard vs sharded), recorded as BENCH_1.json.

@@ -8,10 +8,11 @@
 // recursive-to-authoritative queries at experimenter-controlled
 // authoritative servers. This package wires the full pipeline together:
 //
-//	population := ditl.Generate(...)      // synthetic DITL target world
-//	w, _ := world.Build(population, ...)  // simulated Internet
-//	survey, _ := doors.RunSurvey(cfg)     // probe + monitor + analyze
+//	pop := ditl.Generate(params)               // synthetic DITL target world
+//	survey, _ := doors.RunSurveyOn(pop, cfg)   // build, probe, monitor, analyze
 //	fmt.Println(survey.Report.V4.ASFraction()) // ≈0.49 in the paper
+//
+// RunSurvey does both steps from cfg.Population.
 //
 // The engine itself lives in internal/campaign: a survey is one
 // campaign (an ordered phase list) run by campaign.Run, which owns
@@ -39,9 +40,9 @@ type Survey = campaign.Result
 
 // RunSurvey generates a population, builds the world, runs the probing
 // experiment to completion, and analyzes the authoritative logs. With
-// cfg.Stream it never materializes the population: shards synthesize
-// their ASes on demand from a ditl.View over the same seed, producing
-// the identical survey under per-shard memory.
+// cfg.Stream or cfg.Fold it never materializes the population: shards
+// synthesize their ASes on demand from a ditl.View over the same seed,
+// producing the identical survey under per-shard memory.
 func RunSurvey(cfg SurveyConfig) (*Survey, error) {
 	if cfg.Stream || cfg.Fold {
 		return RunSurveyOn(ditl.NewView(cfg.Population), cfg)

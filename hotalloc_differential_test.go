@@ -196,6 +196,30 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatalf("doomed sends: drops %v, %d events pending", d, nw.Q.Len())
 	}
 
+	// The probe writer every probe goes through, the probe cursor's main
+	// probes included: address labels append into a warmed buffer, and a
+	// main probe its addresses doom is written, packed and counted
+	// without a datagram.
+	var label []byte
+	assertZeroAllocs(t, "scanner.AppendAddrLabel v4", func() {
+		label = scanner.AppendAddrLabel(label[:0], a4)
+	})
+	assertZeroAllocs(t, "scanner.AppendAddrLabel v6", func() {
+		label = scanner.AppendAddrLabel(label[:0], a6)
+	})
+	sc, err := scanner.New(sender, a4, netip.Addr{}, nreg, nil, scanner.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := scanner.Target{Addr: dst4, ASN: 64501}
+	sc.SendProbe(0, spoofed, probe, scanner.ProbeMain) // warm the name and message buffers
+	assertZeroAllocs(t, "scanner.Scanner.SendProbe, main probe, DSAV drop", func() {
+		sc.SendProbe(time.Second, spoofed, probe, scanner.ProbeMain)
+	})
+	if sc.Stats.ProbesSent == 0 || nw.Q.Len() != 0 {
+		t.Fatalf("doomed main probes: %d sent, %d events pending", sc.Stats.ProbesSent, nw.Q.Len())
+	}
+
 	// The merge core: run comparators and a warmed Merger draining
 	// in-memory runs. Merger.Next's only dynamic calls are the Source
 	// seam, which on the slice path allocates nothing.

@@ -3,8 +3,9 @@
 // phases; the runner (Run) owns everything every campaign shares —
 // population sharding, the survey-wide probe window, the chaos fault
 // schedule, invariant merging, and the canonical result merge — while
-// each Phase contributes its probe plan, its schedule, its reactive
-// hooks, and the analysis reducers that consume its observations.
+// each Phase contributes its probe count and plan, its schedule, its
+// reactive hooks, and the analysis reducers that consume its
+// observations.
 //
 // The paper's survey is the default campaign: a spoofed reachability
 // phase (§3.2) plus a reactive characterization phase (§3.5). The
@@ -17,9 +18,9 @@
 // Determinism contract: a phase may key randomness only on causal
 // identity (detrand over the probed target, never shared streams), must
 // derive probe timing from the survey-wide window passed to Schedule,
-// and must keep Plan free of side effects outside its own Shard — then
-// the merged Result is bit-identical at every shard count, exactly as
-// for the monolithic engine it replaces.
+// and must keep Count and Plan free of side effects outside its own
+// Shard — then the merged Result is bit-identical at every shard count,
+// exactly as for the monolithic engine it replaces.
 package campaign
 
 import (
@@ -39,10 +40,11 @@ const (
 	PhaseInboundSAV       = "inbound-sav"
 )
 
-// Phase is one stage of a measurement campaign. The runner drives every
-// phase through Plan → Schedule → Observe on each shard before the
-// simulation runs; Reducers contributes the phase's slice of the
-// analysis after the merged observations are partitioned.
+// Phase is one stage of a measurement campaign. The runner counts every
+// phase's probes on every shard first, then drives each shard through
+// Plan → Schedule → Observe before its simulation runs; Reducers
+// contributes the phase's slice of the analysis after the merged
+// observations are partitioned.
 //
 // One Phase value is shared read-only by every shard, so per-shard plan
 // state computed in Plan must live on the Shard (SetState), not on the
@@ -51,10 +53,16 @@ type Phase interface {
 	// Name identifies the phase; it keys the phase's per-shard state
 	// and the -phases selection.
 	Name() string
-	// Plan precomputes the phase's probe set for the shard and returns
-	// the number of probes it will schedule. Plans run on every shard
-	// before any scheduling, so the campaign window can derive from the
-	// survey-wide probe total.
+	// Count returns the number of probes Plan will return for the
+	// shard, from its admitted targets alone: the shard has a host-less
+	// planner (scanner.NewPlanner) and no world. Counts run on every
+	// shard before any Plan, so the campaign window can derive from the
+	// survey-wide probe total; Count must keep no state.
+	Count(sh *Shard) int
+	// Plan precomputes the phase's probe set for the shard, now built
+	// with its world, and returns its probe count. The runner fails the
+	// campaign, naming the shard, when the phases' Plan totals differ
+	// from their Count totals.
 	Plan(sh *Shard) int
 	// Schedule places the planned probes on the shard's event queue.
 	// window is the survey-wide campaign duration — identical at every
@@ -150,9 +158,10 @@ func phaseByName(name string) (Phase, error) {
 }
 
 // Shard is one shard's mutable simulation state: its world, its scanner
-// instance, and the phases' per-shard plan state. Shards are confined
-// to one goroutine each; only the runner's merge step reads across
-// them, after every simulation has finished.
+// instance, and the phases' per-shard plan state. Pass A's shards, which
+// only Count, have no world and a host-less planner for a scanner.
+// Shards are confined to one goroutine each; only the runner's merge
+// step reads across them, after every simulation has finished.
 type Shard struct {
 	Index   int
 	World   *world.World

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,18 +29,29 @@ func (l *callLog) add(phase, call string, shard int) {
 }
 
 // fakePhase records the runner's calls into a shared log and
-// contributes a counting reducer under a (possibly shared) name.
+// contributes a counting reducer under a (possibly shared) name. Its
+// Plan returns one probe more than its Count on shard miscount, when
+// miscount is positive.
 type fakePhase struct {
-	name    string
-	reducer string
-	log     *callLog
-	runs    *int
+	name     string
+	reducer  string
+	log      *callLog
+	runs     *int
+	miscount int
 }
 
 func (p fakePhase) Name() string { return p.name }
 
+func (p fakePhase) Count(sh *Shard) int {
+	p.log.add(p.name, "count", sh.Index)
+	return 0
+}
+
 func (p fakePhase) Plan(sh *Shard) int {
 	p.log.add(p.name, "plan", sh.Index)
+	if p.miscount > 0 && sh.Index == p.miscount {
+		return 1
+	}
 	return 0
 }
 
@@ -61,88 +71,101 @@ func tinyConfig() Config {
 	return Config{Scanner: scanner.Config{Seed: 2, Rate: 10000}}
 }
 
-// TestRunnerPhaseOrdering pins the phase contract: every phase plans on
-// every shard before any phase schedules (the window derives from the
-// campaign-wide probe total), and scheduling precedes hook arming, both
-// in phase-list order.
+// engineModes are the runner's output options: keep every world, drop
+// each when its shard ends, or also spill the runs.
+var engineModes = []struct {
+	name         string
+	stream, fold bool
+}{{"retained", false, false}, {"stream", true, false}, {"fold", false, true}}
+
+// TestRunnerPhaseOrdering pins the phase contract: every phase counts
+// before any phase plans (the window derives from the campaign-wide
+// probe total), and planning, scheduling and hook arming follow, each in
+// phase-list order, in every engine mode.
 func TestRunnerPhaseOrdering(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log callLog
-	runs := 0
-	c := &Campaign{Name: "fake", Phases: []Phase{
-		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
-		fakePhase{name: "b", reducer: "rb", log: &log, runs: &runs},
-	}}
-	cfg := tinyConfig()
-	cfg.Campaign = c
-	if _, err := Run(pop, cfg); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a.plan[0]", "b.plan[0]", "a.sched[0]", "b.sched[0]", "a.obs[0]", "b.obs[0]"}
-	if fmt.Sprint(log.calls) != fmt.Sprint(want) {
-		t.Fatalf("call order = %v, want %v", log.calls, want)
-	}
-	if runs != 2 {
-		t.Fatalf("distinct reducers ran %d times, want 2", runs)
+	for _, mode := range engineModes {
+		var log callLog
+		runs := 0
+		c := &Campaign{Name: "fake", Phases: []Phase{
+			fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
+			fakePhase{name: "b", reducer: "rb", log: &log, runs: &runs},
+		}}
+		cfg := tinyConfig()
+		cfg.Campaign, cfg.Stream, cfg.Fold = c, mode.stream, mode.fold
+		if _, err := Run(pop, cfg); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"a.count[0]", "b.count[0]", "a.plan[0]", "b.plan[0]", "a.sched[0]", "b.sched[0]", "a.obs[0]", "b.obs[0]"}
+		if fmt.Sprint(log.calls) != fmt.Sprint(want) {
+			t.Fatalf("%s: call order = %v, want %v", mode.name, log.calls, want)
+		}
+		if runs != 2 {
+			t.Fatalf("%s: distinct reducers ran %d times, want 2", mode.name, runs)
+		}
 	}
 }
 
-// TestRunnerPlansAllShardsFirst checks the cross-shard ordering at K=2
-// without pinning how pass-B workers interleave: every shard plans
-// before any shard schedules (so no shard's timing can depend on its
-// own probe count alone), and within a shard scheduling precedes hook
-// arming. A retained run plans each shard once; a Stream run plans it
-// again on its pass-B worker, after every pass-A plan.
+// TestRunnerPlansAllShardsFirst checks the cross-shard ordering at K=3
+// without pinning how pass-B workers interleave: every shard counts
+// before any shard plans (so no shard's timing can depend on its own
+// probe count alone), and each shard then plans exactly once, right
+// before it schedules and arms its hooks, in every engine mode.
 func TestRunnerPlansAllShardsFirst(t *testing.T) {
-	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	for _, tc := range []struct {
-		stream bool
-		plans  int
-	}{{false, 1}, {true, 2}} {
+	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 6})
+	const shards = 3
+	for _, mode := range engineModes {
 		var log callLog
 		runs := 0
 		c := &Campaign{Name: "fake", Phases: []Phase{
 			fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
 		}}
 		cfg := tinyConfig()
-		cfg.Shards = 2
-		cfg.Stream = tc.stream
-		cfg.Campaign = c
+		cfg.Shards, cfg.MaxParallel = shards, 2
+		cfg.Campaign, cfg.Stream, cfg.Fold = c, mode.stream, mode.fold
 		if _, err := Run(pop, cfg); err != nil {
 			t.Fatal(err)
 		}
-		firstSched := len(log.calls)
-		for i, call := range log.calls {
-			if strings.Contains(call, ".sched[") {
-				firstSched = i
-				break
-			}
+		var want []string
+		for k := 0; k < shards; k++ {
+			want = append(want, fmt.Sprintf("a.count[%d]", k))
 		}
-		for k := 0; k < 2; k++ {
-			plan, sched, obs := fmt.Sprintf("a.plan[%d]", k), fmt.Sprintf("a.sched[%d]", k), fmt.Sprintf("a.obs[%d]", k)
-			planAt := slices.Index(log.calls, plan)
-			if planAt < 0 || planAt > firstSched {
-				t.Fatalf("stream=%v: shard %d first plans at %d, after the first schedule at %d: %v", tc.stream, k, planAt, firstSched, log.calls)
+		if got := log.calls[:min(shards, len(log.calls))]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: pass A = %v, want every shard's count first: %v", mode.name, got, log.calls)
+		}
+		for k := 0; k < shards; k++ {
+			var got []string
+			for _, call := range log.calls[shards:] {
+				if strings.HasSuffix(call, fmt.Sprintf("[%d]", k)) {
+					got = append(got, call)
+				}
 			}
-			if n := count(log.calls, plan); n != tc.plans {
-				t.Fatalf("stream=%v: shard %d planned %d times, want %d: %v", tc.stream, k, n, tc.plans, log.calls)
-			}
-			schedAt, obsAt := slices.Index(log.calls, sched), slices.Index(log.calls, obs)
-			if schedAt < 0 || obsAt < schedAt || slices.Index(log.calls[schedAt:], plan) >= 0 {
-				t.Fatalf("stream=%v: shard %d: want every plan, then sched, then obs: %v", tc.stream, k, log.calls)
+			want := []string{fmt.Sprintf("a.plan[%d]", k), fmt.Sprintf("a.sched[%d]", k), fmt.Sprintf("a.obs[%d]", k)}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: shard %d pass B = %v, want %v: %v", mode.name, k, got, want, log.calls)
 			}
 		}
 	}
 }
 
-func count(calls []string, call string) int {
-	n := 0
-	for _, c := range calls {
-		if c == call {
-			n++
+// TestRunnerRejectsMiscountedPlan gives a phase whose Plan returns one
+// probe more than its Count on shard 1 and requires every engine mode to
+// fail the run with an error naming that shard.
+func TestRunnerRejectsMiscountedPlan(t *testing.T) {
+	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
+	for _, mode := range engineModes {
+		var log callLog
+		runs := 0
+		cfg := tinyConfig()
+		cfg.Shards, cfg.Stream, cfg.Fold = 2, mode.stream, mode.fold
+		cfg.Campaign = &Campaign{Name: "fake", Phases: []Phase{
+			fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs, miscount: 1},
+		}}
+		res, err := Run(pop, cfg)
+		if res != nil || err == nil || !strings.Contains(err.Error(), "shard 1 planned 1 probes but pass A counted 0") {
+			t.Fatalf("%s: result %v, error %v; want the shard-1 count mismatch", mode.name, res, err)
 		}
 	}
-	return n
 }
 
 // TestReduceMergeDeduplicates pins the reduce-merge rule: phases
@@ -308,5 +331,69 @@ func TestInboundSAVPlanState(t *testing.T) {
 	}
 	if res.Scanner.Stats.ProbesSent == 0 {
 		t.Fatal("sent no probes")
+	}
+}
+
+// TestCountMatchesPlan pins pass A's contract for every built-in phase:
+// Count on a world-less planner equals the total Plan returns, shard by
+// shard at K=1, 2 and 8, under the default cap of 97 other-prefix
+// sources and caps of 1 and 3. The population's IPv6 targets draw from
+// its hit list; the last case is an AS whose prefixes nest, with
+// hit-list entries outside it and of the other family.
+func TestCountMatchesPlan(t *testing.T) {
+	phases := []Phase{reachabilityPhase{}, characterizationPhase{}, inboundSAVPhase{}}
+	check := func(name string, sh *Shard) int {
+		t.Helper()
+		v6 := 0
+		for _, tgt := range sh.Scanner.Targets {
+			if tgt.Addr.Is6() {
+				v6++
+			}
+		}
+		for _, ph := range phases {
+			if n, planned := ph.Count(sh), ph.Plan(sh); n != planned {
+				t.Fatalf("%s, shard %d, phase %s: Count %d, Plan %d", name, sh.Index, ph.Name(), n, planned)
+			}
+		}
+		return v6
+	}
+
+	pop := ditl.Generate(ditl.Params{Seed: 3, ASes: 60})
+	reg, err := world.BuildRegistry(pop, world.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := V6HitList(pop)
+	for _, maxOther := range []int{0, 1, 3} {
+		cfg := scanner.Config{Seed: 5, MaxOtherPrefix: maxOther, V6HitList: hl}
+		for _, k := range []int{1, 2, 8} {
+			v6 := 0
+			for i, indices := range ditl.PartitionIndices(pop.NumASes(), k) {
+				sc := scanner.NewPlanner(reg, cfg)
+				admit(sc, pop, indices)
+				v6 += check(fmt.Sprintf("MaxOtherPrefix %d, K=%d", maxOther, k), &Shard{Index: i, Scanner: sc})
+			}
+			if v6 == 0 {
+				t.Fatalf("MaxOtherPrefix %d, K=%d: no IPv6 targets", maxOther, k)
+			}
+		}
+	}
+
+	nested := routing.NewRegistry()
+	if err := nested.Add(&routing.AS{ASN: 64500, Prefixes: []netip.Prefix{
+		netip.MustParsePrefix("2a00:5:0:8000::/49"), netip.MustParsePrefix("2a00:5::/48"), netip.MustParsePrefix("5.1.0.0/22"),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	nestedHL := map[netip.Prefix]bool{}
+	for _, p := range []string{"2a00:5:0:9000::/64", "2a00:5:0:1234::/64", "2a00:5::/64", "2a00:6::/64", "5.1.0.0/24"} {
+		nestedHL[netip.MustParsePrefix(p)] = true
+	}
+	for _, maxOther := range []int{0, 1, 3} {
+		sc := scanner.NewPlanner(nested, scanner.Config{Seed: 2, MaxOtherPrefix: maxOther, V6HitList: nestedHL})
+		sc.Admit([]netip.Addr{
+			netip.MustParseAddr("2a00:5::53"), netip.MustParseAddr("2a00:5:0:9000::1"), netip.MustParseAddr("5.1.1.7"),
+		})
+		check(fmt.Sprintf("nested prefixes, MaxOtherPrefix %d", maxOther), &Shard{Scanner: sc})
 	}
 }

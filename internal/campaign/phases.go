@@ -31,6 +31,8 @@ type reachabilityPhase struct{}
 
 func (reachabilityPhase) Name() string { return PhaseReachability }
 
+func (reachabilityPhase) Count(sh *Shard) int { return sh.Scanner.Count() }
+
 func (reachabilityPhase) Plan(sh *Shard) int { return sh.Scanner.Plan() }
 
 func (reachabilityPhase) Schedule(sh *Shard, window time.Duration) { sh.Scanner.Schedule(window) }
@@ -46,6 +48,8 @@ func (reachabilityPhase) Reducers() []analysis.Reducer { return analysis.Reachab
 type characterizationPhase struct{}
 
 func (characterizationPhase) Name() string { return PhaseCharacterization }
+
+func (characterizationPhase) Count(*Shard) int { return 0 }
 
 func (characterizationPhase) Plan(*Shard) int { return 0 }
 
@@ -74,6 +78,12 @@ type savProbe struct {
 type inboundSAVPhase struct{}
 
 func (inboundSAVPhase) Name() string { return PhaseInboundSAV }
+
+// Count is one probe per admitted target. Plan skips a target only
+// when its AS has no other subnet and all 16 same-subnet draws land on
+// the target itself, which the runner's count check turns into an
+// error naming the shard.
+func (inboundSAVPhase) Count(sh *Shard) int { return len(sh.Scanner.Targets) }
 
 func (inboundSAVPhase) Plan(sh *Shard) int {
 	sc := sh.Scanner

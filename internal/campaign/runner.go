@@ -49,21 +49,22 @@ type Config struct {
 	// identity rather than drawn from shared streams, so the merged
 	// Result — targets, hits, report — is identical at any shard count.
 	Shards int
-	// Stream discards each shard's world once its observations are
-	// partitioned instead of retaining every world on the Result: a
-	// shard's world is built (typically from a ditl.View, which
-	// synthesizes specs on demand) only when its worker starts, so peak
+	// Stream drops each shard's world when its shard ends instead of
+	// keeping every world on the Result. Every run builds a shard's
+	// world (typically from a ditl.View, which synthesizes specs on
+	// demand) only when its worker starts; with Stream the world is
+	// garbage once the shard's observations are partitioned, so peak
 	// residency is the largest set of concurrently live shards, not the
 	// population. The merged Result is bit-identical either way; the
 	// trade-off is that Result.World and Result.Worlds are nil
 	// (Result.Scanner carries the merged buffers, registry, and scanner
 	// addresses).
 	Stream bool
-	// MaxParallel bounds how many shard simulations run at once, in
-	// every mode. 0 picks runtime.GOMAXPROCS(0). Under Stream it is the
-	// peak-memory knob — RSS scales with MaxParallel × shard size; a
-	// retained run builds every world up front, so there it bounds only
-	// concurrency.
+	// MaxParallel bounds how many shard worlds are built and simulated
+	// at once. 0 picks runtime.GOMAXPROCS(0). Under Stream or Fold it is
+	// the peak-memory knob — RSS scales with MaxParallel × shard size;
+	// otherwise every finished world is kept, so peak memory still ends
+	// at all of them.
 	MaxParallel int
 	// Fold extends Stream by spilling runs: each shard's sorted hit run
 	// spills to a temporary run file the moment the shard finishes, and
@@ -147,10 +148,9 @@ type Result struct {
 	Population ditl.Pop
 	// World is the first shard's world (they share scanner addresses,
 	// registry, and global public-DNS addressing); Worlds lists every
-	// shard's world. Both are nil under Config.Stream (and Fold), which
-	// discard each world as soon as its shard's observations are
-	// partitioned. Retained or not, at most Config.MaxParallel shards
-	// simulate at once.
+	// shard's world, each kept when its shard ends. Both are nil under
+	// Config.Stream (and Fold), which drop each world as soon as its
+	// shard's observations are partitioned.
 	World  *world.World
 	Worlds []*world.World
 	// Scanner holds the merged results: Targets, Hits, Partials and
@@ -190,27 +190,27 @@ type Result struct {
 // simulated in its own world (own event queue, own scanner instance)
 // over one shared read-only routing registry.
 //
-// Pass A (sequential) admits every shard's candidates and lets every
-// phase Plan. It yields the campaign-wide probe total before any shard
-// schedules, so the campaign window — and with it every probe
-// timestamp and the chaos fault schedule — is identical at every shard
-// count. A retained shard (neither Stream nor Fold) is built with its
-// world here and keeps its plan; every other shard plans on a host-less
-// planner dropped after its iteration, because keeping all K planners
-// would be O(total targets).
+// Pass A (sequential) admits every shard's candidates on a host-less
+// planner, builds no world, and sums every phase's Count. It yields the
+// campaign-wide probe total before any shard plans or schedules, so the
+// campaign window — and with it every probe timestamp and the chaos
+// fault schedule — is identical at every shard count. Each planner is
+// dropped after its iteration: keeping all K would be O(total targets).
 //
 // Pass B runs runShard for every shard on a worker pool bounded by
-// MaxParallel: build and re-plan unless pass A kept the shard,
-// schedule, churn and chaos, observe, simulate, seal and partition,
-// then keep the runs in memory or spill them. Workers share no mutable
-// state: each reads frozen inputs and writes only its own result.
+// MaxParallel: build the world and admit, plan once (a total that
+// differs from the shard's count fails the run), schedule, churn and
+// chaos, observe, simulate, seal and partition, then keep the runs in
+// memory or spill them, and keep the world unless Stream or Fold is
+// set. Workers share no mutable state: each reads frozen inputs and
+// writes only its own result.
 //
 // One merge then combines the shards' scanner and resolver stats,
 // partial reductions, public DNS and invariant reports in shard order,
 // and reduces the canonically ordered buffers — merged in memory, or
 // streamed from the spilled runs — into the Report with the phases'
 // deduplicated reducer set. The same seeds produce the same Report at
-// any shard count, including 1, whether worlds are retained and runs
+// any shard count, including 1, whether worlds are kept and runs
 // spilled or not.
 func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -220,8 +220,8 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	if c == nil {
 		c = NewSurvey()
 	}
-	// Every shard's planner needs the complete IPv6 hit list before any
-	// Plan, so one dedicated view sweep derives it up front.
+	// Every shard's scanner needs the complete IPv6 hit list before any
+	// Count, so one dedicated view sweep derives it up front.
 	if cfg.Scanner.V6HitList == nil {
 		cfg.Scanner.V6HitList = V6HitList(pop)
 	}
@@ -231,29 +231,24 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	retain := !cfg.Stream && !cfg.Fold
 	shards := cfg.ShardCount()
 	parts := ditl.PartitionIndices(pop.NumASes(), shards)
 	if shards == 1 {
 		parts[0] = nil // build everything; preserves Build's fast path
 	}
 
-	// Pass A.
-	kept := make([]*Shard, shards)
+	// Pass A: count every shard's probes on a host-less planner.
+	counts := make([]int, shards)
 	probes := 0
 	var planCfg scanner.Config
 	for k, indices := range parts {
-		sh, err := newShard(pop, reg, cfg, k, indices, retain)
-		if err != nil {
-			return nil, err
-		}
-		planCfg = sh.Scanner.Cfg
+		sh := &Shard{Index: k, Scanner: scanner.NewPlanner(reg, cfg.Scanner)}
+		admit(sh.Scanner, pop, indices)
 		for _, ph := range c.Phases {
-			probes += ph.Plan(sh)
+			counts[k] += ph.Count(sh)
 		}
-		if retain {
-			kept[k] = sh
-		}
+		probes += counts[k]
+		planCfg = sh.Scanner.Cfg
 	}
 	duration := scanner.CampaignDuration(probes, planCfg.Rate)
 	var inj *chaos.Injector
@@ -284,12 +279,12 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	var wg sync.WaitGroup
 	for k := range parts {
 		wg.Add(1)
-		go func(k int, sh *Shard, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector) {
+		go func(k int, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], sh, duration, foldDir)
-		}(k, kept[k], pop, cfg, gdb, inj)
+			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], counts[k], duration, foldDir)
+		}(k, pop, cfg, gdb, inj)
 	}
 	wg.Wait()
 	for _, o := range outs {
@@ -409,7 +404,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 		ResolverStats: rstats,
 		Invariants:    inv, ChaosCrashes: chaosCrashes,
 	}
-	if retain {
+	if !cfg.Stream && !cfg.Fold {
 		result.Worlds = make([]*world.World, shards)
 		for k, o := range outs {
 			result.Worlds[k] = o.world
@@ -446,9 +441,9 @@ func shardInput(sc *scanner.Scanner, addr4, addr6 netip.Addr, reg *routing.Regis
 // shardOut is everything the merge keeps from a finished shard: the
 // scanner's result buffers, the partitioned observations, and the
 // handful of world-level scalars the merge needs. The world itself —
-// resolvers, caches, zones, and the event queue — rides along only in
-// a retained run; otherwise it is garbage the moment the shard's worker
-// returns.
+// resolvers, caches, zones, and the event queue — rides along unless
+// Stream or Fold is set; then it is garbage the moment the shard's
+// worker returns.
 type shardOut struct {
 	targets      []scanner.Target
 	hits         []scanner.Hit
@@ -461,7 +456,7 @@ type shardOut struct {
 	asPublicDNS  []netip.Addr
 	inv          world.InvariantReport
 	crashes      int
-	// world is the shard's world (retained runs only).
+	// world is the shard's world (nil under Stream or Fold).
 	world *world.World
 	// runPath is the shard's spilled sorted hit run (Fold only;
 	// targets/hits/partials above stay nil in that mode).
@@ -469,53 +464,42 @@ type shardOut struct {
 	err     error
 }
 
-// newShard admits the shard's candidates into a fresh scanner: a full
-// one over a newly built world when withWorld, else a host-less planner
-// — Plan needs only the targets, the registry, and the config. The
-// candidates stream straight off the population view into the
-// admission predicate, with no intermediate slice.
-func newShard(pop ditl.Pop, reg *routing.Registry, cfg Config, k int, indices []int, withWorld bool) (*Shard, error) {
-	sh := &Shard{Index: k}
-	if withWorld {
-		w, err := world.BuildWith(pop, reg, cfg.World, indices)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
-		if err != nil {
-			return nil, err
-		}
-		sh.World, sh.Scanner = w, sc
-	} else {
-		sh.Scanner = scanner.NewPlanner(reg, cfg.Scanner)
-	}
-	sh.Scanner.AdmitHint(pop.CandidateCount(indices))
-	ditl.EachCandidate(pop, indices, sh.Scanner.AdmitOne)
-	return sh, nil
+// admit streams the shard's candidates straight off the population
+// view into the scanner's admission predicate, with no intermediate
+// slice.
+func admit(sc *scanner.Scanner, pop ditl.Pop, indices []int) {
+	sc.AdmitHint(pop.CandidateCount(indices))
+	ditl.EachCandidate(pop, indices, sc.AdmitOne)
 }
 
-// runShard simulates one shard end to end. kept is the shard pass A
-// built and planned with its world (retained runs), or nil: then the
-// shard is built from the population view and re-planned here. Then
-// schedule, churn and chaos, observe, run, seal, partition — and, when
-// foldDir is set, spill the sealed hit run to disk and drop the
-// buffers. A retained shard's world rides out on the shardOut;
-// otherwise everything but the shardOut is garbage when it returns.
-func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, kept *Shard, duration time.Duration, foldDir string) *shardOut {
-	out := &shardOut{}
-	sh := kept
-	if sh != nil {
-		out.world = sh.World
-	} else {
-		var err error
-		if sh, err = newShard(pop, reg, cfg, k, indices, true); err != nil {
-			return &shardOut{err: err}
-		}
-		for _, ph := range c.Phases {
-			ph.Plan(sh)
-		}
+// runShard simulates one shard end to end: build its world and admit,
+// plan (which must match pass A's count), schedule, churn and chaos,
+// observe, run, seal, partition — and, when foldDir is set, spill the
+// sealed hit run to disk and drop the buffers. The world rides out on
+// the shardOut unless Stream or Fold is set; otherwise everything but
+// the shardOut is garbage when it returns.
+func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, count int, duration time.Duration, foldDir string) *shardOut {
+	w, err := world.BuildWith(pop, reg, cfg.World, indices)
+	if err != nil {
+		return &shardOut{err: err}
 	}
-	w, sc := sh.World, sh.Scanner
+	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
+	if err != nil {
+		return &shardOut{err: err}
+	}
+	sh := &Shard{Index: k, World: w, Scanner: sc}
+	admit(sc, pop, indices)
+	planned := 0
+	for _, ph := range c.Phases {
+		planned += ph.Plan(sh)
+	}
+	if planned != count {
+		return &shardOut{err: fmt.Errorf("campaign: shard %d planned %d probes but pass A counted %d", k, planned, count)}
+	}
+	out := &shardOut{}
+	if !cfg.Stream && !cfg.Fold {
+		out.world = w
+	}
 	// Phases schedule in list order, then churn and chaos, then reactive
 	// hooks arm — the same event-queue insertion order at every shard
 	// count.

@@ -15,22 +15,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// ReverseName returns the in-addr.arpa (IPv4) or ip6.arpa (IPv6)
-// name for addr.
-func ReverseName(addr netip.Addr) dnswire.Name {
-	if addr.Is4() {
-		b := addr.As4()
-		return dnswire.Name(fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa", b[3], b[2], b[1], b[0]))
-	}
-	b := addr.As16()
-	var sb strings.Builder
-	for i := 15; i >= 0; i-- {
-		fmt.Fprintf(&sb, "%x.%x.", b[i]&0xf, b[i]>>4)
-	}
-	sb.WriteString("ip6.arpa")
-	return dnswire.Name(sb.String())
-}
-
 // Client issues synchronous DNS queries from a host through a resolver,
 // driving the simulated network to completion for each query. It is
 // intended for post-survey lookups (the event queue must otherwise be
@@ -96,7 +80,7 @@ type Info struct {
 // Lookup discovers the operator contact for a resolver address: PTR
 // lookup, then an SOA walk up the returned name's domain.
 func Lookup(c *Client, addr netip.Addr) (*Info, error) {
-	resp, err := c.Query(ReverseName(addr), dnswire.TypePTR)
+	resp, err := c.Query(dnswire.ReverseName(addr), dnswire.TypePTR)
 	if err != nil {
 		return nil, err
 	}

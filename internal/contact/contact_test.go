@@ -2,33 +2,12 @@ package contact
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 	"testing"
 
 	"repro/internal/ditl"
-	"repro/internal/dnswire"
 	"repro/internal/world"
 )
-
-func TestReverseNameV4(t *testing.T) {
-	got := ReverseName(netip.MustParseAddr("198.51.100.7"))
-	if got != "7.100.51.198.in-addr.arpa" {
-		t.Fatalf("ReverseName = %q", got)
-	}
-}
-
-func TestReverseNameV6(t *testing.T) {
-	got := ReverseName(netip.MustParseAddr("2a00::1"))
-	want := "1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.a.2.ip6.arpa"
-	if string(got) != want {
-		t.Fatalf("ReverseName = %q, want %q", got, want)
-	}
-	// Must be a valid, packable DNS name.
-	if _, err := dnswire.NewQuery(1, got, dnswire.TypePTR).Pack(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestRNameToEmail(t *testing.T) {
 	if got := rnameToEmail("hostmaster.as1000.example.net"); got != "hostmaster@as1000.example.net" {

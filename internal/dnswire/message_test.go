@@ -76,6 +76,25 @@ func TestNameString(t *testing.T) {
 	}
 }
 
+func TestReverseNameV4(t *testing.T) {
+	got := ReverseName(netip.MustParseAddr("198.51.100.7"))
+	if got != "7.100.51.198.in-addr.arpa" {
+		t.Fatalf("ReverseName = %q", got)
+	}
+}
+
+func TestReverseNameV6(t *testing.T) {
+	got := ReverseName(netip.MustParseAddr("2a00::1"))
+	want := "1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.a.2.ip6.arpa"
+	if string(got) != want {
+		t.Fatalf("ReverseName = %q, want %q", got, want)
+	}
+	// Must be a valid, packable DNS name.
+	if _, err := NewQuery(1, got, TypePTR).Pack(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustPack(t *testing.T, m *Message) []byte {
 	t.Helper()
 	b, err := m.Pack()

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/netip"
 	"strings"
 )
 
@@ -36,6 +37,22 @@ var (
 // NewName builds a Name from labels, left to right.
 func NewName(labels ...string) Name {
 	return Name(strings.Join(labels, "."))
+}
+
+// ReverseName returns the in-addr.arpa (IPv4) or ip6.arpa (IPv6)
+// name for addr.
+func ReverseName(addr netip.Addr) Name {
+	if addr.Is4() {
+		b := addr.As4()
+		return Name(fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa", b[3], b[2], b[1], b[0]))
+	}
+	b := addr.As16()
+	var sb strings.Builder
+	for i := 15; i >= 0; i-- {
+		fmt.Fprintf(&sb, "%x.%x.", b[i]&0xf, b[i]>>4)
+	}
+	sb.WriteString("ip6.arpa")
+	return Name(sb.String())
 }
 
 // Labels splits the name into its labels. The root name has no labels.

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -95,7 +96,8 @@ const hotPathMarker = "//doors:hotpath"
 // autoHotPath lists functions that are hot by construction — the
 // engine's per-event, per-probe and per-row paths — keyed by package
 // path suffix. They are checked even without a //doors:hotpath marker,
-// so a refactor cannot silently drop one from the proof obligation.
+// so a refactor cannot silently drop one from the proof obligation, and
+// an entry naming no function of its package is itself reported.
 var autoHotPath = map[string][]string{
 	"internal/eventq":   {"Queue.At", "Queue.AtSeq", "Queue.After", "Queue.Step"},
 	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
@@ -103,16 +105,16 @@ var autoHotPath = map[string][]string{
 	"internal/resolver": {"ACL.Allows", "cache.flush"},
 	"internal/netsim":   {"Network.judge", "Network.dropUnbuilt", "Network.unwatched", "ingress", "pathHops"},
 	"internal/runs":     {"Merger.Next"},
-	"internal/scanner":  {"Scanner.sendNext", "Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
+	"internal/scanner":  {"Scanner.sendNext", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
 	"internal/routing":  {"SubnetOf", "SubnetCount", "SubnetAt", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},
 }
 
 // nonAllocCalls is the curated allowlist of external functions known
 // not to allocate per call. Keys are "pkgpath.Func", "pkgpath.Recv.Method",
 // or the receiver/package wildcards "pkgpath.Recv.*" / "pkgpath.*".
-// strconv's Append* family appends into a caller buffer — amortized
-// like any reuse-append. Allowlist entries double as "does not retain
-// its arguments" for the retain analyzer.
+// strconv's Append* family and netip.Addr.AppendTo append into a caller
+// buffer — amortized like any reuse-append. Allowlist entries double as
+// "does not retain its arguments" for the retain analyzer.
 var nonAllocCalls = map[string]bool{
 	"math.*":      true,
 	"math/bits.*": true,
@@ -136,6 +138,7 @@ var nonAllocCalls = map[string]bool{
 	"net/netip.Addr.Next":               true,
 	"net/netip.Addr.Prev":               true,
 	"net/netip.Addr.Zone":               true,
+	"net/netip.Addr.AppendTo":           true,
 	"net/netip.AddrFrom4":               true,
 	"net/netip.AddrFrom16":              true,
 	"net/netip.PrefixFrom":              true,
@@ -260,6 +263,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 		s.scan(fa)
 		s.markHot(fa)
 	}
+	s.reportStaleAutoMarks()
 
 	// Effect fixpoint over the package call graph: the lattice has
 	// height three and joins are monotone, so this terminates.
@@ -325,6 +329,35 @@ func (s *haState) markHot(fa *haFunc) {
 			if n == key {
 				fa.hot, fa.hotWhy = true, "auto-marked hot path"
 				return
+			}
+		}
+	}
+}
+
+// reportStaleAutoMarks reports, at the package clause, every autoHotPath
+// entry for this package that names none of its non-test functions: a
+// deleted or renamed hot path would otherwise drop its proof obligation
+// without a word.
+func (s *haState) reportStaleAutoMarks() {
+	var suffixes []string
+	for suffix := range autoHotPath {
+		if pathHasSuffix(s.pass.Pkg.Path(), suffix) {
+			suffixes = append(suffixes, suffix)
+		}
+	}
+	if len(suffixes) == 0 {
+		return
+	}
+	sort.Strings(suffixes)
+	have := make(map[string]bool, len(s.order))
+	for _, fa := range s.order {
+		have[funcKey(fa.obj)] = true
+	}
+	clause := s.pass.Files[0].Package
+	for _, suffix := range suffixes {
+		for _, name := range autoHotPath[suffix] {
+			if !have[name] {
+				s.pass.Reportf(clause, "stale autoHotPath entry %q for %s: no function of that name in this package", name, suffix)
 			}
 		}
 	}

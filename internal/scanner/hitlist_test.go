@@ -141,7 +141,9 @@ func TestSourcesForMatchesHitListScan(t *testing.T) {
 // TestSourcesForHitListOverlappingPrefixes covers what the population
 // does not: an AS whose prefixes nest, so one subnet lies in two of
 // them, and hit-list entries outside every prefix and of the other
-// family.
+// family. Caps of 1 and 3 other-prefix sources stop SourcesFor inside
+// the hit list and inside the first prefix, where the scan still lists
+// every candidate.
 func TestSourcesForHitListOverlappingPrefixes(t *testing.T) {
 	reg := routing.NewRegistry()
 	as := &routing.AS{ASN: 64500, Prefixes: []netip.Prefix{
@@ -150,18 +152,21 @@ func TestSourcesForHitListOverlappingPrefixes(t *testing.T) {
 	if err := reg.Add(as); err != nil {
 		t.Fatal(err)
 	}
-	s := NewPlanner(reg, Config{Seed: 2, V6HitList: map[netip.Prefix]bool{
+	hl := map[netip.Prefix]bool{
 		prefix("2a00:5:0:9000::/64"): true,
 		prefix("2a00:5:0:1234::/64"): true,
 		prefix("2a00:5:0:ffff::/64"): false, // listed keys count whatever their value
 		prefix("2a00:5::/64"):        true,  // the target's own subnet
 		prefix("2a00:6::/64"):        true,
 		prefix("5.1.0.0/24"):         true,
-	}})
-	for _, a := range []string{"2a00:5::53", "2a00:5:0:9000::1", "5.1.1.7"} {
-		tgt := Target{Addr: addr(a), ASN: 64500}
-		if got, want := s.SourcesFor(tgt), sourcesForScan(s, tgt); !slices.Equal(got, want) {
-			t.Fatalf("target %v: SourcesFor\n%v\nscan\n%v", tgt.Addr, got, want)
+	}
+	for _, maxOther := range []int{0, 1, 3} {
+		s := NewPlanner(reg, Config{Seed: 2, MaxOtherPrefix: maxOther, V6HitList: hl})
+		for _, a := range []string{"2a00:5::53", "2a00:5:0:9000::1", "5.1.1.7"} {
+			tgt := Target{Addr: addr(a), ASN: 64500}
+			if got, want := s.SourcesFor(tgt), sourcesForScan(s, tgt); !slices.Equal(got, want) {
+				t.Fatalf("MaxOtherPrefix %d, target %v: SourcesFor\n%v\nscan\n%v", maxOther, tgt.Addr, got, want)
+			}
 		}
 	}
 }

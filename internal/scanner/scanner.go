@@ -264,21 +264,14 @@ func (st *Stats) Add(o Stats) {
 	st.PartialHitsObserved += o.PartialHitsObserved
 }
 
-// probePlan is one target's precomputed probe set: its spoofed sources,
-// their DNS-label encodings, and the wire-encoded constant tail of the
-// probe name (dst.asn.kw.zone) that every probe to this target shares.
+// probePlan is one target's precomputed probe set, its spoofed sources,
+// and the probe cursor Schedule arms: the target's phase in the window,
+// the next source to send, that send's reserved schedule-order number,
+// and the one event that sends and re-arms.
 type probePlan struct {
 	target  Target
 	sources []netip.Addr
-	// srcLabels packs the sources' labels in wire form, each behind its
-	// length byte; source j's starts at labelAt[j].
-	srcLabels []byte
-	labelAt   []uint32
-	nameTail  []byte // wire form incl. terminal root byte; nil = slow path
 
-	// The probe cursor Schedule arms: the target's phase in the window,
-	// the next source to send, that send's reserved schedule-order
-	// number, and the one event that sends and re-arms.
 	phase float64
 	next  int
 	seq   uint64
@@ -312,13 +305,20 @@ type Scanner struct {
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
-	nameBuf  []byte              // scratch: wire-form probe name
-	msgBuf   []byte              // scratch: packed query message
-	kwTails  [ProbeTC + 1][]byte // wire-form keyword.zone per kind (kindTail)
+	nameBuf  []byte // scratch: wire-form probe name
+	msgBuf   []byte // scratch: packed query message
+	// tails holds the wire form of keyword.zone per probe kind, encoded
+	// once by New; nil when the keyword makes no valid name.
+	tails [ProbeTC + 1][]byte
 
 	// hitList is Cfg.V6HitList's subnets in address order, built on the
 	// first IPv6 SourcesFor; the hit list must not change after that.
 	hitList []netip.Prefix
+	// SourcesFor's scratch, reused across targets: the subnets already
+	// drawn from, the hit-listed candidates, and the sources themselves.
+	seen map[netip.Prefix]bool
+	hot  []netip.Prefix
+	srcs []netip.Addr
 }
 
 // New creates a scanner on host (whose AS must lack OSAV) monitoring
@@ -339,12 +339,15 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 		}
 		a.OnQuery = s.monitor
 	}
+	for k := range s.tails {
+		s.tails[k], _ = dnswire.AppendName(nil, dnswire.Name(s.Cfg.Keyword)+"."+zoneFor(ProbeKind(k)))
+	}
 	return s, nil
 }
 
-// NewPlanner creates a host-less scanner usable only for Admit and
-// Plan — the world-free probe-count pass of a streaming campaign.
-// Plan depends solely on the admitted targets, the registry, and the
+// NewPlanner creates a host-less scanner usable only for Admit, Count
+// and Plan — the campaign runner's world-free counting pass. Count and
+// Plan depend solely on the admitted targets, the registry, and the
 // config, so a planner's probe count (and per-target source plans)
 // matches the full scanner's exactly; Schedule and the auth-log
 // monitor need a built world and must go through New.
@@ -470,10 +473,11 @@ func (s *Scanner) targetRand(a netip.Addr) *rand.Rand {
 }
 
 // hotSubnets returns the hit-listed subnets inside prefixes other than
-// own, in address order; a subnet inside two nested prefixes appears
-// twice. Each prefix's subnets are one contiguous run of the sorted hit
-// list, found by binary search, so a target costs
-// O(prefixes · log list + hits) rather than a pass over the list.
+// own, in address order, in the scanner's scratch; a subnet inside two
+// nested prefixes appears twice. Each prefix's subnets are one
+// contiguous run of the sorted hit list, found by binary search, so a
+// target costs O(prefixes · log list + hits) rather than a pass over
+// the list.
 func (s *Scanner) hotSubnets(prefixes []netip.Prefix, own netip.Prefix) []netip.Prefix {
 	if s.hitList == nil {
 		s.hitList = make([]netip.Prefix, 0, len(s.Cfg.V6HitList))
@@ -482,7 +486,7 @@ func (s *Scanner) hotSubnets(prefixes []netip.Prefix, own netip.Prefix) []netip.
 		}
 		slices.SortFunc(s.hitList, comparePrefix)
 	}
-	var hot []netip.Prefix
+	hot := s.hot[:0]
 	for _, p := range prefixes {
 		first := p.Masked().Addr()
 		i, _ := slices.BinarySearchFunc(s.hitList, first, func(sub netip.Prefix, a netip.Addr) int {
@@ -495,6 +499,7 @@ func (s *Scanner) hotSubnets(prefixes []netip.Prefix, own netip.Prefix) []netip.
 		}
 	}
 	slices.SortFunc(hot, comparePrefix) // runs of unordered or nested prefixes interleave
+	s.hot = hot
 	return hot
 }
 
@@ -508,12 +513,14 @@ func comparePrefix(a, b netip.Prefix) int {
 
 // SourcesFor generates the spoofed sources for a target (§3.2): up to
 // MaxOtherPrefix other-prefix addresses, one same-prefix address, the
-// private/unique-local address, the target itself, and loopback.
+// private/unique-local address, the target itself, and loopback. The
+// slice is the scanner's scratch, valid until its next SourcesFor call.
 func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	as := s.Reg.AS(t.ASN)
 	v6 := t.Addr.Is6()
 	rng := s.targetRand(t.Addr)
-	sources := make([]netip.Addr, 0, s.Cfg.MaxOtherPrefix+4)
+	limit := s.Cfg.MaxOtherPrefix
+	sources := s.srcs[:0]
 
 	own := routing.SubnetOf(t.Addr)
 	var prefixes []netip.Prefix
@@ -522,32 +529,32 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	} else {
 		prefixes = as.V4Prefixes()
 	}
-	// Candidate subnets: for IPv6, hit-listed /64s come first (§3.2:
-	// preference for prefixes with observed activity — the hit list can
-	// name /64s far beyond what blind low-to-high enumeration reaches).
-	var candidates []netip.Prefix
-	seen := make(map[netip.Prefix]bool)
+	// Candidate subnets, one source drawn from each until the cap: for
+	// IPv6, hit-listed /64s come first (§3.2: preference for prefixes with
+	// observed activity — the hit list can name /64s far beyond what
+	// blind low-to-high enumeration reaches).
+	if s.seen == nil {
+		s.seen = make(map[netip.Prefix]bool)
+	}
+	clear(s.seen)
 	if v6 && len(s.Cfg.V6HitList) > 0 {
 		for _, sub := range s.hotSubnets(prefixes, own) {
-			if !seen[sub] {
-				seen[sub] = true
-				candidates = append(candidates, sub)
+			if len(sources) == limit {
+				break
+			}
+			if !s.seen[sub] {
+				s.seen[sub] = true
+				sources = append(sources, routing.RandomHostAddr(sub, rng))
 			}
 		}
 	}
 	for _, p := range prefixes {
-		for j, n := 0, routing.SubnetCount(p, s.Cfg.MaxOtherPrefix+1); j < n; j++ {
-			if sub := routing.SubnetAt(p, j); sub != own && !seen[sub] {
-				seen[sub] = true
-				candidates = append(candidates, sub)
+		for j, n := 0, routing.SubnetCount(p, limit+1); j < n && len(sources) < limit; j++ {
+			if sub := routing.SubnetAt(p, j); sub != own && !s.seen[sub] {
+				s.seen[sub] = true
+				sources = append(sources, routing.RandomHostAddr(sub, rng))
 			}
 		}
-	}
-	for _, sub := range candidates {
-		if len(sources) >= s.Cfg.MaxOtherPrefix {
-			break
-		}
-		sources = append(sources, routing.RandomHostAddr(sub, rng))
 	}
 
 	// Same prefix, distinct from the target itself.
@@ -570,45 +577,32 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	} else {
 		sources = append(sources, netip.MustParseAddr("127.0.0.1"))
 	}
+	s.srcs = sources
 	return sources
 }
 
-// Plan computes every admitted target's spoofed-source set and probe-
-// name skeleton, returning the number of probes this scanner will send.
-// A sharded survey calls Plan on every shard first, sums the totals
-// into one campaign duration, and only then calls Schedule — so probe
-// timestamps depend on the global campaign, not the shard split.
+// Count returns the number of probes Plan would schedule for the
+// admitted targets, keeping no plan. The campaign runner sums every
+// shard's Count into the campaign window before any shard plans.
+func (s *Scanner) Count() int {
+	n := 0
+	for _, t := range s.Targets {
+		n += len(s.SourcesFor(t))
+	}
+	return n
+}
+
+// Plan computes every admitted target's spoofed-source set, returning
+// the number of probes this scanner will send (Count's total). Schedule
+// then spreads them over the campaign window derived from every shard's
+// Count, so probe timestamps depend on the global campaign, not the
+// shard split.
 func (s *Scanner) Plan() int {
 	s.plans = make([]probePlan, 0, len(s.Targets))
 	total := 0
-	var labels []byte // reused across targets, then copied exactly
 	for _, t := range s.Targets {
-		srcs := s.SourcesFor(t)
-		at := make([]uint32, len(srcs))
-		labels = labels[:0]
-		maxLabel := 0
-		for i, src := range srcs {
-			at[i] = uint32(len(labels))
-			labels = AppendAddrLabel(append(labels, 0), src)
-			n := len(labels) - int(at[i]) - 1
-			labels[at[i]] = byte(n)
-			maxLabel = max(maxLabel, n)
-		}
-		// Wire-encode the constant name tail once per target. All main
-		// probes to this target splice ts and source labels in front of
-		// it, skipping string building and message packing per probe.
-		tailName := dnswire.NewName(
-			EncodeAddr(t.Addr),
-			strconv.FormatUint(uint64(t.ASN), 10),
-			s.Cfg.Keyword,
-		) + "." + zoneFor(ProbeMain)
-		tail, err := dnswire.AppendName(nil, tailName)
-		// Worst-case probe name: 1+20 (ts label) + 1+maxLabel + tail.
-		if err != nil || 22+maxLabel+len(tail) > 255 {
-			tail = nil // fall back to the allocating path
-		}
-		s.plans = append(s.plans, probePlan{target: t, sources: srcs,
-			srcLabels: slices.Clone(labels), labelAt: at, nameTail: tail})
+		srcs := slices.Clone(s.SourcesFor(t))
+		s.plans = append(s.plans, probePlan{target: t, sources: srcs})
 		total += len(srcs)
 	}
 	if s.Hits == nil {
@@ -671,7 +665,7 @@ func (s *Scanner) sendNext(now time.Duration, pi int) {
 		p.seq++
 		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
 	}
-	s.sendPlanned(now, pi, j)
+	s.SendProbe(now, p.sources[j], p.target, ProbeMain)
 }
 
 // ScheduleAll schedules every probe, deriving the campaign duration from
@@ -703,42 +697,22 @@ func (s *Scanner) probeIDs(now time.Duration, src, dst netip.Addr, kind ProbeKin
 	return txn, sport
 }
 
-// sendPlanned emits one planned main probe, splicing its timestamp and
-// source labels onto the plan's precomputed name tail.
-//
-//doors:hotpath
-func (s *Scanner) sendPlanned(now time.Duration, pi, j int) {
-	p := &s.plans[pi]
-	t := p.target
-	if p.nameTail == nil {
-		//lint:allow hotalloc -- fallback for plans without a precompiled name skeleton; rare by construction, and SendProbe's allocations are its own
-		s.SendProbe(now, p.sources[j], t, ProbeMain)
-		return
-	}
-	if s.optedOut(t.Addr) {
-		return
-	}
-	at := p.labelAt[j]
-	nb := appendTSLabel(s.nameBuf[:0], now)
-	nb = append(nb, p.srcLabels[at:at+1+uint32(p.srcLabels[at])]...)
-	nb = append(nb, p.nameTail...)
-	s.nameBuf = nb
-	s.send(now, p.sources[j], t, ProbeMain)
-}
-
 // SendProbe emits one spoofed-source (or, for a real-source probe like
 // the open-resolver check, unspoofed) DNS query at virtual time now.
-// This is the general path used by follow-up probes and by campaign
-// phases that schedule their own probe sets; scheduled main probes go
-// through sendPlanned. Both write the query name straight to wire form,
-// the bytes EncodeQName packed by dnswire would give. IDs and the
-// encoded name derive from the probe's identity, so the emission is
-// shard-invariant.
+// Scheduled main probes, follow-ups and campaign phases that schedule
+// their own probe sets all send through it. It writes the query name
+// straight to wire form, the bytes EncodeQName packed by dnswire would
+// give. IDs and the encoded name derive from the probe's identity, so
+// the emission is shard-invariant.
 func (s *Scanner) SendProbe(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	if s.optedOut(t.Addr) {
 		return
 	}
-	tail := s.kindTail(kind)
+	zone := kind
+	if zone < ProbeMain || zone > ProbeTC {
+		zone = ProbeMain // zoneFor's default zone
+	}
+	tail := s.tails[zone]
 	if tail == nil {
 		return
 	}
@@ -782,19 +756,6 @@ func appendAddrWire(b []byte, a netip.Addr) []byte {
 	b = AppendAddrLabel(b, a)
 	b[at] = byte(len(b) - at - 1)
 	return b
-}
-
-// kindTail returns the wire form of keyword.zone, the tail every probe
-// of kind shares, or nil when the keyword makes no valid name. Each is
-// encoded once; the keyword must not change after the first probe.
-func (s *Scanner) kindTail(kind ProbeKind) []byte {
-	if kind < ProbeMain || kind > ProbeTC {
-		kind = ProbeMain // zoneFor's default zone
-	}
-	if s.kwTails[kind] == nil {
-		s.kwTails[kind], _ = dnswire.AppendName(nil, dnswire.Name(s.Cfg.Keyword)+"."+zoneFor(kind))
-	}
-	return s.kwTails[kind]
 }
 
 // send packs the query for the name in nameBuf and sends it from src to

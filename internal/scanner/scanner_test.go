@@ -510,13 +510,16 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 		}
 	}
 
-	s.Cfg.Keyword = strings.Repeat("k", 64)
-	s.kwTails = [len(s.kwTails)][]byte{}
-	s.SendProbe(time.Second, s.plans[0].sources[0], s.Targets[0], ProbeV4)
-	if _, err := dnswire.NewQuery(1, EncodeQName(time.Second, s.plans[0].sources[0], s.Targets[0].Addr, 64500, s.Cfg.Keyword, ProbeV4), dnswire.TypeA).Pack(); err == nil {
+	long, err := New(host, addr("198.51.100.1"), netip.Addr{}, reg, nil, Config{Seed: 7, Keyword: strings.Repeat("k", 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(got)
+	long.SendProbe(time.Second, s.plans[0].sources[0], s.Targets[0], ProbeV4)
+	if _, err := dnswire.NewQuery(1, EncodeQName(time.Second, s.plans[0].sources[0], s.Targets[0].Addr, 64500, long.Cfg.Keyword, ProbeV4), dnswire.TypeA).Pack(); err == nil {
 		t.Fatal("a 64-octet keyword label packed")
 	}
-	if s.Stats.ProbesSent != uint64(len(got)) {
-		t.Fatalf("an unpackable probe counted as sent: %d, want %d", s.Stats.ProbesSent, len(got))
+	if long.Stats.ProbesSent != 0 || len(got) != before {
+		t.Fatalf("an unpackable probe was sent: %d datagrams (want %d), ProbesSent %d", len(got), before, long.Stats.ProbesSent)
 	}
 }

@@ -11,7 +11,6 @@ package world
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 	"time"
 
 	"repro/internal/authserver"
@@ -351,14 +350,11 @@ func (w *World) cacheObs() resolver.CacheObserver {
 	return w.Invariants
 }
 
-// addr4 and addr6 derive stable infrastructure addresses.
-func addrAt4(p netip.Prefix, off uint64) netip.Addr { return routing.AddrAt(p, off) }
-
 func (w *World) buildInfra(as *routing.AS, opts Options) error {
-	rootA4, rootA6 := addrAt4(infraPrefix4, 1), routing.AddrAt(infraPrefix6, 1)
-	orgA4, orgA6 := addrAt4(infraPrefix4, 2), routing.AddrAt(infraPrefix6, 2)
-	ns1A4, ns1A6 := addrAt4(infraPrefix4, 3), routing.AddrAt(infraPrefix6, 3)
-	nsV4 := addrAt4(infraPrefix4, 4)
+	rootA4, rootA6 := routing.AddrAt(infraPrefix4, 1), routing.AddrAt(infraPrefix6, 1)
+	orgA4, orgA6 := routing.AddrAt(infraPrefix4, 2), routing.AddrAt(infraPrefix6, 2)
+	ns1A4, ns1A6 := routing.AddrAt(infraPrefix4, 3), routing.AddrAt(infraPrefix6, 3)
+	nsV4 := routing.AddrAt(infraPrefix4, 4)
 	nsV6 := routing.AddrAt(infraPrefix6, 5)
 
 	soa := dnswire.SOAData{
@@ -462,7 +458,7 @@ func PublishesPTR(spec *ditl.ResolverSpec) bool { return spec.Index%10 < 7 }
 // streaming survey this is what keeps reverse-DNS state O(shard)
 // instead of O(population).
 func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) error {
-	addr := addrAt4(infraPrefix4, 6)
+	addr := routing.AddrAt(infraPrefix4, 6)
 	host, err := w.Net.Attach("rdns", as, addr)
 	if err != nil {
 		return err
@@ -486,13 +482,13 @@ func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) e
 			target := dnswire.Name(fmt.Sprintf("r%d.%s", rs.Index, string(domain)))
 			if rs.HasV4() {
 				v4rev.AddRecord(dnswire.RR{
-					Name: contactReverse(rs.Addr4), Type: dnswire.TypePTR,
+					Name: dnswire.ReverseName(rs.Addr4), Type: dnswire.TypePTR,
 					Class: dnswire.ClassIN, TTL: 3600, Target: target,
 				})
 			}
 			if rs.HasV6() {
 				v6rev.AddRecord(dnswire.RR{
-					Name: contactReverse(rs.Addr6), Type: dnswire.TypePTR,
+					Name: dnswire.ReverseName(rs.Addr6), Type: dnswire.TypePTR,
 					Class: dnswire.ClassIN, TTL: 3600, Target: target,
 				})
 			}
@@ -522,7 +518,7 @@ func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) e
 }
 
 func (w *World) buildScanner(as *routing.AS) error {
-	w.ScannerAddr4 = addrAt4(scannerPrefix4, 10)
+	w.ScannerAddr4 = routing.AddrAt(scannerPrefix4, 10)
 	w.ScannerAddr6 = routing.AddrAt(scannerPrefix6, 10)
 	h, err := w.Net.Attach("scanner", as, w.ScannerAddr4, w.ScannerAddr6)
 	if err != nil {
@@ -534,7 +530,7 @@ func (w *World) buildScanner(as *routing.AS) error {
 
 func (w *World) buildPublicDNS(as *routing.AS) error {
 	for i := 0; i < 2; i++ {
-		a4 := addrAt4(publicPrefix4, uint64(1+i))
+		a4 := routing.AddrAt(publicPrefix4, uint64(1+i))
 		a6 := routing.AddrAt(publicPrefix6, uint64(1+i))
 		h, err := w.Net.Attach(fmt.Sprintf("public-dns-%d", i), as, a4, a6)
 		if err != nil {
@@ -570,7 +566,7 @@ func (w *World) publicFor(i int, asn routing.ASN) ([]netip.Addr, error) {
 	addrs := make([]netip.Addr, 0, 4)
 	for j := 0; j < 2; j++ {
 		off := uint64(1000 + 2*i + j)
-		a4 := addrAt4(publicPrefix4, off)
+		a4 := routing.AddrAt(publicPrefix4, off)
 		a6 := routing.AddrAt(publicPrefix6, off)
 		h, err := w.Net.Attach(fmt.Sprintf("public-dns-as%d-%d", asn, j), w.publicAS, a4, a6)
 		if err != nil {
@@ -600,7 +596,7 @@ func (w *World) thirdFor(i int, asn routing.ASN) (netip.Addr, error) {
 	if got, ok := w.asThird[asn]; ok {
 		return got, nil
 	}
-	a4 := addrAt4(thirdPrefix4, uint64(1000+i))
+	a4 := routing.AddrAt(thirdPrefix4, uint64(1000+i))
 	h, err := w.Net.Attach(fmt.Sprintf("third-party-dns-as%d", asn), w.thirdAS, a4)
 	if err != nil {
 		return netip.Addr{}, err
@@ -862,20 +858,4 @@ func (w *World) wireIDS() {
 			})
 		})
 	}
-}
-
-// contactReverse mirrors contact.ReverseName without importing the
-// contact package (avoiding an import cycle in tests).
-func contactReverse(addr netip.Addr) dnswire.Name {
-	if addr.Is4() {
-		b := addr.As4()
-		return dnswire.Name(fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa", b[3], b[2], b[1], b[0]))
-	}
-	b := addr.As16()
-	var sb strings.Builder
-	for i := 15; i >= 0; i-- {
-		fmt.Fprintf(&sb, "%x.%x.", b[i]&0xf, b[i]>>4)
-	}
-	sb.WriteString("ip6.arpa")
-	return dnswire.Name(sb.String())
 }
