@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/campaign"
 	"repro/internal/ditl"
 	"repro/internal/scanner"
 	"repro/internal/world"
@@ -177,7 +176,7 @@ func TestOptOutSuppressesProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Admit(campaign.CandidateAddrs(pop, nil))
+	ditl.EachCandidate(pop, nil, sc.AdmitOne)
 
 	// The operator of the first no-DSAV AS requests removal mid-setup.
 	var optedOut *ditl.ASSpec

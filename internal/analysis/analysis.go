@@ -43,25 +43,28 @@ type Input struct {
 	FollowUpCount int
 	FPDB          *fingerprint.DB
 	Bands         []stats.Band
-	// Stream, when non-nil, supplies the merged observation streams in
-	// place of the Hits/Targets slices — the fold engine's external
-	// merge. Reducers never notice the difference: they read both
-	// through the Context's eachHit/eachTarget accessors.
+	// Stream, when non-nil, supplies the merged hit stream in place of
+	// the Hits slice — the fold engine's external merge. Reducers never
+	// notice the difference: they read either through the Context's
+	// eachHit accessor.
 	Stream *Streams
 }
 
 // Streams are re-drainable observation sources for a Context whose
-// Input carries no materialized slices. Each call must replay the full
-// canonical sequence — the merged hit stream in LessHit order, the
-// merged target list in population order — because independent reducers
-// each drain their own pass. The yielded *scanner.Hit is only valid for
-// the duration of the yield call; a consumer that keeps a hit must copy
-// the value (the sources reuse decode state between items). Partials
-// have no stream: Partition folds each shard's partials into the
-// QNAME-minimization sets below, so no reducer reads raw partials after
-// the per-shard stage.
+// Input carries no materialized slices. Hits must replay the full
+// merged hit stream in LessHit order on every call, because independent
+// reducers each drain their own pass. The yielded *scanner.Hit is only
+// valid for the duration of the yield call; a consumer that keeps a hit
+// must copy the value (the sources reuse decode state between items).
+// Partials have no stream: Partition folds each shard's partials into
+// the QNAME-minimization sets below, so no reducer reads raw partials
+// after the per-shard stage.
 type Streams struct {
-	Hits    func(yield func(h *scanner.Hit)) error
+	Hits func(yield func(h *scanner.Hit)) error
+	// Targets is read by no reducer: Partition counts each shard's
+	// targets per AS and family, and the reduce reads those counts. It
+	// stays only for perfbench's traced replay (perfbench/replay.go),
+	// which still sets it, and goes with that file.
 	Targets func(yield func(t scanner.Target)) error
 }
 
@@ -274,14 +277,18 @@ func (in Input) withDefaults() Input {
 // writes its own disjoint slice of the Report and a campaign may run
 // any subset of reducers in any order.
 //
-// Everything in a merged Context is sized by the *results*, never the
-// survey: reachable and late are keyed by observed targets, and the
-// QNAME-minimization sets by observed clients and ASes. The full target
-// list and the hit log are read through eachTarget/eachHit, which walk
-// either the Input's slices or, in the fold engine, the re-drainable
-// merged streams — so the final reduce holds no O(total targets) state.
+// Everything in a merged Context is sized by the *results* or the
+// ASes, never the targets: reachable and late are keyed by observed
+// targets, the QNAME-minimization sets by observed clients and ASes,
+// and the target counts by AS. The hit log is read through eachHit,
+// which walks either the Input's slice or, in the fold engine, the
+// re-drainable merged stream — so the final reduce holds no O(total
+// targets) state and replays no target list.
 type Context struct {
 	in Input
+	// targets counts the admitted targets of each AS by family, from
+	// the Input's target list (summed over shards by MergeContexts).
+	targets map[routing.ASN]familyCounts
 	// reachable maps each reachable target (≥1 timely spoofed full-name
 	// hit) to its compact observation record.
 	reachable map[netip.Addr]targetObs
@@ -313,21 +320,6 @@ func (c *Context) eachHit(fn func(h *scanner.Hit)) {
 	}
 	for i := range c.in.Hits {
 		fn(&c.in.Hits[i])
-	}
-}
-
-// eachTarget drives fn over the admitted target list in population
-// order: the Input's slice when materialized, else the fold engine's
-// view-derived stream.
-func (c *Context) eachTarget(fn func(t scanner.Target)) {
-	if st := c.in.Stream; st != nil && st.Targets != nil {
-		if err := st.Targets(fn); err != nil && c.srcErr == nil {
-			c.srcErr = err
-		}
-		return
-	}
-	for _, t := range c.in.Targets {
-		fn(t)
 	}
 }
 
@@ -394,18 +386,27 @@ func Analyze(in Input) *Report {
 	return r
 }
 
-// Partition applies defaults and folds the hit and partial logs into
-// the compact per-target observation maps — the shared state the
-// reducers consume. The target-ASN index and the per-target scratch
-// maps it needs are transient: they are sized by this shard's slice of
-// the survey and become garbage when Partition returns, leaving only
-// result-sized state on the Context.
+// Partition applies defaults, counts the target list per AS and family,
+// and folds the hit and partial logs into the compact per-target
+// observation maps — the shared state the reducers consume. The
+// target-ASN index and the per-target scratch maps it needs are
+// transient: they are sized by this shard's slice of the survey and
+// become garbage when Partition returns, leaving only result- and
+// AS-sized state on the Context.
 func Partition(in Input) *Context {
 	in = in.withDefaults()
 
 	targetASN := make(map[netip.Addr]routing.ASN, len(in.Targets))
+	targets := make(map[routing.ASN]familyCounts)
 	for _, t := range in.Targets {
 		targetASN[t.Addr] = t.ASN
+		n := targets[t.ASN]
+		if t.Addr.Is4() {
+			n.v4++
+		} else {
+			n.v6++
+		}
+		targets[t.ASN] = n
 	}
 
 	// Partition hits: valid (spoofed, timely, aimed at a known target),
@@ -484,23 +485,23 @@ func Partition(in Input) *Context {
 		}
 	}
 
-	return &Context{in: in, reachable: reachable, late: late, qminClients: qminClients, qminASNs: qminASNs}
+	return &Context{in: in, targets: targets, reachable: reachable, late: late, qminClients: qminClients, qminASNs: qminASNs}
 }
 
 // MergeContexts combines per-shard Partition outputs into one Context
 // over the canonically merged Input. Shards hold disjoint target sets
 // and every per-target fold in Partition is commutative and idempotent
-// (set inserts, bool ors), so unioning the per-shard maps reproduces
-// exactly the Context a single Partition over the merged input would
-// build — which is what lets the campaign runner reduce each shard's
-// observations as soon as that shard finishes and discard its world.
+// (set inserts, bool ors), and per-AS target counts add, so combining
+// the per-shard maps reproduces exactly the Context a single Partition
+// over the merged input would build — which is what lets the campaign
+// runner reduce each shard's observations as soon as that shard
+// finishes and discard its world.
 //
-// The division of labor with internal/runs: the *ordered* halves of the
-// old merged Input — the hit log and the target list — are merged by
-// the runner's k-way run merge (in memory, or streamed off spilled run
-// files in the fold engine) and reach the reducers through
-// eachHit/eachTarget; MergeContexts itself unions only the unordered,
-// result-sized per-target state. Nothing here is proportional to the
+// The division of labor with internal/runs: the *ordered* hit log is
+// merged by the runner's k-way run merge (in memory, or streamed off
+// spilled run files in the fold engine) and reaches the reducers
+// through eachHit; MergeContexts itself combines only the unordered
+// per-target and per-AS state. Nothing here is proportional to the
 // survey's target count.
 func MergeContexts(in Input, parts []*Context) *Context {
 	in = in.withDefaults()
@@ -508,8 +509,9 @@ func MergeContexts(in Input, parts []*Context) *Context {
 		parts[0].in = in
 		return parts[0]
 	}
-	nReach, nLate, nQC, nQA := 0, 0, 0, 0
+	nASes, nReach, nLate, nQC, nQA := 0, 0, 0, 0, 0
 	for _, p := range parts {
+		nASes += len(p.targets)
 		nReach += len(p.reachable)
 		nLate += len(p.late)
 		nQC += len(p.qminClients)
@@ -517,12 +519,19 @@ func MergeContexts(in Input, parts []*Context) *Context {
 	}
 	merged := &Context{
 		in:          in,
+		targets:     make(map[routing.ASN]familyCounts, nASes),
 		reachable:   make(map[netip.Addr]targetObs, nReach),
 		late:        make(map[netip.Addr]routing.ASN, nLate),
 		qminClients: make(map[netip.Addr]bool, nQC),
 		qminASNs:    make(map[routing.ASN]bool, nQA),
 	}
 	for _, p := range parts {
+		for asn, n := range p.targets {
+			m := merged.targets[asn]
+			m.v4 += n.v4
+			m.v6 += n.v6
+			merged.targets[asn] = m
+		}
 		for a, o := range p.reachable {
 			merged.reachable[a] = o
 		}
@@ -599,6 +608,9 @@ type targetObs struct {
 	cats uint8
 	open bool
 }
+
+// familyCounts is one AS's admitted target count per address family.
+type familyCounts struct{ v4, v6 int }
 
 // catBit maps a spoofed-source category to its bit (the category
 // constants are small consecutive ints; CatNotSpoofed is never stored).

@@ -13,19 +13,18 @@ import (
 
 func computeHeadline(c *Context, r *Report) {
 	reachable := c.reachable
-	asSeen4 := make(map[routing.ASN]bool)
-	asSeen6 := make(map[routing.ASN]bool)
 	asReach4 := make(map[routing.ASN]bool)
 	asReach6 := make(map[routing.ASN]bool)
-	c.eachTarget(func(t scanner.Target) {
-		if t.Addr.Is4() {
-			r.V4.Targets++
-			asSeen4[t.ASN] = true
-		} else {
-			r.V6.Targets++
-			asSeen6[t.ASN] = true
+	for _, n := range c.targets {
+		r.V4.Targets += n.v4
+		r.V6.Targets += n.v6
+		if n.v4 > 0 {
+			r.V4.ASes++
 		}
-	})
+		if n.v6 > 0 {
+			r.V6.ASes++
+		}
+	}
 	for a, o := range reachable {
 		if a.Is4() {
 			r.V4.ReachableAddrs++
@@ -35,7 +34,6 @@ func computeHeadline(c *Context, r *Report) {
 			asReach6[o.asn] = true
 		}
 	}
-	r.V4.ASes, r.V6.ASes = len(asSeen4), len(asSeen6)
 	r.V4.ReachableASes, r.V6.ReachableASes = len(asReach4), len(asReach6)
 }
 
@@ -44,12 +42,10 @@ func computeCountries(c *Context, r *Report) {
 	if in.Geo == nil {
 		return
 	}
-	perAS := make(map[routing.ASN]geo.ASStat)
-	c.eachTarget(func(t scanner.Target) {
-		st := perAS[t.ASN]
-		st.Targets++
-		perAS[t.ASN] = st
-	})
+	perAS := make(map[routing.ASN]geo.ASStat, len(c.targets))
+	for asn, n := range c.targets {
+		perAS[asn] = geo.ASStat{Targets: n.v4 + n.v6}
+	}
 	for _, o := range reachable {
 		st := perAS[o.asn]
 		st.ReachableAddrs++

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +169,47 @@ func TestRunnerRejectsMiscountedPlan(t *testing.T) {
 	}
 }
 
+// countingPop counts how often each AS is synthesized: every EachAS
+// visit of the population it wraps, from any goroutine.
+type countingPop struct {
+	ditl.Pop
+	visits []atomic.Int32
+}
+
+func (p *countingPop) EachAS(indices []int, fn func(i int, as *ditl.ASSpec)) {
+	p.Pop.EachAS(indices, func(i int, as *ditl.ASSpec) {
+		p.visits[i].Add(1)
+		fn(i, as)
+	})
+}
+
+// TestRunSynthesizesEachASThreeTimes pins the runner's sweep budget:
+// every AS is synthesized exactly three times per Run — the setup sweep
+// (registry, geo database, IPv6 hit list), pass A's admission, and pass
+// B's world build with its admission — for both built-in campaigns, in
+// every engine mode, at K=1, 2 and 8. The fold reduce replays none.
+func TestRunSynthesizesEachASThreeTimes(t *testing.T) {
+	view := ditl.NewView(ditl.Params{Seed: 3, ASes: 12})
+	for _, c := range []*Campaign{NewSurvey(), NewInboundSAV()} {
+		for _, mode := range engineModes {
+			for _, k := range []int{1, 2, 8} {
+				pop := &countingPop{Pop: view, visits: make([]atomic.Int32, view.NumASes())}
+				cfg := tinyConfig()
+				cfg.Campaign, cfg.Shards, cfg.MaxParallel = c, k, 2
+				cfg.Stream, cfg.Fold = mode.stream, mode.fold
+				if _, err := Run(pop, cfg); err != nil {
+					t.Fatal(err)
+				}
+				for i := range pop.visits {
+					if n := pop.visits[i].Load(); n != 3 {
+						t.Fatalf("%s, %s, K=%d: AS %d synthesized %d times, want 3", c.Name, mode.name, k, i, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestReduceMergeDeduplicates pins the reduce-merge rule: phases
 // sharing a reducer name run it exactly once — reducers accumulate
 // into Report counters, so a duplicate run would double-count.
@@ -276,10 +318,10 @@ func TestSAVSourceIsInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked, v6, fallbacks := 0, 0, 0
-	for _, a := range CandidateAddrs(pop, nil) {
+	ditl.EachCandidate(pop, nil, func(a netip.Addr) {
 		as := reg.OriginOf(a)
 		if as == nil {
-			continue
+			return
 		}
 		tgt := scanner.Target{Addr: a, ASN: as.ASN}
 		src, ok := savSourceFor(reg, tgt, 2)
@@ -288,7 +330,7 @@ func TestSAVSourceIsInternal(t *testing.T) {
 			t.Fatalf("source for %v = %v, %v; the candidate slice picks %v, %v", a, src, ok, want, wantOK)
 		}
 		if !ok {
-			continue
+			return
 		}
 		if a.Is6() {
 			v6++
@@ -306,7 +348,7 @@ func TestSAVSourceIsInternal(t *testing.T) {
 			t.Fatalf("source pick for %v not stable: %v then %v", a, src, again)
 		}
 		checked++
-	}
+	})
 	t.Logf("checked %d targets: %d IPv6, %d same-subnet fallbacks", checked, v6, fallbacks)
 	if checked == 0 || v6 == 0 || fallbacks == 0 {
 		t.Fatalf("checked %d targets, %d IPv6 and %d same-subnet fallbacks; want some of each", checked, v6, fallbacks)

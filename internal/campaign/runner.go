@@ -182,13 +182,19 @@ type Result struct {
 	ChaosCrashes int
 }
 
-// Run executes cfg.Campaign over the population as one pipeline of
-// pass A, pass B and a merge. A nil cfg.Campaign runs the default
-// survey campaign.
+// Run executes cfg.Campaign over the population as one pipeline of a
+// setup sweep, pass A, pass B and a merge. A nil cfg.Campaign runs the
+// default survey campaign.
 //
 // The population's ASes are partitioned into contiguous shards, each
 // simulated in its own world (own event queue, own scanner instance)
-// over one shared read-only routing registry.
+// over one shared read-only routing registry. Run sweeps the population
+// three times, and synthesizes each AS once per sweep: the passes work
+// on a view marked at every shard's first AS (ditl.Marked), so a
+// shard's sweep starts there without replaying the ASes before it.
+//
+// The setup sweep builds the registry and, on the way, the geo database
+// and the IPv6 hit list.
 //
 // Pass A (sequential) admits every shard's candidates on a host-less
 // planner, builds no world, and sums every phase's Count. It yields the
@@ -198,12 +204,12 @@ type Result struct {
 // dropped after its iteration: keeping all K would be O(total targets).
 //
 // Pass B runs runShard for every shard on a worker pool bounded by
-// MaxParallel: build the world and admit, plan once (a total that
-// differs from the shard's count fails the run), schedule, churn and
-// chaos, observe, simulate, seal and partition, then keep the runs in
-// memory or spill them, and keep the world unless Stream or Fold is
-// set. Workers share no mutable state: each reads frozen inputs and
-// writes only its own result.
+// MaxParallel: build the world and admit in one sweep, plan once (a
+// total that differs from the shard's count fails the run), schedule,
+// churn and chaos, observe, simulate, seal and partition, then keep the
+// runs in memory or spill them, and keep the world unless Stream or
+// Fold is set. Workers share no mutable state: each reads frozen inputs
+// and writes only its own result.
 //
 // One merge then combines the shards' scanner and resolver stats,
 // partial reductions, public DNS and invariant reports in shard order,
@@ -220,21 +226,36 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	if c == nil {
 		c = NewSurvey()
 	}
-	// Every shard's scanner needs the complete IPv6 hit list before any
-	// Count, so one dedicated view sweep derives it up front.
-	if cfg.Scanner.V6HitList == nil {
-		cfg.Scanner.V6HitList = V6HitList(pop)
-	}
-	cfg.World.Invariants = !cfg.DisableInvariants
-	reg, err := world.BuildRegistry(pop, cfg.World)
-	if err != nil {
-		return nil, err
-	}
-
 	shards := cfg.ShardCount()
 	parts := ditl.PartitionIndices(pop.NumASes(), shards)
+	starts := make([]int, 0, shards)
+	for _, indices := range parts {
+		if len(indices) > 0 {
+			starts = append(starts, indices[0])
+		}
+	}
 	if shards == 1 {
 		parts[0] = nil // build everything; preserves Build's fast path
+	}
+	view := ditl.Marked(pop, starts)
+
+	// The setup sweep. Every shard's scanner needs the complete IPv6
+	// hit list before any Count, and pass B the geo database.
+	gdb := geo.New()
+	collect := cfg.Scanner.V6HitList == nil
+	if collect {
+		cfg.Scanner.V6HitList = make(map[netip.Prefix]bool, pop.V6AddrCount())
+	}
+	hitList := cfg.Scanner.V6HitList
+	cfg.World.Invariants = !cfg.DisableInvariants
+	reg, err := world.BuildRegistry(view, cfg.World, func(_ int, as *ditl.ASSpec) {
+		gdb.Assign(as.ASN, as.Countries...)
+		if collect {
+			addV6Subnets(hitList, as)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass A: count every shard's probes on a host-less planner.
@@ -243,7 +264,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	var planCfg scanner.Config
 	for k, indices := range parts {
 		sh := &Shard{Index: k, Scanner: scanner.NewPlanner(reg, cfg.Scanner)}
-		admit(sh.Scanner, pop, indices)
+		admit(sh.Scanner, view, indices)
 		for _, ph := range c.Phases {
 			counts[k] += ph.Count(sh)
 		}
@@ -273,7 +294,6 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	// Pass B. The injector, registry, geo database, campaign and
 	// population view are all read-only across workers, and each worker
 	// writes only its own outs slot.
-	gdb := GeoDB(pop)
 	outs := make([]*shardOut, shards)
 	sem := make(chan struct{}, cfg.maxParallel())
 	var wg sync.WaitGroup
@@ -284,7 +304,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], counts[k], duration, foldDir)
-		}(k, pop, cfg, gdb, inj)
+		}(k, view, cfg, gdb, inj)
 	}
 	wg.Wait()
 	for _, o := range outs {
@@ -353,10 +373,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 			Geo:               gdb,
 			LifetimeThreshold: cfg.LifetimeThreshold,
 			FollowUpCount:     cfg.Scanner.FollowUpCount,
-			Stream: &analysis.Streams{
-				Hits:    foldHitStream(paths),
-				Targets: foldTargetStream(pop, reg, cfg.Scanner),
-			},
+			Stream:            &analysis.Streams{Hits: foldHitStream(paths)},
 		}
 	} else {
 		// Targets concatenate in shard order; hits and partials — each
@@ -472,23 +489,27 @@ func admit(sc *scanner.Scanner, pop ditl.Pop, indices []int) {
 	ditl.EachCandidate(pop, indices, sc.AdmitOne)
 }
 
-// runShard simulates one shard end to end: build its world and admit,
-// plan (which must match pass A's count), schedule, churn and chaos,
-// observe, run, seal, partition — and, when foldDir is set, spill the
-// sealed hit run to disk and drop the buffers. The world rides out on
-// the shardOut unless Stream or Fold is set; otherwise everything but
+// runShard simulates one shard end to end: build its world and admit in
+// one sweep, plan (which must match pass A's count), schedule, churn and
+// chaos, observe, run, seal, partition — and, when foldDir is set, spill
+// the sealed hit run to disk and drop the buffers. The world rides out
+// on the shardOut unless Stream or Fold is set; otherwise everything but
 // the shardOut is garbage when it returns.
 func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, count int, duration time.Duration, foldDir string) *shardOut {
-	w, err := world.BuildWith(pop, reg, cfg.World, indices)
+	// Admission needs only the registry, so the scanner admits as a
+	// planner while the world builds and takes its host afterwards.
+	sc := scanner.NewPlanner(reg, cfg.Scanner)
+	sc.AdmitHint(pop.CandidateCount(indices))
+	w, err := world.BuildWith(pop, reg, cfg.World, indices, func(_ int, as *ditl.ASSpec) {
+		as.EachCandidate(sc.AdmitOne)
+	})
 	if err != nil {
 		return &shardOut{err: err}
 	}
-	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
-	if err != nil {
+	if err := sc.Attach(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Auth); err != nil {
 		return &shardOut{err: err}
 	}
 	sh := &Shard{Index: k, World: w, Scanner: sc}
-	admit(sc, pop, indices)
 	planned := 0
 	for _, ph := range c.Phases {
 		planned += ph.Plan(sh)
@@ -528,8 +549,8 @@ func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb 
 	if foldDir != "" {
 		// Partition has folded everything it needs; the sorted hit run
 		// spills and the shard's buffers die with this frame. Partials
-		// need no spill (folded into the per-shard qmin sets) and the
-		// target list re-derives from the view at reduce time.
+		// need no spill (folded into the per-shard qmin sets), nor does
+		// the target list (counted per AS).
 		path := filepath.Join(foldDir, fmt.Sprintf("shard-%05d.run", k))
 		if err := scanner.WriteHitRun(path, sc.Hits); err != nil {
 			return &shardOut{err: err}
@@ -635,50 +656,36 @@ func drainRuns(paths []string, fn func(h *scanner.Hit) error) error {
 	return m.Err()
 }
 
-// foldTargetStream returns the re-drainable merged target stream: the
-// population's candidates in view order (= shard concatenation order,
-// since shards are contiguous) through the exact admission predicate,
-// via a host-less planner's AdmitCheck — same verdicts the shards'
-// admission sweeps recorded, no O(targets) slice.
-func foldTargetStream(pop ditl.Pop, reg *routing.Registry, cfg scanner.Config) func(yield func(t scanner.Target)) error {
-	return func(yield func(t scanner.Target)) error {
-		pl := scanner.NewPlanner(reg, cfg)
-		ditl.EachCandidate(pop, nil, func(a netip.Addr) {
-			if t, ok := pl.AdmitCheck(a); ok {
-				yield(t)
-			}
-		})
-		return nil
-	}
-}
-
-// CandidateAddrs collects the DITL-derived candidate targets of the
-// population ASes named by indices (nil = all), pre-sized from the
-// population counts.
-func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
-	out := make([]netip.Addr, 0, pop.CandidateCount(indices))
-	ditl.EachCandidate(pop, indices, func(a netip.Addr) { out = append(out, a) })
-	return out
-}
-
 // V6HitList derives the IPv6 hit list (§3.2, [21]) from the population:
 // the /64s of every known-active v6 address (live resolvers and
 // once-seen dead targets alike — activity, not liveness). It is one of
 // the few deliberately population-sized structures in the pipeline:
 // one /64 per known v6 address, shared read-only by every shard's
-// scanner.
+// scanner. Run collects the same list in its setup sweep; this
+// stand-alone sweep stays for perfbench's traced replay
+// (perfbench/replay.go) and goes with it.
 func V6HitList(pop ditl.Pop) map[netip.Prefix]bool {
 	hl := make(map[netip.Prefix]bool, pop.V6AddrCount())
-	ditl.EachCandidate(pop, nil, func(a netip.Addr) {
+	pop.EachAS(nil, func(_ int, as *ditl.ASSpec) { addV6Subnets(hl, as) })
+	return hl
+}
+
+// addV6Subnets adds the /64 of each of the AS's IPv6 candidates to the
+// hit list.
+//
+//doors:scratch as
+func addV6Subnets(hl map[netip.Prefix]bool, as *ditl.ASSpec) {
+	as.EachCandidate(func(a netip.Addr) {
 		if a.Is6() {
 			hl[routing.SubnetOf(a)] = true
 		}
 	})
-	return hl
 }
 
 // GeoDB builds the country database from the population's AS
-// assignments (standing in for MaxMind GeoLite2, §4).
+// assignments (standing in for MaxMind GeoLite2, §4). Run assigns the
+// same countries in its setup sweep; this stand-alone sweep stays for
+// perfbench's traced replay (perfbench/replay.go) and goes with it.
 func GeoDB(pop ditl.Pop) *geo.DB {
 	db := geo.New()
 	pop.EachAS(nil, func(_ int, as *ditl.ASSpec) {

@@ -65,11 +65,20 @@ func TestCountedSkipResumesStream(t *testing.T) {
 		if resumed.Draws() != mark {
 			t.Fatalf("prefix %d: Draws after Skip = %d, want %d", prefix, resumed.Draws(), mark)
 		}
+		// A clone taken at the boundary resumes the same continuation
+		// and advances apart from the stream it was copied from.
+		clone := full.Clone()
+		crng := clone.Rand()
 		rrng := resumed.Rand()
 		for i := 0; i < 1000; i++ {
-			if w, g := rng.Int63(), rrng.Int63(); w != g {
-				t.Fatalf("prefix %d: continuation draw %d: %v != %v", prefix, i, g, w)
+			c := crng.Int63()
+			if w, g := rng.Int63(), rrng.Int63(); w != g || c != w {
+				t.Fatalf("prefix %d: continuation draw %d: skipped %v, cloned %v, want %v", prefix, i, g, c, w)
 			}
+		}
+		crng.Int63()
+		if clone.Draws() != full.Draws()+1 {
+			t.Fatalf("prefix %d: clone at %d draws, original at %d", prefix, clone.Draws(), full.Draws())
 		}
 	}
 }

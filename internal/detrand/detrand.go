@@ -142,6 +142,19 @@ func (c *Counted) Skip(n uint64) {
 	c.n += n
 }
 
+// Clone returns an independent copy of the stream at its current
+// position: the same draw count and a deep copy of the feedback
+// register (4.9 KB once the stream has materialized it), so the copy
+// resumes exactly where c stands and the two advance separately.
+func (c *Counted) Clone() *Counted {
+	d := *c
+	if c.src.vec != nil {
+		vec := *c.src.vec
+		d.src.vec = &vec
+	}
+	return &d
+}
+
 // Rand wraps the counting source in a *rand.Rand. Because Counted
 // implements rand.Source64, the generator dispatches exactly as it
 // does over the raw source, so the value stream matches Rand(vals...)

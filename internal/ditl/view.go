@@ -1,7 +1,9 @@
 package ditl
 
 import (
+	"math/rand"
 	"net/netip"
+	"sort"
 
 	"repro/internal/detrand"
 )
@@ -56,14 +58,15 @@ func (p *Population) EachAS(indices []int, fn func(i int, as *ASSpec)) {
 // View is a streaming population: the same ASes Generate would build,
 // synthesized on demand from the generator's draw stream. A one-time
 // indexing pass records, per AS, the cumulative draw count, resolver
-// index, and candidate-address count; EachAS then fast-forwards a
-// fresh stream to any AS boundary (detrand.Counted.Skip) and replays
-// genAS from there. Resident state is O(ASes) small integers — three
-// prefix-sum columns — never the population itself.
+// index, and candidate-address count; EachAS then advances a stream to
+// any AS boundary (detrand.Counted.Skip) and replays genAS from there.
+// Resident state is O(ASes) small integers — three prefix-sum columns
+// — never the population itself, plus the generator state Marked saves
+// at a few chosen ASes.
 //
 // A View is safe for concurrent EachAS/CandidateCount calls: the
-// index columns are frozen after NewView and each EachAS call owns
-// its private stream and scratch.
+// index columns and marks are frozen once built and each EachAS call
+// owns its private stream and scratch.
 type View struct {
 	params Params
 	// draws[i] = generator draws consumed before AS i (len n+1).
@@ -75,6 +78,15 @@ type View struct {
 	// stats from the indexing pass (Summarize without a second sweep);
 	// its target counts are the running candidate totals.
 	stats Stats
+	// marks are saved streams positioned at AS boundaries, in ascending
+	// AS order (see Marked); nil on a view from NewView.
+	marks []mark
+}
+
+// mark is the generator state saved at the boundary before AS as.
+type mark struct {
+	as int
+	cs *detrand.Counted
 }
 
 // NewView builds a streaming view of the population Generate(p) would
@@ -88,7 +100,7 @@ func NewView(p Params) *View {
 		residx: make([]int32, 1, p.ASes+1),
 		cands:  make([]int32, 1, p.ASes+1),
 	}
-	cs := detrand.NewCounted(uint64(p.Seed), saltPopulation)
+	cs := v.stream()
 	rng := cs.Rand()
 	as := &ASSpec{slab: newResolverSlab()}
 	used := make(map[netip.Addr]bool)
@@ -104,6 +116,50 @@ func NewView(p Params) *View {
 	return v
 }
 
+// Marked returns pop ready for sweeps that begin at the ASes in starts
+// (ascending indices, such as each shard's first AS). For a *View it
+// is a copy sharing the index columns that also saves the generator
+// state at each start, placed in one skip-only pass over the draw
+// counts (4.9 KB per mark), so its EachAS resumes from the last mark at
+// or before an AS instead of skipping a fresh stream from draw 0. Any
+// other Pop, such as an eager *Population, comes back unchanged.
+func Marked(pop Pop, starts []int) Pop {
+	v, ok := pop.(*View)
+	if !ok {
+		return pop
+	}
+	m := *v
+	m.marks = nil
+	cs := v.stream()
+	for _, i := range starts {
+		if i <= 0 || i >= v.params.ASes || len(m.marks) > 0 && i <= m.marks[len(m.marks)-1].as {
+			continue // AS 0 starts the fresh stream; out of range or order needs no mark
+		}
+		cs.Skip(v.draws[i] - cs.Draws())
+		m.marks = append(m.marks, mark{as: i, cs: cs.Clone()})
+	}
+	return &m
+}
+
+// stream returns a fresh generator stream at draw 0.
+func (v *View) stream() *detrand.Counted {
+	return detrand.NewCounted(uint64(v.params.Seed), saltPopulation)
+}
+
+// resume returns the stream to advance to AS i: cs itself when it has
+// not passed AS i and no mark lies between it and AS i, else a copy of
+// the last mark at or before AS i, else a fresh stream.
+func (v *View) resume(cs *detrand.Counted, i int) *detrand.Counted {
+	k := sort.Search(len(v.marks), func(k int) bool { return v.marks[k].as > i }) - 1
+	if cs != nil && cs.Draws() <= v.draws[i] && (k < 0 || v.draws[v.marks[k].as] <= cs.Draws()) {
+		return cs
+	}
+	if k >= 0 {
+		return v.marks[k].cs.Clone()
+	}
+	return v.stream()
+}
+
 // PopParams implements Pop.
 func (v *View) PopParams() Params { return v.params }
 
@@ -112,18 +168,19 @@ func (v *View) NumASes() int { return v.params.ASes }
 
 // EachAS implements Pop by replaying the generator stream across the
 // selected ASes. Contiguous ascending indices (the shard slices from
-// PartitionIndices) cost one fast-forward plus one generation per AS;
-// a backward jump restarts the stream. The *ASSpec handed to fn is
+// PartitionIndices) cost one resume plus one generation per AS: the
+// resume copies the last mark at or before the first AS and skips the
+// rest of the way, which on a view Marked at that AS is no skip at all.
+// A backward jump resumes the same way. The *ASSpec handed to fn is
 // reused scratch — valid only during the callback.
 func (v *View) EachAS(indices []int, fn func(i int, as *ASSpec)) {
-	cs := detrand.NewCounted(uint64(v.params.Seed), saltPopulation)
-	rng := cs.Rand()
+	var cs *detrand.Counted
+	var rng *rand.Rand
 	as := &ASSpec{slab: newResolverSlab()}
 	used := make(map[netip.Addr]bool)
 	visit := func(i int) {
-		if cs.Draws() > v.draws[i] {
-			cs = detrand.NewCounted(uint64(v.params.Seed), saltPopulation)
-			rng = cs.Rand()
+		if next := v.resume(cs, i); next != cs {
+			cs, rng = next, next.Rand()
 		}
 		cs.Skip(v.draws[i] - cs.Draws())
 		as.slab.truncate()
@@ -165,23 +222,28 @@ func (v *View) Summarize() Stats { return v.stats }
 // EachCandidate visits the DITL-derived candidate targets (live
 // resolvers and dead addresses alike; the scanner cannot tell them
 // apart, §3.6.2) of the ASes named by indices (nil = all) in
-// population order: each live resolver's v4 address, then its v6
-// address, then the AS's dead targets.
+// population order, each AS's in ASSpec.EachCandidate order.
 func EachCandidate(pop Pop, indices []int, fn func(netip.Addr)) {
-	pop.EachAS(indices, func(_ int, as *ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			if r.HasV4() {
-				fn(r.Addr4)
-			}
-			if r.HasV6() {
-				fn(r.Addr6)
-			}
+	pop.EachAS(indices, func(_ int, as *ASSpec) { as.EachCandidate(fn) })
+}
+
+// EachCandidate visits the AS's candidate targets: each live
+// resolver's v4 address, then its v6 address, then the dead targets.
+//
+//doors:scratch a
+func (a *ASSpec) EachCandidate(fn func(netip.Addr)) {
+	for k := 0; k < a.NumResolvers(); k++ {
+		r := a.Resolver(k)
+		if r.HasV4() {
+			fn(r.Addr4)
 		}
-		for _, d := range as.DeadTargets {
-			fn(d)
+		if r.HasV6() {
+			fn(r.Addr6)
 		}
-	})
+	}
+	for _, d := range a.DeadTargets {
+		fn(d)
+	}
 }
 
 // tallyAS folds one AS into population statistics.

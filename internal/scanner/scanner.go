@@ -322,35 +322,23 @@ type Scanner struct {
 }
 
 // New creates a scanner on host (whose AS must lack OSAV) monitoring
-// the given authoritative servers in real time.
+// the given authoritative servers in real time: a planner attached to
+// its host.
 func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auths []*authserver.Server, cfg Config) (*Scanner, error) {
-	if host.AS.OSAV {
-		return nil, fmt.Errorf("scanner: host AS %v applies OSAV; spoofed probes would not leave (§3.4)", host.AS.ASN)
-	}
-	s := &Scanner{
-		Host: host, Addr4: addr4, Addr6: addr6, Reg: reg,
-		Cfg:      cfg.withDefaults(),
-		seed:     uint64(cfg.Seed),
-		followed: make(map[netip.Addr]bool),
-	}
-	for _, a := range auths {
-		if a.OnQuery != nil {
-			return nil, fmt.Errorf("scanner: auth server already monitored")
-		}
-		a.OnQuery = s.monitor
-	}
-	for k := range s.tails {
-		s.tails[k], _ = dnswire.AppendName(nil, dnswire.Name(s.Cfg.Keyword)+"."+zoneFor(ProbeKind(k)))
+	s := NewPlanner(reg, cfg)
+	if err := s.Attach(host, addr4, addr6, auths); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // NewPlanner creates a host-less scanner usable only for Admit, Count
-// and Plan — the campaign runner's world-free counting pass. Count and
-// Plan depend solely on the admitted targets, the registry, and the
-// config, so a planner's probe count (and per-target source plans)
+// and Plan — the campaign runner's world-free counting pass, and its
+// pass-B admission while the shard's world is still being built. Count
+// and Plan depend solely on the admitted targets, the registry, and
+// the config, so a planner's probe count (and per-target source plans)
 // matches the full scanner's exactly; Schedule and the auth-log
-// monitor need a built world and must go through New.
+// monitor need a host, which Attach provides.
 func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 	return &Scanner{
 		Reg:      reg,
@@ -358,6 +346,26 @@ func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 		seed:     uint64(cfg.Seed),
 		followed: make(map[netip.Addr]bool),
 	}
+}
+
+// Attach puts a planner on host (whose AS must lack OSAV) at the given
+// addresses and makes it monitor the given authoritative servers in
+// real time. Targets admitted before Attach stay admitted.
+func (s *Scanner) Attach(host *netsim.Host, addr4, addr6 netip.Addr, auths []*authserver.Server) error {
+	if host.AS.OSAV {
+		return fmt.Errorf("scanner: host AS %v applies OSAV; spoofed probes would not leave (§3.4)", host.AS.ASN)
+	}
+	s.Host, s.Addr4, s.Addr6 = host, addr4, addr6
+	for _, a := range auths {
+		if a.OnQuery != nil {
+			return fmt.Errorf("scanner: auth server already monitored")
+		}
+		a.OnQuery = s.monitor
+	}
+	for k := range s.tails {
+		s.tails[k], _ = dnswire.AppendName(nil, dnswire.Name(s.Cfg.Keyword)+"."+zoneFor(ProbeKind(k)))
+	}
+	return nil
 }
 
 // OptOut excludes a prefix from all future probing (§3.8).
@@ -403,10 +411,9 @@ const (
 )
 
 // admitVerdict is the one definition of the admission predicate, in
-// filter order: batch Admit, the campaign engines' streaming admission,
-// and the fold engine's target-stream re-derivation all reach it. An
-// admitted address comes back with its origin AS, from the one route
-// lookup the predicate makes.
+// filter order: batch Admit, the campaign runner's streaming admission
+// and AdmitCheck all reach it. An admitted address comes back with its
+// origin AS, from the one route lookup the predicate makes.
 func (s *Scanner) admitVerdict(a netip.Addr) (admitVerdict, *routing.AS) {
 	if routing.IsSpecialPurpose(a) {
 		return admitSpecial, nil
@@ -441,10 +448,10 @@ func (s *Scanner) AdmitOne(a netip.Addr) {
 
 // AdmitCheck applies the admission predicate without recording
 // anything: it reports whether a would be admitted and the Target it
-// would become. The fold engine re-derives the merged target stream
-// through it at reduce time — same predicate, same order, no O(targets)
-// slice. It reflects the scanner's opt-out state at call time, which
-// for a fresh planner is admission-time state (empty).
+// would become, reflecting the scanner's opt-out state at call time.
+// No engine code calls it since the reduce reads per-AS target counts
+// instead of re-deriving the target stream; it stays only for
+// perfbench's traced replay (perfbench/replay.go) and goes with it.
 func (s *Scanner) AdmitCheck(a netip.Addr) (Target, bool) {
 	v, as := s.admitVerdict(a)
 	if v != admitOK {

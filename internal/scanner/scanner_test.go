@@ -344,24 +344,53 @@ func TestSourcesForV6HitListPreference(t *testing.T) {
 	}
 }
 
+// TestScheduleRateIsRespected runs §3.4's pacing on a network:
+// ScheduleAll derives the window from the configured rate, every
+// planned probe is sent inside it, and the sends realize the configured
+// rate within 20%.
 func TestScheduleRateIsRespected(t *testing.T) {
-	// §3.4: the probe schedule must realize roughly the configured rate.
-	s := newTestScanner(t)
-	s.Cfg.Rate = 100
-	// Needs a network to schedule onto — the test scanner has none, so
-	// only the arithmetic is checked via the returned duration.
-	for i := 0; i < 50; i++ {
-		s.Targets = append(s.Targets, Target{Addr: addr("6.0.50.10"), ASN: 64501})
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Skip("schedule requires an attached host; arithmetic covered in doors tests")
+	reg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 64501, Prefixes: []netip.Prefix{prefix("6.0.0.0/16")}},
+		{ASN: 64502, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}},
+	} {
+		if err := reg.Add(as); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
+	nw := netsim.New(reg, netsim.Config{Seed: 1})
+	host, err := nw.Attach("scanner", reg.AS(64502), addr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(host, addr("198.51.100.1"), netip.Addr{}, reg, nil, Config{Seed: 7, Rate: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []netip.Addr
+	for i := 0; i < 50; i++ {
+		cands = append(cands, netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
+	}
+	s.Admit(cands)
+	var sends []time.Duration
+	nw.SetFaultHook(func(now time.Duration, _ []byte, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		sends = append(sends, now)
+		return netsim.TransitFault{}
+	})
 	total, duration := s.ScheduleAll()
-	rate := float64(total) / duration.Seconds()
-	if rate < 80 || rate > 120 {
-		t.Fatalf("emergent rate %.0f qps, want ≈100", rate)
+	nw.Run()
+
+	if s.Stats.ProbesSent != uint64(total) || len(sends) != total {
+		t.Fatalf("sent %d probes (%d on the wire), planned %d", s.Stats.ProbesSent, len(sends), total)
+	}
+	for i, at := range sends {
+		if at < 0 || at >= duration {
+			t.Fatalf("probe %d sent at %v, outside the window [0, %v)", i, at, duration)
+		}
+	}
+	span := sends[len(sends)-1] - sends[0]
+	if rate := float64(len(sends)-1) / span.Seconds(); rate < 80 || rate > 120 {
+		t.Fatalf("%d probes over %v realize %.1f qps, want 100 ± 20%%", len(sends), span, rate)
 	}
 }
 

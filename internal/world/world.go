@@ -238,8 +238,11 @@ const (
 // the infrastructure ASes plus every target AS with its filtering
 // policy. The registry is read-only after construction and safe for
 // concurrent lookups, so a sharded survey builds it once and shares it
-// across every shard's network.
-func BuildRegistry(pop ditl.Pop, opts Options) (*routing.Registry, error) {
+// across every shard's network. Each visit func also sees every
+// population AS during the same sweep, after its registry entry, so a
+// caller derives its own per-AS tables without synthesizing the
+// population again; the spec is EachAS scratch.
+func BuildRegistry(pop ditl.Pop, opts Options, visit ...func(i int, spec *ditl.ASSpec)) (*routing.Registry, error) {
 	reg := routing.NewRegistry()
 
 	infraAS := &routing.AS{ASN: InfraASN, Prefixes: []netip.Prefix{infraPrefix4, infraPrefix6}, Infra: true}
@@ -252,7 +255,7 @@ func BuildRegistry(pop ditl.Pop, opts Options) (*routing.Registry, error) {
 		}
 	}
 	var addErr error
-	pop.EachAS(nil, func(_ int, spec *ditl.ASSpec) {
+	pop.EachAS(nil, func(i int, spec *ditl.ASSpec) {
 		if addErr != nil {
 			return
 		}
@@ -268,7 +271,12 @@ func BuildRegistry(pop ditl.Pop, opts Options) (*routing.Registry, error) {
 			DSAV: dsav, OSAV: spec.OSAV, FilterBogons: spec.FilterBogons,
 			Countries: spec.Countries,
 		}
-		addErr = reg.Add(as)
+		if addErr = reg.Add(as); addErr != nil {
+			return
+		}
+		for _, fn := range visit {
+			fn(i, spec)
+		}
 	})
 	if addErr != nil {
 		return nil, addErr
@@ -290,8 +298,11 @@ func Build(pop ditl.Pop, opts Options) (*World, error) {
 // are listed. asIndices == nil instantiates every AS. The registry
 // always describes the full population, so routing and filtering
 // behave identically no matter how ASes are split across shard worlds;
-// only host instantiation is restricted.
-func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []int) (*World, error) {
+// only host instantiation is restricted. One sweep over the listed ASes
+// builds both their hosts and their reverse-DNS records, and hands each
+// spec (EachAS scratch) to every visit func once the AS is built, so a
+// caller can admit the shard's candidates in the same sweep.
+func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []int, visit ...func(i int, spec *ditl.ASSpec)) (*World, error) {
 	infraAS := reg.AS(InfraASN)
 	scannerAS := reg.AS(ScannerASN)
 
@@ -317,7 +328,8 @@ func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []in
 	if err := w.buildInfra(infraAS, opts); err != nil {
 		return nil, err
 	}
-	if err := w.buildReverseDNS(infraAS, pop, asIndices); err != nil {
+	rdns, err := w.buildReverseDNS(infraAS)
+	if err != nil {
 		return nil, err
 	}
 	if err := w.buildScanner(scannerAS); err != nil {
@@ -332,7 +344,13 @@ func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []in
 		if buildErr != nil {
 			return
 		}
-		buildErr = w.buildTargetAS(i, spec, reg.AS(spec.ASN))
+		rdns.add(spec)
+		if buildErr = w.buildTargetAS(i, spec, reg.AS(spec.ASN)); buildErr != nil {
+			return
+		}
+		for _, fn := range visit {
+			fn(i, spec)
+		}
 	})
 	if buildErr != nil {
 		return nil, buildErr
@@ -450,63 +468,29 @@ func (w *World) buildInfra(as *routing.AS, opts Options) error {
 func PublishesPTR(spec *ditl.ResolverSpec) bool { return spec.Index%10 < 7 }
 
 // buildReverseDNS attaches the in-addr.arpa / ip6.arpa / example.net
-// server used by the §5.2.1 contact-discovery pipeline: PTR records for
-// resolvers that publish them, and per-AS SOA records whose RNAME
-// carries the operator contact. Zones are scoped to the ASes named by
-// asIndices (nil = all): campaign traffic never queries these zones,
-// so a shard world only carries its own shard's records — in a
-// streaming survey this is what keeps reverse-DNS state O(shard)
-// instead of O(population).
-func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) error {
+// server used by the §5.2.1 contact-discovery pipeline, serving zones
+// that start empty: BuildWith's target-AS sweep fills them through add.
+// Zones are scoped to the ASes the world instantiates: campaign traffic
+// never queries these zones, so a shard world only carries its own
+// shard's records — in a streaming survey this is what keeps
+// reverse-DNS state O(shard) instead of O(population).
+func (w *World) buildReverseDNS(as *routing.AS) (*reverseZones, error) {
 	addr := routing.AddrAt(infraPrefix4, 6)
 	host, err := w.Net.Attach("rdns", as, addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	soa := dnswire.SOAData{
 		MName: "rdns.example.net", RName: "noc.example.net",
 		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
 	}
-	v4rev := authserver.NewZone("in-addr.arpa", soa)
-	v6rev := authserver.NewZone("ip6.arpa", soa)
-	opdom := authserver.NewZone("example.net", soa)
-
-	pop.EachAS(asIndices, func(_ int, asSpec *ditl.ASSpec) {
-		domain := dnswire.Name(fmt.Sprintf("as%d.example.net", asSpec.ASN))
-		hasPTR := false
-		for k := 0; k < asSpec.NumResolvers(); k++ {
-			rs := asSpec.Resolver(k)
-			if !PublishesPTR(&rs) {
-				continue
-			}
-			target := dnswire.Name(fmt.Sprintf("r%d.%s", rs.Index, string(domain)))
-			if rs.HasV4() {
-				v4rev.AddRecord(dnswire.RR{
-					Name: dnswire.ReverseName(rs.Addr4), Type: dnswire.TypePTR,
-					Class: dnswire.ClassIN, TTL: 3600, Target: target,
-				})
-			}
-			if rs.HasV6() {
-				v6rev.AddRecord(dnswire.RR{
-					Name: dnswire.ReverseName(rs.Addr6), Type: dnswire.TypePTR,
-					Class: dnswire.ClassIN, TTL: 3600, Target: target,
-				})
-			}
-			hasPTR = true
-		}
-		if hasPTR {
-			opdom.AddRecord(dnswire.RR{
-				Name: domain, Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 3600,
-				SOA: &dnswire.SOAData{
-					MName:  "ns." + domain,
-					RName:  "hostmaster." + domain,
-					Serial: 2019110601, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
-				},
-			})
-		}
-	})
-	if _, err := authserver.New(host, v4rev, v6rev, opdom); err != nil {
-		return err
+	z := &reverseZones{
+		v4rev: authserver.NewZone("in-addr.arpa", soa),
+		v6rev: authserver.NewZone("ip6.arpa", soa),
+		opdom: authserver.NewZone("example.net", soa),
+	}
+	if _, err := authserver.New(host, z.v4rev, z.v6rev, z.opdom); err != nil {
+		return nil, err
 	}
 	for _, apex := range []dnswire.Name{"in-addr.arpa", "ip6.arpa", "example.net"} {
 		w.rootZone.Delegate(&authserver.Delegation{
@@ -514,7 +498,52 @@ func (w *World) buildReverseDNS(as *routing.AS, pop ditl.Pop, asIndices []int) e
 			Glue: map[dnswire.Name][]netip.Addr{"rdns.example.net": {addr}},
 		})
 	}
-	return nil
+	return z, nil
+}
+
+// reverseZones are the reverse-DNS server's zones.
+type reverseZones struct {
+	v4rev, v6rev, opdom *authserver.Zone
+}
+
+// add records PTR records for the AS's resolvers that publish them and,
+// when it has any, the AS's SOA record, whose RNAME carries the
+// operator contact.
+//
+//doors:scratch asSpec
+func (z *reverseZones) add(asSpec *ditl.ASSpec) {
+	domain := dnswire.Name(fmt.Sprintf("as%d.example.net", asSpec.ASN))
+	hasPTR := false
+	for k := 0; k < asSpec.NumResolvers(); k++ {
+		rs := asSpec.Resolver(k)
+		if !PublishesPTR(&rs) {
+			continue
+		}
+		target := dnswire.Name(fmt.Sprintf("r%d.%s", rs.Index, string(domain)))
+		if rs.HasV4() {
+			z.v4rev.AddRecord(dnswire.RR{
+				Name: dnswire.ReverseName(rs.Addr4), Type: dnswire.TypePTR,
+				Class: dnswire.ClassIN, TTL: 3600, Target: target,
+			})
+		}
+		if rs.HasV6() {
+			z.v6rev.AddRecord(dnswire.RR{
+				Name: dnswire.ReverseName(rs.Addr6), Type: dnswire.TypePTR,
+				Class: dnswire.ClassIN, TTL: 3600, Target: target,
+			})
+		}
+		hasPTR = true
+	}
+	if hasPTR {
+		z.opdom.AddRecord(dnswire.RR{
+			Name: domain, Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 3600,
+			SOA: &dnswire.SOAData{
+				MName:  "ns." + domain,
+				RName:  "hostmaster." + domain,
+				Serial: 2019110601, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
+			},
+		})
+	}
 }
 
 func (w *World) buildScanner(as *routing.AS) error {

@@ -14,7 +14,7 @@ import (
 // on demand by a ditl.View, worlds discarded shard by shard,
 // observations reduced incrementally — produces a bit-identical Result
 // to the retained engine over the materialized population, at several
-// shard counts and parallelism bounds.
+// shard counts and parallelism bounds, up to more shards than ASes.
 func TestStreamingMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
@@ -25,8 +25,10 @@ func TestStreamingMatchesRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// 40 shards put a view mark at every AS; 64 leave trailing shards
+	// empty.
 	for _, tc := range []struct{ shards, maxPar int }{
-		{1, 1}, {2, 1}, {2, 2}, {8, 3},
+		{1, 1}, {2, 1}, {2, 2}, {8, 3}, {40, 2}, {64, 2},
 	} {
 		scfg := cfg
 		scfg.Stream = true
@@ -71,10 +73,10 @@ func TestStreamingMatchesRetained(t *testing.T) {
 
 // TestFoldMatchesRetained pins the fold engine's guarantee: a survey
 // run under Config.Fold — shard hit runs spilled to disk, the reduce
-// streaming their hierarchical merge through the reducers, the target
-// stream re-derived from the view — produces the identical Report,
-// stats and scalars as the retained engine, at several shard counts,
-// with the merged buffers never materialized.
+// streaming their hierarchical merge through the reducers, the targets
+// counted per AS — produces the identical Report, stats and scalars as
+// the retained engine, at several shard counts up to more shards than
+// ASes, with the merged buffers never materialized.
 func TestFoldMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
@@ -85,8 +87,10 @@ func TestFoldMatchesRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// 40 shards put a view mark at every AS; 64 leave trailing shards
+	// empty.
 	for _, tc := range []struct{ shards, maxPar int }{
-		{1, 1}, {2, 2}, {8, 3},
+		{1, 1}, {2, 2}, {8, 3}, {40, 2}, {64, 2},
 	} {
 		fcfg := cfg
 		fcfg.Fold = true
