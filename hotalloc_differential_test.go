@@ -83,6 +83,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "detrand.HashBytes", func() {
 		sinkU64 = detrand.HashBytes(42, payload)
 	})
+	assertZeroAllocs(t, "detrand.FoldBytes", func() {
+		sinkU64 = detrand.FoldBytes(payload)
+	})
 	assertZeroAllocs(t, "detrand.AddrWords", func() {
 		h, l := detrand.AddrWords(a6)
 		sinkU64 = h ^ l
@@ -194,6 +197,33 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	})
 	if d := nw.Drops(); d[netsim.DropDSAV] == 0 || d[netsim.DropNoHost] == 0 || nw.Q.Len() != 0 {
 		t.Fatalf("doomed sends: drops %v, %d events pending", d, nw.Q.Len())
+	}
+	// Under loss and a fault hook, a doomed datagram is written on the
+	// network's scratch buffer for the draws, so once the buffer has
+	// grown, sending one still allocates nothing. The hook drops some
+	// datagrams and duplicates others; each send varies the source port,
+	// and with it the bytes the draws read.
+	lw := netsim.New(nreg, netsim.Config{Seed: 1, LossRate: 0.3})
+	lw.SetFaultHook(func(_ time.Duration, fold uint64, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		return netsim.TransitFault{Drop: fold%4 == 0, Duplicate: fold%4 == 1, ExtraDelay: time.Duration(fold % 8)}
+	})
+	lsender, err := lw.Attach("sender", nreg.AS(64500), a4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sport := uint16(40000)
+	lsender.SendUDP(spoofed, sport, dst4, 53, payload) // grow the scratch buffer
+	assertZeroAllocs(t, "netsim.Host.SendUDP under loss and faults, DSAV drop", func() {
+		sport++
+		sinkBool = lsender.SendUDP(spoofed, sport, dst4, 53, payload) == nil
+	})
+	assertZeroAllocs(t, "netsim.Host.SendUDP under loss and faults, no host", func() {
+		sport++
+		sinkBool = lsender.SendUDP(a4, sport, dst4, 53, payload) == nil
+	})
+	if d := lw.Drops(); d[netsim.DropDSAV] == 0 || d[netsim.DropNoHost] == 0 || d[netsim.DropLoss] == 0 ||
+		d[netsim.DropChaos] == 0 || lw.Q.Len() != 0 {
+		t.Fatalf("doomed sends under loss and faults: drops %v, %d events pending", d, lw.Q.Len())
 	}
 
 	// The probe writer every probe goes through, the probe cursor's main

@@ -5,13 +5,13 @@
 //
 // Every fault decision is derived with internal/detrand causal-identity
 // hashing from the experiment seed plus the identity of the thing being
-// faulted — a packet's pre-transit bytes and send time, an AS number, a
-// resolver's address — never from a shared sequential stream. A fault
-// schedule is therefore bit-reproducible at every shard count, extending
-// the sharded survey engine's determinism guarantee to adverse-network
-// runs: the same seed produces the same flaps, the same duplicated
-// packets, and the same crashes whether the population runs in one shard
-// or sixteen.
+// faulted — a packet's pre-transit bytes (folded once by netsim) and
+// send time, an AS number, a resolver's address — never from a shared
+// sequential stream. A fault schedule is therefore bit-reproducible at
+// every shard count, extending the sharded survey engine's determinism
+// guarantee to adverse-network runs: the same seed produces the same
+// flaps, the same duplicated packets, and the same crashes whether the
+// population runs in one shard or sixteen.
 //
 // Faults that could reorder packets within a flow (duplication, reorder
 // delay, corruption) are applied to UDP only: the simulator's minimal
@@ -239,10 +239,12 @@ func (inj *Injector) CrashTime(addr netip.Addr) (time.Duration, bool) {
 }
 
 // Transit is the netsim.FaultHook: the per-packet fault verdict. The
-// draw key folds the packet's pre-transit bytes and send time, so a
-// retransmission of identical bytes at a different time gets a fresh
-// draw, and no verdict depends on event interleaving.
-func (inj *Injector) Transit(now time.Duration, raw []byte, pkt *packet.Packet, srcAS, dstAS *routing.AS) netsim.TransitFault {
+// draw key mixes the schedule's seed into fold, netsim's one fold of the
+// packet's pre-transit bytes (detrand.HashBytes(seed, bytes) without a
+// second pass over them), and the send time, so a retransmission of
+// identical bytes at a different time gets a fresh draw, and no verdict
+// depends on event interleaving.
+func (inj *Injector) Transit(now time.Duration, fold uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) netsim.TransitFault {
 	c := inj.cfg
 	if !c.Enabled {
 		return netsim.TransitFault{}
@@ -270,7 +272,7 @@ func (inj *Injector) Transit(now time.Duration, raw []byte, pkt *packet.Packet, 
 	if !eligible {
 		return fault
 	}
-	key := detrand.Mix(c.Seed, detrand.HashBytes(c.Seed, raw), uint64(now))
+	key := detrand.Mix(c.Seed, detrand.Mix(c.Seed, fold), uint64(now))
 
 	if c.ReorderProb > 0 && c.ReorderMax > 0 &&
 		detrand.Float64(key, saltReorder) < c.ReorderProb {

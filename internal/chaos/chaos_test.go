@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -44,7 +45,7 @@ func TestDisabledInjectsNothing(t *testing.T) {
 	if _, ok := inj.CrashTime(netip.MustParseAddr("30.1.0.1")); ok {
 		t.Fatal("crash scheduled while disabled")
 	}
-	if f := inj.Transit(time.Second, raw, pkt, as, as); f != (netsim.TransitFault{}) {
+	if f := inj.Transit(time.Second, detrand.FoldBytes(raw), pkt, as, as); f != (netsim.TransitFault{}) {
 		t.Fatalf("transit fault %+v while disabled", f)
 	}
 }
@@ -169,7 +170,7 @@ func TestTransitSparesTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := inj.Transit(time.Duration(i)*time.Millisecond, raw, pkt, srcAS, dstAS)
+		f := inj.Transit(time.Duration(i)*time.Millisecond, detrand.FoldBytes(raw), pkt, srcAS, dstAS)
 		if f.Duplicate || f.Corrupt {
 			t.Fatalf("TCP segment faulted: %+v", f)
 		}
@@ -202,7 +203,7 @@ func TestTransitFaultsUDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := inj.Transit(time.Duration(i)*time.Millisecond, raw, pkt, srcAS, dstAS)
+		f := inj.Transit(time.Duration(i)*time.Millisecond, detrand.FoldBytes(raw), pkt, srcAS, dstAS)
 		if f.Drop {
 			continue
 		}

@@ -44,9 +44,19 @@ func Mix(vals ...uint64) uint64 {
 // HashBytes folds a byte slice (e.g. a serialized packet) into a seed
 // hash. FNV-1a accumulates the bytes; splitmix64 finalizes so that
 // single-bit input differences avalanche across the output.
+// HashBytes(seed, b) is Mix(seed, FoldBytes(b)).
 //
 //doors:hotpath
 func HashBytes(seed uint64, b []byte) uint64 {
+	return Mix(seed, FoldBytes(b))
+}
+
+// FoldBytes is HashBytes's FNV-1a accumulation of b, before any seed: a
+// caller that draws on the same bytes under several seeds folds them
+// once and mixes each seed into the fold.
+//
+//doors:hotpath
+func FoldBytes(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -55,7 +65,7 @@ func HashBytes(seed uint64, b []byte) uint64 {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * prime64
 	}
-	return Mix(seed, h)
+	return h
 }
 
 // AddrWords returns an address as two 64-bit words (the 16-byte form,

@@ -1,6 +1,7 @@
 package detrand
 
 import (
+	"hash/fnv"
 	"net/netip"
 	"testing"
 )
@@ -31,6 +32,38 @@ func TestHashBytes(t *testing.T) {
 	}
 	if HashBytes(7, []byte("abc")) == HashBytes(8, []byte("abc")) {
 		t.Fatal("HashBytes insensitive to seed")
+	}
+}
+
+// TestHashBytesIsSeededFold pins the identity the simulator's one fold
+// per datagram rests on: HashBytes(s, b) == Mix(s, FoldBytes(b)), with
+// FoldBytes the standard 64-bit FNV-1a, and HashBytes's values those
+// every loss and fault draw was taken with before the fold was split
+// out.
+func TestHashBytesIsSeededFold(t *testing.T) {
+	for i, c := range []struct {
+		seed uint64
+		b    string
+		want uint64
+	}{
+		{0, "", 0x178f736a2130cc06},
+		{7, "abc", 0xc414db9b722a49d5},
+		{1 << 63, "\x45\x00\x00\x1c datagram", 0x0e68f3237b836fa6},
+	} {
+		if got := HashBytes(c.seed, []byte(c.b)); got != c.want {
+			t.Errorf("case %d: HashBytes = %#x, want %#x", i, got, c.want)
+		}
+	}
+	b := make([]byte, 0, 300)
+	for i := 0; i < 300; i++ {
+		seed := Mix(uint64(i), 17)
+		f := fnv.New64a()
+		f.Write(b)
+		if fold := FoldBytes(b); fold != f.Sum64() || HashBytes(seed, b) != Mix(seed, fold) {
+			t.Fatalf("%d bytes: FoldBytes %#x, FNV-1a %#x; HashBytes %#x, Mix of the fold %#x",
+				len(b), fold, f.Sum64(), HashBytes(seed, b), Mix(seed, fold))
+		}
+		b = append(b, byte(seed))
 	}
 }
 

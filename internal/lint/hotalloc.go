@@ -100,10 +100,10 @@ const hotPathMarker = "//doors:hotpath"
 // an entry naming no function of its package is itself reported.
 var autoHotPath = map[string][]string{
 	"internal/eventq":   {"Queue.At", "Queue.AtSeq", "Queue.After", "Queue.Step"},
-	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
+	"internal/detrand":  {"Mix", "HashBytes", "FoldBytes", "AddrWords", "Float64", "Intn"},
 	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
 	"internal/resolver": {"ACL.Allows", "cache.flush"},
-	"internal/netsim":   {"Network.judge", "Network.dropUnbuilt", "Network.unwatched", "ingress", "pathHops"},
+	"internal/netsim":   {"Network.judge", "Network.transit", "Network.unwatched", "ingress", "pathHops"},
 	"internal/runs":     {"Merger.Next"},
 	"internal/scanner":  {"Scanner.sendNext", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
 	"internal/routing":  {"SubnetOf", "SubnetCount", "SubnetAt", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.OriginOf", "Trie.Lookup"},

@@ -85,26 +85,34 @@ func (h *Host) UnbindUDP(port uint16) { delete(h.udp, port) }
 // SendUDP transmits a datagram from src (which may be spoofed; the
 // host's own addresses for honest traffic) to dst. It returns
 // packet.BuildUDP's error for addresses or a payload no datagram can
-// carry. A datagram whose addresses alone doom it, with nothing to read
-// its bytes, is counted under its drop reason and never built.
+// carry. A datagram whose addresses alone doom it, with nothing to
+// record its drop, is never built on the heap: with no loss draw or
+// fault hook to read its bytes it is only counted, and with them it is
+// written on the network's scratch buffer for the draws.
 func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) error {
 	if err := packet.CheckUDP(src, dst, len(payload)); err != nil {
 		return err
 	}
-	if h.net.dropUnbuilt(h.AS, src, dst, h.ttl()) {
-		return nil
+	n, ttl := h.net, h.ttl()
+	v := n.judge(h.AS, src, dst, ttl)
+	var pkt *packet.Packet
+	switch {
+	case v.drop == DropNone || !n.unwatched(v.dstAS):
+		pkt = new(packet.Packet)
+		packet.WriteUDP(pkt, nil, src, dst, srcPort, dstPort, ttl, payload)
+	case v.dstAS != nil && (n.cfg.LossRate > 0 || n.faults != nil):
+		pkt = &n.scratchPkt
+		n.scratch = packet.WriteUDP(pkt, n.scratch, src, dst, srcPort, dstPort, ttl, payload)
 	}
-	raw, err := packet.BuildUDP(src, dst, srcPort, dstPort, h.ttl(), payload)
-	if err != nil {
-		return err
+	if fault, travels := n.transit(h.AS, v, pkt); travels {
+		n.carry(h.AS, v, pkt, fault)
 	}
-	h.net.inject(h, raw)
 	return nil
 }
 
 // SendRaw injects pre-serialized bytes — the "raw socket" used by the
 // scanner to emit spoofed-source packets.
-func (h *Host) SendRaw(raw []byte) { h.net.inject(h, raw) }
+func (h *Host) SendRaw(raw []byte) { h.net.inject(h.AS, raw) }
 
 // SetDown takes the host offline (or back online): while down, inbound
 // packets are dropped as if no host owned the address — the churn the

@@ -513,12 +513,12 @@ func TestDeliveredPacketIsItsBytesDecoded(t *testing.T) {
 	w.net.SetDeliveryHook(func(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossed bool) {
 		delivered = append(delivered, pkt)
 	})
-	w.net.SetFaultHook(func(now time.Duration, raw []byte, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
+	w.net.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
 		switch string(pkt.Data) {
 		case "dup":
 			return TransitFault{Duplicate: true, DupDelay: time.Millisecond}
 		case "corrupt":
-			return TransitFault{Corrupt: true, CorruptBit: 8 * (len(raw) - 1)} // a payload bit
+			return TransitFault{Corrupt: true, CorruptBit: 8 * (len(pkt.Raw) - 1)} // a payload bit
 		}
 		return TransitFault{}
 	})

@@ -139,7 +139,7 @@ func (h *Host) DialTCP(local netip.Addr, localPort uint16, remote netip.Addr, re
 		return nil, err
 	}
 	c.seq++
-	h.net.inject(h, raw)
+	h.net.inject(h.AS, raw)
 	return c, nil
 }
 
@@ -157,7 +157,7 @@ func (c *TCPConn) Send(payload []byte) error {
 		return err
 	}
 	c.seq += uint32(len(payload))
-	c.host.net.inject(c.host, raw)
+	c.host.net.inject(c.host.AS, raw)
 	return nil
 }
 
@@ -171,7 +171,7 @@ func (c *TCPConn) Close() {
 		Seq: c.seq, Ack: c.ack, FIN: true, ACK: true, Window: 65535,
 	}
 	if raw, err := packet.BuildTCP(c.key.local, c.key.remote, fin, c.host.ttl(), nil); err == nil {
-		c.host.net.inject(c.host, raw)
+		c.host.net.inject(c.host.AS, raw)
 	}
 	c.state = tcpClosed
 	delete(c.host.tcpConn, c.key)
@@ -213,7 +213,7 @@ func (h *Host) deliverTCP(pkt *packet.Packet, crossedBorder bool) {
 		}
 		if raw, err := packet.BuildTCP(key.local, key.remote, synack, h.ttl(), nil); err == nil {
 			c.seq++
-			h.net.inject(h, raw)
+			h.net.inject(h.AS, raw)
 		}
 		return
 	}
@@ -233,7 +233,7 @@ func (h *Host) sendRST(pkt *packet.Packet) {
 		Seq: t.Ack, Ack: t.Seq + 1, RST: true, ACK: true,
 	}
 	if raw, err := packet.BuildTCP(pkt.Dst(), pkt.Src(), rst, h.ttl(), nil); err == nil {
-		h.net.inject(h, raw)
+		h.net.inject(h.AS, raw)
 	}
 }
 
@@ -250,7 +250,7 @@ func (c *TCPConn) handleSegment(now time.Duration, pkt *packet.Packet) {
 			Seq: c.seq, Ack: c.ack, ACK: true, Window: 65535,
 		}
 		if raw, err := packet.BuildTCP(c.key.local, c.key.remote, ack, c.host.ttl(), nil); err == nil {
-			c.host.net.inject(c.host, raw)
+			c.host.net.inject(c.host.AS, raw)
 		}
 		if c.onConnect != nil {
 			c.onConnect(c)

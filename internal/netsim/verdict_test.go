@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"bytes"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/oskernel"
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -182,68 +184,138 @@ func TestDropHookSeesSkippableDropAtArrival(t *testing.T) {
 	}
 }
 
-// TestFaultsOnDoomedDatagrams: with a fault hook the bytes are built and
-// the hook consulted; a dropped or duplicated doomed datagram is counted
-// as the traced network counts it, and a corrupted one still meets the
-// receiver's decode and ends as malformed, not as a DSAV drop.
+// doomedCase is one datagram its addresses doom, sent through SendUDP
+// from the scanner host of a world where AS 200 and AS 300 enforce DSAV
+// and AS 300 has a drop hook.
+type doomedCase struct {
+	name, src, dst string
+	verdict        DropReason // judge's; a no-route drop takes no draw
+}
+
+var doomedCases = []doomedCase{
+	{"dsav", "203.0.113.7", "198.51.100.53", DropDSAV},
+	{"dsav v6", "2001:db8:200::7", "2001:db8:200::53", DropDSAV},
+	{"no host v6", "2001:db8:100::10", "2001:db8:200::99", DropNoHost},
+	{"no route", "192.0.2.10", "8.8.8.8", DropNoRoute},
+	{"dsav into a hooked AS", "192.0.3.7", "192.0.3.53", DropDSAV},
+}
+
+// doomedWorld builds the world doomedCases run in, traced or not, and
+// returns it with the drops AS 300's hook sees.
+func doomedWorld(t *testing.T, traced bool) (*world, *[]DropReason) {
+	t.Helper()
+	w := newWorld(t, func(_, as2, as3 *routing.AS) { as2.DSAV, as3.DSAV = true, true })
+	if traced {
+		w.net.SetTracer(NewTracer(4))
+	}
+	hooked := new([]DropReason)
+	w.net.SetDropHook(300, func(_ time.Duration, r DropReason, _ *packet.Packet, _ *routing.AS) {
+		*hooked = append(*hooked, r)
+	})
+	return w, hooked
+}
+
+// TestFaultsOnDoomedDatagrams: a fault hook is consulted once for each
+// doomed datagram past its route lookup, untraced or traced, with a
+// Packet that equals a decode of its bytes, and never for one that
+// drops before it. A dropped or duplicated doomed datagram is counted as
+// the traced network counts it, and as an AS's drop hook sees it there;
+// a corrupted one still meets the receiver's decode and ends as
+// malformed, not as a DSAV or no-host drop.
 func TestFaultsOnDoomedDatagrams(t *testing.T) {
-	for _, c := range []struct {
-		payload string
-		fault   func(raw []byte) TransitFault
-		want    map[DropReason]uint64
+	for _, f := range []struct {
+		name  string
+		fault func(raw []byte) TransitFault
+		want  func(verdict DropReason) map[DropReason]uint64
 	}{
-		{"drop", func([]byte) TransitFault { return TransitFault{Drop: true} }, map[DropReason]uint64{DropChaos: 1}},
-		{"dup", func([]byte) TransitFault { return TransitFault{Duplicate: true, DupDelay: time.Millisecond} }, map[DropReason]uint64{DropDSAV: 2}},
-		{"delay", func([]byte) TransitFault { return TransitFault{ExtraDelay: time.Second} }, map[DropReason]uint64{DropDSAV: 1}},
+		{"drop", func([]byte) TransitFault { return TransitFault{Drop: true} },
+			func(DropReason) map[DropReason]uint64 { return map[DropReason]uint64{DropChaos: 1} }},
+		{"dup", func([]byte) TransitFault { return TransitFault{Duplicate: true, DupDelay: time.Millisecond} },
+			func(v DropReason) map[DropReason]uint64 { return map[DropReason]uint64{v: 2} }},
+		{"delay", func([]byte) TransitFault { return TransitFault{ExtraDelay: time.Second} },
+			func(v DropReason) map[DropReason]uint64 { return map[DropReason]uint64{v: 1} }},
 		{"corrupt", func(raw []byte) TransitFault { return TransitFault{Corrupt: true, CorruptBit: 8 * (len(raw) - 1)} },
-			map[DropReason]uint64{DropMalformed: 1}},
+			func(DropReason) map[DropReason]uint64 { return map[DropReason]uint64{DropMalformed: 1} }},
 	} {
-		for _, traced := range []bool{false, true} {
-			w := newWorld(t, func(_, as2, _ *routing.AS) { as2.DSAV = true })
-			if traced {
-				w.net.SetTracer(NewTracer(4))
+		for _, c := range doomedCases {
+			want, wantCalls := f.want(c.verdict), 1
+			if c.verdict == DropNoRoute {
+				want, wantCalls = map[DropReason]uint64{DropNoRoute: 1}, 0
 			}
-			calls := 0
-			w.net.SetFaultHook(func(now time.Duration, raw []byte, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
-				calls++
-				return c.fault(raw)
-			})
-			if err := w.scanner.SendUDP(addr("203.0.113.7"), 1, addr("198.51.100.53"), 53, []byte(c.payload)); err != nil {
-				t.Fatal(err)
+			var hookedPaths [2][]DropReason
+			for i, traced := range []bool{false, true} {
+				w, hooked := doomedWorld(t, traced)
+				calls := 0
+				w.net.SetFaultHook(func(now time.Duration, fold uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
+					calls++
+					fresh, err := packet.Decode(append([]byte(nil), pkt.Raw...))
+					if err != nil || !reflect.DeepEqual(pkt.V4, fresh.V4) || !reflect.DeepEqual(pkt.V6, fresh.V6) ||
+						!reflect.DeepEqual(pkt.UDP, fresh.UDP) || !bytes.Equal(pkt.Data, fresh.Data) {
+						t.Errorf("%s, %s (traced %v): the hook's Packet is not its bytes decoded (%v)", f.name, c.name, traced, err)
+					}
+					if fold != detrand.FoldBytes(pkt.Raw) {
+						t.Errorf("%s, %s (traced %v): the hook's fold is not its bytes folded", f.name, c.name, traced)
+					}
+					return f.fault(pkt.Raw)
+				})
+				if err := w.scanner.SendUDP(addr(c.src), 1, addr(c.dst), 53, []byte(f.name)); err != nil {
+					t.Fatal(err)
+				}
+				w.net.Run()
+				if got := w.net.Drops(); calls != wantCalls || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s (traced %v): fault hook called %d times, drops %v; want %d, %v",
+						f.name, c.name, traced, calls, got, wantCalls, want)
+				}
+				hookedPaths[i] = *hooked
 			}
-			w.net.Run()
-			if got := w.net.Drops(); calls != 1 || !reflect.DeepEqual(got, c.want) {
-				t.Errorf("%s (traced %v): fault hook called %d times, drops %v, want %v", c.payload, traced, calls, got, c.want)
+			if !reflect.DeepEqual(hookedPaths[0], hookedPaths[1]) {
+				t.Errorf("%s, %s: AS 300's drop hook saw %v untraced, %v traced", f.name, c.name, hookedPaths[0], hookedPaths[1])
 			}
 		}
 	}
 }
 
-// TestLossOnDoomedDatagrams: with loss on, SendUDP builds every datagram
-// for the loss draw, and the doomed ones that survive it are counted as
-// a traced network counts them.
+// TestLossOnDoomedDatagrams: with loss on, the doomed datagrams past
+// their route lookup take the loss draw on their bytes, and those that
+// survive it are counted as a traced network counts them; a datagram
+// with no route takes no draw. An AS's drop hook sees the same drops
+// either way.
 func TestLossOnDoomedDatagrams(t *testing.T) {
-	run := func(traced bool) map[DropReason]uint64 {
+	run := func(traced bool) (map[DropReason]uint64, []DropReason) {
 		reg := routing.NewRegistry()
-		as1 := &routing.AS{ASN: 1, Prefixes: []netip.Prefix{prefix("192.0.2.0/24")}}
-		as2 := &routing.AS{ASN: 2, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}, DSAV: true}
-		reg.Add(as1)
-		reg.Add(as2)
+		as1 := &routing.AS{ASN: 1, Prefixes: []netip.Prefix{prefix("192.0.2.0/24"), prefix("2001:db8:1::/48")}}
+		as2 := &routing.AS{ASN: 2, Prefixes: []netip.Prefix{prefix("198.51.100.0/24"), prefix("2001:db8:2::/48")}, DSAV: true}
+		as3 := &routing.AS{ASN: 3, Prefixes: []netip.Prefix{prefix("203.0.113.0/24")}, DSAV: true}
+		for _, as := range []*routing.AS{as1, as2, as3} {
+			reg.Add(as)
+		}
 		n := New(reg, Config{Seed: 5, LossRate: 0.3})
 		if traced {
 			n.SetTracer(NewTracer(1))
 		}
-		src, _ := n.Attach("src", as1, addr("192.0.2.1"))
+		var hooked []DropReason
+		n.SetDropHook(3, func(_ time.Duration, r DropReason, _ *packet.Packet, _ *routing.AS) { hooked = append(hooked, r) })
+		src, _ := n.Attach("src", as1, addr("192.0.2.1"), addr("2001:db8:1::1"))
 		for i := 0; i < 200; i++ {
-			src.SendUDP(addr("198.51.100.7"), uint16(1000+i), addr("198.51.100.1"), 53, []byte{1}) // DSAV
-			src.SendUDP(addr("192.0.2.1"), uint16(1000+i), addr("198.51.100.9"), 53, []byte{2})    // no host
+			port := uint16(1000 + i)
+			src.SendUDP(addr("198.51.100.7"), port, addr("198.51.100.1"), 53, []byte{1})   // DSAV
+			src.SendUDP(addr("192.0.2.1"), port, addr("198.51.100.9"), 53, []byte{2})      // no host
+			src.SendUDP(addr("2001:db8:2::7"), port, addr("2001:db8:2::1"), 53, []byte{3}) // DSAV, IPv6
+			src.SendUDP(addr("2001:db8:1::1"), port, addr("2001:db8:2::9"), 53, []byte{4}) // no host, IPv6
+			src.SendUDP(addr("192.0.2.1"), port, addr("8.8.8.8"), 53, []byte{5})           // no route
+			src.SendUDP(addr("203.0.113.7"), port, addr("203.0.113.1"), 53, []byte{6})     // DSAV, hooked AS
 		}
 		n.Run()
-		return n.Drops()
+		return n.Drops(), hooked
 	}
-	plain, traced := run(false), run(true)
-	if !reflect.DeepEqual(plain, traced) || plain[DropLoss] == 0 || plain[DropDSAV] == 0 || plain[DropNoHost] == 0 {
+	plain, plainHooked := run(false)
+	traced, tracedHooked := run(true)
+	if !reflect.DeepEqual(plain, traced) || plain[DropLoss] == 0 || plain[DropDSAV] == 0 || plain[DropNoHost] == 0 ||
+		plain[DropNoRoute] != 200 {
 		t.Fatalf("untraced drops %v, traced %v", plain, traced)
+	}
+	if !reflect.DeepEqual(plainHooked, tracedHooked) || len(plainHooked) != 200 {
+		t.Fatalf("AS 3's drop hook saw %d drops untraced, %d traced, want the same 200", len(plainHooked), len(tracedHooked))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -74,10 +75,15 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzBuild asserts the writers' contract on arbitrary inputs: a build
 // either fails, or Decode accepts the datagram it returned and gives
-// back every field and the payload. family picks IPv4, IPv6, or mixed
-// addresses (which must fail); opts is read as a sequence of TCP
-// options, one kind byte each, then for kinds other than end-of-options
-// and no-op a length byte and that many data bytes.
+// back every field and the payload. A UDP datagram is also written by
+// WriteUDP into reused buffers, one of stale bytes and one that holds a
+// longer, different datagram (and, for IPv6, from zoned addresses): it
+// must write BuildUDP's bytes into each buffer and fill a Packet equal
+// field for field to Decode's.
+// family picks IPv4, IPv6, or mixed addresses (which must fail); opts is
+// read as a sequence of TCP options, one kind byte each, then for kinds
+// other than end-of-options and no-op a length byte and that many data
+// bytes.
 func FuzzBuild(f *testing.F) {
 	f.Add(uint8(0), uint64(0), uint64(0xc0000201), uint64(0), uint64(0xc6336407), uint16(40000), uint16(53), uint8(64),
 		[]byte("\x12\x34\x01\x00\x00\x01payload"), false, uint8(0), uint16(0), uint32(0), uint32(0), []byte(nil))
@@ -88,6 +94,8 @@ func FuzzBuild(f *testing.F) {
 		[]byte("\x02\x02\x05\xb4\x04\x00\x08\x08\x00\x00\x12\x34\x00\x00\x00\x00\x01\x03\x01\x07"))
 	f.Add(uint8(1), uint64(0x20010db800000000), uint64(5), uint64(0x20010db800000000), uint64(9), uint16(53), uint16(1234), uint8(64),
 		[]byte("\x00\x03abc"), true, uint8(0x18), uint16(65535), uint32(7), uint32(9), []byte(nil))
+	f.Add(uint8(1), uint64(0x20010db800000000), uint64(5), uint64(0x20010db800000000), uint64(9), uint16(53), uint16(40000), uint8(255),
+		[]byte("\x12\x34\x81\x80\x00\x01v6 answer"), false, uint8(0), uint16(0), uint32(0), uint32(0), []byte(nil))
 	f.Add(uint8(2), uint64(0), uint64(0xc0000201), uint64(0x20010db800000000), uint64(9), uint16(1), uint16(2), uint8(1),
 		[]byte("x"), false, uint8(0), uint16(0), uint32(0), uint32(0), []byte(nil))
 
@@ -161,6 +169,7 @@ func FuzzBuild(f *testing.F) {
 			if p.UDP == nil || p.TCP != nil {
 				t.Fatalf("UDP datagram decoded as %+v", p)
 			}
+			checkWriteUDP(t, raw, p, src, dst, sport, dport, ttl, payload)
 			return
 		}
 		got := p.TCP
@@ -186,4 +195,30 @@ func FuzzBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWriteUDP writes the datagram BuildUDP built as raw, and Decode
+// decoded as want, with WriteUDP over a buffer of stale bytes and over
+// one that holds a longer, different datagram, and requires the same
+// bytes, in that buffer, and a filled Packet equal to want.
+func checkWriteUDP(t *testing.T, raw []byte, want *Packet, src, dst netip.Addr, sport, dport uint16, ttl uint8, payload []byte) {
+	t.Helper()
+	bufs := [][]byte{bytes.Repeat([]byte{0xa5}, len(raw)+64)}
+	if other := bytes.Repeat([]byte{0x5a}, len(payload)+64); CheckUDP(dst, src, len(other)) == nil {
+		var p Packet
+		bufs = append(bufs, WriteUDP(&p, nil, dst, src, ^dport, ^sport, ^ttl, other))
+	}
+	if src.Is6() {
+		src, dst = src.WithZone("eth0"), dst.WithZone("1")
+	}
+	for _, buf := range bufs {
+		var p Packet
+		got := WriteUDP(&p, buf, src, dst, sport, dport, ttl, payload)
+		if !bytes.Equal(got, raw) || &got[0] != &buf[0] {
+			t.Fatalf("WriteUDP wrote %x (in the reused buffer: %v), BuildUDP %x", got, &got[0] == &buf[0], raw)
+		}
+		if !reflect.DeepEqual(p, *want) {
+			t.Fatalf("WriteUDP filled %+v %+v %+v, Decode gives %+v %+v %+v", p.V4, p.V6, p.UDP, want.V4, want.V6, want.UDP)
+		}
+	}
 }

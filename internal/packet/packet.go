@@ -4,6 +4,10 @@
 // checksums into one allocation. Decode parses a datagram into one
 // Packet that holds its headers by value, checking the IPv4 header
 // checksum and the transport checksum over the bytes in place.
+// WriteUDP is the scratch writer: it writes BuildUDP's bytes into a
+// buffer the caller reuses and fills a Packet from its arguments,
+// field for field what Decode would give for those bytes, without
+// decoding them.
 //
 // Packets inside the simulator are real bytes. Border filters, kernels,
 // and endpoints all parse the same serialized representation, so the
@@ -11,8 +15,9 @@
 // use on a real network; the simulator skips building only a datagram
 // whose bytes nothing would read (internal/netsim). CheckUDP tells,
 // without building, whether BuildUDP would fail. A built datagram is
-// never written again, and a decoded Packet's payload and TCP option
-// data alias the datagram.
+// never written again, and a decoded or filled Packet's payload and TCP
+// option data alias the datagram, so a Packet WriteUDP filled on a
+// reused buffer holds only until the buffer's next write.
 package packet
 
 import (
@@ -258,12 +263,23 @@ func checkDatagram(src, dst netip.Addr, segLen int) error {
 	return nil
 }
 
-// newDatagram allocates the whole datagram for a segLen-byte transport
-// segment, after checkDatagram passed, and writes the IP header. It
-// returns the datagram and the segment within it.
-func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []byte) {
+// newDatagram writes the IP header of a datagram for a segLen-byte
+// transport segment into buf's storage, or into a new allocation of the
+// whole datagram when buf is too short, after checkDatagram passed.
+// Every header byte it does not set is zero. It returns the datagram and
+// the segment within it.
+func newDatagram(buf []byte, src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []byte) {
+	hdrLen := ipv6HeaderLen
 	if src.Is4() {
-		raw = make([]byte, ipv4MinLen+segLen)
+		hdrLen = ipv4MinLen
+	}
+	if n := hdrLen + segLen; cap(buf) < n {
+		raw = make([]byte, n)
+	} else {
+		raw = buf[:n]
+		clear(raw[:hdrLen])
+	}
+	if src.Is4() {
 		raw[0] = 4<<4 | 5
 		binary.BigEndian.PutUint16(raw[2:4], uint16(len(raw)))
 		raw[6] = 0x40 // don't fragment
@@ -275,7 +291,6 @@ func newDatagram(src, dst netip.Addr, proto, ttl uint8, segLen int) (raw, seg []
 		binary.BigEndian.PutUint16(raw[10:12], Checksum(raw[:ipv4MinLen]))
 		return raw, raw[ipv4MinLen:]
 	}
-	raw = make([]byte, ipv6HeaderLen+segLen)
 	raw[0] = 6 << 4
 	binary.BigEndian.PutUint16(raw[4:6], uint16(segLen))
 	raw[6] = proto
@@ -302,16 +317,41 @@ func BuildUDP(src, dst netip.Addr, srcPort, dstPort uint16, ttl uint8, payload [
 	if err := CheckUDP(src, dst, len(payload)); err != nil {
 		return nil, err
 	}
+	return writeUDP(nil, src, dst, srcPort, dstPort, ttl, payload), nil
+}
+
+// WriteUDP writes the datagram BuildUDP builds into buf's storage,
+// allocating only when buf is too short, and fills p as Decode fills it
+// from those bytes: p.Raw is the datagram and p.Data its payload, both
+// within buf. The arguments must pass CheckUDP. A caller reusing one
+// buffer passes the returned datagram back as buf.
+func WriteUDP(p *Packet, buf []byte, src, dst netip.Addr, srcPort, dstPort uint16, ttl uint8, payload []byte) []byte {
+	raw := writeUDP(buf, src, dst, srcPort, dstPort, ttl, payload)
+	*p = Packet{Raw: raw, Data: raw[len(raw)-len(payload):], UDP: &p.udp, udp: UDP{SrcPort: srcPort, DstPort: dstPort}}
+	if src.Is4() {
+		p.V4 = &p.v4
+		p.v4 = IPv4{DontFrag: true, TTL: ttl, Protocol: IPProtoUDP, Src: netip.AddrFrom4(src.As4()), Dst: netip.AddrFrom4(dst.As4())}
+	} else {
+		p.V6 = &p.v6
+		p.v6 = IPv6{NextHeader: IPProtoUDP, HopLimit: ttl, Src: netip.AddrFrom16(src.As16()), Dst: netip.AddrFrom16(dst.As16())}
+	}
+	return raw
+}
+
+// writeUDP writes a UDP datagram into buf's storage as newDatagram does,
+// after CheckUDP passed.
+func writeUDP(buf []byte, src, dst netip.Addr, srcPort, dstPort uint16, ttl uint8, payload []byte) []byte {
 	length := udpHeaderLen + len(payload)
-	raw, seg := newDatagram(src, dst, IPProtoUDP, ttl, length)
+	raw, seg := newDatagram(buf, src, dst, IPProtoUDP, ttl, length)
 	binary.BigEndian.PutUint16(seg[0:2], srcPort)
 	binary.BigEndian.PutUint16(seg[2:4], dstPort)
 	binary.BigEndian.PutUint16(seg[4:6], uint16(length))
+	seg[6], seg[7] = 0, 0
 	copy(seg[udpHeaderLen:], payload)
 	sum := TransportChecksum(src, dst, IPProtoUDP, seg)
 	if sum == 0 {
 		sum = 0xffff // RFC 768: transmitted as all ones
 	}
 	binary.BigEndian.PutUint16(seg[6:8], sum)
-	return raw, nil
+	return raw
 }

@@ -177,7 +177,7 @@ func BuildTCP(src, dst netip.Addr, tcp *TCP, ttl uint8, payload []byte) ([]byte,
 	if err := checkDatagram(src, dst, hdrLen+len(payload)); err != nil {
 		return nil, err
 	}
-	raw, seg := newDatagram(src, dst, IPProtoTCP, ttl, hdrLen+len(payload))
+	raw, seg := newDatagram(nil, src, dst, IPProtoTCP, ttl, hdrLen+len(payload))
 	binary.BigEndian.PutUint16(seg[0:2], tcp.SrcPort)
 	binary.BigEndian.PutUint16(seg[2:4], tcp.DstPort)
 	binary.BigEndian.PutUint32(seg[4:8], tcp.Seq)

@@ -142,6 +142,75 @@ func TestSpecialPurpose(t *testing.T) {
 	}
 }
 
+// TestSpecialPurposeMatchesLinearScan checks the first-octet table
+// against Contains over every block in turn: on random IPv4 and IPv6
+// addresses, random addresses inside each block, each block's first and
+// last address and their neighbours, and zoned, IPv4-mapped and invalid
+// addresses.
+func TestSpecialPurposeMatchesLinearScan(t *testing.T) {
+	linear := func(a netip.Addr) bool {
+		for _, p := range specialPurpose {
+			if p.Contains(a) {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(11))
+	randAddr := func(v4 bool) netip.Addr {
+		if v4 {
+			var b [4]byte
+			rng.Read(b[:])
+			return netip.AddrFrom4(b)
+		}
+		var b [16]byte
+		rng.Read(b[:])
+		return netip.AddrFrom16(b)
+	}
+	var probes []netip.Addr
+	for i := 0; i < 20000; i++ {
+		probes = append(probes, randAddr(i%2 == 0))
+	}
+	for _, p := range specialPurpose {
+		first := p.Addr().AsSlice()
+		last := p.Addr().AsSlice()
+		for i := p.Bits(); i < len(last)*8; i++ {
+			last[i/8] |= byte(0x80) >> (i % 8)
+		}
+		lo, _ := netip.AddrFromSlice(first)
+		hi, _ := netip.AddrFromSlice(last)
+		probes = append(probes, lo, hi, lo.Prev(), hi.Next())
+		for i := 0; i < 50; i++ {
+			in := randAddr(p.Addr().Is4()).AsSlice()
+			for b := 0; b < p.Bits(); b++ {
+				m := byte(0x80) >> (b % 8)
+				in[b/8] = in[b/8]&^m | first[b/8]&m
+			}
+			a, _ := netip.AddrFromSlice(in)
+			probes = append(probes, a)
+		}
+	}
+	probes = append(probes, netip.Addr{},
+		mustAddr("fe80::1%eth0"), mustAddr("::1%lo"), mustAddr("2001:db8::1%1"), mustAddr("2600::1%eth1"),
+		mustAddr("::ffff:10.1.2.3"), mustAddr("::ffff:8.8.8.8"), mustAddr("::ffff:0.0.0.0"),
+		mustAddr("::ffff:255.255.255.255"), mustAddr("::a00:1"))
+	special := 0
+	for _, a := range probes {
+		for _, a := range []netip.Addr{a, netip.AddrFrom16(a.As16())} { // as given, and IPv4-mapped or unzoned
+			want := linear(a)
+			if got := IsSpecialPurpose(a); got != want {
+				t.Fatalf("IsSpecialPurpose(%v) = %v; the linear scan says %v", a, got, want)
+			}
+			if want {
+				special++
+			}
+		}
+	}
+	if special < len(specialPurpose)*50 {
+		t.Fatalf("only %d of %d probes are special-purpose", special, 2*len(probes))
+	}
+}
+
 func TestIsPrivateAndLoopback(t *testing.T) {
 	if !IsPrivate(mustAddr("192.168.0.10")) || !IsPrivate(mustAddr("fc00::10")) {
 		t.Fatal("paper's private spoof sources must be private")

@@ -44,12 +44,38 @@ var specialPurpose = func() []netip.Prefix {
 	return out
 }()
 
+// The special-purpose blocks split for a constant-time test: the IPv4
+// blocks indexed by first octet, each octet listing the blocks that
+// start with it (one block covering the whole octet, or the few smaller
+// ones of 100, 169, 172, 192, 198 and 203), and the IPv6 blocks.
+var specialV4, specialV6 = func() (byOctet [256][]netip.Prefix, v6 []netip.Prefix) {
+	for _, p := range specialPurpose {
+		if !p.Addr().Is4() {
+			v6 = append(v6, p)
+			continue
+		}
+		first, span := int(p.Addr().As4()[0]), 1
+		if p.Bits() < 8 {
+			span = 1 << (8 - p.Bits())
+		}
+		for o := first; o < first+span; o++ {
+			byOctet[o] = append(byOctet[o], p)
+		}
+	}
+	return byOctet, v6
+}()
+
 // IsSpecialPurpose reports whether addr falls in an IANA special-purpose
-// block (RFC 6890): private, loopback, documentation, multicast, etc.
+// block (RFC 6890): private, loopback, documentation, multicast, etc. An
+// IPv4 address meets at most the four blocks of its first octet.
 //
 //doors:hotpath
 func IsSpecialPurpose(addr netip.Addr) bool {
-	for _, p := range specialPurpose {
+	blocks := specialV6
+	if addr.Is4() {
+		blocks = specialV4[addr.As4()[0]]
+	}
+	for _, p := range blocks {
 		if p.Contains(addr) {
 			return true
 		}

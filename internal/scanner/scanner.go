@@ -772,7 +772,7 @@ func appendAddrWire(b []byte, a netip.Addr) []byte {
 func (s *Scanner) send(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	txn, sport := s.probeIDs(now, src, t.Addr, kind)
 	s.msgBuf = dnswire.AppendQuery(s.msgBuf[:0], txn, s.nameBuf, dnswire.TypeA)
-	//lint:allow hotalloc -- Host is the netsim boundary: building and scheduling a datagram that can arrive is the simulator's cost, and one its addresses doom is counted without either
+	//lint:allow hotalloc -- Host is the netsim boundary: building and scheduling a datagram that can arrive is the simulator's cost, and one its addresses doom is counted without either, its loss and fault draws taken on the network's scratch bytes
 	if s.Host.SendUDP(src, sport, t.Addr, 53, s.msgBuf) == nil {
 		s.Stats.ProbesSent++
 	}

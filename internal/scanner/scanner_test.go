@@ -373,7 +373,7 @@ func TestScheduleRateIsRespected(t *testing.T) {
 	}
 	s.Admit(cands)
 	var sends []time.Duration
-	nw.SetFaultHook(func(now time.Duration, _ []byte, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+	nw.SetFaultHook(func(now time.Duration, _ uint64, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
 		sends = append(sends, now)
 		return netsim.TransitFault{}
 	})
@@ -458,7 +458,7 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 	}
 
 	var got []send
-	nw.SetFaultHook(func(now time.Duration, _ []byte, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+	nw.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
 		got = append(got, send{now, pkt.Src(), pkt.Dst()})
 		return netsim.TransitFault{}
 	})
@@ -503,8 +503,13 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 		pkt *packet.Packet
 	}
 	var got []sent
-	nw.SetFaultHook(func(now time.Duration, _ []byte, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
-		got = append(got, sent{now, pkt})
+	nw.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		// The hook's Packet and bytes last only as long as the call.
+		kept, err := packet.Decode(append([]byte(nil), pkt.Raw...))
+		if err != nil {
+			t.Fatalf("probe %d does not decode: %v", len(got), err)
+		}
+		got = append(got, sent{now, kept})
 		return netsim.TransitFault{Drop: true}
 	})
 	s.Admit([]netip.Addr{addr("5.1.1.77"), addr("2a00:5:0:7::9")})

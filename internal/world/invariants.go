@@ -66,8 +66,11 @@ func (r *InvariantReport) Ok() bool { return r.ViolationCount == 0 }
 // netsim's delivery hook and the resolvers' cache observer; sharded
 // surveys merge the per-world reports.
 type Invariants struct {
-	report    InvariantReport
-	qids      map[txnKey]map[uint16]struct{}
+	report InvariantReport
+	// qids holds each transaction's first recorded ID, and moreQIDs any
+	// other ID recorded for it: most transactions see one.
+	qids      map[txnKey]uint16
+	moreQIDs  map[txnID]struct{}
 	lastFlush map[netip.Addr]time.Duration
 }
 
@@ -81,10 +84,17 @@ type txnKey struct {
 	qnameHash  uint64
 }
 
+// txnID is one recorded ID of a transaction.
+type txnID struct {
+	key txnKey
+	id  uint16
+}
+
 // NewInvariants returns an empty checker.
 func NewInvariants() *Invariants {
 	return &Invariants{
-		qids:      make(map[txnKey]map[uint16]struct{}),
+		qids:      make(map[txnKey]uint16),
+		moreQIDs:  make(map[txnID]struct{}),
 		lastFlush: make(map[netip.Addr]time.Duration),
 	}
 }
@@ -138,19 +148,18 @@ func (v *Invariants) OnDelivery(now time.Duration, pkt *packet.Packet, dstAS *ro
 			return
 		}
 		key := txnKey{client: pkt.Src(), clientPort: u.SrcPort, server: pkt.Dst(), qnameHash: qh}
-		set := v.qids[key]
-		if set == nil {
-			set = make(map[uint16]struct{})
-			v.qids[key] = set
+		if first, recorded := v.qids[key]; !recorded {
+			v.qids[key] = id
+		} else if first != id {
+			v.moreQIDs[txnID{key, id}] = struct{}{}
 		}
-		set[id] = struct{}{}
 		return
 	}
 	if u.SrcPort != 53 {
 		return
 	}
 	key := txnKey{client: pkt.Dst(), clientPort: u.DstPort, server: pkt.Src(), qnameHash: qh}
-	set, recorded := v.qids[key]
+	first, recorded := v.qids[key]
 	if !recorded {
 		// Unsolicited: spoofed-source probing legitimately lands
 		// responses on hosts that never (observably) asked, and
@@ -159,7 +168,10 @@ func (v *Invariants) OnDelivery(now time.Duration, pkt *packet.Packet, dstAS *ro
 		return
 	}
 	v.report.ResponsesChecked++
-	if _, ok := set[id]; !ok {
+	if id == first {
+		return
+	}
+	if _, more := v.moreQIDs[txnID{key, id}]; !more {
 		v.violate("txn: response id %#04x from %v to %v:%d matches no id recorded for its question",
 			id, pkt.Src(), pkt.Dst(), u.DstPort)
 	}

@@ -63,8 +63,8 @@ func runSurvey(t *testing.T, pop ditl.Pop, lossRate float64, faults, traced bool
 // and judged at arrival) and through the skip (doomed datagrams counted
 // without being built or scheduled). Drops by reason, deliveries, hits
 // and every counter must agree; only the event count may fall. With
-// loss and chaos on, the bytes are built for the draws and only the
-// arrival is skipped.
+// loss and chaos on, a doomed datagram is written on the network's
+// scratch buffer for the draws, and only a corrupted one travels.
 func TestByteAndSkipPathsAgree(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 13, ASes: 120})
 	for _, c := range []struct {
