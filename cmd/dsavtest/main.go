@@ -2,7 +2,10 @@
 // proposes offering to the public: it probes a single AS with the full
 // spoofed-source battery and reports which categories penetrated the
 // border — i.e., whether the network deploys DSAV and bogon filtering,
-// and which of its resolvers are exposed.
+// and which of its resolvers are exposed. It runs the survey campaign
+// on that one AS, so its findings are the survey's: a hit past the
+// §3.6.3 lifetime threshold, such as an IDS analyst's delayed lookup of
+// a dropped probe, counts for nothing.
 //
 // Usage:
 //
@@ -13,9 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
+	"slices"
 
+	doors "repro"
 	"repro/internal/ditl"
 	"repro/internal/scanner"
 	"repro/internal/world"
@@ -39,18 +43,6 @@ func main() {
 		return
 	}
 
-	w, err := world.Build(pop, world.Options{Seed: *seed + 1})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dsavtest:", err)
-		os.Exit(1)
-	}
-	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth,
-		scanner.Config{Seed: *seed + 2, Keyword: "dtest", Rate: 10000})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dsavtest:", err)
-		os.Exit(1)
-	}
-
 	var spec *ditl.ASSpec
 	for _, as := range pop.ASes {
 		if *asn == 0 || uint(as.ASN) == *asn {
@@ -65,53 +57,26 @@ func main() {
 	fmt.Printf("Testing %v: %d candidate resolvers, %d announced prefixes\n",
 		spec.ASN, spec.NumResolvers(), len(spec.Prefixes()))
 
-	var candidates []netip.Addr
-	for k := 0; k < spec.NumResolvers(); k++ {
-		rs := spec.Resolver(k)
-		if rs.HasV4() {
-			candidates = append(candidates, rs.Addr4)
-		}
-		if rs.HasV6() {
-			candidates = append(candidates, rs.Addr6)
-		}
-	}
-	sc.Admit(candidates)
-	probes, _ := sc.ScheduleAll()
-	w.Net.Run()
-
-	scannerAddrs := []netip.Addr{w.ScannerAddr4, w.ScannerAddr6}
-	penetrated := map[scanner.SourceCategory]int{}
-	reached := map[netip.Addr]bool{}
-	open := map[netip.Addr]bool{}
-	for _, h := range sc.Hits {
-		if h.ASN != spec.ASN || h.Kind != scanner.ProbeMain {
-			continue
-		}
-		cat := scanner.Categorize(h.Src, h.Dst, scannerAddrs)
-		if cat == scanner.CatNotSpoofed {
-			open[h.Dst] = true
-			continue
-		}
-		penetrated[cat]++
-		reached[h.Dst] = true
+	f, err := testAS(spec, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsavtest:", err)
+		os.Exit(1)
 	}
 
-	fmt.Printf("Sent %d probes.\n\n", probes)
+	fmt.Printf("Sent %d probes.\n\n", f.probes)
 	fmt.Println("Spoofed-source categories that penetrated the border:")
 	for _, cat := range []scanner.SourceCategory{scanner.CatOtherPrefix, scanner.CatSamePrefix,
 		scanner.CatPrivate, scanner.CatDstAsSrc, scanner.CatLoopback} {
 		status := "blocked or unanswered"
-		if penetrated[cat] > 0 {
-			status = fmt.Sprintf("PENETRATED (%d hits)", penetrated[cat])
+		if f.penetrated[cat] > 0 {
+			status = fmt.Sprintf("PENETRATED (%d addresses)", f.penetrated[cat])
 		}
 		fmt.Printf("  %-13s %s\n", cat, status)
 	}
 
 	fmt.Println()
-	internalSpoof := penetrated[scanner.CatOtherPrefix] + penetrated[scanner.CatSamePrefix] +
-		penetrated[scanner.CatDstAsSrc]
 	switch {
-	case internalSpoof > 0:
+	case f.lacksDSAV:
 		fmt.Println("VERDICT: this network LACKS DSAV — packets claiming internal sources")
 		fmt.Println("         cross its border. Configure border routers to drop inbound")
 		fmt.Println("         packets bearing internal source addresses.")
@@ -121,12 +86,52 @@ func main() {
 		fmt.Println("VERDICT: no internal-source spoofed query penetrated; the network")
 		fmt.Println("         deploys DSAV (or no resolver accepted our sources).")
 	}
-	if penetrated[scanner.CatPrivate] > 0 || penetrated[scanner.CatLoopback] > 0 {
+	if f.lacksBogonFilter {
 		fmt.Println("NOTE:    special-purpose (private/loopback) sources also penetrated —")
 		fmt.Println("         the border performs no bogon filtering.")
 	}
 	fmt.Printf("\nGround truth for this simulated AS: DSAV=%v, bogon filtering=%v\n",
 		spec.DSAV, spec.FilterBogons)
 	fmt.Printf("Resolvers reached: %d (%d also answer arbitrary clients: open)\n",
-		len(reached), len(open))
+		f.reached, f.open)
+}
+
+// finding is one AS's test, read off the survey's Report: the probes
+// scheduled, the addresses a timely spoofed query reached (and of them
+// the open ones), and per source category the addresses it reached.
+type finding struct {
+	probes, reached, open int
+	penetrated            map[scanner.SourceCategory]int
+	// lacksDSAV: an internal source (another prefix of the AS, the
+	// target's own prefix, the target itself) crossed the border;
+	// lacksBogonFilter: a private or loopback source did.
+	lacksDSAV, lacksBogonFilter bool
+}
+
+// testAS surveys spec's live resolvers with the default survey
+// campaign, on a population of that AS alone, with the world seeded
+// seed+1 and the scanner seed+2.
+func testAS(spec *ditl.ASSpec, seed int64) (finding, error) {
+	one := *spec
+	one.DeadTargets = nil // the tool probes live resolvers only
+	s, err := doors.RunSurveyOn(&ditl.Population{ASes: []*ditl.ASSpec{&one}}, doors.SurveyConfig{
+		World:   world.Options{Seed: seed + 1},
+		Scanner: scanner.Config{Seed: seed + 2, Keyword: "dtest", Rate: 10000},
+	})
+	if err != nil {
+		return finding{}, err
+	}
+	r := s.Report
+	p := make(map[scanner.SourceCategory]int)
+	for _, row := range slices.Concat(r.Table3.V4, r.Table3.V6) {
+		p[row.Category] += row.InclusiveAddrs
+	}
+	return finding{
+		probes:           s.Probes,
+		reached:          r.V4.ReachableAddrs + r.V6.ReachableAddrs,
+		open:             r.OpenClosed.Open,
+		penetrated:       p,
+		lacksDSAV:        p[scanner.CatOtherPrefix]+p[scanner.CatSamePrefix]+p[scanner.CatDstAsSrc] > 0,
+		lacksBogonFilter: p[scanner.CatPrivate]+p[scanner.CatLoopback] > 0,
+	}, nil
 }

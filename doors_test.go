@@ -167,7 +167,11 @@ func TestAllDSAVCounterfactual(t *testing.T) {
 // produces no observations.
 func TestOptOutSuppressesProbing(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 13, ASes: 60})
-	w, err := world.Build(pop, world.Options{})
+	reg, err := world.BuildRegistry(pop, world.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := world.BuildWith(pop, reg, world.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,8 @@ func TestOptOutSuppressesProbing(t *testing.T) {
 	for _, p := range optedOut.Prefixes() {
 		sc.OptOut(p)
 	}
-	sc.ScheduleAll()
+	sc.FollowUp = sc.ScheduleFollowUps
+	sc.Schedule(scanner.CampaignDuration(sc.Plan(), sc.Cfg.Rate))
 	w.Net.Run()
 
 	for _, h := range sc.Hits {

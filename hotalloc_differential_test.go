@@ -226,6 +226,37 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatalf("doomed sends under loss and faults: drops %v, %d events pending", d, lw.Q.Len())
 	}
 
+	// A datagram that travels is built and scheduled: its Packet, its
+	// bytes and its arrival event, three objects. The network owns the
+	// bytes SendUDP builds, so the TTL decrement at the border writes
+	// them in place. This is the one send pinned at a nonzero count.
+	tw := netsim.New(nreg, netsim.Config{Seed: 1})
+	tsender, err := tw.Attach("sender", nreg.AS(64500), a4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver, err := tw.Attach("receiver", nreg.AS(64501), dst4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	if err := receiver.BindUDP(53, func(_ time.Duration, _ netip.Addr, _ uint16, _ netip.Addr, _ uint16, data []byte) {
+		got += len(data)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tsender.SendUDP(a4, 40000, dst4, 53, payload) // warm the event queue
+	tw.Run()
+	if avg := testing.AllocsPerRun(200, func() {
+		sinkBool = tsender.SendUDP(a4, 40000, dst4, 53, payload) == nil
+		tw.Run()
+	}); avg != 3 {
+		t.Errorf("netsim.Host.SendUDP across a border, delivered: %v allocs/op, want 3", avg)
+	}
+	if tw.Delivered() == 0 || got != int(tw.Delivered())*len(payload) {
+		t.Fatalf("travelling sends: %d delivered, %d payload bytes", tw.Delivered(), got)
+	}
+
 	// The probe writer every probe goes through, the probe cursor's main
 	// probes included: address labels append into a warmed buffer, and a
 	// main probe its addresses doom is written, packed and counted

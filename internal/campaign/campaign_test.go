@@ -433,9 +433,9 @@ func TestCountMatchesPlan(t *testing.T) {
 	}
 	for _, maxOther := range []int{0, 1, 3} {
 		sc := scanner.NewPlanner(nested, scanner.Config{Seed: 2, MaxOtherPrefix: maxOther, V6HitList: nestedHL})
-		sc.Admit([]netip.Addr{
-			netip.MustParseAddr("2a00:5::53"), netip.MustParseAddr("2a00:5:0:9000::1"), netip.MustParseAddr("5.1.1.7"),
-		})
+		for _, a := range []string{"2a00:5::53", "2a00:5:0:9000::1", "5.1.1.7"} {
+			sc.AdmitOne(netip.MustParseAddr(a))
+		}
 		check(fmt.Sprintf("nested prefixes, MaxOtherPrefix %d", maxOther), &Shard{Scanner: sc})
 	}
 }

@@ -235,7 +235,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 		}
 	}
 	if shards == 1 {
-		parts[0] = nil // build everything; preserves Build's fast path
+		parts[0] = nil // every AS: the whole-population paths of EachAS and CandidateCount
 	}
 	view := ditl.Marked(pop, starts)
 

@@ -17,7 +17,11 @@ func TestRNameToEmail(t *testing.T) {
 
 func TestLookupThroughSimulatedWorld(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 77, ASes: 40})
-	w, err := world.Build(pop, world.Options{})
+	reg, err := world.BuildRegistry(pop, world.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := world.BuildWith(pop, reg, world.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,11 @@ func TestLookupThroughShardWorld(t *testing.T) {
 
 func TestLookupV6(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 78, ASes: 80})
-	w, err := world.Build(pop, world.Options{})
+	reg, err := world.BuildRegistry(pop, world.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := world.BuildWith(pop, reg, world.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,6 @@ import (
 // and world builder consume this interface so a survey never needs
 // the whole population in memory at once.
 type Pop interface {
-	// PopParams returns the generation parameters.
-	PopParams() Params
 	// NumASes returns the AS count.
 	NumASes() int
 	// EachAS visits the ASes selected by indices (nil = all, in
@@ -30,12 +28,7 @@ type Pop interface {
 	CandidateCount(indices []int) int
 	// V6AddrCount returns the population-wide IPv6 candidate count.
 	V6AddrCount() int
-	// Summarize computes population statistics.
-	Summarize() Stats
 }
-
-// PopParams implements Pop.
-func (p *Population) PopParams() Params { return p.Params }
 
 // NumASes implements Pop.
 func (p *Population) NumASes() int { return len(p.ASes) }
@@ -160,9 +153,6 @@ func (v *View) resume(cs *detrand.Counted, i int) *detrand.Counted {
 	return v.stream()
 }
 
-// PopParams implements Pop.
-func (v *View) PopParams() Params { return v.params }
-
 // NumASes implements Pop.
 func (v *View) NumASes() int { return v.params.ASes }
 
@@ -215,8 +205,8 @@ func (v *View) CandidateCount(indices []int) int {
 // V6AddrCount implements Pop in O(1) from the indexing pass.
 func (v *View) V6AddrCount() int { return v.stats.TargetsV6 }
 
-// Summarize implements Pop; the statistics were tallied during the
-// indexing pass, so this is O(1).
+// Summarize computes population statistics, as Population.Summarize
+// does; they were tallied during the indexing pass, so this is O(1).
 func (v *View) Summarize() Stats { return v.stats }
 
 // EachCandidate visits the DITL-derived candidate targets (live

@@ -110,9 +110,11 @@ func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort u
 	return nil
 }
 
-// SendRaw injects pre-serialized bytes — the "raw socket" used by the
-// scanner to emit spoofed-source packets.
-func (h *Host) SendRaw(raw []byte) { h.net.inject(h.AS, raw) }
+// SendRaw injects pre-serialized bytes — the "raw socket" that
+// spoofed-source senders write through. The network writes the bytes it
+// carries (the TTL decrement at a border, a fault's bit flip), so it
+// sends a copy, and the caller's raw is never written.
+func (h *Host) SendRaw(raw []byte) { h.net.inject(h.AS, append([]byte(nil), raw...)) }
 
 // SetDown takes the host offline (or back online): while down, inbound
 // packets are dropped as if no host owned the address — the churn the

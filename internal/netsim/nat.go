@@ -114,7 +114,7 @@ func (gw *NATGateway) forwardOut(ih *InsideHost, raw []byte) {
 		return
 	}
 	gw.ensureBound(pubPort)
-	gw.host.SendRaw(out)
+	gw.host.net.inject(gw.host.AS, out)
 }
 
 // allocMapping reuses or creates the public port for an inside flow.

@@ -12,12 +12,12 @@
 // reads: when its drop depends on its addresses alone (loopback
 // destination, OSAV, no route, TTL, bogon source, DSAV, no host) and no
 // socket, drop hook or tracer will read it, it is counted under the same
-// drop reason without a datagram of its own, or without the transit
-// copy and arrival event when it arrived as bytes. Under loss or a fault
-// hook, such a datagram past its route lookup is written on a buffer the
-// Network reuses, byte for byte what packet.BuildUDP writes, for the
-// loss draw and the hook to read; only one a fault corrupts, whose
-// flipped bit the receiver's decode must meet, is copied and travels on.
+// drop reason without a datagram of its own, or without an arrival
+// event when it arrived as bytes. Under loss or a fault hook, such a
+// datagram past its route lookup is written on a buffer the Network
+// reuses, byte for byte what packet.BuildUDP writes, for the loss draw
+// and the hook to read; only one a fault corrupts, whose flipped bit the
+// receiver's decode must meet, is copied and travels on.
 // The draws fold a datagram's bytes once (detrand.FoldBytes) and seed
 // the fold, so a datagram draws the same wherever its bytes were
 // written. A tracer turns the exception off, so a traced network is the
@@ -475,10 +475,11 @@ func (n *Network) transit(origin *routing.AS, v verdict, pkt *packet.Packet) (fa
 
 // carry moves a datagram that transit let through to its arrival: the
 // flow's jitter and the fault's delay, the TTL decrement at the border
-// and the fault's bit flip, both on one copy of the bytes, and the
-// arrival event (two with a duplicate). A doomed datagram from the
-// scratch buffer gets here only when a fault corrupts it, so the
-// arrival never holds the scratch bytes.
+// and the fault's bit flip, and the arrival event (two with a
+// duplicate). The network owns the bytes it is handed (SendRaw copies
+// a caller's), so both writes land in place; only a doomed datagram on
+// the scratch buffer, which gets here when a fault corrupts it, is
+// copied first, so the arrival never holds the scratch bytes.
 func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault TransitFault) {
 	dstAS := v.dstAS
 	crossesBorder := dstAS != origin
@@ -492,17 +493,16 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault
 	}
 
 	raw := pkt.Raw
-	if crossesBorder || fault.Corrupt {
-		raw = append([]byte(nil), raw...) // the sender's bytes are never written
+	if pkt == &n.scratchPkt {
+		raw = append([]byte(nil), raw...)
 	}
 	// Transit TTL decrement, applied to the serialized packet so the
 	// receiver observes a hop-decremented TTL (what p0f sees).
 	if crossesBorder {
 		decrementTTL(raw, v.hops)
-		// pkt now describes the datagram the receiver gets; its payload
-		// and TCP option data still alias the pre-transit bytes, which
-		// differ from raw only in the IP header. The fault hook and the
-		// drop hooks saw pkt before this update; none of them keeps it.
+		// pkt now describes the datagram the receiver gets. The fault
+		// hook and the drop hooks saw pkt before this update; none of
+		// them keeps it.
 		pkt.Raw = raw
 		if pkt.V4 != nil {
 			pkt.V4.TTL -= v.hops

@@ -320,6 +320,51 @@ func TestTTLDecrementedInTransit(t *testing.T) {
 	}
 }
 
+// TestSendRawLeavesCallersBytes sends a caller's IPv4 and IPv6
+// datagrams across a border, untouched and under a fault that corrupts
+// and duplicates them. The network writes the TTL decrement and the bit
+// flip on bytes of its own, so each caller's buffer is byte for byte
+// what it sent, while the receiver sees the decremented TTL and the
+// corrupted copies fail their decode.
+func TestSendRawLeavesCallersBytes(t *testing.T) {
+	hops := pathHops(100, 200)
+	for _, c := range []struct {
+		name  string
+		fault TransitFault
+	}{
+		{"untouched", TransitFault{}},
+		{"corrupted and duplicated", TransitFault{Corrupt: true, CorruptBit: 8*28 + 3, Duplicate: true, DupDelay: time.Millisecond}},
+	} {
+		w := newWorld(t, nil)
+		l := listen53(t, w.target)
+		var ttls []uint8
+		w.net.SetDeliveryHook(func(_ time.Duration, pkt *packet.Packet, _ *routing.AS, _ bool) {
+			ttls = append(ttls, pkt.TTL())
+		})
+		w.net.SetFaultHook(func(time.Duration, uint64, *packet.Packet, *routing.AS, *routing.AS) TransitFault {
+			return c.fault
+		})
+		for _, dst := range []netip.Addr{addr("198.51.100.53"), addr("2001:db8:200::53")} {
+			raw := spoofedUDP(t, w.scanner.Addr(dst.Is6()), dst, "kept by the caller")
+			sent := bytes.Clone(raw)
+			w.scanner.SendRaw(raw)
+			w.net.Run()
+			if !bytes.Equal(raw, sent) {
+				t.Errorf("%s, to %v: the caller's bytes changed in transit:\n got  %x\n want %x", c.name, dst, raw, sent)
+			}
+		}
+		if c.fault.Corrupt {
+			if l.count != 0 || w.net.Drops()[DropMalformed] != 4 {
+				t.Errorf("%s: %d delivered, drops %v; want the 4 copies malformed", c.name, l.count, w.net.Drops())
+			}
+			continue
+		}
+		if l.count != 2 || len(ttls) != 2 || ttls[0] != 64-hops || ttls[1] != 64-hops {
+			t.Errorf("%s: %d delivered with TTLs %v, want 2 with %d", c.name, l.count, ttls, 64-hops)
+		}
+	}
+}
+
 func TestLoopbackDestinationNeverRouted(t *testing.T) {
 	w := newWorld(t, nil)
 	w.scanner.SendUDP(addr("192.0.2.10"), 1, addr("127.0.0.1"), 53, nil)

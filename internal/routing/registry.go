@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -39,15 +40,33 @@ type AS struct {
 	PublicService bool
 }
 
-// V4Prefixes returns the announced IPv4 prefixes.
+// V4Prefixes returns the announced IPv4 prefixes, which may share
+// Prefixes' array: callers read them and never write them.
 func (a *AS) V4Prefixes() []netip.Prefix { return a.family(true) }
 
-// V6Prefixes returns the announced IPv6 prefixes.
+// V6Prefixes returns the announced IPv6 prefixes, which may share
+// Prefixes' array: callers read them and never write them.
 func (a *AS) V6Prefixes() []netip.Prefix { return a.family(false) }
 
+// family returns the prefixes of one address family. When Prefixes
+// lists every IPv4 prefix before every IPv6 one, as the world builder
+// announces them, each family is a clipped subslice, so an append to it
+// copies instead of overwriting the other family; any other order gets
+// a new slice.
 func (a *AS) family(v4 bool) []netip.Prefix {
+	ps := a.Prefixes
+	split := 0
+	for split < len(ps) && ps[split].Addr().Is4() {
+		split++
+	}
+	if !slices.ContainsFunc(ps[split:], func(p netip.Prefix) bool { return p.Addr().Is4() }) {
+		if v4 {
+			return slices.Clip(ps[:split])
+		}
+		return slices.Clip(ps[split:])
+	}
 	var out []netip.Prefix
-	for _, p := range a.Prefixes {
+	for _, p := range ps {
 		if p.Addr().Is4() == v4 {
 			out = append(out, p)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,45 @@ func TestASOriginatesAndFamilies(t *testing.T) {
 	}
 	if len(as.V4Prefixes()) != 2 || len(as.V6Prefixes()) != 1 {
 		t.Fatalf("family split: %d v4, %d v6", len(as.V4Prefixes()), len(as.V6Prefixes()))
+	}
+}
+
+// TestPrefixFamilies splits announcements by family in every order. An
+// AS that lists its IPv4 prefixes first, as the world builder announces
+// them, gets subslices of Prefixes without an allocation, and appending
+// to its IPv4 slice cannot overwrite its IPv6 prefixes; any other order
+// gets the same split in new slices.
+func TestPrefixFamilies(t *testing.T) {
+	v4a, v4b := mustPrefix("198.51.100.0/24"), mustPrefix("192.0.2.0/25")
+	v6a, v6b := mustPrefix("2001:db8::/40"), mustPrefix("2001:db8:100::/48")
+	for _, c := range []struct {
+		name          string
+		prefixes      []netip.Prefix
+		wantV4, want6 []netip.Prefix
+		grouped       bool
+	}{
+		{"v4 then v6", []netip.Prefix{v4a, v4b, v6a, v6b}, []netip.Prefix{v4a, v4b}, []netip.Prefix{v6a, v6b}, true},
+		{"v4 only", []netip.Prefix{v4b, v4a}, []netip.Prefix{v4b, v4a}, nil, true},
+		{"v6 only", []netip.Prefix{v6b, v6a}, nil, []netip.Prefix{v6b, v6a}, true},
+		{"none", nil, nil, nil, true},
+		{"v6 first", []netip.Prefix{v6a, v4a, v4b}, []netip.Prefix{v4a, v4b}, []netip.Prefix{v6a}, false},
+		{"interleaved", []netip.Prefix{v4a, v6a, v4b, v6b}, []netip.Prefix{v4a, v4b}, []netip.Prefix{v6a, v6b}, false},
+	} {
+		as := &AS{ASN: 1, Prefixes: slices.Clone(c.prefixes)}
+		v4, v6 := as.V4Prefixes(), as.V6Prefixes()
+		if !slices.Equal(v4, c.wantV4) || !slices.Equal(v6, c.want6) {
+			t.Errorf("%s: split %v | %v, want %v | %v", c.name, v4, v6, c.wantV4, c.want6)
+		}
+		if !c.grouped {
+			continue
+		}
+		if a := testing.AllocsPerRun(100, func() { v4, v6 = as.V4Prefixes(), as.V6Prefixes() }); a != 0 {
+			t.Errorf("%s: %v allocs per split, want 0", c.name, a)
+		}
+		_ = append(v4, mustPrefix("203.0.113.0/24"))
+		if !slices.Equal(as.Prefixes, c.prefixes) || !slices.Equal(as.V6Prefixes(), c.want6) {
+			t.Errorf("%s: appending to the IPv4 prefixes wrote Prefixes: %v", c.name, as.Prefixes)
+		}
 	}
 }
 

@@ -332,12 +332,12 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 	return s, nil
 }
 
-// NewPlanner creates a host-less scanner usable only for Admit, Count
-// and Plan — the campaign runner's world-free counting pass, and its
-// pass-B admission while the shard's world is still being built. Count
-// and Plan depend solely on the admitted targets, the registry, and
-// the config, so a planner's probe count (and per-target source plans)
-// matches the full scanner's exactly; Schedule and the auth-log
+// NewPlanner creates a host-less scanner usable only for AdmitOne,
+// Count and Plan — the campaign runner's world-free counting pass, and
+// its pass-B admission while the shard's world is still being built.
+// Count and Plan depend solely on the admitted targets, the registry,
+// and the config, so a planner's probe count (and per-target source
+// plans) matches the full scanner's exactly; Schedule and the auth-log
 // monitor need a host, which Attach provides.
 func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 	return &Scanner{
@@ -381,15 +381,6 @@ func (s *Scanner) optedOut(a netip.Addr) bool {
 	return false
 }
 
-// Admit filters candidate addresses per §3.1: special-purpose addresses
-// and addresses without an announced route are excluded.
-func (s *Scanner) Admit(candidates []netip.Addr) {
-	s.AdmitHint(len(candidates))
-	for _, a := range candidates {
-		s.AdmitOne(a)
-	}
-}
-
 // AdmitHint presizes the target list for n upcoming candidates, so a
 // streaming admission (AdmitOne per candidate straight off a population
 // view, no intermediate slice) appends without growth copies. A no-op
@@ -411,9 +402,9 @@ const (
 )
 
 // admitVerdict is the one definition of the admission predicate, in
-// filter order: batch Admit, the campaign runner's streaming admission
-// and AdmitCheck all reach it. An admitted address comes back with its
-// origin AS, from the one route lookup the predicate makes.
+// filter order: AdmitOne, the campaign runner's streaming admission,
+// and AdmitCheck both reach it. An admitted address comes back with
+// its origin AS, from the one route lookup the predicate makes.
 func (s *Scanner) admitVerdict(a netip.Addr) (admitVerdict, *routing.AS) {
 	if routing.IsSpecialPurpose(a) {
 		return admitSpecial, nil
@@ -673,21 +664,6 @@ func (s *Scanner) sendNext(now time.Duration, pi int) {
 		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
 	}
 	s.SendProbe(now, p.sources[j], p.target, ProbeMain)
-}
-
-// ScheduleAll schedules every probe, deriving the campaign duration from
-// this scanner's own probe count (the single-shard path). It returns
-// the probe count and the experiment duration. If no FollowUp hook is
-// installed yet, the standard §3.5 follow-up set is wired in, so the
-// standalone pipeline behaves like the default survey campaign.
-func (s *Scanner) ScheduleAll() (int, time.Duration) {
-	if s.FollowUp == nil {
-		s.FollowUp = s.ScheduleFollowUps
-	}
-	total := s.Plan()
-	duration := CampaignDuration(total, s.Cfg.Rate)
-	s.Schedule(duration)
-	return total, duration
 }
 
 // probeIDs derives the transaction ID and source port for a probe from

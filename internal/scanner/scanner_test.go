@@ -297,14 +297,16 @@ func TestSourcesForV6(t *testing.T) {
 func TestAdmitExclusions(t *testing.T) {
 	s := newTestScanner(t)
 	s.OptOut(prefix("5.1.8.0/24"))
-	s.Admit([]netip.Addr{
+	for _, a := range []netip.Addr{
 		addr("5.1.1.1"),      // ok
 		addr("192.168.1.1"),  // special purpose
 		addr("127.0.0.1"),    // special purpose
 		addr("99.99.99.99"),  // unrouted
 		addr("5.1.8.7"),      // opted out
 		addr("2a00:5::1234"), // ok (v6)
-	})
+	} {
+		s.AdmitOne(a)
+	}
 	if s.Stats.TargetsAdmitted != 2 {
 		t.Fatalf("admitted = %d (%+v)", s.Stats.TargetsAdmitted, s.Stats)
 	}
@@ -345,9 +347,9 @@ func TestSourcesForV6HitListPreference(t *testing.T) {
 }
 
 // TestScheduleRateIsRespected runs §3.4's pacing on a network:
-// ScheduleAll derives the window from the configured rate, every
-// planned probe is sent inside it, and the sends realize the configured
-// rate within 20%.
+// CampaignDuration derives the window from the plan's probe count at
+// the configured rate, every planned probe is sent inside it, and the
+// sends realize the configured rate within 20%.
 func TestScheduleRateIsRespected(t *testing.T) {
 	reg := routing.NewRegistry()
 	for _, as := range []*routing.AS{
@@ -367,17 +369,17 @@ func TestScheduleRateIsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cands []netip.Addr
 	for i := 0; i < 50; i++ {
-		cands = append(cands, netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
+		s.AdmitOne(netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
 	}
-	s.Admit(cands)
 	var sends []time.Duration
 	nw.SetFaultHook(func(now time.Duration, _ uint64, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
 		sends = append(sends, now)
 		return netsim.TransitFault{}
 	})
-	total, duration := s.ScheduleAll()
+	total := s.Plan()
+	duration := CampaignDuration(total, s.Cfg.Rate)
+	s.Schedule(duration)
 	nw.Run()
 
 	if s.Stats.ProbesSent != uint64(total) || len(sends) != total {
@@ -426,7 +428,9 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 		cands = append(cands, netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
 	}
 	cands = append(cands, addr("5.1.1.77"), addr("5.1.2.8"), addr("2a00:5::53"), addr("2a00:5:0:7::9"))
-	s.Admit(cands)
+	for _, a := range cands {
+		s.AdmitOne(a)
+	}
 	s.Plan()
 
 	type send struct {
@@ -512,7 +516,8 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 		got = append(got, sent{now, kept})
 		return netsim.TransitFault{Drop: true}
 	})
-	s.Admit([]netip.Addr{addr("5.1.1.77"), addr("2a00:5:0:7::9")})
+	s.AdmitOne(addr("5.1.1.77"))
+	s.AdmitOne(addr("2a00:5:0:7::9"))
 	s.Plan()
 	s.Schedule(time.Second)
 	nw.Run()

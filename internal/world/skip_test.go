@@ -29,7 +29,12 @@ type surveyRun struct {
 // it, with or without a tracer attached.
 func runSurvey(t *testing.T, pop ditl.Pop, lossRate float64, faults, traced bool) surveyRun {
 	t.Helper()
-	w, err := world.Build(pop, world.Options{Seed: 5, LossRate: lossRate})
+	opts := world.Options{Seed: 5, LossRate: lossRate}
+	reg, err := world.BuildRegistry(pop, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := world.BuildWith(pop, reg, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,9 @@ func runSurvey(t *testing.T, pop ditl.Pop, lossRate float64, faults, traced bool
 		t.Fatal(err)
 	}
 	ditl.EachCandidate(pop, nil, func(a netip.Addr) { sc.AdmitOne(a) })
-	_, window := sc.ScheduleAll()
+	sc.FollowUp = sc.ScheduleFollowUps
+	window := scanner.CampaignDuration(sc.Plan(), sc.Cfg.Rate)
+	sc.Schedule(window)
 	if faults {
 		inj := chaos.NewInjector(chaos.Default(7))
 		inj.SetWindow(window)

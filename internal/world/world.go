@@ -93,7 +93,6 @@ type Options struct {
 
 // World is the built simulation.
 type World struct {
-	Pop ditl.Pop
 	Net *netsim.Network
 	Reg *routing.Registry
 
@@ -284,15 +283,6 @@ func BuildRegistry(pop ditl.Pop, opts Options, visit ...func(i int, spec *ditl.A
 	return reg, nil
 }
 
-// Build constructs the world with every population AS instantiated.
-func Build(pop ditl.Pop, opts Options) (*World, error) {
-	reg, err := BuildRegistry(pop, opts)
-	if err != nil {
-		return nil, err
-	}
-	return BuildWith(pop, reg, opts, nil)
-}
-
 // BuildWith constructs a world over a pre-built registry, instantiating
 // hosts only for the population ASes whose (global population) indices
 // are listed. asIndices == nil instantiates every AS. The registry
@@ -308,7 +298,7 @@ func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []in
 
 	n := netsim.New(reg, netsim.Config{Seed: opts.Seed, LossRate: opts.LossRate})
 	w := &World{
-		Pop: pop, Net: n, Reg: reg,
+		Net: n, Reg: reg,
 		Resolvers:       make(map[netip.Addr]*resolver.Resolver),
 		analysts:        make(map[routing.ASN]*netsim.Host),
 		asPublic:        make(map[routing.ASN][]netip.Addr),

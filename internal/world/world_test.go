@@ -12,7 +12,11 @@ import (
 func buildSmall(t *testing.T, opts Options) (*ditl.Population, *World) {
 	t.Helper()
 	pop := ditl.Generate(ditl.Params{Seed: 21, ASes: 60})
-	w, err := Build(pop, opts)
+	reg, err := BuildRegistry(pop, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWith(pop, reg, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,11 @@ func TestTCZoneForcesTCP(t *testing.T) {
 
 func TestMiddleboxInterceptorsInstalled(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 22, ASes: 300, MiddleboxASFraction: 0.2})
-	w, err := Build(pop, Options{})
+	reg, err := BuildRegistry(pop, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWith(pop, reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
