@@ -73,6 +73,9 @@ func TestInboundSAVCampaignIsDeterministic(t *testing.T) {
 			t.Fatalf("shards=%d: merged hits differ (%d vs %d)",
 				k, len(s.Scanner.Hits), len(base.Scanner.Hits))
 		}
+		if !reflect.DeepEqual(s.Scanner.Partials, base.Scanner.Partials) {
+			t.Fatalf("shards=%d: merged partials differ: %#v vs %#v", k, s.Scanner.Partials, base.Scanner.Partials)
+		}
 		if s.Scanner.Stats != base.Scanner.Stats {
 			t.Fatalf("shards=%d: stats differ: %+v vs %+v", k, s.Scanner.Stats, base.Scanner.Stats)
 		}
@@ -106,6 +109,12 @@ func TestInboundSAVCampaignWithChaosIsDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(s.Scanner.Hits, base.Scanner.Hits) {
 			t.Fatalf("shards=%d: merged hits differ under chaos", k)
+		}
+		if !reflect.DeepEqual(s.Scanner.Partials, base.Scanner.Partials) {
+			t.Fatalf("shards=%d: merged partials differ under chaos: %#v vs %#v", k, s.Scanner.Partials, base.Scanner.Partials)
+		}
+		if s.Scanner.Stats != base.Scanner.Stats {
+			t.Fatalf("shards=%d: stats differ under chaos: %+v vs %+v", k, s.Scanner.Stats, base.Scanner.Stats)
 		}
 		if !reflect.DeepEqual(s.Report, base.Report) {
 			t.Fatalf("shards=%d: report differs under chaos", k)

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/netip"
 	"os"
 	"slices"
 
@@ -97,8 +98,9 @@ func main() {
 }
 
 // finding is one AS's test, read off the survey's Report: the probes
-// scheduled, the addresses a timely spoofed query reached (and of them
-// the open ones), and per source category the addresses it reached.
+// scheduled, the resolvers a timely spoofed query reached at either of
+// their addresses (and of them the open ones), and per source category
+// the addresses it reached.
 type finding struct {
 	probes, reached, open int
 	penetrated            map[scanner.SourceCategory]int
@@ -126,12 +128,32 @@ func testAS(spec *ditl.ASSpec, seed int64) (finding, error) {
 	for _, row := range slices.Concat(r.Table3.V4, r.Table3.V6) {
 		p[row.Category] += row.InclusiveAddrs
 	}
+	reached, open := 0, 0
+	for k := range spec.NumResolvers() {
+		rs := spec.Resolver(k)
+		if anyIn(r.ReachableAddrs, rs.Addr4, rs.Addr6) {
+			reached++
+		}
+		if anyIn(r.OpenAddrs, rs.Addr4, rs.Addr6) {
+			open++
+		}
+	}
 	return finding{
 		probes:           s.Probes,
-		reached:          r.V4.ReachableAddrs + r.V6.ReachableAddrs,
-		open:             r.OpenClosed.Open,
+		reached:          reached,
+		open:             open,
 		penetrated:       p,
 		lacksDSAV:        p[scanner.CatOtherPrefix]+p[scanner.CatSamePrefix]+p[scanner.CatDstAsSrc] > 0,
 		lacksBogonFilter: p[scanner.CatPrivate]+p[scanner.CatLoopback] > 0,
 	}, nil
+}
+
+// anyIn reports whether a valid one of addrs is in sorted.
+func anyIn(sorted []netip.Addr, addrs ...netip.Addr) bool {
+	for _, a := range addrs {
+		if _, ok := slices.BinarySearchFunc(sorted, a, netip.Addr.Compare); ok && a.IsValid() {
+			return true
+		}
+	}
+	return false
 }

@@ -14,7 +14,9 @@ import (
 // bogon-filtering border. So no AS that deploys DSAV may be told it
 // lacks DSAV, and no AS that filters bogons may be told it does not. An
 // IDS analyst's lookup of a dropped probe arrives long after the probe
-// and must not count as a penetration.
+// and must not count as a penetration. The tool counts resolvers, not
+// addresses: no AS may report more resolvers reached than it has, nor
+// more open resolvers than it reached.
 func TestVerdictsMatchGroundTruth(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 42, ASes: 200})
 	lacking, tested := 0, 0
@@ -28,6 +30,9 @@ func TestVerdictsMatchGroundTruth(t *testing.T) {
 		}
 		if as.FilterBogons && f.lacksBogonFilter {
 			t.Errorf("%v filters bogons but is told it does not: %v", as.ASN, f.penetrated)
+		}
+		if f.reached > as.NumResolvers() || f.open > f.reached {
+			t.Errorf("%v has %d resolvers but reports %d reached, %d open", as.ASN, as.NumResolvers(), f.reached, f.open)
 		}
 		if f.lacksDSAV {
 			lacking++

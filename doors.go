@@ -38,16 +38,14 @@ type SurveyConfig = campaign.Config
 // Survey is a completed run: the campaign runner's Result.
 type Survey = campaign.Result
 
-// RunSurvey generates a population, builds the world, runs the probing
-// experiment to completion, and analyzes the authoritative logs. With
-// cfg.Stream or cfg.Fold it never materializes the population: shards
-// synthesize their ASes on demand from a ditl.View over the same seed,
-// producing the identical survey under per-shard memory.
+// RunSurvey surveys the population cfg.Population describes: it builds
+// the world, runs the probing experiment to completion, and analyzes
+// the authoritative logs. It never materializes the population: shards
+// synthesize their ASes on demand from a ditl.View, the ASes
+// ditl.Generate would build, so cfg.Stream and cfg.Fold decide only
+// what outlives a shard.
 func RunSurvey(cfg SurveyConfig) (*Survey, error) {
-	if cfg.Stream || cfg.Fold {
-		return RunSurveyOn(ditl.NewView(cfg.Population), cfg)
-	}
-	return RunSurveyOn(ditl.Generate(cfg.Population), cfg)
+	return RunSurveyOn(ditl.NewView(cfg.Population), cfg)
 }
 
 // RunSurveyOn runs a survey over an existing population (so ablations

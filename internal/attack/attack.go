@@ -25,6 +25,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/oskernel"
+	"repro/internal/packet"
 	"repro/internal/resolver"
 	"repro/internal/routing"
 )
@@ -154,11 +155,6 @@ func buildWorld(cfg Config) (*world, error) {
 	return w, nil
 }
 
-// buildUDPRaw builds a raw spoofed datagram.
-func buildUDPRaw(src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
-	return rawUDP(src, dst, sport, dport, payload)
-}
-
 // Run executes the attack.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Races <= 0 {
@@ -187,7 +183,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw, err := buildUDPRaw(w.spoofClient, w.victimAddr, 40000, 53, payload)
+		raw, err := packet.BuildUDP(w.spoofClient, w.victimAddr, 40000, 53, 64, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +208,7 @@ func Run(cfg Config) (*Result, error) {
 			if span := int(cfg.PortGuessHi) - int(cfg.PortGuessLo); span > 1 {
 				guessPort += uint16(rng.Intn(span))
 			}
-			fraw, err := buildUDPRaw(w.authAddr, w.victimAddr, 53, guessPort, fp)
+			fraw, err := packet.BuildUDP(w.authAddr, w.victimAddr, 53, guessPort, 64, fp)
 			if err != nil {
 				return nil, err
 			}
@@ -258,7 +254,7 @@ func (w *world) poisonedFor(target dnswire.Name, rng *rand.Rand) bool {
 	before := len(w.auth.Log)
 	q := dnswire.NewQuery(uint16(rng.Intn(65536)), target, dnswire.TypeA)
 	payload, _ := q.Pack()
-	raw, _ := buildUDPRaw(w.spoofClient, w.victimAddr, 40001, 53, payload)
+	raw, _ := packet.BuildUDP(w.spoofClient, w.victimAddr, 40001, 53, 64, payload)
 	w.attacker.SendRaw(raw)
 	w.net.Run()
 	cacheHit := len(w.auth.Log) == before

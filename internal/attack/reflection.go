@@ -8,6 +8,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/oskernel"
+	"repro/internal/packet"
 	"repro/internal/resolver"
 	"repro/internal/routing"
 )
@@ -141,7 +142,7 @@ func RunReflection(cfg ReflectionConfig) (*ReflectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw, err := rawUDP(victimAddr, resAddr, victimPort, 53, payload)
+		raw, err := packet.BuildUDP(victimAddr, resAddr, victimPort, 53, 64, payload)
 		if err != nil {
 			return nil, err
 		}

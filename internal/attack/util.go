@@ -2,16 +2,9 @@ package attack
 
 import (
 	mrand "math/rand"
-	"net/netip"
 
 	"repro/internal/detrand"
-	"repro/internal/packet"
 )
-
-// rawUDP builds a raw (spoofable) UDP datagram.
-func rawUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
-	return packet.BuildUDP(src, dst, sport, dport, 64, payload)
-}
 
 // newRand builds a seeded RNG for allocator construction in tests.
 func newRand(seed int64) *mrand.Rand { return detrand.Rand(uint64(seed), saltAllocStartup) }

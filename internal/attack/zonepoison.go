@@ -7,6 +7,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/routing"
 )
 
@@ -94,7 +95,7 @@ func RunZonePoison(cfg ZonePoisonConfig) (*ZonePoisonResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := rawUDP(spoofSrc, authAddr, 40000, 53, payload)
+	raw, err := packet.BuildUDP(spoofSrc, authAddr, 40000, 53, 64, payload)
 	if err != nil {
 		return nil, err
 	}

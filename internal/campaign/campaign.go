@@ -46,12 +46,12 @@ const (
 // contributes the phase's slice of the analysis after the merged
 // observations are partitioned.
 //
-// One Phase value is shared read-only by every shard, so per-shard plan
-// state computed in Plan must live on the Shard (SetState), not on the
-// phase.
+// One Phase value is shared read-only by every shard, so a phase keeps
+// no plan of its own: a probing phase plans on the shard's scanner
+// (scanner.PlanWith), which holds every planned probe and puts it on
+// the event queue.
 type Phase interface {
-	// Name identifies the phase; it keys the phase's per-shard state
-	// and the -phases selection.
+	// Name identifies the phase in the -phases selection.
 	Name() string
 	// Count returns the number of probes Plan will return for the
 	// shard, from its admitted targets alone: the shard has a host-less
@@ -67,9 +67,10 @@ type Phase interface {
 	// Schedule places the planned probes on the shard's event queue.
 	// window is the survey-wide campaign duration — identical at every
 	// shard count — and all probe times must derive from it and from
-	// per-target causal identity. Each probe must run in the tie order
-	// that enqueueing it here would give; an event armed later keeps
-	// that order only under a number reserved here (eventq.Reserve).
+	// per-target causal identity. A probing phase calls the scanner's
+	// Schedule, which arms every plan made since its last call, so the
+	// first probing phase to schedule arms the plans of all of them, in
+	// plan order.
 	Schedule(sh *Shard, window time.Duration)
 	// Observe installs reactive hooks (e.g. the scanner's FollowUp
 	// trigger) before the simulation runs. Purely scheduled phases leave
@@ -157,28 +158,13 @@ func phaseByName(name string) (Phase, error) {
 		name, PhaseReachability, PhaseCharacterization, PhaseInboundSAV)
 }
 
-// Shard is one shard's mutable simulation state: its world, its scanner
-// instance, and the phases' per-shard plan state. Pass A's shards, which
-// only Count, have no world and a host-less planner for a scanner.
-// Shards are confined to one goroutine each; only the runner's merge
-// step reads across them, after every simulation has finished.
+// Shard is one shard's mutable simulation state: its world and its
+// scanner instance, which holds the phases' planned probes. Pass A's
+// shards, which only Count, have no world and a host-less planner for a
+// scanner. Shards are confined to one goroutine each; only the runner's
+// merge step reads across them, after every simulation has finished.
 type Shard struct {
 	Index   int
 	World   *world.World
 	Scanner *scanner.Scanner
-
-	state map[string]any
 }
-
-// SetState stores a phase's shard-local plan state, keyed by phase
-// name. Phases are shared read-only across shards, so anything Plan
-// computes must live here rather than on the phase value.
-func (sh *Shard) SetState(phase string, v any) {
-	if sh.state == nil {
-		sh.state = make(map[string]any)
-	}
-	sh.state[phase] = v
-}
-
-// State returns the phase's stored shard-local state, or nil.
-func (sh *Shard) State(phase string) any { return sh.state[phase] }

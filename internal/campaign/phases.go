@@ -63,12 +63,6 @@ func (characterizationPhase) Reducers() []analysis.Reducer {
 	return analysis.CharacterizationReducers()
 }
 
-// savProbe is one planned inbound-SAV probe.
-type savProbe struct {
-	target scanner.Target
-	src    netip.Addr
-}
-
 // inboundSAVPhase is the Closed-Resolver-style inbound-SAV scan
 // (Korczyński et al.): exactly one spoofed target-internal source per
 // target, no reactive follow-ups. It measures the same DSAV question as
@@ -85,35 +79,24 @@ func (inboundSAVPhase) Name() string { return PhaseInboundSAV }
 // error naming the shard.
 func (inboundSAVPhase) Count(sh *Shard) int { return len(sh.Scanner.Targets) }
 
+// Plan plans each target's one source on the scanner, every source cut
+// from one array.
 func (inboundSAVPhase) Plan(sh *Shard) int {
 	sc := sh.Scanner
 	seed := uint64(sc.Cfg.Seed)
-	plan := make([]savProbe, 0, len(sc.Targets))
-	for _, t := range sc.Targets {
+	srcs := make([]netip.Addr, 0, len(sc.Targets))
+	return sc.PlanWith(saltSAVPhase, func(t scanner.Target) []netip.Addr {
 		src, ok := savSourceFor(sc.Reg, t, seed)
 		if !ok {
-			continue
+			return nil
 		}
-		plan = append(plan, savProbe{target: t, src: src})
-	}
-	sh.SetState(PhaseInboundSAV, plan)
-	return len(plan)
+		srcs = append(srcs, src)
+		n := len(srcs)
+		return srcs[n-1 : n : n]
+	})
 }
 
-func (inboundSAVPhase) Schedule(sh *Shard, window time.Duration) {
-	plan, _ := sh.State(PhaseInboundSAV).([]savProbe)
-	sc := sh.Scanner
-	seed := uint64(sc.Cfg.Seed)
-	q := sh.World.Net.Q
-	for i := range plan {
-		p := plan[i]
-		hi, lo := detrand.AddrWords(p.target.Addr)
-		at := time.Duration(detrand.Float64(seed, hi, lo, saltSAVPhase) * float64(window))
-		q.At(at, func(now time.Duration) {
-			sc.SendProbe(now, p.src, p.target, scanner.ProbeMain)
-		})
-	}
-}
+func (inboundSAVPhase) Schedule(sh *Shard, window time.Duration) { sh.Scanner.Schedule(window) }
 
 func (inboundSAVPhase) Observe(*Shard) {}
 

@@ -25,8 +25,8 @@ import (
 // knobs every campaign shares. doors.SurveyConfig is this type.
 type Config struct {
 	// Population parameterizes the synthetic DITL target world that
-	// doors.RunSurvey generates (a streaming ditl.View under Stream or
-	// Fold). Run surveys the population it is handed and ignores it.
+	// doors.RunSurvey synthesizes on demand (a ditl.View). Run surveys
+	// the population it is handed and ignores it.
 	Population ditl.Params
 	// Campaign selects the phase list to run; nil runs the default
 	// survey campaign (reachability + characterization).
@@ -382,7 +382,8 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 		// merge of per-shard stable sorts in shard order equals the
 		// stable sort of the concatenation, so the merged sequences are
 		// bit-identical however the campaign was split. One shard's
-		// buffers pass through uncopied.
+		// buffers pass through uncopied, and an empty merged slice is
+		// nil at every shard count.
 		sc.Targets, sc.Hits, sc.Partials = outs[0].targets, outs[0].hits, outs[0].partials
 		if len(outs) > 1 {
 			nT, nH, nP := 0, 0, 0
@@ -402,6 +403,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 			sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
 			sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
 		}
+		sc.Targets, sc.Hits, sc.Partials = orNil(sc.Targets), orNil(sc.Hits), orNil(sc.Partials)
 		in = shardInput(sc, sc.Addr4, sc.Addr6, reg, gdb, cfg)
 	}
 	// MergeContexts re-binds the merged Input, so order-sensitive
@@ -453,6 +455,14 @@ func shardInput(sc *scanner.Scanner, addr4, addr6 netip.Addr, reg *routing.Regis
 		LifetimeThreshold: cfg.LifetimeThreshold,
 		FollowUpCount:     cfg.Scanner.FollowUpCount,
 	}
+}
+
+// orNil returns s, or nil when s is empty.
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // shardOut is everything the merge keeps from a finished shard: the

@@ -25,6 +25,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/oskernel"
+	"repro/internal/packet"
 	"repro/internal/resolver"
 	"repro/internal/routing"
 	"repro/internal/stats"
@@ -387,9 +388,5 @@ func buildRaw(src, dst netip.Addr) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildUDPRaw(src, dst, payload)
-}
-
-func buildUDPRaw(src, dst netip.Addr, payload []byte) ([]byte, error) {
-	return packetBuildUDP(src, dst, 31000, 53, payload)
+	return packet.BuildUDP(src, dst, 31000, 53, 64, payload)
 }

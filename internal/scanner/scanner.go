@@ -264,18 +264,18 @@ func (st *Stats) Add(o Stats) {
 	st.PartialHitsObserved += o.PartialHitsObserved
 }
 
-// probePlan is one target's precomputed probe set, its spoofed sources,
-// and the probe cursor Schedule arms: the target's phase in the window,
-// the next source to send, that send's reserved schedule-order number,
-// and the one event that sends and re-arms.
+// probePlan is one target's planned probes and the probe cursor
+// Schedule arms: the target's spoofed sources and phase in the window,
+// the send's reserved schedule-order number, the one event that sends
+// and re-arms, the target's index in Targets, and the next source to
+// send. It lives as long as the shard, so it stays this small.
 type probePlan struct {
-	target  Target
 	sources []netip.Addr
-
-	phase float64
-	next  int
-	seq   uint64
-	fire  eventq.Event
+	phase   float64
+	seq     uint64
+	fire    eventq.Event
+	target  int32
+	next    int32
 }
 
 // Scanner is the measurement client.
@@ -305,6 +305,7 @@ type Scanner struct {
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
+	armed    int    // plans[:armed] are on the event queue
 	nameBuf  []byte // scratch: wire-form probe name
 	msgBuf   []byte // scratch: packed query message
 	// tails holds the wire form of keyword.zone per probe kind, encoded
@@ -333,12 +334,12 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 }
 
 // NewPlanner creates a host-less scanner usable only for AdmitOne,
-// Count and Plan — the campaign runner's world-free counting pass, and
-// its pass-B admission while the shard's world is still being built.
-// Count and Plan depend solely on the admitted targets, the registry,
-// and the config, so a planner's probe count (and per-target source
-// plans) matches the full scanner's exactly; Schedule and the auth-log
-// monitor need a host, which Attach provides.
+// Count, Plan and PlanWith — the campaign runner's world-free counting
+// pass, and its pass-B admission while the shard's world is still being
+// built. Count and the plans depend solely on the admitted targets, the
+// registry, and the config, so a planner's probe count (and per-target
+// source plans) matches the full scanner's exactly; Schedule and the
+// auth-log monitor need a host, which Attach provides.
 func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 	return &Scanner{
 		Reg:      reg,
@@ -590,21 +591,37 @@ func (s *Scanner) Count() int {
 	return n
 }
 
-// Plan computes every admitted target's spoofed-source set, returning
-// the number of probes this scanner will send (Count's total). Schedule
-// then spreads them over the campaign window derived from every shard's
-// Count, so probe timestamps depend on the global campaign, not the
-// shard split.
+// Plan plans every admitted target's §3.2 spoofed sources (SourcesFor)
+// and returns the number of probes planned, Count's total.
 func (s *Scanner) Plan() int {
-	s.plans = make([]probePlan, 0, len(s.Targets))
-	total := 0
-	for _, t := range s.Targets {
-		srcs := slices.Clone(s.SourcesFor(t))
-		s.plans = append(s.plans, probePlan{target: t, sources: srcs})
-		total += len(srcs)
-	}
+	total := s.PlanWith(saltPhase, func(t Target) []netip.Addr { return slices.Clone(s.SourcesFor(t)) })
 	if s.Hits == nil {
 		s.Hits = make([]Hit, 0, 2*len(s.Targets))
+	}
+	return total
+}
+
+// PlanWith plans every admitted target's probes for one campaign phase:
+// sources returns the target's spoofed sources, which the plan keeps,
+// and salt, the phase's, keys the target's phase in the campaign
+// window. A target without a source gets no plan. PlanWith returns the
+// number of probes planned; the next Schedule arms them after every
+// plan made before.
+func (s *Scanner) PlanWith(salt uint64, sources func(Target) []netip.Addr) int {
+	s.plans = slices.Grow(s.plans, len(s.Targets))
+	total := 0
+	for i, t := range s.Targets {
+		srcs := sources(t)
+		if len(srcs) == 0 {
+			continue
+		}
+		hi, lo := detrand.AddrWords(t.Addr)
+		s.plans = append(s.plans, probePlan{
+			sources: srcs,
+			phase:   detrand.Float64(s.seed, hi, lo, salt),
+			target:  int32(i),
+		})
+		total += len(srcs)
 	}
 	return total
 }
@@ -622,32 +639,31 @@ func CampaignDuration(total int, rate float64) time.Duration {
 	return d
 }
 
-// Schedule plays out every planned probe, spreading each target's
-// queries evenly over the campaign window with a per-target phase. A
-// target keeps one pending event, its probe cursor: each send re-arms
-// the cursor for the target's next source under the schedule-order
-// number Schedule reserved for it, so probes run at the instants and in
-// the order enqueueing them all up front would give, ties included,
-// while the queue holds one event per target instead of one per probe.
+// Schedule arms every plan made since its last call, spreading each
+// target's probes evenly over the campaign window at the target's
+// phase. Every call must pass the same window, derived from every
+// shard's count, so probe timestamps depend on the global campaign,
+// not the shard split. A target keeps one pending event, its probe
+// cursor: each send re-arms the cursor for the target's next source
+// under the schedule-order number Schedule reserved for it, so probes
+// run at the instants and in the order enqueueing them all up front
+// would give, ties included, while the queue holds one event per
+// target instead of one per probe.
 func (s *Scanner) Schedule(window time.Duration) {
 	q := s.Host.Network().Q
 	s.window = window
-	for pi := range s.plans {
+	for pi := s.armed; pi < len(s.plans); pi++ {
 		p := &s.plans[pi]
-		if len(p.sources) == 0 {
-			continue
-		}
-		hi, lo := detrand.AddrWords(p.target.Addr)
-		p.phase = detrand.Float64(s.seed, hi, lo, saltPhase)
 		p.seq = q.Reserve(len(p.sources))
 		p.fire = func(now time.Duration) { s.sendNext(now, pi) }
 		q.AtSeq(s.probeAt(p, 0), p.seq, p.fire)
 	}
+	s.armed = len(s.plans)
 }
 
 // probeAt is the send time of plan p's source j: (j+phase)/k of the
 // window, for k sources.
-func (s *Scanner) probeAt(p *probePlan, j int) time.Duration {
+func (s *Scanner) probeAt(p *probePlan, j int32) time.Duration {
 	return time.Duration((float64(j) + p.phase) / float64(len(p.sources)) * float64(s.window))
 }
 
@@ -659,11 +675,11 @@ func (s *Scanner) sendNext(now time.Duration, pi int) {
 	p := &s.plans[pi]
 	j := p.next
 	p.next++
-	if p.next < len(p.sources) {
+	if int(p.next) < len(p.sources) {
 		p.seq++
 		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
 	}
-	s.SendProbe(now, p.sources[j], p.target, ProbeMain)
+	s.SendProbe(now, p.sources[j], s.Targets[p.target], ProbeMain)
 }
 
 // probeIDs derives the transaction ID and source port for a probe from
@@ -682,8 +698,8 @@ func (s *Scanner) probeIDs(now time.Duration, src, dst netip.Addr, kind ProbeKin
 
 // SendProbe emits one spoofed-source (or, for a real-source probe like
 // the open-resolver check, unspoofed) DNS query at virtual time now.
-// Scheduled main probes, follow-ups and campaign phases that schedule
-// their own probe sets all send through it. It writes the query name
+// Scheduled probes of every campaign phase and follow-ups all send
+// through it. It writes the query name
 // straight to wire form, the bytes EncodeQName packed by dnswire would
 // give. IDs and the encoded name derive from the probe's identity, so
 // the emission is shard-invariant.

@@ -399,9 +399,12 @@ func TestScheduleRateIsRespected(t *testing.T) {
 // TestScheduleKeepsEagerOrderUnderTies squeezes a campaign into one
 // microsecond, so probe instants collide across targets hundreds of
 // times, and requires the probe cursors to send in the order the
-// eager schedule gives: every probe enqueued up front, target by
-// target and source by source, ties broken by that order. The fault
-// hook sees each probe as it is injected, in send order.
+// eager schedule gives: every probe enqueued up front, plan by plan
+// and source by source, ties broken by that order. Two phases plan,
+// the second with one source per target under its own salt, and
+// Schedule runs twice: the first call arms both phases' plans, the
+// second arms nothing. The fault hook sees each probe as it is
+// injected, in send order.
 func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 	const window = time.Microsecond
 	reg := routing.NewRegistry()
@@ -431,7 +434,10 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 	for _, a := range cands {
 		s.AdmitOne(a)
 	}
+	const otherSalt = 103
 	s.Plan()
+	reach := len(s.plans)
+	s.PlanWith(otherSalt, func(t Target) []netip.Addr { return []netip.Addr{t.Addr} })
 
 	type send struct {
 		at       time.Duration
@@ -443,11 +449,16 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 	for pi := range s.plans {
 		p := &s.plans[pi]
 		k := len(p.sources)
-		hi, lo := detrand.AddrWords(p.target.Addr)
-		phase := detrand.Float64(s.seed, hi, lo, saltPhase)
+		dst := s.Targets[p.target].Addr
+		hi, lo := detrand.AddrWords(dst)
+		salt := uint64(saltPhase)
+		if pi >= reach {
+			salt = otherSalt
+		}
+		phase := detrand.Float64(s.seed, hi, lo, salt)
 		for j, src := range p.sources {
 			at := time.Duration((float64(j) + phase) / float64(k) * float64(window))
-			ref.At(at, func(now time.Duration) { want = append(want, send{now, src, p.target.Addr}) })
+			ref.At(at, func(now time.Duration) { want = append(want, send{now, src, dst}) })
 		}
 	}
 	ref.Run()
@@ -466,6 +477,7 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 		got = append(got, send{now, pkt.Src(), pkt.Dst()})
 		return netsim.TransitFault{}
 	})
+	s.Schedule(window)
 	s.Schedule(window)
 	nw.Run()
 	if len(got) != len(want) {

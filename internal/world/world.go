@@ -10,6 +10,7 @@ package world
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"time"
 
@@ -551,19 +552,9 @@ func (w *World) buildPublicDNS(as *routing.AS) error {
 	for i := 0; i < 2; i++ {
 		a4 := routing.AddrAt(publicPrefix4, uint64(1+i))
 		a6 := routing.AddrAt(publicPrefix6, uint64(1+i))
-		h, err := w.Net.Attach(fmt.Sprintf("public-dns-%d", i), as, a4, a6)
-		if err != nil {
-			return err
-		}
-		h.OS = oskernel.UbuntuModern
-		h.ScrubFingerprint = true
-		_, err = resolver.New(h, w.Roots, resolver.Config{
-			ACL:           resolver.ACL{Open: true},
-			Ports:         resolver.NewUniform(oskernel.PoolLinux, detrand.Rand(w.seed, uint64(i), saltGlobalPubPorts)),
-			Seed:          int64(detrand.Mix(w.seed, uint64(i), saltGlobalPubSeed)),
-			CacheObserver: w.cacheObs(),
-		})
-		if err != nil {
+		if _, err := w.openResolver(fmt.Sprintf("public-dns-%d", i), as, oskernel.UbuntuModern, w.Roots, nil,
+			detrand.Rand(w.seed, uint64(i), saltGlobalPubPorts), int64(detrand.Mix(w.seed, uint64(i), saltGlobalPubSeed)),
+			a4, a6); err != nil {
 			return err
 		}
 		w.PublicDNS = append(w.PublicDNS, a4, a6)
@@ -587,19 +578,9 @@ func (w *World) publicFor(i int, asn routing.ASN) ([]netip.Addr, error) {
 		off := uint64(1000 + 2*i + j)
 		a4 := routing.AddrAt(publicPrefix4, off)
 		a6 := routing.AddrAt(publicPrefix6, off)
-		h, err := w.Net.Attach(fmt.Sprintf("public-dns-as%d-%d", asn, j), w.publicAS, a4, a6)
-		if err != nil {
-			return nil, err
-		}
-		h.OS = oskernel.UbuntuModern
-		h.ScrubFingerprint = true
-		_, err = resolver.New(h, w.Roots, resolver.Config{
-			ACL:           resolver.ACL{Open: true},
-			Ports:         resolver.NewUniform(oskernel.PoolLinux, detrand.Rand(w.seed, uint64(asn), uint64(j), saltPubPorts)),
-			Seed:          int64(detrand.Mix(w.seed, uint64(asn), uint64(j), saltPubSeed)),
-			CacheObserver: w.cacheObs(),
-		})
-		if err != nil {
+		if _, err := w.openResolver(fmt.Sprintf("public-dns-as%d-%d", asn, j), w.publicAS, oskernel.UbuntuModern, w.Roots, nil,
+			detrand.Rand(w.seed, uint64(asn), uint64(j), saltPubPorts), int64(detrand.Mix(w.seed, uint64(asn), uint64(j), saltPubSeed)),
+			a4, a6); err != nil {
 			return nil, err
 		}
 		addrs = append(addrs, a4, a6)
@@ -616,23 +597,34 @@ func (w *World) thirdFor(i int, asn routing.ASN) (netip.Addr, error) {
 		return got, nil
 	}
 	a4 := routing.AddrAt(thirdPrefix4, uint64(1000+i))
-	h, err := w.Net.Attach(fmt.Sprintf("third-party-dns-as%d", asn), w.thirdAS, a4)
-	if err != nil {
-		return netip.Addr{}, err
-	}
-	h.OS = oskernel.UbuntuLegacy
-	h.ScrubFingerprint = true
-	_, err = resolver.New(h, w.Roots, resolver.Config{
-		ACL:           resolver.ACL{Open: true},
-		Ports:         resolver.NewUniform(oskernel.PoolLinux, detrand.Rand(w.seed, uint64(asn), saltThirdPorts)),
-		Seed:          int64(detrand.Mix(w.seed, uint64(asn), saltThirdSeed)),
-		CacheObserver: w.cacheObs(),
-	})
-	if err != nil {
+	if _, err := w.openResolver(fmt.Sprintf("third-party-dns-as%d", asn), w.thirdAS, oskernel.UbuntuLegacy, w.Roots, nil,
+		detrand.Rand(w.seed, uint64(asn), saltThirdPorts), int64(detrand.Mix(w.seed, uint64(asn), saltThirdSeed)),
+		a4); err != nil {
 		return netip.Addr{}, err
 	}
 	w.asThird[asn] = a4
 	return a4, nil
+}
+
+// openResolver attaches host name to as at addrs and runs an open
+// service resolver on it: the OS profile prof with its fingerprint
+// scrubbed, roots for its root hints and forward for its upstreams, a
+// Uniform allocator over the Linux pool drawing from ports, and the
+// world's cache observer.
+func (w *World) openResolver(name string, as *routing.AS, prof *oskernel.Profile, roots, forward []netip.Addr, ports *rand.Rand, seed int64, addrs ...netip.Addr) (*resolver.Resolver, error) {
+	h, err := w.Net.Attach(name, as, addrs...)
+	if err != nil {
+		return nil, err
+	}
+	h.OS = prof
+	h.ScrubFingerprint = true
+	return resolver.New(h, roots, resolver.Config{
+		ACL:           resolver.ACL{Open: true},
+		Ports:         resolver.NewUniform(oskernel.PoolLinux, ports),
+		Forward:       forward,
+		Seed:          seed,
+		CacheObserver: w.cacheObs(),
+	})
 }
 
 // aclFor translates a spec's ACL scope into resolver prefixes.
@@ -776,20 +768,10 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 			if err != nil {
 				return err
 			}
-			h, err := w.Net.Attach(fmt.Sprintf("mbox-as%d", spec.ASN), as, a)
-			if err != nil {
-				return err
-			}
-			h.OS = oskernel.UbuntuModern
-			h.ScrubFingerprint = true
 			// The middlebox is an open pure forwarder: no root hints.
-			mb, err := resolver.New(h, nil, resolver.Config{
-				ACL:           resolver.ACL{Open: true},
-				Ports:         resolver.NewUniform(oskernel.PoolLinux, detrand.Rand(w.seed, uint64(spec.ASN), saltMboxPorts)),
-				Forward:       []netip.Addr{pub[0]},
-				Seed:          int64(detrand.Mix(w.seed, uint64(spec.ASN), saltMboxSeed)),
-				CacheObserver: w.cacheObs(),
-			})
+			mb, err := w.openResolver(fmt.Sprintf("mbox-as%d", spec.ASN), as, oskernel.UbuntuModern, nil, []netip.Addr{pub[0]},
+				detrand.Rand(w.seed, uint64(spec.ASN), saltMboxPorts), int64(detrand.Mix(w.seed, uint64(spec.ASN), saltMboxSeed)),
+				a)
 			if err != nil {
 				return err
 			}

@@ -13,14 +13,15 @@ import (
 // guarantee: a survey run under Config.Stream — population synthesized
 // on demand by a ditl.View, worlds discarded shard by shard,
 // observations reduced incrementally — produces a bit-identical Result
-// to the retained engine over the materialized population, at several
-// shard counts and parallelism bounds, up to more shards than ASes.
+// to the retained engine over the materialized population
+// (ditl.Generate), at several shard counts and parallelism bounds, up
+// to more shards than ASes.
 func TestStreamingMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
 		Scanner:    scanner.Config{Seed: 8, Rate: 10000},
 	}
-	base, err := RunSurvey(cfg)
+	base, err := RunSurveyOn(ditl.Generate(cfg.Population), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
