@@ -61,6 +61,13 @@ type Server struct {
 	// real-time monitoring that triggers the scanner's follow-up queries
 	// (§3.5).
 	OnQuery func(e LogEntry)
+
+	// The server handles one UDP datagram at a time, so one decoded
+	// query, one reply and one packed buffer serve them all; each grows
+	// on first use and is reused after. SendUDP copies the payload
+	// before it returns.
+	query, reply dnswire.Message
+	buf          []byte
 }
 
 // New binds an authoritative server to host, serving the given zones on
@@ -101,29 +108,33 @@ func (s *Server) record(now time.Duration, client netip.Addr, clientPort uint16,
 	}
 }
 
-// respond builds the response for msg, or nil if msg should be ignored.
-func (s *Server) respond(msg *dnswire.Message, overUDP bool) *dnswire.Message {
+// respond builds the response to msg in r, emptying r's sections
+// first, and reports whether msg gets one.
+//
+//doors:scratch r msg
+func (s *Server) respond(r, msg *dnswire.Message, overUDP bool) bool {
 	if msg.QR || len(msg.Question) == 0 {
-		return nil
+		return false
 	}
 	if msg.OpCode == dnswire.OpUpdate {
-		return nil // handled by the caller with the client address
+		return false // handled by the caller with the client address
 	}
 	if msg.OpCode != dnswire.OpQuery {
-		return nil
+		return false
 	}
 	z := s.zoneFor(msg.Q().Name)
 	if z == nil {
-		r := msg.Reply()
+		msg.ReplyInto(r)
 		r.RCode = dnswire.RCodeRefused
-		return r
+		return true
 	}
-	return z.Respond(msg, overUDP)
+	z.respond(r, msg, overUDP)
+	return true
 }
 
 func (s *Server) handleUDP(now time.Duration, src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
-	msg, err := dnswire.Unpack(payload)
-	if err != nil {
+	msg := &s.query
+	if msg.Unpack(payload) != nil {
 		return
 	}
 	if !msg.QR && len(msg.Question) > 0 {
@@ -137,8 +148,8 @@ func (s *Server) handleUDP(now time.Duration, src netip.Addr, srcPort uint16, ds
 		}
 		return
 	}
-	r := s.respond(msg, true)
-	if r == nil {
+	r := &s.reply
+	if !s.respond(r, msg, true) {
 		return
 	}
 	limit := 0 // the classic 512 octets
@@ -146,10 +157,11 @@ func (s *Server) handleUDP(now time.Duration, src netip.Addr, srcPort uint16, ds
 		r.SetEDNS(dnswire.DefaultEDNSSize)
 		limit = int(size)
 	}
-	out, err := r.PackUDP(limit)
+	out, err := r.PackUDPBuffer(s.buf, limit)
 	if err != nil {
 		return
 	}
+	s.buf = out
 	s.Host.SendUDP(dst, dstPort, src, srcPort, out)
 }
 
@@ -187,8 +199,8 @@ func (s *Server) acceptTCP(conn *netsim.TCPConn) {
 			if !msg.QR && len(msg.Question) > 0 {
 				s.record(now, conn.RemoteAddr(), conn.RemotePort(), conn.LocalAddr(), msg.Q(), TransportTCP, conn.SYN)
 			}
-			r := s.respond(msg, false)
-			if r == nil {
+			r := new(dnswire.Message)
+			if !s.respond(r, msg, false) {
 				continue
 			}
 			out, err := r.Pack()

@@ -116,7 +116,16 @@ func (z *Zone) soaRR() dnswire.RR {
 // Respond produces the authoritative response for q. overUDP selects the
 // AlwaysTruncate behaviour.
 func (z *Zone) Respond(q *dnswire.Message, overUDP bool) *dnswire.Message {
-	r := q.Reply()
+	r := new(dnswire.Message)
+	z.respond(r, q, overUDP)
+	return r
+}
+
+// respond is Respond building the response in r's own storage
+// (dnswire.Message.ReplyInto): records are copied in, so r never
+// aliases the zone's RRsets.
+func (z *Zone) respond(r, q *dnswire.Message, overUDP bool) {
+	q.ReplyInto(r)
 	r.AA = true
 	question := q.Q()
 	name := question.Name
@@ -124,12 +133,12 @@ func (z *Zone) Respond(q *dnswire.Message, overUDP bool) *dnswire.Message {
 	if !name.IsSubdomainOf(z.Origin) {
 		r.RCode = dnswire.RCodeRefused
 		r.AA = false
-		return r
+		return
 	}
 
 	if z.AlwaysTruncate && overUDP {
 		r.TC = true
-		return r
+		return
 	}
 
 	// Delegation below a zone cut: referral.
@@ -149,18 +158,18 @@ func (z *Zone) Respond(q *dnswire.Message, overUDP bool) *dnswire.Message {
 			}
 		}
 		r.AA = false
-		return r
+		return
 	}
 
 	// Exact records.
 	if rrs, ok := z.records[rrKey{name: name.Canonical(), typ: question.Type}]; ok {
 		r.Answer = append(r.Answer, rrs...)
-		return r
+		return
 	}
 	// Name exists with other types: NODATA.
 	if z.nameExists(name) {
 		r.Authority = append(r.Authority, z.soaRR())
-		return r
+		return
 	}
 
 	if z.Wildcard && name.CountLabels() > z.Origin.CountLabels() {
@@ -181,13 +190,12 @@ func (z *Zone) Respond(q *dnswire.Message, overUDP bool) *dnswire.Message {
 			// NOERROR/NODATA: the name "exists".
 			r.Authority = append(r.Authority, z.soaRR())
 		}
-		return r
+		return
 	}
 
 	// Default: NXDOMAIN (§3.3).
 	r.RCode = dnswire.RCodeNXDomain
 	r.Authority = append(r.Authority, z.soaRR())
-	return r
 }
 
 // allowsUpdateFrom reports whether src may send dynamic updates.

@@ -318,13 +318,14 @@ func TestSAVSourceIsInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked, v6, fallbacks := 0, 0, 0
+	rng := detrand.Rand()
 	ditl.EachCandidate(pop, nil, func(a netip.Addr) {
 		as := reg.OriginOf(a)
 		if as == nil {
 			return
 		}
 		tgt := scanner.Target{Addr: a, ASN: as.ASN}
-		src, ok := savSourceFor(reg, tgt, 2)
+		src, ok := savSourceFor(reg, tgt, 2, rng)
 		want, wantOK, fallback := savSourceForSlice(reg, tgt, 2)
 		if src != want || ok != wantOK {
 			t.Fatalf("source for %v = %v, %v; the candidate slice picks %v, %v", a, src, ok, want, wantOK)
@@ -344,7 +345,7 @@ func TestSAVSourceIsInternal(t *testing.T) {
 		if !as.Originates(src) {
 			t.Fatalf("source %v for target %v is outside AS %v", src, a, as.ASN)
 		}
-		if again, _ := savSourceFor(reg, tgt, 2); again != src {
+		if again, _ := savSourceFor(reg, tgt, 2, rng); again != src {
 			t.Fatalf("source pick for %v not stable: %v then %v", a, src, again)
 		}
 		checked++

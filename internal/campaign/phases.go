@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math/rand"
 	"net/netip"
 	"time"
 
@@ -85,8 +86,9 @@ func (inboundSAVPhase) Plan(sh *Shard) int {
 	sc := sh.Scanner
 	seed := uint64(sc.Cfg.Seed)
 	srcs := make([]netip.Addr, 0, len(sc.Targets))
+	rng := detrand.Rand()
 	return sc.PlanWith(saltSAVPhase, func(t scanner.Target) []netip.Addr {
-		src, ok := savSourceFor(sc.Reg, t, seed)
+		src, ok := savSourceFor(sc.Reg, t, seed, rng)
 		if !ok {
 			return nil
 		}
@@ -106,8 +108,10 @@ func (inboundSAVPhase) Reducers() []analysis.Reducer { return analysis.Reachabil
 // address from another subnet of the target's AS when one exists (the
 // category most likely to slip past an address-based ingress check),
 // else a same-subnet address distinct from the target. Every draw is
-// keyed on the target's identity, so the pick is shard-invariant.
-func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.Addr, bool) {
+// keyed on the target's identity, so the pick is shard-invariant; the
+// address draws reseed rng, a generator detrand.Rand built, which the
+// caller reuses across targets.
+func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64, rng *rand.Rand) (netip.Addr, bool) {
 	as := reg.AS(t.ASN)
 	if as == nil {
 		return netip.Addr{}, false
@@ -120,11 +124,11 @@ func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.A
 	}
 	own := routing.SubnetOf(t.Addr)
 	hi, lo := detrand.AddrWords(t.Addr)
+	detrand.Reseed(rng, seed, hi, lo, saltSAVSource)
 	if n, _ := otherSubnet(prefixes, own, -1); n > 0 {
 		_, sub := otherSubnet(prefixes, own, detrand.Intn(n, seed, hi, lo, saltSAVSubnet))
-		return routing.RandomHostAddr(sub, detrand.Rand(seed, hi, lo, saltSAVSource)), true
+		return routing.RandomHostAddr(sub, rng), true
 	}
-	rng := detrand.Rand(seed, hi, lo, saltSAVSource)
 	for tries := 0; tries < 16; tries++ {
 		if a := routing.RandomHostAddr(own, rng); a != t.Addr {
 			return a, true

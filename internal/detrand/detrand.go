@@ -109,6 +109,14 @@ func Rand(vals ...uint64) *rand.Rand {
 	return rand.New(newSource(int64(Mix(vals...))))
 }
 
+// Reseed restarts r, a generator Rand built, on the stream Rand(vals...)
+// returns: r then draws exactly what a fresh Rand(vals...) would, and a
+// caller that keys one stream per target after another reuses one
+// generator instead of building one per target. Seeding resets r's
+// read position and drops its source's register, so nothing of the
+// previous stream carries over.
+func Reseed(r *rand.Rand, vals ...uint64) { r.Seed(int64(Mix(vals...))) }
+
 // Counted is a causally-seeded rand.Source64 that counts how many
 // times its state advances. Every generator method of *rand.Rand
 // consumes exactly one source draw per Int63/Uint64 call (rejection

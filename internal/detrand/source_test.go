@@ -149,6 +149,39 @@ func TestRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesRand pins Reseed to a fresh Rand over 300 keys: one
+// generator, reseeded per key, draws what Rand(vals...) draws through
+// Intn and Int63n (routing.RandomHostAddr's draws), Float64 and Uint64,
+// whatever the previous key's stream served. Every 50th stream runs
+// past draw 273, so the next reseed meets a source that built its
+// register.
+func TestReseedMatchesRand(t *testing.T) {
+	r := Rand(9)
+	for i := uint64(0); i < 300; i++ {
+		vals := []uint64{i, 1 << 40, 71}
+		Reseed(r, vals...)
+		want := Rand(vals...)
+		n := 1 + int(i%7)
+		if i%50 == 7 {
+			n = 100 // four draws a round: past draw 273
+		}
+		for j := 0; j < n; j++ {
+			if g, w := r.Intn(98), want.Intn(98); g != w {
+				t.Fatalf("key %d round %d: Intn %d != %d", i, j, g, w)
+			}
+			if g, w := r.Int63n(1<<24-2+int64(j)), want.Int63n(1<<24-2+int64(j)); g != w {
+				t.Fatalf("key %d round %d: Int63n %d != %d", i, j, g, w)
+			}
+			if g, w := r.Float64(), want.Float64(); g != w {
+				t.Fatalf("key %d round %d: Float64 %v != %v", i, j, g, w)
+			}
+			if g, w := r.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("key %d round %d: Uint64 %d != %d", i, j, g, w)
+			}
+		}
+	}
+}
+
 var sinkDraw int64
 
 // drawStream opens a stream and takes 16 draws, the shape of a

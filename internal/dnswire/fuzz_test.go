@@ -2,6 +2,8 @@ package dnswire
 
 import (
 	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +83,7 @@ func FuzzUnpack(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		checkUnpackInto(t, data, m, err)
 		if err != nil {
 			return
 		}
@@ -106,4 +109,57 @@ func FuzzUnpack(f *testing.F) {
 			t.Fatalf("repack changed a name: %v\noriginal: %x\nrepacked: %x", err, data, repacked)
 		}
 	})
+}
+
+// checkUnpackInto holds Message.Unpack to Unpack: decoded into a
+// Message that holds a previous, longer message, data gives Unpack's
+// result want (wantErr), counting a nil section and an empty one as
+// equal, and fails where Unpack fails.
+func checkUnpackInto(t *testing.T, data []byte, want *Message, wantErr error) {
+	t.Helper()
+	m := staleMessage(want)
+	err := m.Unpack(data)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("Message.Unpack error %v, Unpack error %v\ndata: %x", err, wantErr, data)
+	}
+	if err != nil {
+		return
+	}
+	norm := func(m Message) Message {
+		for _, sec := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
+			if len(*sec) == 0 {
+				*sec = nil
+			}
+		}
+		if len(m.Question) == 0 {
+			m.Question = nil
+		}
+		return m
+	}
+	if got, want := norm(*m), norm(*want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Message.Unpack over a stale message = %+v, Unpack = %+v\ndata: %x", got, want, data)
+	}
+}
+
+// staleMessage is a message longer than longerThan (nil for a failed
+// decode) in every section, with every header field set and every
+// record's data fields in use.
+func staleMessage(longerThan *Message) *Message {
+	var n [4]int
+	if p := longerThan; p != nil {
+		n = [4]int{len(p.Question), len(p.Answer), len(p.Authority), len(p.Additional)}
+	}
+	m := &Message{ID: 0xffff, QR: true, OpCode: 15, AA: true, TC: true, RD: true, RA: true, RCode: 15}
+	for i := 0; i <= n[0]; i++ {
+		m.Question = append(m.Question, Question{Name: "stale.example", Type: TypeTXT, Class: 3})
+	}
+	rr := RR{Name: "stale.example", Type: TypeTXT, Class: 3, TTL: 7,
+		Addr: netip.MustParseAddr("2001:db8::5"), Target: "stale.target", SOA: &SOAData{MName: "stale.m"},
+		Txt: []string{strings.Repeat("s", 9)}, Data: []byte("stale")}
+	for i, sec := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
+		for j := 0; j <= n[i+1]; j++ {
+			*sec = append(*sec, rr)
+		}
+	}
+	return m
 }

@@ -181,9 +181,23 @@ func AppendQuery(buf []byte, id uint16, nameWire []byte, t Type) []byte {
 
 // Reply builds a response skeleton echoing the question section.
 func (m *Message) Reply() *Message {
-	r := &Message{ID: m.ID, QR: true, OpCode: m.OpCode, RD: m.RD}
-	r.Question = append(r.Question, m.Question...)
+	r := new(Message)
+	m.ReplyInto(r)
 	return r
+}
+
+// ReplyInto makes r the response skeleton Reply builds, in r's own
+// section storage: r's header is m's reply header, its question section
+// a copy of m's, and its other sections are emptied for the caller to
+// fill.
+func (m *Message) ReplyInto(r *Message) {
+	*r = Message{
+		ID: m.ID, QR: true, OpCode: m.OpCode, RD: m.RD,
+		Question:   append(r.Question[:0], m.Question...),
+		Answer:     r.Answer[:0],
+		Authority:  r.Authority[:0],
+		Additional: r.Additional[:0],
+	}
 }
 
 // Q returns the first question, or a zero Question if none.
@@ -196,7 +210,14 @@ func (m *Message) Q() Question {
 
 // Pack serializes the message with name compression.
 func (m *Message) Pack() ([]byte, error) {
-	buf, _, err := m.pack()
+	return m.PackBuffer(make([]byte, 0, maxUDPPayload))
+}
+
+// PackBuffer is Pack writing into buf's storage from its start: it
+// returns the packed message in buf's array when it fits, and in a
+// larger one otherwise. Whatever buf held is overwritten.
+func (m *Message) PackBuffer(buf []byte) ([]byte, error) {
+	buf, _, err := m.pack(buf)
 	return buf, err
 }
 
@@ -207,7 +228,13 @@ func (m *Message) Pack() ([]byte, error) {
 // to TCP. Compression pointers only point backwards, so the cut bytes
 // are those the header and question alone would pack to.
 func (m *Message) PackUDP(limit int) ([]byte, error) {
-	buf, question, err := m.pack()
+	return m.PackUDPBuffer(make([]byte, 0, maxUDPPayload), limit)
+}
+
+// PackUDPBuffer is PackUDP writing into buf's storage, as PackBuffer
+// does.
+func (m *Message) PackUDPBuffer(buf []byte, limit int) ([]byte, error) {
+	buf, question, err := m.pack(buf)
 	if err != nil || len(buf) <= max(limit, maxUDPPayload) {
 		return buf, err
 	}
@@ -216,10 +243,10 @@ func (m *Message) PackUDP(limit int) ([]byte, error) {
 	return buf[:question], nil
 }
 
-// pack serializes the message and returns where its question section
-// ends.
-func (m *Message) pack() (buf []byte, question int, err error) {
-	buf = make([]byte, 12, 512)
+// pack serializes the message into buf's storage from its start and
+// returns where its question section ends.
+func (m *Message) pack(buf []byte) (_ []byte, question int, err error) {
+	buf = append(buf[:0], make([]byte, 12)...)
 	binary.BigEndian.PutUint16(buf[0:2], m.ID)
 	var flags uint16
 	if m.QR {
@@ -331,10 +358,27 @@ func packRR(buf []byte, c *compressor, rr *RR) ([]byte, error) {
 
 // Unpack parses a wire-format message.
 func Unpack(msg []byte) (*Message, error) {
-	if len(msg) < 12 {
-		return nil, errTruncated
+	m := new(Message)
+	if err := m.Unpack(msg); err != nil {
+		return nil, err
 	}
-	m := &Message{ID: binary.BigEndian.Uint16(msg[0:2])}
+	return m, nil
+}
+
+// Unpack parses a wire-format message into m, reusing the storage of
+// m's sections: the result is the package Unpack's, except that a
+// section m had storage for is empty rather than nil when the message
+// has none. Names and record data are fresh, so a record copied out of
+// m stays valid after m's next decode. On error m holds part of the
+// message.
+func (m *Message) Unpack(msg []byte) error {
+	if len(msg) < 12 {
+		return errTruncated
+	}
+	*m = Message{
+		ID:       binary.BigEndian.Uint16(msg[0:2]),
+		Question: m.Question[:0], Answer: m.Answer[:0], Authority: m.Authority[:0], Additional: m.Additional[:0],
+	}
 	flags := binary.BigEndian.Uint16(msg[2:4])
 	m.QR = flags&(1<<15) != 0
 	m.OpCode = OpCode(flags >> 11 & 0xf)
@@ -354,10 +398,10 @@ func Unpack(msg []byte) (*Message, error) {
 		var q Question
 		q.Name, off, err = readName(msg, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if off+4 > len(msg) {
-			return nil, errTruncated
+			return errTruncated
 		}
 		q.Type = Type(binary.BigEndian.Uint16(msg[off : off+2]))
 		q.Class = Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
@@ -372,12 +416,12 @@ func Unpack(msg []byte) (*Message, error) {
 			var rr RR
 			rr, off, err = unpackRR(msg, off)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			*sec.dst = append(*sec.dst, rr)
 		}
 	}
-	return m, nil
+	return nil
 }
 
 func unpackRR(msg []byte, off int) (RR, int, error) {

@@ -2,6 +2,18 @@
 // the pieces of EDNS0 the experiment needs): domain names with
 // compression, the message header, questions, and the resource-record
 // types the measurement exercises.
+//
+// Reuse contract. Unpack, Pack, PackUDP, NewQuery and Reply return
+// fresh storage. A host that handles one message at a time can instead
+// keep one Message and one buffer: Message.Unpack decodes into the
+// Message's own section slices, ReplyInto builds a reply skeleton in
+// them, and PackBuffer and PackUDPBuffer pack into the buffer, each
+// producing what its allocating counterpart would. The sections and
+// the buffer are then valid only until the next decode, reply or pack
+// into them: whoever keeps records copies the RR values out (names and
+// record data are fresh on every decode, so a copied RR stays valid),
+// and whoever sends packed bytes must have them copied before the next
+// pack.
 package dnswire
 
 import (

@@ -420,12 +420,23 @@ func TestUnpackRejectsDottedLabel(t *testing.T) {
 	}
 }
 
+// TestPackCompressorDoesNotAllocate pins the packers at no allocation
+// but the buffer: PackUDP's own buffer stays on the stack when its
+// result does not escape, and packing into a warmed buffer allocates
+// nothing.
 func TestPackCompressorDoesNotAllocate(t *testing.T) {
 	m := NewQuery(1, "1573066000.v4-192-0-2-55.v4-198-51-100-7.64501.x1.dns-lab.org", TypeA).Reply()
 	m.Authority = []RR{{Name: "dns-lab.org", Type: TypeSOA, Class: ClassIN, TTL: 300, SOA: &SOAData{
 		MName: "www.dns-lab.org", RName: "research.dns-lab.org"}}}
-	if a := testing.AllocsPerRun(100, func() { _, _ = m.PackUDP(512) }); a != 1 {
-		t.Fatalf("PackUDP allocates %v times, want 1 (the buffer)", a)
+	if a := testing.AllocsPerRun(100, func() { _, _ = m.PackUDP(512) }); a != 0 {
+		t.Fatalf("PackUDP allocates %v times, want 0", a)
+	}
+	buf, _ := m.Pack()
+	if a := testing.AllocsPerRun(100, func() { buf, _ = m.PackBuffer(buf) }); a != 0 {
+		t.Fatalf("PackBuffer into a warmed buffer allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { buf, _ = m.PackUDPBuffer(buf, 512) }); a != 0 {
+		t.Fatalf("PackUDPBuffer into a warmed buffer allocates %v times, want 0", a)
 	}
 }
 
@@ -459,5 +470,25 @@ func FuzzPack(f *testing.F) {
 			return
 		}
 		checkAgainstReference(t, m, int(limit))
+		checkPackBuffer(t, m, int(limit))
 	})
+}
+
+// checkPackBuffer holds the buffer packers to Pack and PackUDP: packed
+// into a buffer of stale bytes longer than the message, m packs to the
+// same bytes, the UDP cut included, or fails as they do.
+func checkPackBuffer(t *testing.T, m *Message, limit int) {
+	t.Helper()
+	want, wantErr := m.Pack()
+	stale := bytes.Repeat([]byte{0xa5}, len(want)+64)
+	got, err := m.PackBuffer(stale)
+	if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+		t.Fatalf("PackBuffer over stale bytes = %x (err %v), Pack = %x (err %v)", got, err, want, wantErr)
+	}
+	want, wantErr = m.PackUDP(limit)
+	stale = bytes.Repeat([]byte{0x5a}, len(stale)+64)
+	got, err = m.PackUDPBuffer(stale, limit)
+	if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+		t.Fatalf("PackUDPBuffer(%d) over stale bytes = %x (err %v), PackUDP = %x (err %v)", limit, got, err, want, wantErr)
+	}
 }

@@ -195,6 +195,9 @@ type Network struct {
 	// addresses doom it and nothing watches it (see SendUDP).
 	scratch    []byte
 	scratchPkt packet.Packet
+	// arrivals holds the arrival records whose events have run, for
+	// carry to reuse.
+	arrivals []*arrival
 }
 
 // New creates a network over the given routing registry.
@@ -516,15 +519,49 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault
 		pkt = nil // the flipped bit must meet the receiver's decode
 	}
 
-	n.Q.After(latency, func(now time.Duration) {
-		n.arrive(raw, pkt, dstAS, crossesBorder)
-	})
+	n.Q.After(latency, n.arrival(raw, pkt, dstAS, crossesBorder))
 	if fault.Duplicate {
 		// The copy decodes into a Packet of its own.
-		n.Q.After(latency+fault.DupDelay, func(now time.Duration) {
-			n.arrive(raw, nil, dstAS, crossesBorder)
-		})
+		n.Q.After(latency+fault.DupDelay, n.arrival(raw, nil, dstAS, crossesBorder))
 	}
+}
+
+// arrival is a travelling datagram's arrival event: arrive's arguments
+// and the event that hands them over. The Network recycles a record
+// once its event has run, so a datagram in flight costs no closure of
+// its own.
+type arrival struct {
+	n             *Network
+	raw           []byte
+	pkt           *packet.Packet
+	dstAS         *routing.AS
+	crossedBorder bool
+	fire          eventq.Event // run, bound once per record
+}
+
+// arrival returns the event that delivers raw (pkt, when decoded) to
+// dstAS, on a recycled record when there is one.
+func (n *Network) arrival(raw []byte, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool) eventq.Event {
+	var a *arrival
+	if k := len(n.arrivals); k > 0 {
+		a = n.arrivals[k-1]
+		n.arrivals = n.arrivals[:k-1]
+	} else {
+		a = &arrival{n: n}
+		a.fire = a.run
+	}
+	a.raw, a.pkt, a.dstAS, a.crossedBorder = raw, pkt, dstAS, crossedBorder
+	return a.fire
+}
+
+// run hands the record's fields to arrive after putting the record back
+// for reuse, emptied: the delivery can send, and that send can take the
+// same record.
+func (a *arrival) run(time.Duration) {
+	n, raw, pkt, dstAS, crossedBorder := a.n, a.raw, a.pkt, a.dstAS, a.crossedBorder
+	a.raw, a.pkt, a.dstAS = nil, nil, nil
+	n.arrivals = append(n.arrivals, a)
+	n.arrive(raw, pkt, dstAS, crossedBorder)
 }
 
 // arrive runs the destination-side pipeline: border filters, middlebox

@@ -65,9 +65,11 @@ func newCache(now func() time.Duration) *cache {
 	}
 }
 
+// putPositive caches a copy of rrs, which may be a decode's reused
+// storage.
 func (c *cache) putPositive(name dnswire.Name, typ dnswire.Type, rrs []dnswire.RR, ttl uint32) {
 	e := posEntry{
-		rrs:        rrs,
+		rrs:        append([]dnswire.RR(nil), rrs...),
 		insertedAt: c.now(),
 		expiry:     c.now() + time.Duration(ttl)*time.Second,
 	}

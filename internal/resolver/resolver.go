@@ -138,6 +138,15 @@ type Resolver struct {
 	cache   *cache
 	pending map[pendKey]*outstanding
 	portRef map[uint16]int
+
+	// The resolver handles one datagram at a time, so one decoded
+	// message, one outgoing message and one packed buffer serve every
+	// datagram; each grows on first use and is reused after. SendUDP
+	// copies the payload before it returns, so out and buf are free
+	// again once a send returns.
+	in  dnswire.Message
+	out dnswire.Message
+	buf []byte
 }
 
 type pendKey struct {
@@ -219,8 +228,8 @@ func (r *Resolver) Config() Config { return r.cfg }
 // This sharing is what lets fixed-port-53 resolvers work: their upstream
 // source port is the service port.
 func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
-	msg, err := dnswire.Unpack(payload)
-	if err != nil {
+	msg := &r.in
+	if msg.Unpack(payload) != nil {
 		return
 	}
 	if msg.QR {
@@ -238,21 +247,31 @@ func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, d
 		r.onResponse(out, msg, false)
 		return
 	}
-	r.HandleQuery(now, src, srcPort, dst, payload)
+	r.handleQuery(src, srcPort, dst, msg)
 }
 
 // HandleQuery processes a client query datagram addressed to local. It
 // is exported so transparent middleboxes can inject intercepted queries.
 func (r *Resolver) HandleQuery(now time.Duration, src netip.Addr, srcPort uint16, local netip.Addr, payload []byte) {
-	msg, err := dnswire.Unpack(payload)
-	if err != nil || msg.QR || len(msg.Question) == 0 || msg.OpCode != dnswire.OpQuery {
+	if msg := &r.in; msg.Unpack(payload) == nil {
+		r.handleQuery(src, srcPort, local, msg)
+	}
+}
+
+// handleQuery processes a decoded client query addressed to local. msg
+// is the resolver's decode storage, which the next datagram overwrites.
+//
+//doors:scratch msg
+func (r *Resolver) handleQuery(src netip.Addr, srcPort uint16, local netip.Addr, msg *dnswire.Message) {
+	if msg.QR || len(msg.Question) == 0 || msg.OpCode != dnswire.OpQuery {
 		return
 	}
 	r.Stats.ClientQueries++
 	q := msg.Q()
 	if !r.cfg.ACL.Allows(src) {
 		r.Stats.Refused++
-		rep := msg.Reply()
+		rep := &r.out
+		msg.ReplyInto(rep)
 		rep.RCode = dnswire.RCodeRefused
 		r.reply(src, srcPort, local, rep)
 		return
@@ -268,11 +287,35 @@ func (r *Resolver) HandleQuery(now time.Duration, src netip.Addr, srcPort uint16
 // reply sends a response message to a client.
 func (r *Resolver) reply(client netip.Addr, clientPort uint16, local netip.Addr, msg *dnswire.Message) {
 	msg.RA = true
-	out, err := msg.Pack()
+	out, err := r.pack(msg)
 	if err != nil {
 		return
 	}
 	r.Host.SendUDP(local, 53, client, clientPort, out)
+}
+
+// pack packs msg into the resolver's reused buffer, valid until the
+// next pack.
+func (r *Resolver) pack(msg *dnswire.Message) ([]byte, error) {
+	out, err := msg.PackBuffer(r.buf)
+	if err == nil {
+		r.buf = out
+	}
+	return out, err
+}
+
+// message empties the resolver's outgoing message, keeping its section
+// storage, and makes it a query for (name, t) under id.
+func (r *Resolver) message(id uint16, rd bool, name dnswire.Name, t dnswire.Type) *dnswire.Message {
+	m := &r.out
+	*m = dnswire.Message{
+		ID: id, RD: rd,
+		Question:   append(m.Question[:0], dnswire.Question{Name: name, Type: t, Class: dnswire.ClassIN}),
+		Answer:     m.Answer[:0],
+		Authority:  m.Authority[:0],
+		Additional: m.Additional[:0],
+	}
+	return m
 }
 
 // finish responds to the job's client and marks it complete.
@@ -285,9 +328,14 @@ func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 	if rcode == dnswire.RCodeServFail {
 		r.Stats.ServFail++
 	}
-	rep := &dnswire.Message{ID: j.id, QR: true, RD: j.rd, RCode: rcode}
-	rep.Question = []dnswire.Question{{Name: j.qname, Type: j.qtype, Class: dnswire.ClassIN}}
-	rep.Answer = answers
+	rep := r.message(j.id, j.rd, j.qname, j.qtype)
+	rep.QR, rep.RCode = true, rcode
+	// Copied record by record into the reply's own storage: answers may
+	// be a cached RRset or the decoded response, and the next message
+	// reuses both the reply's storage and the decode's.
+	for _, rr := range answers {
+		rep.Answer = append(rep.Answer, rr)
+	}
 	r.reply(j.client, j.clientPort, j.local, rep)
 }
 
@@ -451,10 +499,9 @@ func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, q
 	if r.cfg.Use0x20 {
 		wireName = randomizeCase(qname, r.rng)
 	}
-	q := dnswire.NewQuery(key.id, wireName, qtype)
-	q.RD = rd
+	q := r.message(key.id, rd, wireName, qtype)
 	q.SetEDNS(dnswire.DefaultEDNSSize)
-	payload, err := q.Pack()
+	payload, err := r.pack(q)
 	if err != nil {
 		r.releasePort(key.port)
 		r.finish(j, dnswire.RCodeServFail, nil)
@@ -482,9 +529,7 @@ func (r *Resolver) retransmit(out *outstanding) {
 	if r.cfg.Use0x20 {
 		out.wireName = randomizeCase(out.qname, r.rng)
 	}
-	q := dnswire.NewQuery(key.id, out.wireName, out.qtype)
-	q.RD = out.rd
-	payload, err := q.Pack()
+	payload, err := r.pack(r.message(key.id, out.rd, out.wireName, out.qtype))
 	if err != nil {
 		r.releasePort(key.port)
 		r.finish(j, dnswire.RCodeServFail, nil)
@@ -518,7 +563,11 @@ func (r *Resolver) armTimeout(out *outstanding) {
 	})
 }
 
-// onResponse processes an upstream response (UDP or TCP).
+// onResponse processes an upstream response (UDP or TCP). msg is the
+// resolver's decode storage for a UDP response, which the next datagram
+// overwrites.
+//
+//doors:scratch msg
 func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP bool) {
 	j := out.job
 	if j.finished {

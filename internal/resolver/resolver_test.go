@@ -3,6 +3,7 @@ package resolver
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -231,6 +232,68 @@ func TestCacheSuppressesRepeatUpstreamQueries(t *testing.T) {
 	if h.res.Stats.UpstreamQueries != upstreamAfterFirst {
 		t.Fatalf("cache miss: upstream queries grew from %d to %d",
 			upstreamAfterFirst, h.res.Stats.UpstreamQueries)
+	}
+}
+
+// TestCachedRRsetSurvivesReuse: the resolver decodes every datagram
+// into one reused message and builds every reply and query in another,
+// so a cache entry that kept the decode's records, or a reply that
+// aliased a cached RRset, would be overwritten by the next message. A
+// cached RRset reads the same after the resolver has answered from it
+// and then resolved, answered and queried other names.
+func TestCachedRRsetSurvivesReuse(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 19})
+	h.authZone.AddAddr("www.dns-lab.org", addr("192.0.9.100"), 300)
+	h.authZone.AddAddr("www.dns-lab.org", addr("192.0.9.101"), 300)
+	h.authZone.AddAddr("mail.dns-lab.org", addr("192.0.9.102"), 300)
+	h.authZone.AddAddr("mail.dns-lab.org", addr("192.0.9.103"), 300)
+	if r := h.query(t, "www.dns-lab.org", dnswire.TypeA); r == nil || len(r.Answer) != 2 {
+		t.Fatalf("first answer = %+v", r)
+	}
+	cached, ok := h.res.CachedAnswer("www.dns-lab.org", dnswire.TypeA)
+	if !ok {
+		t.Fatal("answer not cached")
+	}
+	want := append([]dnswire.RR(nil), cached...)
+	upstream := h.res.Stats.UpstreamQueries
+	if r := h.query(t, "www.dns-lab.org", dnswire.TypeA); r == nil || len(r.Answer) != 2 || h.res.Stats.UpstreamQueries != upstream {
+		t.Fatalf("cached answer = %+v after %d upstream queries, want 2 records and no query", r, h.res.Stats.UpstreamQueries-upstream)
+	}
+	for _, name := range []dnswire.Name{"mail.dns-lab.org", "8000.gone.dns-lab.org"} {
+		h.query(t, name, dnswire.TypeA)
+	}
+	if h.res.Stats.UpstreamQueries == upstream {
+		t.Fatal("no upstream query after the cache hit")
+	}
+	got, ok := h.res.CachedAnswer("www.dns-lab.org", dnswire.TypeA)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached RRset changed: %+v, was %+v", got, want)
+	}
+}
+
+// TestCachedAnswerAllocations pins a warmed resolver answering a client
+// query from its cache: the query's name and the job are the only
+// objects. The reply is built and packed in the resolver's reused
+// storage, and sent to a spoofed client no host owns, it is counted
+// without a datagram.
+func TestCachedAnswerAllocations(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 20})
+	h.authZone.AddAddr("www.dns-lab.org", addr("192.0.9.100"), 300)
+	h.query(t, "www.dns-lab.org", dnswire.TypeA)
+	payload, err := dnswire.NewQuery(7, "www.dns-lab.org", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoofed, local := addr("198.51.100.77"), addr("198.51.100.53")
+	h.res.HandleQuery(h.net.Now(), spoofed, 40000, local, payload) // warm the reply storage
+	responded := h.res.Stats.Responded
+	if a := testing.AllocsPerRun(100, func() {
+		h.res.HandleQuery(h.net.Now(), spoofed, 40000, local, payload)
+	}); a != 2 {
+		t.Fatalf("answering from the cache allocates %v times, want 2 (the name and the job)", a)
+	}
+	if h.res.Stats.Responded-responded != 101 || h.net.Q.Len() != 0 || h.net.Drops()[netsim.DropNoHost] < 101 {
+		t.Fatalf("%d responses, %d events pending, drops %v", h.res.Stats.Responded-responded, h.net.Q.Len(), h.net.Drops())
 	}
 }
 

@@ -320,6 +320,7 @@ type Scanner struct {
 	seen map[netip.Prefix]bool
 	hot  []netip.Prefix
 	srcs []netip.Addr
+	rng  *rand.Rand // targetRand's generator
 }
 
 // New creates a scanner on host (whose AS must lack OSAV) monitoring
@@ -465,10 +466,15 @@ func (s *Scanner) SealRuns() {
 
 // targetRand returns the private RNG stream for a target: seeded from
 // the target's identity, so the draws a target receives do not depend
-// on how many other targets were processed before it.
+// on how many other targets were processed before it. The stream is
+// the scanner's one generator, reseeded, valid until the next call.
 func (s *Scanner) targetRand(a netip.Addr) *rand.Rand {
+	if s.rng == nil {
+		s.rng = detrand.Rand()
+	}
 	hi, lo := detrand.AddrWords(a)
-	return detrand.Rand(s.seed, hi, lo, saltSources)
+	detrand.Reseed(s.rng, s.seed, hi, lo, saltSources)
+	return s.rng
 }
 
 // hotSubnets returns the hit-listed subnets inside prefixes other than
@@ -673,13 +679,17 @@ func (s *Scanner) probeAt(p *probePlan, j int32) time.Duration {
 //doors:hotpath
 func (s *Scanner) sendNext(now time.Duration, pi int) {
 	p := &s.plans[pi]
-	j := p.next
+	src := p.sources[p.next]
 	p.next++
 	if int(p.next) < len(p.sources) {
 		p.seq++
 		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
+	} else {
+		// The target's last probe: the plan lets go of its sources and
+		// its cursor, which would otherwise live as long as the shard.
+		p.sources, p.fire = nil, nil
 	}
-	s.SendProbe(now, p.sources[j], s.Targets[p.target], ProbeMain)
+	s.SendProbe(now, src, s.Targets[p.target], ProbeMain)
 }
 
 // probeIDs derives the transaction ID and source port for a probe from

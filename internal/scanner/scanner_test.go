@@ -535,9 +535,12 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 	nw.Run()
 	planned := len(got)
 	kinds := []ProbeKind{ProbeMain, ProbeV4, ProbeV6, ProbeTC, ProbeKind(9)}
-	for i, tgt := range s.Targets {
+	// A plan lets go of its sources after its last probe; Plan cloned
+	// exactly what SourcesFor returns.
+	for _, tgt := range s.Targets {
+		src := s.SourcesFor(tgt)[0]
 		for _, k := range kinds {
-			s.SendProbe(nw.Now(), s.plans[i].sources[0], tgt, k)
+			s.SendProbe(nw.Now(), src, tgt, k)
 		}
 	}
 	if len(got) != planned+len(s.Targets)*len(kinds) || s.Stats.ProbesSent != uint64(len(got)) {
@@ -566,8 +569,9 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(got)
-	long.SendProbe(time.Second, s.plans[0].sources[0], s.Targets[0], ProbeV4)
-	if _, err := dnswire.NewQuery(1, EncodeQName(time.Second, s.plans[0].sources[0], s.Targets[0].Addr, 64500, long.Cfg.Keyword, ProbeV4), dnswire.TypeA).Pack(); err == nil {
+	src := s.SourcesFor(s.Targets[0])[0]
+	long.SendProbe(time.Second, src, s.Targets[0], ProbeV4)
+	if _, err := dnswire.NewQuery(1, EncodeQName(time.Second, src, s.Targets[0].Addr, 64500, long.Cfg.Keyword, ProbeV4), dnswire.TypeA).Pack(); err == nil {
 		t.Fatal("a 64-octet keyword label packed")
 	}
 	if long.Stats.ProbesSent != 0 || len(got) != before {
