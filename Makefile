@@ -56,8 +56,9 @@ racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
 # Short native-fuzz smoke over the wire parsers, the DNS packer against
-# its reference, the datagram writers and the resolver's client-query
-# path (one -fuzz target per invocation is a go tool limitation). Raise
+# its reference, the datagram writers, the resolver's client-query
+# path, the run files and the query-name decoder against its reference
+# (one -fuzz target per invocation is a go tool limitation). Raise
 # FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzClientQuery -fuzztime=$(FUZZTIME) ./internal/resolver
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQName -fuzztime=$(FUZZTIME) ./internal/scanner
 
 # The benchmark module's own tests: perfbench is a separate module, so
 # `go test ./...` above never builds it. This is the check that it still

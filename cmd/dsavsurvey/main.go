@@ -5,7 +5,7 @@
 //
 //	dsavsurvey [-ases N] [-seed N] [-rate QPS] [-loss P] [-shards K]
 //	           [-campaign NAME] [-phases LIST]
-//	           [-stream] [-fold] [-maxparallel N]
+//	           [-fold] [-maxparallel N]
 //	           [-wildcard] [-alldsav] [-nodsav] [-figures]
 //	           [-chaos] [-invariants=false]
 //	           [-cpuprofile FILE] [-memprofile FILE]
@@ -43,9 +43,8 @@ func main() {
 		shards   = flag.Int("shards", -1, "parallel simulation shards (-1 = one per CPU, 1 = serial); results are identical at any value")
 		chaosOn  = flag.Bool("chaos", false, "inject the deterministic fault schedule (link flap, dup/reorder/corrupt, resolver crashes, clock skew)")
 		invar    = flag.Bool("invariants", true, "check simulation invariants on every delivery and cache event")
-		stream   = flag.Bool("stream", false, "stream the population: synthesize each shard's ASes on demand and discard each world after its observations reduce (identical results, per-shard peak memory)")
-		fold     = flag.Bool("fold", false, "external-merge reduce (implies -stream): spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers; peak memory stays per-shard through the report")
-		maxPar   = flag.Int("maxparallel", 0, "max concurrently running shard simulations (0 = one per CPU); with -stream or -fold, the peak-memory knob")
+		fold     = flag.Bool("fold", false, "external-merge reduce: spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers; peak memory stays per-shard through the report")
+		maxPar   = flag.Int("maxparallel", 0, "max concurrently running shard simulations (0 = one per CPU), the peak-memory knob")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -99,7 +98,7 @@ func main() {
 		},
 		Scanner:           scanner.Config{Seed: *seed + 2, Rate: *rate},
 		Shards:            *shards,
-		Stream:            *stream,
+		Stream:            true,
 		Fold:              *fold,
 		MaxParallel:       *maxPar,
 		DisableInvariants: !*invar,

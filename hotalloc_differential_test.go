@@ -322,9 +322,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		sinkHit, sinkBool = m.Next()
 	})
 
-	// ditl slab accessors, measured inside the streaming view's
+	// ditl resolver accessors, measured inside the streaming view's
 	// callback where the scratch ASSpec is valid.
-	pop := ditl.Generate(ditl.Params{Seed: 11, ASes: 40})
+	pop := ditl.NewView(ditl.Params{Seed: 11, ASes: 40})
 	measured := false
 	pop.EachAS(nil, func(i int, as *ditl.ASSpec) {
 		if measured || as.NumResolvers() == 0 {

@@ -109,13 +109,11 @@ func ReadJSON(r io.Reader) (*Population, error) {
 		return nil, fmt.Errorf("ditl: decode population: %w", err)
 	}
 	pop := &Population{Params: in.Params}
-	slab := newResolverSlab()
 	for _, aj := range in.ASes {
 		as := &ASSpec{
 			ASN: routing.ASN(aj.ASN), DSAV: aj.DSAV, OSAV: aj.OSAV,
 			FilterBogons: aj.FilterBogons, IDS: aj.IDS, Middlebox: aj.Middlebox,
 			Countries: aj.Countries,
-			slab:      slab, lo: slab.len(), hi: slab.len(),
 		}
 		for _, s := range aj.V4Prefixes {
 			p, err := netip.ParsePrefix(s)
@@ -168,7 +166,7 @@ func ReadJSON(r io.Reader) (*Population, error) {
 				}
 				rs.Addr6 = a
 			}
-			as.appendResolver(&rs)
+			as.resolvers = append(as.resolvers, rs)
 		}
 		pop.ASes = append(pop.ASes, as)
 	}

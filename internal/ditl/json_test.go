@@ -27,24 +27,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("AS count %d vs %d", len(got.ASes), len(pop.ASes))
 	}
 	for i, as := range pop.ASes {
-		g := got.ASes[i]
-		if g.ASN != as.ASN || g.DSAV != as.DSAV || g.OSAV != as.OSAV ||
-			g.FilterBogons != as.FilterBogons || g.IDS != as.IDS || g.Middlebox != as.Middlebox {
-			t.Fatalf("AS %d flags differ", i)
-		}
-		if !reflect.DeepEqual(g.V4Prefixes, as.V4Prefixes) ||
-			!reflect.DeepEqual(g.Countries, as.Countries) ||
-			!reflect.DeepEqual(g.DeadTargets, as.DeadTargets) {
-			t.Fatalf("AS %d data differs", i)
-		}
-		if g.NumResolvers() != as.NumResolvers() {
-			t.Fatalf("AS %d resolver count differs", i)
-		}
-		for j := 0; j < as.NumResolvers(); j++ {
-			gr, r := g.Resolver(j), as.Resolver(j)
-			if !reflect.DeepEqual(gr, r) {
-				t.Fatalf("resolver %d/%d differs:\n%+v\n%+v", i, j, gr, r)
-			}
+		if g, w := snapshot(got.ASes[i]), snapshot(as); !reflect.DeepEqual(g, w) {
+			t.Fatalf("AS %d differs:\nread:  %+v\nwrote: %+v", i, g, w)
 		}
 	}
 }
@@ -106,11 +90,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("duplicate ASN accepted")
 	}
 
-	corrupt := func(pop *Population, fn func(r *ResolverSpec)) {
-		r := pop.ASes[0].Resolver(0)
-		fn(&r)
-		pop.ASes[0].setResolver(0, r)
-	}
+	corrupt := func(pop *Population, fn func(r *ResolverSpec)) { fn(&pop.ASes[0].resolvers[0]) }
 
 	pop = fresh()
 	corrupt(pop, func(r *ResolverSpec) { r.Addr4 = pop.ASes[1].Resolver(0).Addr4 })
@@ -161,9 +141,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}},
 		{"addr4", func(pop *Population) {
 			as, k := v6Resolver(pop)
-			r := as.Resolver(k)
+			r := &as.resolvers[k]
 			r.Addr4, r.Addr6 = r.Addr6, netip.Addr{}
-			as.setResolver(k, r)
 		}},
 		{"addr6", func(pop *Population) {
 			corrupt(pop, func(r *ResolverSpec) { r.Addr4, r.Addr6 = netip.Addr{}, r.Addr4 })

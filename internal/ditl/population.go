@@ -150,9 +150,8 @@ func (r *ResolverSpec) HasV4() bool { return r.Addr4.IsValid() }
 // HasV6 reports whether the resolver has an IPv6 address.
 func (r *ResolverSpec) HasV6() bool { return r.Addr6.IsValid() }
 
-// ASSpec describes one target AS. Resolver specs live in a shared
-// struct-of-arrays slab (the AS owns rows [lo, hi)); access them
-// through NumResolvers/Resolver.
+// ASSpec describes one target AS. Its live resolvers are kept by value
+// in generation order; read them through NumResolvers and Resolver.
 type ASSpec struct {
 	ASN          routing.ASN
 	V4Prefixes   []netip.Prefix
@@ -166,26 +165,18 @@ type ASSpec struct {
 
 	DeadTargets []netip.Addr
 
-	slab   *resolverSlab
-	lo, hi int
+	resolvers []ResolverSpec
 }
 
 // NumResolvers returns the AS's live resolver count.
 //
 //doors:hotpath
-func (a *ASSpec) NumResolvers() int { return a.hi - a.lo }
+func (a *ASSpec) NumResolvers() int { return len(a.resolvers) }
 
-// Resolver materializes the AS's k-th resolver spec.
+// Resolver returns the AS's k-th resolver spec.
 //
 //doors:hotpath
-func (a *ASSpec) Resolver(k int) ResolverSpec { return a.slab.spec(a.lo + k) }
-
-// appendResolver adds a resolver to the AS; the AS's rows must be the
-// slab's tail (generation and JSON import both build ASes in order).
-func (a *ASSpec) appendResolver(r *ResolverSpec) {
-	a.slab.appendSpec(r)
-	a.hi = a.slab.len()
-}
+func (a *ASSpec) Resolver(k int) ResolverSpec { return a.resolvers[k] }
 
 // Prefixes returns all announced prefixes.
 func (a *ASSpec) Prefixes() []netip.Prefix {
@@ -266,11 +257,10 @@ func Generate(p Params) *Population {
 	p = p.withDefaults()
 	rng := detrand.Rand(uint64(p.Seed), saltPopulation)
 	pop := &Population{Params: p}
-	slab := newResolverSlab()
 	used := make(map[netip.Addr]bool)
 	resolverIdx := 0
 	for i := 0; i < p.ASes; i++ {
-		as := &ASSpec{slab: slab}
+		as := &ASSpec{}
 		resolverIdx = genAS(p, rng, i, resolverIdx, as, used)
 		pop.ASes = append(pop.ASes, as)
 	}
@@ -279,17 +269,16 @@ func Generate(p Params) *Population {
 
 // genAS synthesizes population AS i into as, drawing from rng the
 // exact sequence the eager generator has always drawn (the stream is
-// pinned by the golden report). All fields of as are reset except the
-// slab (resolver rows are appended at its tail) and the DeadTargets
-// backing array (reused in place, so streaming callers recycle one
-// scratch ASSpec). used is per-AS address-dedup scratch, cleared on
-// entry. Returns the global resolver index after this AS.
+// pinned by the golden report). All fields of as are reset; its
+// resolver and DeadTargets backing arrays are emptied and appended to,
+// so a streaming caller recycles one scratch ASSpec and a fresh
+// ASSpec gets arrays of its own. used is per-AS address-dedup scratch,
+// cleared on entry. Returns the global resolver index after this AS.
 //
 //doors:scratch as used
 func genAS(p Params, rng *rand.Rand, i, resolverIdx int, as *ASSpec, used map[netip.Addr]bool) int {
 	clear(used)
-	slab, dead := as.slab, as.DeadTargets[:0]
-	*as = ASSpec{slab: slab, lo: slab.len(), hi: slab.len(), DeadTargets: dead}
+	*as = ASSpec{resolvers: as.resolvers[:0], DeadTargets: as.DeadTargets[:0]}
 
 	country := pickCountry(rng)
 	prefixes := carvePrefixes(v4BlockFor(i), rng)
@@ -332,7 +321,7 @@ func genAS(p Params, rng *rand.Rand, i, resolverIdx int, as *ASSpec, used map[ne
 	for k := 0; k < nLive; k++ {
 		spec := genResolver(p, rng, as, country, resolverIdx, used)
 		resolverIdx++
-		as.appendResolver(&spec)
+		as.resolvers = append(as.resolvers, spec)
 	}
 
 	// Dead targets (DITL sources that no longer respond, §3.6.2).

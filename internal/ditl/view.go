@@ -95,11 +95,10 @@ func NewView(p Params) *View {
 	}
 	cs := v.stream()
 	rng := cs.Rand()
-	as := &ASSpec{slab: newResolverSlab()}
+	as := &ASSpec{}
 	used := make(map[netip.Addr]bool)
 	resolverIdx := 0
 	for i := 0; i < p.ASes; i++ {
-		as.slab.truncate()
 		resolverIdx = genAS(p, rng, i, resolverIdx, as, used)
 		tallyAS(&v.stats, as)
 		v.draws = append(v.draws, cs.Draws())
@@ -166,14 +165,13 @@ func (v *View) NumASes() int { return v.params.ASes }
 func (v *View) EachAS(indices []int, fn func(i int, as *ASSpec)) {
 	var cs *detrand.Counted
 	var rng *rand.Rand
-	as := &ASSpec{slab: newResolverSlab()}
+	as := &ASSpec{}
 	used := make(map[netip.Addr]bool)
 	visit := func(i int) {
 		if next := v.resume(cs, i); next != cs {
 			cs, rng = next, next.Rand()
 		}
 		cs.Skip(v.draws[i] - cs.Draws())
-		as.slab.truncate()
 		genAS(v.params, rng, i, int(v.residx[i]), as, used)
 		fn(i, as)
 	}

@@ -101,7 +101,7 @@ const hotPathMarker = "//doors:hotpath"
 var autoHotPath = map[string][]string{
 	"internal/eventq":   {"Queue.At", "Queue.AtSeq", "Queue.After", "Queue.Step"},
 	"internal/detrand":  {"Mix", "HashBytes", "FoldBytes", "AddrWords", "Float64", "Intn"},
-	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
+	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver"},
 	"internal/resolver": {"ACL.Allows", "cache.flush"},
 	"internal/netsim":   {"Network.judge", "Network.transit", "Network.unwatched", "ingress", "pathHops"},
 	"internal/runs":     {"Merger.Next"},

@@ -267,7 +267,7 @@ func (s *rtState) classify(rf *rtFunc) {
 	}
 
 	cl := &rtClassify{s: s, rf: rf, taint: taint}
-	// Alias pass to fixpoint: `x := as.slab; y := x` needs two rounds
+	// Alias pass to fixpoint: `x := as.resolvers; y := x` needs two rounds
 	// when declared out of order across loop bodies.
 	for changed := true; changed; {
 		changed = false

@@ -138,6 +138,10 @@ type Resolver struct {
 	cache   *cache
 	pending map[pendKey]*outstanding
 	portRef map[uint16]int
+	// handler is dispatch as a UDPHandler, made once in New and bound
+	// to port 53 and every ephemeral port, so a bind allocates no
+	// method value.
+	handler netsim.UDPHandler
 
 	// The resolver handles one datagram at a time, so one decoded
 	// message, one outgoing message and one packed buffer serve every
@@ -213,7 +217,8 @@ func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 		r.cache.owner = host.Addrs[0]
 	}
 	r.cache.obs = cfg.CacheObserver
-	if err := host.BindUDP(53, r.dispatch); err != nil {
+	r.handler = r.dispatch
+	if err := host.BindUDP(53, r.handler); err != nil {
 		return nil, err
 	}
 	r.portRef[53] = 1 // never unbound
@@ -450,7 +455,7 @@ func (r *Resolver) pickServer(servers []netip.Addr) (netip.Addr, bool) {
 
 func (r *Resolver) bindPort(port uint16) bool {
 	if r.portRef[port] == 0 {
-		if err := r.Host.BindUDP(port, r.dispatch); err != nil {
+		if err := r.Host.BindUDP(port, r.handler); err != nil {
 			return false
 		}
 	}

@@ -297,6 +297,28 @@ func TestCachedAnswerAllocations(t *testing.T) {
 	}
 }
 
+// TestBindPortAllocations pins an ephemeral port's bind and release at
+// no allocation once the port maps have grown: every bind hands the
+// host the one handler New made.
+func TestBindPortAllocations(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 21})
+	if !h.res.bindPort(40000) {
+		t.Fatal("bindPort(40000) failed on a free port")
+	}
+	h.res.releasePort(40000)
+	if a := testing.AllocsPerRun(100, func() {
+		if !h.res.bindPort(40000) {
+			t.Fatal("bindPort(40000) failed on a released port")
+		}
+		h.res.releasePort(40000)
+	}); a != 0 {
+		t.Fatalf("a bindPort+releasePort cycle allocates %v times, want 0", a)
+	}
+	if err := h.resHost.BindUDP(40000, nil); err != nil {
+		t.Fatalf("port 40000 still bound after its release: %v", err)
+	}
+}
+
 func TestDelegationCacheSkipsRootOnSecondQuery(t *testing.T) {
 	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 5})
 	h.query(t, "2000.a.dns-lab.org", dnswire.TypeA)

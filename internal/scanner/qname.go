@@ -51,16 +51,52 @@ func EncodeAddr(a netip.Addr) string {
 	return string(AppendAddrLabel(buf[:0], a))
 }
 
-// DecodeAddr parses a label produced by EncodeAddr.
+// DecodeAddr parses a label produced by EncodeAddr. An IPv4 label's
+// four decimal fields are read in place; any other label is rewritten
+// to the address's text form for netip.ParseAddr.
 func DecodeAddr(label string) (netip.Addr, error) {
 	switch {
 	case strings.HasPrefix(label, "v4-"):
+		if a, ok := parseV4Fields(label[3:]); ok {
+			return a, nil
+		}
 		return netip.ParseAddr(strings.ReplaceAll(label[3:], "-", "."))
 	case strings.HasPrefix(label, "v6-"):
 		return netip.ParseAddr(strings.ReplaceAll(label[3:], "-", ":"))
 	default:
 		return netip.Addr{}, fmt.Errorf("scanner: bad address label %q", label)
 	}
+}
+
+// parseV4Fields reads "198-51-100-7": four '-'-separated decimal
+// fields, each 0 to 255 without a leading zero, the forms
+// netip.ParseAddr accepts once the '-' are dots. ok is false for
+// anything else, which DecodeAddr leaves to netip.ParseAddr.
+func parseV4Fields(s string) (a netip.Addr, ok bool) {
+	var b [4]byte
+	field, val, digits := 0, 0, 0
+	for i := 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == '-' {
+			if digits == 0 || field == len(b) {
+				return a, false
+			}
+			b[field] = byte(val)
+			field, val, digits = field+1, 0, 0
+			continue
+		}
+		c := s[i]
+		if c < '0' || c > '9' || digits > 0 && val == 0 {
+			return a, false
+		}
+		val, digits = val*10+int(c-'0'), digits+1
+		if val > 255 {
+			return a, false
+		}
+	}
+	if field != len(b) {
+		return a, false
+	}
+	return netip.AddrFrom4(b), true
 }
 
 // ProbeKind distinguishes the probe that induced an observed query.
@@ -128,48 +164,50 @@ type Decoded struct {
 // DecodeQName parses a query name observed at the authoritative
 // servers. full reports whether the name carries all five experiment
 // labels; a QNAME-minimized query (e.g. "kw.dns-lab.org") decodes with
-// full=false and only Kw set (when recognizable).
+// full=false and only Kw set (when recognizable). The labels are read
+// in place: a full name with IPv4 addresses decodes without allocating.
 func DecodeQName(name dnswire.Name, kw string) (d Decoded, full bool, partial bool) {
-	labels := name.Labels()
 	// Find the zone suffix.
-	var kind ProbeKind
-	var zoneLabels int
 	switch {
-	case name.IsSubdomainOf("v4.dns-lab.org"):
-		kind, zoneLabels = ProbeV4, 3
-	case name.IsSubdomainOf("v6.dns-lab.org"):
-		kind, zoneLabels = ProbeV6, 3
-	case name.IsSubdomainOf("tc.dns-lab.org"):
-		kind, zoneLabels = ProbeTC, 3
-	case name.IsSubdomainOf("dns-lab.org"):
-		kind, zoneLabels = ProbeMain, 2
+	case name.IsSubdomainOf(zoneFor(ProbeV4)):
+		d.Kind = ProbeV4
+	case name.IsSubdomainOf(zoneFor(ProbeV6)):
+		d.Kind = ProbeV6
+	case name.IsSubdomainOf(zoneFor(ProbeTC)):
+		d.Kind = ProbeTC
+	case name.IsSubdomainOf(zoneFor(ProbeMain)):
+		d.Kind = ProbeMain
 	default:
 		return d, false, false
 	}
-	d.Kind = kind
-	rest := labels[:len(labels)-zoneLabels]
-	if len(rest) == 0 {
+	zone := zoneFor(d.Kind)
+	if len(name) == len(zone) {
+		return d, false, false // the apex carries no experiment label
+	}
+	// rest is the labels left of the zone. Its rightmost label is the
+	// keyword in a full name and in a partial (QNAME-minimized) one.
+	rest := string(name[:len(name)-len(zone)-1])
+	if rest[strings.LastIndexByte(rest, '.')+1:] != kw {
 		return d, false, false
 	}
+	d.Kw = kw
 	// A full name has exactly ts.src.dst.asn.kw.
-	if len(rest) == 5 && rest[4] == kw {
-		tsv, err1 := strconv.ParseInt(rest[0], 10, 64)
-		src, err2 := DecodeAddr(rest[1])
-		dst, err3 := DecodeAddr(rest[2])
-		asn, err4 := strconv.ParseUint(rest[3], 10, 32)
-		if err1 == nil && err2 == nil && err3 == nil && err4 == nil {
-			d.TS = time.Duration(tsv)
-			d.Src, d.Dst = src, dst
-			d.ASN = routing.ASN(asn)
-			d.Kw = kw
-			return d, true, false
-		}
-	}
-	// Partial (QNAME-minimized): the rightmost remaining label should be
-	// the keyword for a recognizable experiment name.
-	if rest[len(rest)-1] == kw {
-		d.Kw = kw
+	if strings.Count(rest, ".") != 4 {
 		return d, false, true
 	}
-	return d, false, false
+	var l [4]string
+	for k := range l {
+		l[k], rest, _ = strings.Cut(rest, ".")
+	}
+	tsv, err1 := strconv.ParseInt(l[0], 10, 64)
+	src, err2 := DecodeAddr(l[1])
+	dst, err3 := DecodeAddr(l[2])
+	asn, err4 := strconv.ParseUint(l[3], 10, 32)
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+		return d, false, true
+	}
+	d.TS = time.Duration(tsv)
+	d.Src, d.Dst = src, dst
+	d.ASN = routing.ASN(asn)
+	return d, true, false
 }
