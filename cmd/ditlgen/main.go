@@ -42,7 +42,12 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		pop = ditl.Generate(ditl.Params{Seed: *seed, ASes: *ases})
+		p := ditl.Params{Seed: *seed, ASes: *ases}
+		if err := p.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "ditlgen:", err)
+			os.Exit(2)
+		}
+		pop = ditl.Generate(p)
 	}
 	if *export != "" {
 		f, err := os.Create(*export)

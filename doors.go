@@ -40,11 +40,15 @@ type Survey = campaign.Result
 
 // RunSurvey surveys the population cfg.Population describes: it builds
 // the world, runs the probing experiment to completion, and analyzes
-// the authoritative logs. It never materializes the population: shards
-// synthesize their ASes on demand from a ditl.View, the ASes
-// ditl.Generate would build, so cfg.Stream and cfg.Fold decide only
-// what outlives a shard.
+// the queries its authoritative servers received. It never
+// materializes the population: shards synthesize their ASes on demand
+// from a ditl.View, the ASes ditl.Generate would build, so cfg.Stream
+// and cfg.Fold decide only what outlives a shard. A cfg.Population
+// that fails Validate is an error.
 func RunSurvey(cfg SurveyConfig) (*Survey, error) {
+	if err := cfg.Population.Validate(); err != nil {
+		return nil, err
+	}
 	return RunSurveyOn(ditl.NewView(cfg.Population), cfg)
 }
 

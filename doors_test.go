@@ -2,6 +2,7 @@ package doors
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,18 @@ import (
 )
 
 func worldOptsAllDSAV() world.Options { return world.Options{AllDSAV: true} }
+
+// TestRunSurveyRejectsBadPopulation: a negative AS count is an error
+// naming the field, not a panic in the view's indexing sweep.
+func TestRunSurveyRejectsBadPopulation(t *testing.T) {
+	s, err := RunSurvey(SurveyConfig{Population: ditl.Params{Seed: 1, ASes: -3}})
+	if err == nil || s != nil {
+		t.Fatal("ASes = -3 accepted")
+	}
+	if !strings.Contains(err.Error(), "ASes = -3") {
+		t.Fatalf("error does not name the field: %v", err)
+	}
+}
 
 // TestSmallSurveyEndToEnd runs the full pipeline on a small world and
 // checks the paper's qualitative shapes.

@@ -88,7 +88,7 @@ type world struct {
 	net      *netsim.Network
 	res      *resolver.Resolver
 	attacker *netsim.Host
-	auth     *authserver.Server
+	induced  int // queries the genuine authoritative server received
 
 	victimAddr   netip.Addr
 	authAddr     netip.Addr
@@ -125,10 +125,11 @@ func buildWorld(cfg Config) (*world, error) {
 	soa := dnswire.SOAData{MName: "ns.bank.example", RName: "hostmaster.bank.example", Serial: 1, Minimum: 300}
 	zone := authserver.NewZone("bank.example", soa)
 	zone.Wildcard = true // every name resolves (Kaminsky uses random subdomains)
-	w.auth, err = authserver.New(authHost, zone)
+	auth, err := authserver.New(authHost, zone)
 	if err != nil {
 		return nil, err
 	}
+	auth.OnQuery = func(authserver.LogEntry) { w.induced++ }
 
 	victimHost, err := n.Attach("victim-resolver", victimAS, w.victimAddr)
 	if err != nil {
@@ -231,7 +232,7 @@ func Run(cfg Config) (*Result, error) {
 			res.SuccessRace = race
 		}
 	}
-	res.InducedQueries = len(w.auth.Log)
+	res.InducedQueries = w.induced
 	return res, nil
 }
 
@@ -241,23 +242,23 @@ func Run(cfg Config) (*Result, error) {
 func (w *world) poisonedFor(target dnswire.Name, rng *rand.Rand) bool {
 	// Query the victim from the attacker's own (ACL-refused) address
 	// would be rejected; instead verify via a spoofed-internal query
-	// whose answer we can't see — so check the authoritative log: if the
-	// verification query for the same name does NOT reach the
-	// authoritative server but a poisoned record exists, the cache
+	// whose answer we can't see — so count the authoritative server's
+	// queries: if the verification query for the same name does NOT
+	// reach the authoritative server but a poisoned record exists, the cache
 	// answered. To observe the answer content directly, the attacker
 	// spoofs the verification query from its own prefix... which the ACL
 	// refuses. The reliable in-simulation check: issue the verification
-	// query spoofed-internal and diff the authoritative log length —
+	// query spoofed-internal and diff the authoritative query count —
 	// a cache hit proves the forged record was accepted (the genuine
 	// record would equally be cached, but it carries a different TTL and
 	// the forged answer only enters the cache if (port, ID) matched).
-	before := len(w.auth.Log)
+	before := w.induced
 	q := dnswire.NewQuery(uint16(rng.Intn(65536)), target, dnswire.TypeA)
 	payload, _ := q.Pack()
 	raw, _ := packet.BuildUDP(w.spoofClient, w.victimAddr, 40001, 53, 64, payload)
 	w.attacker.SendRaw(raw)
 	w.net.Run()
-	cacheHit := len(w.auth.Log) == before
+	cacheHit := w.induced == before
 	if !cacheHit {
 		return false
 	}

@@ -49,17 +49,15 @@ type LogEntry struct {
 }
 
 // Server is an authoritative DNS server bound to a simulated host. It
-// serves one or more zones on UDP and TCP port 53 and appends every
-// received question to its log.
+// serves one or more zones on UDP and TCP port 53 and hands every
+// received question to its observer, if it has one; it keeps none.
 type Server struct {
 	Host  *netsim.Host
 	zones []*Zone
 
-	// Log is the append-only query log.
-	Log []LogEntry
-	// OnQuery, when set, observes entries as they are appended — the
-	// real-time monitoring that triggers the scanner's follow-up queries
-	// (§3.5).
+	// OnQuery, when set, observes each received question in arrival
+	// order — the real-time monitoring that triggers the scanner's
+	// follow-up queries (§3.5). The server builds no LogEntry without it.
 	OnQuery func(e LogEntry)
 
 	// The server handles one UDP datagram at a time, so one decoded
@@ -98,14 +96,13 @@ func (s *Server) zoneFor(name dnswire.Name) *Zone {
 }
 
 func (s *Server) record(now time.Duration, client netip.Addr, clientPort uint16, server netip.Addr, q dnswire.Question, tr Transport, syn *packet.Packet) {
-	e := LogEntry{
+	if s.OnQuery == nil {
+		return
+	}
+	s.OnQuery(LogEntry{
 		Time: now, Client: client, ClientPort: clientPort, Server: server,
 		Name: q.Name, Type: q.Type, Transport: tr, SYN: syn,
-	}
-	s.Log = append(s.Log, e)
-	if s.OnQuery != nil {
-		s.OnQuery(e)
-	}
+	})
 }
 
 // respond builds the response to msg in r, emptying r's sections

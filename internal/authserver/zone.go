@@ -1,7 +1,7 @@
 // Package authserver implements the authoritative DNS servers of the
 // experiment: the root and TLD servers the simulated resolvers recurse
 // through, and the dns-lab.org servers under the experimenter's control
-// whose query log is the experiment's only signal (§3).
+// whose received queries are the experiment's only signal (§3).
 //
 // Zones support the behaviours the paper's setup needed:
 //

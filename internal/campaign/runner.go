@@ -158,9 +158,6 @@ type Result struct {
 	Scanner *scanner.Scanner
 	Report  *analysis.Report
 	Geo     *geo.DB
-	// PublicDNS lists the shared public resolvers plus every per-AS
-	// replica (the §3.6.1 public-DNS service addresses).
-	PublicDNS []netip.Addr
 
 	// Probes is the number of probe queries scheduled across all
 	// phases; Duration is the virtual campaign window they were spread
@@ -321,18 +318,11 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	var rstats resolver.Stats
 	ctxs := make([]*analysis.Context, shards)
 	chaosCrashes := 0
-	nDNS := len(outs[0].publicDNS)
 	for k, o := range outs {
 		stats.Add(o.stats)
 		rstats.Add(o.rstats)
 		ctxs[k] = o.ctx
 		chaosCrashes += o.crashes
-		nDNS += len(o.asPublicDNS)
-	}
-	publicDNS := make([]netip.Addr, 0, nDNS)
-	publicDNS = append(publicDNS, outs[0].publicDNS...)
-	for _, o := range outs {
-		publicDNS = append(publicDNS, o.asPublicDNS...)
 	}
 
 	var inv *world.InvariantReport
@@ -418,7 +408,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	result := &Result{
 		Campaign:   c,
 		Population: pop,
-		Scanner:    sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
+		Scanner:    sc, Report: report, Geo: gdb,
 		Probes: probes, Duration: duration,
 		ResolverStats: rstats,
 		Invariants:    inv, ChaosCrashes: chaosCrashes,
@@ -479,8 +469,6 @@ type shardOut struct {
 	addr4, addr6 netip.Addr
 	ctx          *analysis.Context
 	rstats       resolver.Stats
-	publicDNS    []netip.Addr
-	asPublicDNS  []netip.Addr
 	inv          world.InvariantReport
 	crashes      int
 	// world is the shard's world (nil under Stream or Fold).
@@ -552,7 +540,6 @@ func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb 
 	out.rstats = w.ResolverStats()
 	out.stats = sc.Stats
 	out.addr4, out.addr6 = w.ScannerAddr4, w.ScannerAddr6
-	out.publicDNS, out.asPublicDNS = w.PublicDNS, w.ASPublicDNS
 	if !cfg.DisableInvariants {
 		out.inv = w.Invariants.Report()
 	}

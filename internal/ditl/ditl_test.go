@@ -3,12 +3,53 @@ package ditl
 import (
 	"math"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"repro/internal/resolver"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
+
+// TestParamsValidate rejects each count field below zero and each
+// fraction outside [0, 1] or NaN, naming the field, and accepts the
+// zero Params (every default) and the bounds.
+func TestParamsValidate(t *testing.T) {
+	if err := (Params{}).Validate(); err != nil {
+		t.Fatalf("zero Params: %v", err)
+	}
+	if err := (Params{ASes: 1, V6ASFraction: 1, BogonFilterFraction: 1}).Validate(); err != nil {
+		t.Fatalf("bounds rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"ASes", func(p *Params) { p.ASes = -3 }},
+		{"DeadTargetMean", func(p *Params) { p.DeadTargetMean = -1 }},
+		{"LiveResolverMean", func(p *Params) { p.LiveResolverMean = -1 }},
+		{"DeadTargetMeanV6", func(p *Params) { p.DeadTargetMeanV6 = -1 }},
+		{"V6ASFraction", func(p *Params) { p.V6ASFraction = -0.1 }},
+		{"ForwarderFraction", func(p *Params) { p.ForwarderFraction = 1.5 }},
+		{"ForwarderOpenFraction", func(p *Params) { p.ForwarderOpenFraction = math.NaN() }},
+		{"QnameMinFraction", func(p *Params) { p.QnameMinFraction = math.Inf(1) }},
+		{"QnameMinStrictFraction", func(p *Params) { p.QnameMinStrictFraction = -1 }},
+		{"StrictClosedFraction", func(p *Params) { p.StrictClosedFraction = 2 }},
+		{"IDSASFraction", func(p *Params) { p.IDSASFraction = math.NaN() }},
+		{"MiddleboxASFraction", func(p *Params) { p.MiddleboxASFraction = -0.5 }},
+		{"BogonFilterFraction", func(p *Params) { p.BogonFilterFraction = 1.01 }},
+	} {
+		p := Params{Seed: 1, ASes: 4}
+		tc.set(&p)
+		err := p.Validate()
+		if err == nil {
+			t.Fatalf("%s: bad value accepted", tc.field)
+		}
+		if !strings.Contains(err.Error(), tc.field+" = ") {
+			t.Fatalf("%s: error does not name the field: %v", tc.field, err)
+		}
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	p1 := Generate(Params{Seed: 11, ASes: 50})

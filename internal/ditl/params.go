@@ -9,7 +9,10 @@
 // pipeline sees realistic variety and reproduces the paper's shapes.
 package ditl
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Params tunes the generated population. Zero values select the
 // defaults noted on each field; fractions are probabilities in [0, 1].
@@ -32,8 +35,8 @@ type Params struct {
 	V6ASFraction float64
 	// ForwarderFraction is the fraction of live resolvers that forward
 	// to an upstream instead of recursing (§5.4 found 47% of IPv4
-	// targets forwarding). Default 0.42; v6-capable resolvers forward
-	// far less often (the paper found only 16%% of v6 targets forwarding).
+	// targets forwarding). Default 0.45; v6-capable resolvers forward
+	// far less often (the paper found only 16% of v6 targets forwarding).
 	ForwarderFraction float64
 	// ForwarderOpenFraction is the open-ACL rate among forwarders
 	// (derived in DESIGN.md from §5.1 vs Table 4). Default 0.58.
@@ -55,13 +58,45 @@ type Params struct {
 	// DNS-intercepting middlebox (§3.6.1). Default 0.012.
 	MiddleboxASFraction float64
 	// BogonFilterFraction is the fraction of ASes filtering
-	// special-purpose sources at their border. Default 0.93 (martian
+	// special-purpose sources at their border. Default 0.96 (martian
 	// filtering is widespread, which is why the paper's private and
 	// loopback categories reach so few targets).
 	BogonFilterFraction float64
 	// DeadTargetMeanV6 is the mean dead-IPv6-target count per v6 AS
 	// (default 24).
 	DeadTargetMeanV6 int
+}
+
+// Validate rejects what no population can be built from: a negative
+// AS count or mean, or a fraction outside [0, 1] (NaN included). The
+// error names the field.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"ASes", p.ASes}, {"DeadTargetMean", p.DeadTargetMean},
+		{"LiveResolverMean", p.LiveResolverMean}, {"DeadTargetMeanV6", p.DeadTargetMeanV6},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("ditl: %s = %d; want 0 (the default) or a positive count", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"V6ASFraction", p.V6ASFraction}, {"ForwarderFraction", p.ForwarderFraction},
+		{"ForwarderOpenFraction", p.ForwarderOpenFraction}, {"QnameMinFraction", p.QnameMinFraction},
+		{"QnameMinStrictFraction", p.QnameMinStrictFraction}, {"StrictClosedFraction", p.StrictClosedFraction},
+		{"IDSASFraction", p.IDSASFraction}, {"MiddleboxASFraction", p.MiddleboxASFraction},
+		{"BogonFilterFraction", p.BogonFilterFraction},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("ditl: %s = %v; want a fraction in [0, 1]", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (p Params) withDefaults() Params {

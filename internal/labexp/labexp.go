@@ -133,6 +133,12 @@ func RunPortPool(sw resolver.Software, osProf *oskernel.Profile, queries int, se
 	if err != nil {
 		return nil, err
 	}
+	r := &PortPoolResult{Software: sw, OS: osProf, Queries: queries}
+	lab.auth.OnQuery = func(e authserver.LogEntry) {
+		if e.Client == lab.resAddr && e.Transport == authserver.TransportUDP {
+			r.Ports = append(r.Ports, e.ClientPort)
+		}
+	}
 	for i := 0; i < queries; i++ {
 		name := dnswire.Name(fmt.Sprintf("q%07d.lab-exp.example", i))
 		q := dnswire.NewQuery(uint16(i), name, dnswire.TypeA)
@@ -147,12 +153,6 @@ func RunPortPool(sw resolver.Software, osProf *oskernel.Profile, queries int, se
 	}
 	lab.net.Run()
 
-	r := &PortPoolResult{Software: sw, OS: osProf, Queries: queries}
-	for _, e := range lab.auth.Log {
-		if e.Client == lab.resAddr && e.Transport == authserver.TransportUDP {
-			r.Ports = append(r.Ports, e.ClientPort)
-		}
-	}
 	if len(r.Ports) == 0 {
 		return nil, fmt.Errorf("labexp: no recursive queries observed for %v on %v", sw, osProf)
 	}

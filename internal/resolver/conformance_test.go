@@ -242,7 +242,7 @@ type confTrace struct {
 type confWorld struct {
 	net      *netsim.Network
 	tracer   *netsim.Tracer
-	auth     *authserver.Server
+	authLog  []authserver.LogEntry // queries ns1.dns-lab.org received
 	authZone *authserver.Zone
 	resHost  *netsim.Host
 	client   *netsim.Host
@@ -340,10 +340,12 @@ func buildConfWorld(t *testing.T, sc confScenario, f confFault) *confWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &confWorld{
-		net: n, tracer: tracer, auth: auth, authZone: authZone,
+	w := &confWorld{
+		net: n, tracer: tracer, authZone: authZone,
 		resHost: resHost, client: client, roots: roots,
 	}
+	auth.OnQuery = func(e authserver.LogEntry) { w.authLog = append(w.authLog, e) }
+	return w
 }
 
 // runConf drives one scenario × fault cell against one implementation
@@ -449,7 +451,7 @@ func runConf(t *testing.T, impl string, sc confScenario, f confFault) *confTrace
 	for _, e := range w.tracer.Events() {
 		tr.wire = append(tr.wire, e.String())
 	}
-	for _, e := range w.auth.Log {
+	for _, e := range w.authLog {
 		tr.authLog = append(tr.authLog, fmt.Sprintf("t=%d client=%v port=%d server=%v q=%s/%d transport=%d syn=%t",
 			e.Time, e.Client, e.ClientPort, e.Server, e.Name, e.Type, e.Transport, e.SYN != nil))
 	}

@@ -132,7 +132,7 @@ func Test0x20ResolutionStillWorks(t *testing.T) {
 	}
 	// Upstream queries must actually vary case across the chain.
 	varied := false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("mixedcase.dns-lab.org") && string(e.Name) != "MixedCase.dns-lab.org" &&
 			string(e.Name) != "mixedcase.dns-lab.org" {
 			varied = true

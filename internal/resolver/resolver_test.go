@@ -21,7 +21,7 @@ func prefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 // experiment servers, plus a resolver and a stub client.
 type hierarchy struct {
 	net      *netsim.Network
-	auth     *authserver.Server
+	authLog  []authserver.LogEntry // queries ns1.dns-lab.org received
 	authZone *authserver.Zone
 	res      *Resolver
 	resHost  *netsim.Host
@@ -117,10 +117,12 @@ func buildHierarchyWithLoss(t testing.TB, cfg Config, loss float64) *hierarchy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &hierarchy{
-		net: n, auth: auth, authZone: authZone, res: res, resHost: resHost,
+	h := &hierarchy{
+		net: n, authZone: authZone, res: res, resHost: resHost,
 		client: client, clientAS: clientAS, resAS: resAS,
 	}
+	auth.OnQuery = func(e authserver.LogEntry) { h.authLog = append(h.authLog, e) }
+	return h
 }
 
 // query sends a client query to the resolver and returns the response
@@ -157,7 +159,7 @@ func TestOpenResolverResolvesNXDomain(t *testing.T) {
 	}
 	// The full chain root -> org -> dns-lab must appear in the auth log.
 	found := false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("1000.src.dst.asn.kw.dns-lab.org") {
 			found = true
 			if e.Client != addr("198.51.100.53") && e.Client != addr("2001:db8:20::53") {
@@ -166,7 +168,7 @@ func TestOpenResolverResolvesNXDomain(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("experiment query never reached the authoritative server; log=%v", h.auth.Log)
+		t.Fatalf("experiment query never reached the authoritative server; log=%v", h.authLog)
 	}
 }
 
@@ -182,8 +184,8 @@ func TestClosedResolverRefusesOutsideACL(t *testing.T) {
 	if resp.RCode != dnswire.RCodeRefused {
 		t.Fatalf("rcode = %v, want REFUSED (client outside ACL)", resp.RCode)
 	}
-	if len(h.auth.Log) != 0 {
-		t.Fatalf("refused query still reached auth: %v", h.auth.Log)
+	if len(h.authLog) != 0 {
+		t.Fatalf("refused query still reached auth: %v", h.authLog)
 	}
 	if h.res.Stats.Refused != 1 {
 		t.Fatalf("stats = %+v", h.res.Stats)
@@ -207,7 +209,7 @@ func TestClosedResolverAcceptsSpoofedInternal(t *testing.T) {
 	h.client.SendRaw(raw)
 	h.net.Run()
 	found := false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("1002.spoof.dns-lab.org") {
 			found = true
 		}
@@ -322,12 +324,12 @@ func TestBindPortAllocations(t *testing.T) {
 func TestDelegationCacheSkipsRootOnSecondQuery(t *testing.T) {
 	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 5})
 	h.query(t, "2000.a.dns-lab.org", dnswire.TypeA)
-	logLen := len(h.auth.Log)
+	logLen := len(h.authLog)
 	h.query(t, "2001.b.dns-lab.org", dnswire.TypeA)
 	// Second query must go straight to the dns-lab server: exactly one
 	// more auth log entry.
-	if len(h.auth.Log) != logLen+1 {
-		t.Fatalf("auth log grew by %d entries, want 1 (delegations not cached?)", len(h.auth.Log)-logLen)
+	if len(h.authLog) != logLen+1 {
+		t.Fatalf("auth log grew by %d entries, want 1 (delegations not cached?)", len(h.authLog)-logLen)
 	}
 }
 
@@ -353,7 +355,7 @@ func TestQnameMinimizationStrictHaltsOnNXDomain(t *testing.T) {
 	// The full query name must never appear at the auth server (§3.6.4:
 	// for 55% of QNAME-minimizing IPs the full QNAME never arrived).
 	sawFull, sawMin := false, false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("3000.src.dst.asn.kw.dns-lab.org") {
 			sawFull = true
 		}
@@ -365,7 +367,7 @@ func TestQnameMinimizationStrictHaltsOnNXDomain(t *testing.T) {
 		t.Fatal("strict QNAME-minimizing resolver leaked the full query name")
 	}
 	if !sawMin {
-		t.Fatalf("expected minimized query kw.dns-lab.org at auth; log: %+v", h.auth.Log)
+		t.Fatalf("expected minimized query kw.dns-lab.org at auth; log: %+v", h.authLog)
 	}
 }
 
@@ -376,7 +378,7 @@ func TestQnameMinimizationLenientFallsBackToFull(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	sawFull := false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("3001.src.dst.asn.kw.dns-lab.org") {
 			sawFull = true
 		}
@@ -396,7 +398,7 @@ func TestQnameMinimizationWithWildcardDescends(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	sawFull := false
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Name.Equal("3002.src.dst.asn.kw.dns-lab.org") {
 			sawFull = true
 		}
@@ -413,14 +415,14 @@ func TestTruncationTriggersTCPRetry(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	var tcpEntry *authserver.LogEntry
-	for i := range h.auth.Log {
-		e := &h.auth.Log[i]
+	for i := range h.authLog {
+		e := &h.authLog[i]
 		if e.Transport == authserver.TransportTCP && e.Name.Equal("4000.probe.tc.dns-lab.org") {
 			tcpEntry = e
 		}
 	}
 	if tcpEntry == nil {
-		t.Fatalf("no TCP query at auth after truncation; log: %+v", h.auth.Log)
+		t.Fatalf("no TCP query at auth after truncation; log: %+v", h.authLog)
 	}
 	if tcpEntry.SYN == nil || tcpEntry.SYN.TCP == nil || !tcpEntry.SYN.TCP.SYN {
 		t.Fatal("TCP log entry has no captured SYN for fingerprinting")
@@ -438,7 +440,7 @@ func TestFixedPortResolverAlwaysUsesSamePort(t *testing.T) {
 		h.query(t, dnswire.Name(string(rune('a'+i))+".q.dns-lab.org"), dnswire.TypeA)
 	}
 	ports := make(map[uint16]bool)
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if e.Transport == authserver.TransportUDP {
 			ports[e.ClientPort] = true
 		}
@@ -454,7 +456,7 @@ func TestUniformPortResolverVariesPorts(t *testing.T) {
 		h.query(t, dnswire.Name(string(rune('a'+i))+".r.dns-lab.org"), dnswire.TypeA)
 	}
 	ports := make(map[uint16]bool)
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		ports[e.ClientPort] = true
 		if e.ClientPort < 32768 || e.ClientPort >= 61000 {
 			t.Fatalf("port %d outside the Linux pool", e.ClientPort)
@@ -511,7 +513,7 @@ func TestForwarderRelaysThroughUpstream(t *testing.T) {
 	}
 	// The auth server must have seen the UPSTREAM's address, not the
 	// forwarder's — the §5.4 signal.
-	for _, e := range h.auth.Log {
+	for _, e := range h.authLog {
 		if !e.Name.Equal("5000.fw.dns-lab.org") {
 			continue
 		}

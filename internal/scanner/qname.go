@@ -51,32 +51,33 @@ func EncodeAddr(a netip.Addr) string {
 	return string(AppendAddrLabel(buf[:0], a))
 }
 
-// DecodeAddr parses a label produced by EncodeAddr. An IPv4 label's
-// four decimal fields are read in place; any other label is rewritten
-// to the address's text form for netip.ParseAddr.
+// DecodeAddr parses a label produced by EncodeAddr, holding it to its
+// family tag: a "v4-" label's four decimal fields are read in place
+// into an IPv4 address, and a "v6-" label is rewritten to the
+// address's text form for netip.ParseAddr and must give an IPv6 one.
 func DecodeAddr(label string) (netip.Addr, error) {
 	switch {
 	case strings.HasPrefix(label, "v4-"):
 		if a, ok := parseV4Fields(label[3:]); ok {
 			return a, nil
 		}
-		return netip.ParseAddr(strings.ReplaceAll(label[3:], "-", "."))
 	case strings.HasPrefix(label, "v6-"):
-		return netip.ParseAddr(strings.ReplaceAll(label[3:], "-", ":"))
-	default:
-		return netip.Addr{}, fmt.Errorf("scanner: bad address label %q", label)
+		if a, err := netip.ParseAddr(strings.ReplaceAll(label[3:], "-", ":")); err != nil || a.Is6() {
+			return a, err
+		}
 	}
+	return netip.Addr{}, fmt.Errorf("scanner: bad address label %q", label)
 }
 
-// parseV4Fields reads "198-51-100-7": four '-'-separated decimal
-// fields, each 0 to 255 without a leading zero, the forms
-// netip.ParseAddr accepts once the '-' are dots. ok is false for
-// anything else, which DecodeAddr leaves to netip.ParseAddr.
+// parseV4Fields reads "198-51-100-7": four decimal fields, each 0 to
+// 255 without a leading zero, separated by '-' (or '.'), which are
+// exactly the strings netip.ParseAddr reads as IPv4 once every '-' is
+// a dot. ok is false for anything else.
 func parseV4Fields(s string) (a netip.Addr, ok bool) {
 	var b [4]byte
 	field, val, digits := 0, 0, 0
 	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '-' {
+		if i == len(s) || s[i] == '-' || s[i] == '.' {
 			if digits == 0 || field == len(b) {
 				return a, false
 			}

@@ -340,7 +340,7 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 // built. Count and the plans depend solely on the admitted targets, the
 // registry, and the config, so a planner's probe count (and per-target
 // source plans) matches the full scanner's exactly; Schedule and the
-// auth-log monitor need a host, which Attach provides.
+// authoritative-server monitor need a host, which Attach provides.
 func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 	return &Scanner{
 		Reg:      reg,
@@ -352,16 +352,19 @@ func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 
 // Attach puts a planner on host (whose AS must lack OSAV) at the given
 // addresses and makes it monitor the given authoritative servers in
-// real time. Targets admitted before Attach stay admitted.
+// real time. Targets admitted before Attach stay admitted. When it
+// fails, it has changed neither the scanner nor any server.
 func (s *Scanner) Attach(host *netsim.Host, addr4, addr6 netip.Addr, auths []*authserver.Server) error {
 	if host.AS.OSAV {
 		return fmt.Errorf("scanner: host AS %v applies OSAV; spoofed probes would not leave (§3.4)", host.AS.ASN)
 	}
-	s.Host, s.Addr4, s.Addr6 = host, addr4, addr6
 	for _, a := range auths {
 		if a.OnQuery != nil {
-			return fmt.Errorf("scanner: auth server already monitored")
+			return fmt.Errorf("scanner: auth server %s already monitored", a.Host.Name)
 		}
+	}
+	s.Host, s.Addr4, s.Addr6 = host, addr4, addr6
+	for _, a := range auths {
 		a.OnQuery = s.monitor
 	}
 	for k := range s.tails {
@@ -780,9 +783,9 @@ func (s *Scanner) send(now time.Duration, src netip.Addr, t Target, kind ProbeKi
 	}
 }
 
-// monitor is the real-time authoritative-log hook (§3.5): the first
-// full-name hit for a target triggers its one-time FollowUp hook (the
-// campaign's characterization step), when one is installed.
+// monitor is the authoritative servers' real-time query hook (§3.5):
+// the first full-name hit for a target triggers its one-time FollowUp
+// hook (the campaign's characterization step), when one is installed.
 func (s *Scanner) monitor(e authserver.LogEntry) {
 	d, full, partial := DecodeQName(e.Name, s.Cfg.Keyword)
 	switch {

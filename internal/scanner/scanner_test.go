@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/authserver"
 	"repro/internal/detrand"
 	"repro/internal/dnswire"
 	"repro/internal/eventq"
@@ -66,7 +67,7 @@ func TestAppendAddrLabel(t *testing.T) {
 }
 
 func TestDecodeAddrRejectsJunk(t *testing.T) {
-	for _, s := range []string{"", "x4-1-2-3-4", "v4-1-2-3", "v6-zz", "v4-300-1-1-1"} {
+	for _, s := range []string{"", "x4-1-2-3-4", "v4-1-2-3", "v6-zz", "v4-300-1-1-1", "v4-::1", "v4-1:2::3", "v6-1.2.3.4"} {
 		if _, err := DecodeAddr(s); err == nil {
 			t.Errorf("DecodeAddr(%q) accepted", s)
 		}
@@ -108,6 +109,10 @@ func TestQNamePartialMinimized(t *testing.T) {
 	_, full, partial = DecodeQName("64500.x1.dns-lab.org", "x1")
 	if full || !partial {
 		t.Fatal("asn.kw partial not recognized")
+	}
+	// So does a five-label name whose v4- source is an IPv6 address.
+	if d, full, partial := DecodeQName("1.v4-::1.v4-1-2-3-4.5.x1.dns-lab.org", "x1"); full || !partial {
+		t.Fatalf("IPv6 source under a v4- tag decoded as %+v, full=%v partial=%v", d, full, partial)
 	}
 }
 
@@ -347,6 +352,42 @@ func TestSourcesForV6HitListPreference(t *testing.T) {
 }
 
 // TestScheduleRateIsRespected runs §3.4's pacing on a network:
+// TestAttachHooksNoServerOnFailure pre-hooks the second of two
+// authoritative servers: Attach fails, the first stays unhooked, and
+// the scanner stays a planner.
+func TestAttachHooksNoServerOnFailure(t *testing.T) {
+	reg := routing.NewRegistry()
+	as := &routing.AS{ASN: 64502, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}}
+	if err := reg.Add(as); err != nil {
+		t.Fatal(err)
+	}
+	nw := netsim.New(reg, netsim.Config{Seed: 1})
+	var auths []*authserver.Server
+	for _, a := range []string{"198.51.100.53", "198.51.100.54"} {
+		h, err := nw.Attach("ns-"+a, as, addr(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := authserver.New(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auths = append(auths, srv)
+	}
+	auths[1].OnQuery = func(authserver.LogEntry) {}
+	host, err := nw.Attach("scanner", as, addr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewPlanner(reg, Config{Seed: 7})
+	if err := s.Attach(host, addr("198.51.100.1"), netip.Addr{}, auths); err == nil {
+		t.Fatal("Attach accepted an authoritative server that is already monitored")
+	}
+	if auths[0].OnQuery != nil || s.Host != nil {
+		t.Fatal("a failed Attach left the first authoritative server hooked or the scanner on its host")
+	}
+}
+
 // CampaignDuration derives the window from the plan's probe count at
 // the configured rate, every planned probe is sent inside it, and the
 // sends realize the configured rate within 20%.

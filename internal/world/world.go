@@ -105,29 +105,18 @@ type World struct {
 	// Roots are the root server addresses (resolver hints).
 	Roots []netip.Addr
 	// Auth are the experimenter-controlled authoritative servers whose
-	// logs are the experiment's observations.
+	// received queries are the experiment's observations.
 	Auth []*authserver.Server
 	// MainZone is the dns-lab.org zone (for wildcard toggling).
 	MainZone *authserver.Zone
 	// PublicDNS lists the shared public resolver service addresses.
 	PublicDNS []netip.Addr
-	// ASPublicDNS lists the per-AS public-DNS replica addresses, in AS
-	// build order. Each target AS that forwards to (or is observed via)
-	// public DNS gets private replica instances, so resolver cache and
-	// port-allocator state is consumed in an order that depends only on
-	// that AS's own traffic — the property that makes a sharded survey
-	// produce identical results at any shard count. Together with
-	// PublicDNS these form the §3.6.1 middlebox-accounting allowlist.
-	ASPublicDNS []netip.Addr
-	// Resolvers indexes built resolvers by address (ground truth for
-	// validation).
-	Resolvers map[netip.Addr]*resolver.Resolver
+	// Resolvers lists the target ASes' resolvers in build order, each
+	// once (ground truth for validation).
+	Resolvers []*resolver.Resolver
 	// Invariants is the world's invariant checker (nil unless
 	// Options.Invariants was set).
 	Invariants *Invariants
-
-	// AnalystDelay bounds the IDS human-analyst reaction time.
-	AnalystDelayMin, AnalystDelayMax time.Duration
 
 	rootZone *authserver.Zone
 
@@ -135,7 +124,6 @@ type World struct {
 	publicAS, thirdAS *routing.AS
 	asPublic          map[routing.ASN][]netip.Addr
 	asThird           map[routing.ASN]netip.Addr
-	analysts          map[routing.ASN]*netsim.Host
 }
 
 // ScheduleChurn takes a seeded fraction of resolver hosts offline at
@@ -149,16 +137,10 @@ func (w *World) ScheduleChurn(fraction float64, duration time.Duration, seed int
 	}
 	// Decisions are keyed on each host's identity (its first bound
 	// address), not drawn from a sequential stream, so the churn set and
-	// times are independent of map iteration order and of which survey
-	// shard the host lives in.
+	// times are independent of which survey shard the host lives in.
 	churned := 0
-	seen := make(map[*netsim.Host]bool)
 	for _, res := range w.Resolvers {
 		h := res.Host
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
 		hi, lo := detrand.AddrWords(h.Addrs[0])
 		if detrand.Float64(uint64(seed), hi, lo, saltChurn) >= fraction {
 			continue
@@ -170,21 +152,12 @@ func (w *World) ScheduleChurn(fraction float64, duration time.Duration, seed int
 	return churned
 }
 
-// ResolverStats sums the stats of every resolver in the world. The
-// same *Resolver can be indexed under both its v4 and v6 address, so
-// each instance is counted once. Stats addition is commutative, making
-// the sum independent of map iteration order — the total is
-// deterministic at any shard count. Call it only after Net.Run
-// returns: resolvers are confined to the event-loop goroutine while
-// the simulation is live.
+// ResolverStats sums the stats of every target resolver in the world.
+// Call it only after Net.Run returns: resolvers are confined to the
+// event-loop goroutine while the simulation is live.
 func (w *World) ResolverStats() resolver.Stats {
 	var total resolver.Stats
-	seen := make(map[*resolver.Resolver]bool)
 	for _, res := range w.Resolvers {
-		if seen[res] {
-			continue
-		}
-		seen[res] = true
 		total.Add(res.Stats)
 	}
 	return total
@@ -202,12 +175,7 @@ func (w *World) ScheduleChaos(inj *chaos.Injector) int {
 	w.Net.SetFaultHook(inj.Transit)
 	outage := inj.Config().OutageDuration
 	crashes := 0
-	seen := make(map[*resolver.Resolver]bool)
 	for _, res := range w.Resolvers {
-		if seen[res] {
-			continue
-		}
-		seen[res] = true
 		at, ok := inj.CrashTime(res.Host.Addrs[0])
 		if !ok {
 			continue
@@ -300,15 +268,11 @@ func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []in
 	n := netsim.New(reg, netsim.Config{Seed: opts.Seed, LossRate: opts.LossRate})
 	w := &World{
 		Net: n, Reg: reg,
-		Resolvers:       make(map[netip.Addr]*resolver.Resolver),
-		analysts:        make(map[routing.ASN]*netsim.Host),
-		asPublic:        make(map[routing.ASN][]netip.Addr),
-		asThird:         make(map[routing.ASN]netip.Addr),
-		seed:            uint64(opts.Seed),
-		publicAS:        reg.AS(PublicASN),
-		thirdAS:         reg.AS(ThirdASN),
-		AnalystDelayMin: time.Minute,
-		AnalystDelayMax: 30 * time.Minute,
+		asPublic: make(map[routing.ASN][]netip.Addr),
+		asThird:  make(map[routing.ASN]netip.Addr),
+		seed:     uint64(opts.Seed),
+		publicAS: reg.AS(PublicASN),
+		thirdAS:  reg.AS(ThirdASN),
 	}
 
 	if opts.Invariants {
@@ -346,7 +310,6 @@ func BuildWith(pop ditl.Pop, reg *routing.Registry, opts Options, asIndices []in
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	w.wireIDS()
 	return w, nil
 }
 
@@ -586,7 +549,6 @@ func (w *World) publicFor(i int, asn routing.ASN) ([]netip.Addr, error) {
 		addrs = append(addrs, a4, a6)
 	}
 	w.asPublic[asn] = addrs
-	w.ASPublicDNS = append(w.ASPublicDNS, addrs...)
 	return addrs, nil
 }
 
@@ -752,9 +714,7 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 		if err != nil {
 			return err
 		}
-		for _, a := range addrs {
-			w.Resolvers[a] = res
-		}
+		w.Resolvers = append(w.Resolvers, res)
 	}
 
 	// Transparent middlebox (§3.6.1): intercept inbound UDP/53 and hand
@@ -789,7 +749,8 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 	// IDS analyst host (§3.6.3). The analyst resolves via the AS's own
 	// public-DNS replica, so its queries perturb no other AS's state.
 	if spec.IDS {
-		if _, err := w.publicFor(i, spec.ASN); err != nil {
+		pub, err := w.publicFor(i, spec.ASN)
+		if err != nil {
 			return err
 		}
 		rng := detrand.Rand(w.seed, uint64(spec.ASN), saltAnalystAddr)
@@ -802,7 +763,7 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 				if err != nil {
 					return err
 				}
-				w.analysts[spec.ASN] = h
+				w.wireIDS(spec.ASN, h, pub[0])
 				break
 			}
 		}
@@ -810,53 +771,53 @@ func (w *World) buildTargetAS(i int, spec *ditl.ASSpec, as *routing.AS) error {
 	return nil
 }
 
-// wireIDS installs, on each AS with an analyst, the drop hook that
-// models §3.6.3: when a spoofed query is dropped at that IDS-equipped
-// border, the analyst later resolves the logged name through the AS's
-// public-DNS replica, producing an auth-side query with a lifetime far
-// beyond the 10-second threshold. Whether and when an analyst reacts is
-// hashed from the dropped query's identity (AS, name, drop time), not
-// drawn from a shared stream, so the reaction set is the same for an AS
-// no matter what other ASes share its simulation. ASes without an
-// analyst get no hook, so the network need not build the datagrams their
+// The IDS human analyst's reaction time after a drop (§3.6.3) lies in
+// [analystDelayMin, analystDelayMax).
+const (
+	analystDelayMin = time.Minute
+	analystDelayMax = 30 * time.Minute
+)
+
+// wireIDS installs AS asn's drop hook, which models §3.6.3: when a
+// spoofed query is dropped at that IDS-equipped border, analyst later
+// resolves the logged name through upstream, the AS's public-DNS
+// replica, producing an auth-side query with a lifetime far beyond the
+// 10-second threshold. Whether and when an analyst reacts is hashed
+// from the dropped query's identity (AS, name, drop time), not drawn
+// from a shared stream, so the reaction set is the same for an AS no
+// matter what other ASes share its simulation. ASes without an analyst
+// get no hook, so the network need not build the datagrams their
 // borders drop.
-func (w *World) wireIDS() {
-	for asn, analyst := range w.analysts {
-		pub := w.asPublic[asn]
-		if len(pub) == 0 {
-			continue
+func (w *World) wireIDS(asn routing.ASN, analyst *netsim.Host, upstream netip.Addr) {
+	w.Net.SetDropHook(asn, func(now time.Duration, reason netsim.DropReason, pkt *packet.Packet, dstAS *routing.AS) {
+		if reason != netsim.DropDSAV && reason != netsim.DropBogonSource {
+			return
 		}
-		upstream := pub[0]
-		w.Net.SetDropHook(asn, func(now time.Duration, reason netsim.DropReason, pkt *packet.Packet, dstAS *routing.AS) {
-			if reason != netsim.DropDSAV && reason != netsim.DropBogonSource {
+		if pkt == nil || pkt.UDP == nil || pkt.UDP.DstPort != 53 {
+			return
+		}
+		msg, err := dnswire.Unpack(pkt.Data)
+		if err != nil || msg.QR || len(msg.Question) == 0 {
+			return
+		}
+		name := msg.Q().Name
+		if !name.IsSubdomainOf(Zone) {
+			return
+		}
+		key := detrand.Mix(w.seed, uint64(dstAS.ASN),
+			detrand.HashBytes(w.seed, []byte(name)), uint64(now))
+		if detrand.Float64(key, saltIDSSample) > 0.25 {
+			return
+		}
+		delay := analystDelayMin +
+			time.Duration(detrand.Mix(key, saltIDSDelay)%uint64(analystDelayMax-analystDelayMin))
+		w.Net.Q.After(delay, func(time.Duration) {
+			q := dnswire.NewQuery(uint16(detrand.Mix(key, saltIDSTxn)), name, dnswire.TypeA)
+			payload, err := q.Pack()
+			if err != nil {
 				return
 			}
-			if pkt == nil || pkt.UDP == nil || pkt.UDP.DstPort != 53 {
-				return
-			}
-			msg, err := dnswire.Unpack(pkt.Data)
-			if err != nil || msg.QR || len(msg.Question) == 0 {
-				return
-			}
-			name := msg.Q().Name
-			if !name.IsSubdomainOf(Zone) {
-				return
-			}
-			key := detrand.Mix(w.seed, uint64(dstAS.ASN),
-				detrand.HashBytes(w.seed, []byte(name)), uint64(now))
-			if detrand.Float64(key, saltIDSSample) > 0.25 {
-				return
-			}
-			delay := w.AnalystDelayMin +
-				time.Duration(detrand.Mix(key, saltIDSDelay)%uint64(w.AnalystDelayMax-w.AnalystDelayMin))
-			w.Net.Q.After(delay, func(time.Duration) {
-				q := dnswire.NewQuery(uint16(detrand.Mix(key, saltIDSTxn)), name, dnswire.TypeA)
-				payload, err := q.Pack()
-				if err != nil {
-					return
-				}
-				analyst.SendUDP(analyst.Addrs[0], 40000, upstream, 53, payload)
-			})
+			analyst.SendUDP(analyst.Addrs[0], 40000, upstream, 53, payload)
 		})
-	}
+	})
 }

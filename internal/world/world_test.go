@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/authserver"
 	"repro/internal/ditl"
 	"repro/internal/dnswire"
 )
@@ -23,6 +24,13 @@ func buildSmall(t *testing.T, opts Options) (*ditl.Population, *World) {
 	return pop, w
 }
 
+// observe collects every query srv receives from now on.
+func observe(srv *authserver.Server) *[]authserver.LogEntry {
+	seen := new([]authserver.LogEntry)
+	srv.OnQuery = func(e authserver.LogEntry) { *seen = append(*seen, e) }
+	return seen
+}
+
 func TestBuildBasicInvariants(t *testing.T) {
 	pop, w := buildSmall(t, Options{})
 	if len(w.Roots) != 2 {
@@ -37,22 +45,26 @@ func TestBuildBasicInvariants(t *testing.T) {
 	if w.Scanner.AS.OSAV {
 		t.Fatal("scanner AS must lack OSAV (§3.4)")
 	}
-	// Every live resolver with an address must be built.
-	want := 0
+	// Every live resolver with an address must be built once, in
+	// population order.
+	var want []netip.Addr
 	for _, as := range pop.ASes {
 		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			if r.HasV4() || r.HasV6() {
-				want++
+			switch r := as.Resolver(k); {
+			case r.HasV4():
+				want = append(want, r.Addr4)
+			case r.HasV6():
+				want = append(want, r.Addr6)
 			}
 		}
 	}
-	seen := make(map[any]bool)
-	for _, res := range w.Resolvers {
-		seen[res] = true
+	if len(w.Resolvers) != len(want) {
+		t.Fatalf("built %d resolvers, want %d", len(w.Resolvers), len(want))
 	}
-	if len(seen) != want {
-		t.Fatalf("built %d resolvers, want %d", len(seen), want)
+	for k, res := range w.Resolvers {
+		if got := res.Host.Addrs[0]; got != want[k] {
+			t.Fatalf("resolver %d is at %v, want %v", k, got, want[k])
+		}
 	}
 }
 
@@ -82,6 +94,7 @@ func TestInfraResolvesExperimentNames(t *testing.T) {
 	// A public DNS resolver must resolve an experiment name through the
 	// full root -> org -> dns-lab chain, landing NXDOMAIN.
 	_, w := buildSmall(t, Options{})
+	seen := observe(w.Auth[0])
 	var rcode dnswire.RCode
 	got := false
 	client := w.Scanner
@@ -97,9 +110,9 @@ func TestInfraResolvesExperimentNames(t *testing.T) {
 	if !got || rcode != dnswire.RCodeNXDomain {
 		t.Fatalf("got=%v rcode=%v", got, rcode)
 	}
-	// The query must have been logged at ns1 with the full name.
+	// The query must have reached ns1 with the full name.
 	found := false
-	for _, e := range w.Auth[0].Log {
+	for _, e := range *seen {
 		if e.Name.Equal("123.v4-1-2-3-4.v4-5-6-7-8.64500.x1.dns-lab.org") {
 			found = true
 		}
@@ -111,6 +124,7 @@ func TestInfraResolvesExperimentNames(t *testing.T) {
 
 func TestV4OnlySubzoneServedByV4OnlyServer(t *testing.T) {
 	_, w := buildSmall(t, Options{})
+	seen := observe(w.Auth[1])
 	client := w.Scanner
 	q := dnswire.NewQuery(8, "1.a.b.1.kw.v4.dns-lab.org", dnswire.TypeA)
 	payload, _ := q.Pack()
@@ -118,7 +132,7 @@ func TestV4OnlySubzoneServedByV4OnlyServer(t *testing.T) {
 	w.Net.Run()
 	// The v4-only server (Auth[1]) must have seen the query over v4.
 	found := false
-	for _, e := range w.Auth[1].Log {
+	for _, e := range *seen {
 		if e.Name.Equal("1.a.b.1.kw.v4.dns-lab.org") {
 			found = true
 			if !e.Client.Is4() {
@@ -133,17 +147,18 @@ func TestV4OnlySubzoneServedByV4OnlyServer(t *testing.T) {
 
 func TestTCZoneForcesTCP(t *testing.T) {
 	_, w := buildSmall(t, Options{})
+	seen := observe(w.Auth[0])
 	client := w.Scanner
 	q := dnswire.NewQuery(9, "1.a.b.1.kw.tc.dns-lab.org", dnswire.TypeA)
 	payload, _ := q.Pack()
 	client.SendUDP(w.ScannerAddr4, 9997, w.PublicDNS[0], 53, payload)
 	w.Net.Run()
 	sawTCP := false
-	for _, e := range w.Auth[0].Log {
+	for _, e := range *seen {
 		if e.Name.Equal("1.a.b.1.kw.tc.dns-lab.org") && e.Transport.String() == "tcp" {
 			sawTCP = true
 			if e.SYN == nil {
-				t.Fatal("TCP query logged without SYN")
+				t.Fatal("TCP query observed without SYN")
 			}
 		}
 	}
@@ -162,6 +177,7 @@ func TestMiddleboxInterceptorsInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := observe(w.Auth[0])
 	mb := 0
 	for _, as := range pop.ASes {
 		if as.Middlebox {
@@ -192,7 +208,7 @@ func TestMiddleboxInterceptorsInstalled(t *testing.T) {
 		payload, _ := q.Pack()
 		w.Scanner.SendUDP(w.ScannerAddr4, 9996, dead, 53, payload)
 		w.Net.Run()
-		for _, e := range w.Auth[0].Log {
+		for _, e := range *seen {
 			if e.Name.Equal("55.x.y.1.kw.dns-lab.org") {
 				probed = true
 			}

@@ -59,9 +59,6 @@ func TestStreamingMatchesRetained(t *testing.T) {
 		if !reflect.DeepEqual(s.Report, base.Report) {
 			t.Fatalf("stream shards=%d: reports differ", tc.shards)
 		}
-		if !reflect.DeepEqual(s.PublicDNS, base.PublicDNS) {
-			t.Fatalf("stream shards=%d: public DNS lists differ", tc.shards)
-		}
 		if s.Probes != base.Probes || s.Duration != base.Duration {
 			t.Fatalf("stream shards=%d: probes/duration differ: %d/%v vs %d/%v",
 				tc.shards, s.Probes, s.Duration, base.Probes, base.Duration)
@@ -113,9 +110,6 @@ func TestFoldMatchesRetained(t *testing.T) {
 		}
 		if !reflect.DeepEqual(s.Report, base.Report) {
 			t.Fatalf("fold shards=%d: reports differ", tc.shards)
-		}
-		if !reflect.DeepEqual(s.PublicDNS, base.PublicDNS) {
-			t.Fatalf("fold shards=%d: public DNS lists differ", tc.shards)
 		}
 		if s.Probes != base.Probes || s.Duration != base.Duration {
 			t.Fatalf("fold shards=%d: probes/duration differ: %d/%v vs %d/%v",
