@@ -7,8 +7,8 @@ BIN ?= bin
 # Tier-1 verification: formatting + build + vet + determinism lint +
 # the suppression audit + full tests + race detector over the parallel
 # sharded engine + the concurrency cross-validation harness + a short
-# fuzz smoke over the wire parsers and run files + the benchmark
-# module's own tests.
+# fuzz smoke over the wire parsers, run files and datagram reuse + the
+# benchmark module's own tests.
 check: fmt build vet lint pragmas test race racestress fuzz perfbench-test
 
 # Every tracked .go file outside testdata/ must be gofmt-clean; the
@@ -57,9 +57,9 @@ racestress:
 
 # Short native-fuzz smoke over the wire parsers, the DNS packer against
 # its reference, the datagram writers, the resolver's client-query
-# path, the run files and the query-name decoder against its reference
-# (one -fuzz target per invocation is a go tool limitation). Raise
-# FUZZTIME for a real hunt.
+# path, the run files, the query-name decoder against its reference and
+# the network's reuse of UDP datagrams (one -fuzz target per invocation
+# is a go tool limitation). Raise FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/dnswire
@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClientQuery -fuzztime=$(FUZZTIME) ./internal/resolver
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQName -fuzztime=$(FUZZTIME) ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzDatagramLifecycle -fuzztime=$(FUZZTIME) ./internal/netsim
 
 # The benchmark module's own tests: perfbench is a separate module, so
 # `go test ./...` above never builds it. This is the check that it still

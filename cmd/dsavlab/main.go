@@ -77,7 +77,11 @@ func main() {
 // phase set: same targets, same world seeds, ~100× fewer probes on the
 // SAV-only side.
 func runSAVAblation(ases int, seed int64) error {
-	pop := ditl.Generate(ditl.Params{Seed: seed, ASes: ases})
+	params := ditl.Params{Seed: seed, ASes: ases}
+	if err := params.Validate(); err != nil {
+		return err
+	}
+	pop := ditl.Generate(params)
 	base := doors.SurveyConfig{
 		World:   world.Options{Seed: seed + 1},
 		Scanner: scanner.Config{Seed: seed + 2, Rate: 20000},

@@ -35,7 +35,12 @@ func main() {
 	)
 	flag.Parse()
 
-	pop := ditl.Generate(ditl.Params{Seed: *seed, ASes: *ases})
+	params := ditl.Params{Seed: *seed, ASes: *ases}
+	if err := params.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dsavtest:", err)
+		os.Exit(1)
+	}
+	pop := ditl.Generate(params)
 	if *list {
 		for _, as := range pop.ASes {
 			fmt.Printf("%v dsav=%v bogon-filter=%v resolvers=%d\n",

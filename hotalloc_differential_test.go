@@ -236,11 +236,13 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatalf("doomed sends under loss and faults: drops %v, %d events pending", d, lw.Q.Len())
 	}
 
-	// A datagram that travels is built and scheduled: its Packet and
-	// its bytes, two objects. Its arrival event runs on a record the
-	// network recycles, and the network owns the bytes SendUDP builds,
-	// so the TTL decrement at the border writes them in place. This is
-	// the one send pinned at a nonzero count.
+	// A datagram that travels is written on one whose journey has
+	// ended, its Packet and its bytes, and its arrival event runs on a
+	// record the network recycles. The network owns the bytes SendUDP
+	// writes, so the TTL decrement at the border writes them in place.
+	// Once warm, a delivered send across a border allocates nothing, and
+	// neither does a request-and-reply round trip whose handler answers
+	// with SendUDP while its own datagram is still out.
 	tw := netsim.New(nreg, netsim.Config{Seed: 1})
 	tsender, err := tw.Attach("sender", nreg.AS(64500), a4)
 	if err != nil {
@@ -250,22 +252,36 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
+	got, replies := 0, 0
 	if err := receiver.BindUDP(53, func(_ time.Duration, _ netip.Addr, _ uint16, _ netip.Addr, _ uint16, data []byte) {
 		got += len(data)
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := receiver.BindUDP(54, func(_ time.Duration, src netip.Addr, sport uint16, dst netip.Addr, dport uint16, data []byte) {
+		got += len(data)
+		sinkBool = receiver.SendUDP(dst, dport, src, sport, data) == nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tsender.BindUDP(40001, func(_ time.Duration, _ netip.Addr, _ uint16, _ netip.Addr, _ uint16, data []byte) {
+		replies += len(data)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	tsender.SendUDP(a4, 40000, dst4, 53, payload) // warm the event queue
+	tsender.SendUDP(a4, 40001, dst4, 54, payload) // and the datagram list
 	tw.Run()
-	if avg := testing.AllocsPerRun(200, func() {
+	assertZeroAllocs(t, "netsim.Host.SendUDP across a border, delivered", func() {
 		sinkBool = tsender.SendUDP(a4, 40000, dst4, 53, payload) == nil
 		tw.Run()
-	}); avg != 2 {
-		t.Errorf("netsim.Host.SendUDP across a border, delivered: %v allocs/op, want 2", avg)
-	}
-	if tw.Delivered() == 0 || got != int(tw.Delivered())*len(payload) {
-		t.Fatalf("travelling sends: %d delivered, %d payload bytes", tw.Delivered(), got)
+	})
+	assertZeroAllocs(t, "netsim.Host.SendUDP, request and reply across a border", func() {
+		sinkBool = tsender.SendUDP(a4, 40001, dst4, 54, payload) == nil
+		tw.Run()
+	})
+	if tw.Delivered() == 0 || got+replies != int(tw.Delivered())*len(payload) || replies == 0 {
+		t.Fatalf("travelling sends: %d delivered, %d payload bytes, %d of them replies", tw.Delivered(), got+replies, replies)
 	}
 
 	// The probe writer every probe goes through, the probe cursor's main

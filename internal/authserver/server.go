@@ -129,6 +129,10 @@ func (s *Server) respond(r, msg *dnswire.Message, overUDP bool) bool {
 	return true
 }
 
+// handleUDP answers one UDP query. payload is the network's, valid only
+// during the call (netsim.UDPHandler).
+//
+//doors:scratch payload
 func (s *Server) handleUDP(now time.Duration, src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
 	msg := &s.query
 	if msg.Unpack(payload) != nil {

@@ -156,6 +156,8 @@ var nonAllocCalls = map[string]bool{
 	"sort.Search":     true,
 	"sort.SearchInts": true,
 
+	"bytes.IndexByte": true,
+
 	// The endianness codecs put/read/append fixed-width integers; none
 	// of the methods allocate.
 	"encoding/binary.bigEndian.*":    true,

@@ -20,7 +20,8 @@ import (
 //
 //   - stored into a struct field, global, map, slice element or
 //     dereferenced pointer whose root is not itself scratch-derived,
-//   - appended into a foreign slice,
+//   - appended into a foreign slice whose elements hold references
+//     (into a slice of plain values, an append copies),
 //   - sent on a channel,
 //   - captured by a func literal (conservatively: any closure), or
 //   - passed to a callee that may retain that parameter position.
@@ -446,8 +447,10 @@ func (cl *rtClassify) assignEvents(n *ast.AssignStmt) {
 	for i, lhs := range n.Lhs {
 		rhs := n.Rhs[i]
 
-		// append(x, tainted...) with a foreign destination.
-		if call, ok := unparen(rhs).(*ast.CallExpr); ok && isBuiltin(info, call, "append") {
+		// append(x, tainted...) with a foreign destination. Into a
+		// slice of plain values (plainElems), an appended value or a
+		// spread is copied, not kept.
+		if call, ok := unparen(rhs).(*ast.CallExpr); ok && isBuiltin(info, call, "append") && !plainElems(info.TypeOf(call)) {
 			for _, el := range call.Args[1:] {
 				idx := cl.taintOf(el)
 				if idx < 0 {
@@ -490,6 +493,18 @@ func (cl *rtClassify) assignEvents(n *ast.AssignStmt) {
 			cl.retain(idx, lhs.Pos(), storeKind(info, lhs))
 		}
 	}
+}
+
+// plainElems reports whether t is a slice whose elements hold no
+// reference (taintable is false): bytes, numbers, strings, structs of
+// them. Appending into one copies each value, a converted string or a
+// spread of bytes included, so nothing appended aliases scratch.
+func plainElems(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	s, ok := t.Underlying().(*types.Slice)
+	return ok && !taintable(s.Elem())
 }
 
 // chainBase peels one write-target layer to the expression whose taint

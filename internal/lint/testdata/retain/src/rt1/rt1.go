@@ -1,7 +1,7 @@
 // Package rt1 exercises the retain taint rules: retention events
 // (global/field/map stores, channel sends, foreign appends, closure
-// captures), the self-store and value-copy exemptions, alias
-// propagation, and pragma escapes.
+// captures), the self-store, value-copy and plain-append exemptions,
+// alias propagation, and pragma escapes.
 package rt1
 
 // Node is reference-carrying scratch.
@@ -56,6 +56,29 @@ var all []*Node
 //doors:scratch p
 func AppendAway(p *Node) { // want AppendAway:`retains\(1\)`
 	all = append(all, p) // want `scratch parameter "p" of AppendAway may be retained: appended to a slice that outlives the call`
+}
+
+var (
+	names []string
+	kept  []byte
+)
+
+// AppendCopies appends what it reads from scratch into slices of plain
+// values: a string converted from scratch bytes and a spread of them
+// are copies, so neither keeps the scratch.
+//
+//doors:scratch b c
+func AppendCopies(b, c []byte) { // want AppendCopies:`scratch\(1,2\)` AppendCopies:`retains\(\)`
+	names = append(names, string(b[1:]))
+	kept = append([]byte(nil), c...)
+}
+
+// AppendSpread spreads a scratch slice of pointers into a foreign
+// slice: the copied elements still point into scratch.
+//
+//doors:scratch ps
+func AppendSpread(ps []*Node) { // want AppendSpread:`retains\(1\)`
+	all = append(all, ps...) // want `scratch parameter "ps" of AppendSpread may be retained: appended to a slice that outlives the call`
 }
 
 // Capture closes over scratch; closures are conservatively assumed to

@@ -10,7 +10,10 @@ import (
 	"repro/internal/routing"
 )
 
-// UDPHandler receives a delivered UDP datagram.
+// UDPHandler receives a delivered UDP datagram. payload is valid only
+// during the call: once the handler returns, the datagram goes back to
+// the network, which writes a later datagram on its bytes. A handler
+// copies what it keeps; it may send.
 type UDPHandler func(now time.Duration, src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte)
 
 // Host is a simulated end system: one machine with one or more addresses
@@ -85,10 +88,13 @@ func (h *Host) UnbindUDP(port uint16) { delete(h.udp, port) }
 // SendUDP transmits a datagram from src (which may be spoofed; the
 // host's own addresses for honest traffic) to dst. It returns
 // packet.BuildUDP's error for addresses or a payload no datagram can
-// carry. A datagram whose addresses alone doom it, with nothing to
-// record its drop, is never built on the heap: with no loss draw or
-// fault hook to read its bytes it is only counted, and with them it is
-// written on the network's scratch buffer for the draws.
+// carry. A datagram that travels, or whose drop something records, is
+// written on one the network took back (see the package comment): only
+// the network's first datagrams, or one longer than the bytes it
+// reuses, allocate. A datagram whose addresses alone doom it, with
+// nothing to record its drop, is never built on the heap: with no loss
+// draw or fault hook to read its bytes it is only counted, and with
+// them it is written on the network's scratch datagram for the draws.
 func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) error {
 	if err := packet.CheckUDP(src, dst, len(payload)); err != nil {
 		return err
@@ -96,16 +102,21 @@ func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort u
 	n, ttl := h.net, h.ttl()
 	v := n.judge(h.AS, src, dst, ttl)
 	var pkt *packet.Packet
+	reuse := v.drop == DropNone || !n.unwatched(v.dstAS)
 	switch {
-	case v.drop == DropNone || !n.unwatched(v.dstAS):
-		pkt = new(packet.Packet)
-		packet.WriteUDP(pkt, nil, src, dst, srcPort, dstPort, ttl, payload)
+	case reuse:
+		pkt = n.datagram()
 	case v.dstAS != nil && (n.cfg.LossRate > 0 || n.faults != nil):
-		pkt = &n.scratchPkt
-		n.scratch = packet.WriteUDP(pkt, n.scratch, src, dst, srcPort, dstPort, ttl, payload)
+		pkt = &n.scratch
 	}
-	if fault, travels := n.transit(h.AS, v, pkt); travels {
-		n.carry(h.AS, v, pkt, fault)
+	if pkt != nil {
+		packet.WriteUDP(pkt, pkt.Raw, src, dst, srcPort, dstPort, ttl, payload)
+	}
+	switch fault, travels := n.transit(h.AS, v, pkt); {
+	case travels:
+		n.carry(h.AS, v, pkt, reuse, fault)
+	case reuse: // its journey ended in transit
+		n.datagrams = append(n.datagrams, pkt)
 	}
 	return nil
 }

@@ -23,6 +23,15 @@
 // written. A tracer turns the exception off, so a traced network is the
 // reference path.
 //
+// A UDP datagram Host.SendUDP sends goes back to the Network when its
+// journey ends: once arrive has run its handler, middlebox or drop, or
+// once transit has counted its loss or fault drop and shown it to the
+// drop hook. SendUDP writes the next datagram on its Packet and bytes,
+// so a handler's payload and a hook's Packet are valid only during the
+// call. Nothing else is taken back: not TCP segments (a server keeps a
+// SYN), datagrams sent as raw bytes, a datagram a fault corrupts, or a
+// duplicate's second copy, which gets bytes of its own.
+//
 // Each Network is single-threaded and driven by a virtual-time event
 // queue, so a seeded run is fully deterministic. All randomness (jitter,
 // loss, TCP ISNs) is derived by hashing the seed with the packet or flow
@@ -119,18 +128,24 @@ func (r DropReason) String() string {
 
 // Interceptor is a transparent middlebox hook applied inside an AS after
 // border filtering and before host delivery. Returning true consumes the
-// packet.
+// packet. pkt, and the bytes it holds, are valid only during the call,
+// as a UDPHandler's payload is. A middlebox copies what it keeps; it may
+// send.
 type Interceptor func(now time.Duration, pkt *packet.Packet) bool
 
 // DropHook observes the packets dropped on their way into one AS (used
 // to model IDS logging and the resulting delayed "human analyst"
-// queries of §3.6.3).
+// queries of §3.6.3). pkt, and the bytes it holds, are valid only
+// during the call: a dropped UDP datagram goes back to the network
+// when the hook returns. A hook copies what it keeps; it may send.
 type DropHook func(now time.Duration, reason DropReason, pkt *packet.Packet, dstAS *routing.AS)
 
 // DeliveryHook observes every packet accepted by a socket (or consumed
 // by a transparent middlebox), with the border-crossing fact the
 // ingress filters saw — the observation point the simulation invariant
-// checker (internal/world.Invariants) attaches to.
+// checker (internal/world.Invariants) attaches to. pkt, and the bytes
+// it holds, are valid only during the call, as a UDPHandler's payload
+// is. A hook copies what it keeps.
 type DeliveryHook func(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool)
 
 // TransitFault is a fault layer's verdict for one packet in transit.
@@ -191,10 +206,12 @@ type Network struct {
 	drops        [numDropReasons]uint64
 	delivered    uint64
 	tracer       *Tracer
-	// scratch and scratchPkt hold the datagram the draws read when its
-	// addresses doom it and nothing watches it (see SendUDP).
-	scratch    []byte
-	scratchPkt packet.Packet
+	// scratch holds the datagram the draws read when its addresses doom
+	// it and nothing watches it (see SendUDP), written on scratch.Raw.
+	scratch packet.Packet
+	// datagrams holds the UDP datagrams SendUDP wrote whose journeys
+	// have ended, for SendUDP to write the next ones on.
+	datagrams []*packet.Packet
 	// arrivals holds the arrival records whose events have run, for
 	// carry to reuse.
 	arrivals []*arrival
@@ -427,7 +444,7 @@ func (n *Network) inject(origin *routing.AS, raw []byte) {
 	}
 	v := n.judge(origin, pkt.Src(), pkt.Dst(), pkt.TTL())
 	if fault, travels := n.transit(origin, v, pkt); travels {
-		n.carry(origin, v, pkt, fault)
+		n.carry(origin, v, pkt, false, fault)
 	}
 }
 
@@ -480,10 +497,12 @@ func (n *Network) transit(origin *routing.AS, v verdict, pkt *packet.Packet) (fa
 // flow's jitter and the fault's delay, the TTL decrement at the border
 // and the fault's bit flip, and the arrival event (two with a
 // duplicate). The network owns the bytes it is handed (SendRaw copies
-// a caller's), so both writes land in place; only a doomed datagram on
-// the scratch buffer, which gets here when a fault corrupts it, is
-// copied first, so the arrival never holds the scratch bytes.
-func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault TransitFault) {
+// a caller's), so both writes land in place; only the scratch datagram,
+// which gets here when a fault corrupts it, is copied first, so the
+// arrival never holds the scratch bytes. reuse
+// marks a datagram SendUDP wrote on one from n.datagrams, which goes
+// back there when its journey ends; a corrupted one's Packet does not.
+func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, reuse bool, fault TransitFault) {
 	dstAS := v.dstAS
 	crossesBorder := dstAS != origin
 	// Jitter hashes the flow identity (addresses + ports), not the packet
@@ -496,7 +515,7 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault
 	}
 
 	raw := pkt.Raw
-	if pkt == &n.scratchPkt {
+	if pkt == &n.scratch {
 		raw = append([]byte(nil), raw...)
 	}
 	// Transit TTL decrement, applied to the serialized packet so the
@@ -506,7 +525,6 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault
 		// pkt now describes the datagram the receiver gets. The fault
 		// hook and the drop hooks saw pkt before this update; none of
 		// them keeps it.
-		pkt.Raw = raw
 		if pkt.V4 != nil {
 			pkt.V4.TTL -= v.hops
 		} else {
@@ -516,14 +534,30 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, fault
 	if fault.Corrupt {
 		bit := fault.CorruptBit % (len(raw) * 8)
 		raw[bit/8] ^= 1 << (bit % 8)
-		pkt = nil // the flipped bit must meet the receiver's decode
+		pkt, reuse = nil, false // the flipped bit must meet the receiver's decode
 	}
 
-	n.Q.After(latency, n.arrival(raw, pkt, dstAS, crossesBorder))
+	n.Q.After(latency, n.arrival(raw, pkt, reuse, dstAS, crossesBorder))
 	if fault.Duplicate {
-		// The copy decodes into a Packet of its own.
-		n.Q.After(latency+fault.DupDelay, n.arrival(raw, nil, dstAS, crossesBorder))
+		// The copy decodes into a Packet of its own, from bytes of its
+		// own when the first copy's go back to n.datagrams as it lands.
+		if reuse {
+			raw = append([]byte(nil), raw...)
+		}
+		n.Q.After(latency+fault.DupDelay, n.arrival(raw, nil, false, dstAS, crossesBorder))
 	}
+}
+
+// datagram returns a UDP datagram whose journey has ended, for SendUDP
+// to write the next one on, or a new one when none is back yet.
+func (n *Network) datagram() *packet.Packet {
+	k := len(n.datagrams)
+	if k == 0 {
+		return new(packet.Packet)
+	}
+	pkt := n.datagrams[k-1]
+	n.datagrams = n.datagrams[:k-1]
+	return pkt
 }
 
 // arrival is a travelling datagram's arrival event: arrive's arguments
@@ -534,6 +568,7 @@ type arrival struct {
 	n             *Network
 	raw           []byte
 	pkt           *packet.Packet
+	reuse         bool // pkt goes back to n.datagrams once arrive returns
 	dstAS         *routing.AS
 	crossedBorder bool
 	fire          eventq.Event // run, bound once per record
@@ -541,7 +576,7 @@ type arrival struct {
 
 // arrival returns the event that delivers raw (pkt, when decoded) to
 // dstAS, on a recycled record when there is one.
-func (n *Network) arrival(raw []byte, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool) eventq.Event {
+func (n *Network) arrival(raw []byte, pkt *packet.Packet, reuse bool, dstAS *routing.AS, crossedBorder bool) eventq.Event {
 	var a *arrival
 	if k := len(n.arrivals); k > 0 {
 		a = n.arrivals[k-1]
@@ -550,18 +585,23 @@ func (n *Network) arrival(raw []byte, pkt *packet.Packet, dstAS *routing.AS, cro
 		a = &arrival{n: n}
 		a.fire = a.run
 	}
-	a.raw, a.pkt, a.dstAS, a.crossedBorder = raw, pkt, dstAS, crossedBorder
+	a.raw, a.pkt, a.reuse, a.dstAS, a.crossedBorder = raw, pkt, reuse, dstAS, crossedBorder
 	return a.fire
 }
 
 // run hands the record's fields to arrive after putting the record back
 // for reuse, emptied: the delivery can send, and that send can take the
-// same record.
+// same record. A datagram SendUDP wrote goes back to n.datagrams only
+// once arrive returns, since the handler, middlebox or hook it met
+// read it until then.
 func (a *arrival) run(time.Duration) {
-	n, raw, pkt, dstAS, crossedBorder := a.n, a.raw, a.pkt, a.dstAS, a.crossedBorder
+	n, raw, pkt, reuse, dstAS, crossedBorder := a.n, a.raw, a.pkt, a.reuse, a.dstAS, a.crossedBorder
 	a.raw, a.pkt, a.dstAS = nil, nil, nil
 	n.arrivals = append(n.arrivals, a)
 	n.arrive(raw, pkt, dstAS, crossedBorder)
+	if reuse {
+		n.datagrams = append(n.datagrams, pkt)
+	}
 }
 
 // arrive runs the destination-side pipeline: border filters, middlebox

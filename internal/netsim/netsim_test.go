@@ -546,77 +546,146 @@ func BenchmarkUDPThroughSim(b *testing.B) {
 }
 
 // TestDeliveredPacketIsItsBytesDecoded pins the one-decode-per-hop
-// handoff: the Packet a receiver gets from inject, with its TTL or hop
-// limit and Raw updated in transit, must equal a fresh decode of the
-// bytes it arrived as — across a border and within an AS, for IPv4 and
-// IPv6, UDP and TCP. A duplicated datagram's two copies decode into
-// Packets of their own, and a corrupted one fails its decode at
-// arrival.
+// handoff: the Packet a receiver gets, as inject decoded it or as
+// SendUDP wrote it, with its TTL or hop limit updated in transit, must
+// equal a fresh decode of the bytes it arrived as — across a border and
+// within an AS, for IPv4 and IPv6, UDP and TCP. Each Packet is compared
+// inside the delivery hook, the only time it is valid. A duplicated
+// datagram's two copies arrive as Packets of their own, and a corrupted
+// one fails its decode at arrival.
 func TestDeliveredPacketIsItsBytesDecoded(t *testing.T) {
-	w := newWorld(t, nil)
-	var delivered []*packet.Packet
-	w.net.SetDeliveryHook(func(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossed bool) {
-		delivered = append(delivered, pkt)
-	})
-	w.net.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
-		switch string(pkt.Data) {
-		case "dup":
-			return TransitFault{Duplicate: true, DupDelay: time.Millisecond}
-		case "corrupt":
-			return TransitFault{Corrupt: true, CorruptBit: 8 * (len(pkt.Raw) - 1)} // a payload bit
-		}
-		return TransitFault{}
-	})
-	listen53(t, w.target)
-	if err := w.auth.BindTCP(53, func(c *TCPConn) {
-		c.OnData = func(now time.Duration, data []byte) { c.Send([]byte("response")) }
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []struct{ src, dst, payload string }{
-		{"192.0.2.10", "198.51.100.53", "v4 across"},
-		{"2001:db8:100::10", "2001:db8:200::53", "v6 across"},
-		{"192.0.2.10", "198.51.100.53", "dup"},
-		{"192.0.2.10", "198.51.100.53", "corrupt"},
+	for _, s := range []struct {
+		name string
+		send func(h *Host, src, dst, payload string)
+	}{
+		{"SendRaw", func(h *Host, src, dst, payload string) {
+			h.SendRaw(spoofedUDP(t, addr(src), addr(dst), payload))
+		}},
+		{"SendUDP", func(h *Host, src, dst, payload string) {
+			if err := h.SendUDP(addr(src), 31337, addr(dst), 53, []byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
-		w.scanner.SendRaw(spoofedUDP(t, addr(d.src), addr(d.dst), d.payload))
-	}
-	w.target.SendRaw(spoofedUDP(t, addr("203.0.113.7"), addr("198.51.100.53"), "v4 within"))
-	if _, err := w.target.DialTCP(addr("198.51.100.53"), 50001, addr("192.0.3.53"), 53, func(c *TCPConn) {
-		c.OnData = func(now time.Duration, data []byte) { c.Close() }
-		c.Send([]byte("query over tcp"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w.net.Run()
+		w := newWorld(t, nil)
+		udp, tcp, dups := 0, 0, 0
+		var firstDup *packet.Packet // compared by identity only, never read past its hook
+		w.net.SetDeliveryHook(func(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossed bool) {
+			fresh, err := packet.Decode(pkt.Raw)
+			if err != nil {
+				t.Fatalf("%s: delivered datagram does not decode: %v", s.name, err)
+			}
+			if !reflect.DeepEqual(pkt.V4, fresh.V4) || !reflect.DeepEqual(pkt.V6, fresh.V6) ||
+				!reflect.DeepEqual(pkt.UDP, fresh.UDP) || !reflect.DeepEqual(pkt.TCP, fresh.TCP) ||
+				!bytes.Equal(pkt.Data, fresh.Data) {
+				t.Errorf("%s: delivered Packet differs from a decode of its bytes:\n got  %+v %+v %+v %+v\n want %+v %+v %+v %+v",
+					s.name, pkt.V4, pkt.V6, pkt.UDP, pkt.TCP, fresh.V4, fresh.V6, fresh.UDP, fresh.TCP)
+			}
+			switch {
+			case pkt.TCP != nil:
+				tcp++
+			case string(pkt.Data) == "dup":
+				if dups++; dups == 1 {
+					firstDup = pkt
+				} else if pkt == firstDup {
+					t.Errorf("%s: the duplicate's two copies arrived as one Packet", s.name)
+				}
+				fallthrough
+			default:
+				udp++
+			}
+		})
+		w.net.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault {
+			switch string(pkt.Data) {
+			case "dup":
+				return TransitFault{Duplicate: true, DupDelay: time.Millisecond}
+			case "corrupt":
+				return TransitFault{Corrupt: true, CorruptBit: 8 * (len(pkt.Raw) - 1)} // a payload bit
+			}
+			return TransitFault{}
+		})
+		listen53(t, w.target)
+		if err := w.auth.BindTCP(53, func(c *TCPConn) {
+			c.OnData = func(now time.Duration, data []byte) { c.Send([]byte("response")) }
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []struct{ src, dst, payload string }{
+			{"192.0.2.10", "198.51.100.53", "v4 across"},
+			{"2001:db8:100::10", "2001:db8:200::53", "v6 across"},
+			{"192.0.2.10", "198.51.100.53", "dup"},
+			{"192.0.2.10", "198.51.100.53", "corrupt"},
+		} {
+			s.send(w.scanner, d.src, d.dst, d.payload)
+		}
+		s.send(w.target, "203.0.113.7", "198.51.100.53", "v4 within")
+		if _, err := w.target.DialTCP(addr("198.51.100.53"), 50001, addr("192.0.3.53"), 53, func(c *TCPConn) {
+			c.OnData = func(now time.Duration, data []byte) { c.Close() }
+			c.Send([]byte("query over tcp"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w.net.Run()
 
-	var dups []*packet.Packet
-	tcp := 0
-	for _, pkt := range delivered {
-		fresh, err := packet.Decode(pkt.Raw)
-		if err != nil {
-			t.Fatalf("delivered datagram does not decode: %v", err)
+		if udp != 5 || tcp < 4 { // v4 and v6 across, two dups, v4 within
+			t.Fatalf("%s: delivered %d UDP and %d TCP packets (drops %v)", s.name, udp, tcp, w.net.Drops())
 		}
-		if !reflect.DeepEqual(pkt.V4, fresh.V4) || !reflect.DeepEqual(pkt.V6, fresh.V6) ||
-			!reflect.DeepEqual(pkt.UDP, fresh.UDP) || !reflect.DeepEqual(pkt.TCP, fresh.TCP) ||
-			!bytes.Equal(pkt.Data, fresh.Data) {
-			t.Errorf("delivered Packet differs from a decode of its bytes:\n got  %+v %+v %+v %+v\n want %+v %+v %+v %+v",
-				pkt.V4, pkt.V6, pkt.UDP, pkt.TCP, fresh.V4, fresh.V6, fresh.UDP, fresh.TCP)
+		if dups != 2 {
+			t.Fatalf("%s: duplicate delivered as %d packets", s.name, dups)
 		}
-		if pkt.TCP != nil {
-			tcp++
-		}
-		if string(pkt.Data) == "dup" {
-			dups = append(dups, pkt)
+		if got := w.net.Drops()[DropMalformed]; got != 1 {
+			t.Fatalf("%s: malformed drops = %d, want 1 (the corrupted datagram)", s.name, got)
 		}
 	}
-	if len(delivered) != 5+tcp || tcp < 4 { // UDP: v4 and v6 across, two dups, v4 within
-		t.Fatalf("delivered %d packets, %d of them TCP (drops %v)", len(delivered), tcp, w.net.Drops())
-	}
-	if len(dups) != 2 || dups[0] == dups[1] {
-		t.Fatalf("duplicate delivered as %d packets, shared=%v", len(dups), len(dups) == 2 && dups[0] == dups[1])
-	}
-	if got := w.net.Drops()[DropMalformed]; got != 1 {
-		t.Fatalf("malformed drops = %d, want 1 (the corrupted datagram)", got)
+}
+
+// TestDuplicateOutlivesItsFirstCopy duplicates a datagram far behind
+// its first copy. The first copy lands and goes back to the network;
+// its handler replies with SendUDP, and the reply's handler sends the
+// next datagram, which SendUDP writes on the first copy's Packet and
+// bytes. The second copy, landing last, must still deliver the bytes
+// that were sent: it travels on bytes of its own.
+func TestDuplicateOutlivesItsFirstCopy(t *testing.T) {
+	const (
+		sent = "the duplicated one"
+		next = "the next datagram!" // as long as sent: written on its bytes
+	)
+	for _, fam := range []struct{ scanner, target string }{
+		{"192.0.2.10", "198.51.100.53"},
+		{"2001:db8:100::10", "2001:db8:200::53"},
+	} {
+		w := newWorld(t, nil)
+		w.net.SetFaultHook(func(_ time.Duration, _ uint64, pkt *packet.Packet, _, _ *routing.AS) TransitFault {
+			if string(pkt.Data) == sent {
+				return TransitFault{Duplicate: true, DupDelay: time.Second}
+			}
+			return TransitFault{}
+		})
+		var got []string
+		if err := w.target.BindUDP(53, func(_ time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, payload []byte) {
+			got = append(got, string(payload))
+			if string(payload) == sent {
+				if err := w.target.SendUDP(dst, dp, src, sp, []byte("reply")); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.scanner.BindUDP(40000, func(_ time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, _ []byte) {
+			if err := w.scanner.SendUDP(dst, dp, src, sp, []byte(next)); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.scanner.SendUDP(addr(fam.scanner), 40000, addr(fam.target), 53, []byte(sent)); err != nil {
+			t.Fatal(err)
+		}
+		w.net.Run()
+		// Each copy of sent is answered, and each answer draws a next.
+		if want := []string{sent, next, sent, next}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: target received %q, want %q (drops %v)", fam.target, got, want, w.net.Drops())
+		}
 	}
 }

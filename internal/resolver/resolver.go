@@ -231,7 +231,10 @@ func (r *Resolver) Config() Config { return r.cfg }
 // dispatch routes every received UDP datagram: responses to pending
 // upstream queries by (port, id); everything else is a client query.
 // This sharing is what lets fixed-port-53 resolvers work: their upstream
-// source port is the service port.
+// source port is the service port. payload is the network's, valid
+// only during the call (netsim.UDPHandler).
+//
+//doors:scratch payload
 func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
 	msg := &r.in
 	if msg.Unpack(payload) != nil {
@@ -257,6 +260,10 @@ func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, d
 
 // HandleQuery processes a client query datagram addressed to local. It
 // is exported so transparent middleboxes can inject intercepted queries.
+// payload need be valid only during the call: an intercepted datagram
+// goes back to the network once its middlebox returns.
+//
+//doors:scratch payload
 func (r *Resolver) HandleQuery(now time.Duration, src netip.Addr, srcPort uint16, local netip.Addr, payload []byte) {
 	if msg := &r.in; msg.Unpack(payload) == nil {
 		r.handleQuery(src, srcPort, local, msg)

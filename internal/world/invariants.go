@@ -109,7 +109,11 @@ func (v *Invariants) violate(format string, args ...any) {
 	}
 }
 
-// OnDelivery is the netsim.DeliveryHook: invariants (a) and (b).
+// OnDelivery is the netsim.DeliveryHook: invariants (a) and (b). pkt is
+// the network's, valid only during the call, so the checker keeps
+// addresses, ports and hashes, never the packet.
+//
+//doors:scratch pkt
 func (v *Invariants) OnDelivery(now time.Duration, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool) {
 	v.report.DeliveriesChecked++
 
