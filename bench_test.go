@@ -96,10 +96,10 @@ func BenchmarkHeadlineReachability1M(b *testing.B) {
 // ditl.View at DITL-plausible density (47,000 ASes, dead-target mean
 // raised to 200), the campaign is the inbound-SAV scan (~one probe per
 // target, no follow-ups — the paper's own full-population pass), and
-// the reduce is the external merge: shard hit runs spill to disk and
-// stream back through the reducers, so peak residency is O(live
-// shards) + the population-sized read-only structures (registry, hit
-// list) all the way through Report. One iteration is the whole
+// the reduce reads only the per-shard partitions and no merged buffer
+// is built, so peak residency is O(live shards) + the population-sized
+// read-only structures (registry, hit list) all the way through
+// Report. One iteration is the whole
 // campaign; run it with -benchtime 1x (scripts/bench.sh --mem does,
 // under GOMEMLIMIT — completing under the limit is the
 // flat-peak-memory check at paper scale).

@@ -43,7 +43,7 @@ func main() {
 		shards   = flag.Int("shards", -1, "parallel simulation shards (-1 = one per CPU, 1 = serial); results are identical at any value")
 		chaosOn  = flag.Bool("chaos", false, "inject the deterministic fault schedule (link flap, dup/reorder/corrupt, resolver crashes, clock skew)")
 		invar    = flag.Bool("invariants", true, "check simulation invariants on every delivery and cache event")
-		fold     = flag.Bool("fold", false, "external-merge reduce: spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers; peak memory stays per-shard through the report")
+		fold     = flag.Bool("fold", false, "keep no merged hit, partial or target buffers: each shard's observations fold into its partition and the reduce reads only those, so peak memory stays per-shard through the report")
 		maxPar   = flag.Int("maxparallel", 0, "max concurrently running shard simulations (0 = one per CPU), the peak-memory knob")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")

@@ -6,7 +6,7 @@ package doors_test
 // field defaulting wrong — fails loudly instead of slipping past the
 // spot checks in ExampleRunSurvey. Each case pins one campaign and
 // engine: the default survey on the retained engine, the inbound-SAV
-// scan on the fold engine (spilled runs, streamed merge), and the
+// scan on the fold engine (no merged buffers), and the
 // default survey under loss, churn and the chaos fault schedule. The
 // faulted case also pins its drops by reason and its invariant totals,
 // so a change to the loss or fault draws fails here even when the byte

@@ -20,8 +20,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/authserver"
 	"repro/internal/fingerprint"
 	"repro/internal/geo"
+	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/scanner"
 	"repro/internal/stats"
@@ -43,28 +45,20 @@ type Input struct {
 	FollowUpCount int
 	FPDB          *fingerprint.DB
 	Bands         []stats.Band
-	// Stream, when non-nil, supplies the merged hit stream in place of
-	// the Hits slice — the fold engine's external merge. Reducers never
-	// notice the difference: they read either through the Context's
-	// eachHit accessor.
+	// Stream is read by no reducer: Partition folds everything the
+	// reducers need from the Hits slice. It stays only for perfbench's
+	// traced replay (perfbench/replay.go), which still sets it, and goes
+	// with that file.
 	Stream *Streams
 }
 
-// Streams are re-drainable observation sources for a Context whose
-// Input carries no materialized slices. Hits must replay the full
-// merged hit stream in LessHit order on every call, because independent
-// reducers each drain their own pass. The yielded *scanner.Hit is only
-// valid for the duration of the yield call; a consumer that keeps a hit
-// must copy the value (the sources reuse decode state between items).
-// Partials have no stream: Partition folds each shard's partials into
-// the QNAME-minimization sets below, so no reducer reads raw partials
-// after the per-shard stage.
+// Streams are re-drainable observation sources that no reducer reads
+// any more: Partition folds each shard's hits, partials and targets
+// into the Context, and the reduce reads only those folds. The type
+// stays only for perfbench's traced replay (perfbench/replay.go), which
+// still builds one over its spilled run files, and goes with that file.
 type Streams struct {
-	Hits func(yield func(h *scanner.Hit)) error
-	// Targets is read by no reducer: Partition counts each shard's
-	// targets per AS and family, and the reduce reads those counts. It
-	// stays only for perfbench's traced replay (perfbench/replay.go),
-	// which still sets it, and goes with that file.
+	Hits    func(yield func(h *scanner.Hit)) error
 	Targets func(yield func(t scanner.Target)) error
 }
 
@@ -278,12 +272,11 @@ func (in Input) withDefaults() Input {
 // any subset of reducers in any order.
 //
 // Everything in a merged Context is sized by the *results* or the
-// ASes, never the targets: reachable and late are keyed by observed
-// targets, the QNAME-minimization sets by observed clients and ASes,
-// and the target counts by AS. The hit log is read through eachHit,
-// which walks either the Input's slice or, in the fold engine, the
-// re-drainable merged stream — so the final reduce holds no O(total
-// targets) state and replays no target list.
+// ASes, never the targets: reachable, late and ports are keyed by
+// observed targets, the QNAME-minimization sets by observed clients and
+// ASes, and the target counts by AS. No reducer reads the Input's hit,
+// partial or target buffers, so the final reduce holds no O(total
+// targets) state and replays no hit log.
 type Context struct {
 	in Input
 	// targets counts the admitted targets of each AS by family, from
@@ -300,28 +293,15 @@ type Context struct {
 	// (§3.6.4). Folded per shard from the raw partials.
 	qminClients map[netip.Addr]bool
 	qminASNs    map[routing.ASN]bool
-	// srcErr is the first Streams failure observed during a Reduce.
-	srcErr error
+	// ports holds each reachable target's complete §5.2 port sample.
+	ports map[netip.Addr]portObs
 }
 
-// Err reports the first observation-stream failure encountered while
-// reducing; nil for in-memory inputs.
-func (c *Context) Err() error { return c.srcErr }
-
-// eachHit drives fn over the merged hit sequence in canonical LessHit
-// order: the Input's slice when materialized, else the fold engine's
-// merged run stream. The pointer is valid only during the call.
-func (c *Context) eachHit(fn func(h *scanner.Hit)) {
-	if st := c.in.Stream; st != nil && st.Hits != nil {
-		if err := st.Hits(fn); err != nil && c.srcErr == nil {
-			c.srcErr = err
-		}
-		return
-	}
-	for i := range c.in.Hits {
-		fn(&c.in.Hits[i])
-	}
-}
+// Err is always nil: no reducer reads an observation stream, so a
+// reduce cannot fail. It stays only for perfbench's traced replay
+// (perfbench/replay.go), which still checks it, and goes with that
+// file.
+func (c *Context) Err() error { return nil }
 
 // Reducer is one named, independent slice of the Report computation.
 // Campaign phases contribute reducer lists; the name deduplicates a
@@ -389,10 +369,17 @@ func Analyze(in Input) *Report {
 // Partition applies defaults, counts the target list per AS and family,
 // and folds the hit and partial logs into the compact per-target
 // observation maps — the shared state the reducers consume. The
-// target-ASN index and the per-target scratch maps it needs are
+// target-ASN index and the per-target scratch records it needs are
 // transient: they are sized by this shard's slice of the survey and
 // become garbage when Partition returns, leaving only result- and
 // AS-sized state on the Context.
+//
+// Every fold is order-independent (set inserts, bit ors) except the
+// port sample, which keeps a target's first FollowUpCount direct
+// follow-up ports and its last SYN in Hits order. A shard's Hits must
+// therefore be its canonically sorted run (scanner.SealRuns): a target's
+// hits all arrive in its own shard, so that run holds them in the order
+// the merged hit log would.
 func Partition(in Input) *Context {
 	in = in.withDefaults()
 
@@ -410,15 +397,11 @@ func Partition(in Input) *Context {
 	}
 
 	// Partition hits: valid (spoofed, timely, aimed at a known target),
-	// late (over-threshold), open-probe. The per-target source sets are
-	// scratch — only their cardinality survives, because a target's hits
+	// late (over-threshold), open-probe, and what every timely hit tells
+	// the follow-up accountings. The per-target scratch records are
+	// transient — only their compaction survives, because a target's hits
 	// all arrive in its own shard (the sharding is by target AS), so the
-	// per-shard distinct-source count is already the survey-wide count.
-	type scratch struct {
-		cats    uint8
-		open    bool
-		sources map[netip.Addr]bool
-	}
+	// per-shard fold of a target's hits is already the survey-wide fold.
 	obs := make(map[netip.Addr]*scratch)
 	get := func(a netip.Addr) *scratch {
 		o := obs[a]
@@ -442,6 +425,7 @@ func Partition(in Input) *Context {
 			continue
 		}
 		o := get(h.Dst)
+		o.follow(h, asn, &in)
 		if cat == scanner.CatNotSpoofed {
 			if h.Kind == scanner.ProbeMain {
 				o.open = true
@@ -472,50 +456,119 @@ func Partition(in Input) *Context {
 
 	// Reachable = targeted + at least one timely spoofed full-name hit,
 	// compacted to the value record (category bits, distinct-source
-	// count, open flag, AS).
+	// count, open flag, seen bits, AS). A reachable target with a
+	// complete port sample keeps it, labeled by p0f from its last SYN;
+	// an incomplete sample is not comparable (§5.2.2 spirit) and goes.
 	reachable := make(map[netip.Addr]targetObs, len(obs))
+	ports := make(map[netip.Addr]portObs)
 	for a, o := range obs {
-		if o.cats != 0 {
-			reachable[a] = targetObs{
-				asn:  targetASN[a],
-				nsrc: int32(len(o.sources)),
-				cats: o.cats,
-				open: o.open,
+		if o.cats == 0 {
+			continue
+		}
+		reachable[a] = targetObs{
+			asn:  targetASN[a],
+			nsrc: int32(len(o.sources)),
+			cats: o.cats,
+			open: o.open,
+			seen: o.seen,
+		}
+		if len(o.ports) == in.FollowUpCount {
+			p := portObs{ports: o.ports}
+			if o.syn != nil {
+				p.p0f = in.FPDB.Classify(o.syn)
 			}
+			ports[a] = p
 		}
 	}
 
-	return &Context{in: in, targets: targets, reachable: reachable, late: late, qminClients: qminClients, qminASNs: qminASNs}
+	return &Context{in: in, targets: targets, reachable: reachable, late: late, qminClients: qminClients, qminASNs: qminASNs, ports: ports}
+}
+
+// scratch is one observed target's transient Partition record.
+type scratch struct {
+	cats    uint8
+	open    bool
+	seen    uint8
+	sources map[netip.Addr]bool
+	// ports are the first FollowUpCount direct UDP follow-up ports and
+	// syn the last captured TCP SYN, both in Hits order.
+	ports []uint16
+	syn   *packet.Packet
+}
+
+// follow folds what one timely hit on the target tells the middlebox
+// (§3.6.1), port (§5.2-5.3) and forwarding (§5.4) accountings; asn is
+// the target's AS.
+func (o *scratch) follow(h *scanner.Hit, asn routing.ASN, in *Input) {
+	// The registry's roles are the single source of truth: a client in
+	// public-DNS space (AS.PublicService) explains the relay;
+	// third-party upstream space carries no role and stays in
+	// "Unexplained", as §3.6.1 requires.
+	if origin := in.Reg.OriginOf(h.Client); origin != nil {
+		if origin.ASN == asn {
+			o.seen |= seenFromAS
+		}
+		if origin.PublicService {
+			o.seen |= seenPublic
+		}
+	}
+	direct := h.Client == h.Dst
+	// §5.4: the zone is dual-stack, so direct/forwarded is judged on the
+	// family-matching transport follow-ups only — a dual-stack resolver
+	// probed at its v6 address answers v4-zone queries from its v4
+	// address, which must not be mistaken for forwarding. And only
+	// leaf-zone queries count: a v4-only (v6-only) zone is served by a
+	// v4-only (v6-only) server, so genuine transport-probe queries
+	// arrive over that family, while referral lookups at the dual-stack
+	// parent can arrive over the other.
+	if (h.Kind == scanner.ProbeV4 && h.Dst.Is4() && h.Client.Is4()) ||
+		(h.Kind == scanner.ProbeV6 && h.Dst.Is6() && h.Client.Is6()) {
+		if direct {
+			o.seen |= seenDirect
+		} else {
+			o.seen |= seenForwarded
+		}
+	}
+	// §5.2: only direct responders' ports are analyzed.
+	if !direct {
+		return
+	}
+	switch {
+	case (h.Kind == scanner.ProbeV4 || h.Kind == scanner.ProbeV6) && h.Transport == authserver.TransportUDP:
+		if o.ports == nil {
+			o.ports = make([]uint16, 0, in.FollowUpCount)
+		}
+		if len(o.ports) < in.FollowUpCount {
+			o.ports = append(o.ports, h.ClientPort)
+		}
+	case h.Kind == scanner.ProbeTC && h.Transport == authserver.TransportTCP && h.SYN != nil:
+		o.syn = h.SYN
+	}
 }
 
 // MergeContexts combines per-shard Partition outputs into one Context
-// over the canonically merged Input. Shards hold disjoint target sets
-// and every per-target fold in Partition is commutative and idempotent
-// (set inserts, bool ors), and per-AS target counts add, so combining
-// the per-shard maps reproduces exactly the Context a single Partition
-// over the merged input would build — which is what lets the campaign
-// runner reduce each shard's observations as soon as that shard
-// finishes and discard its world.
-//
-// The division of labor with internal/runs: the *ordered* hit log is
-// merged by the runner's k-way run merge (in memory, or streamed off
-// spilled run files in the fold engine) and reaches the reducers
-// through eachHit; MergeContexts itself combines only the unordered
-// per-target and per-AS state. Nothing here is proportional to the
-// survey's target count.
+// over in. Shards hold disjoint target sets and every per-target record
+// in Partition is complete within its shard, and per-AS target counts
+// add, so combining the per-shard maps reproduces exactly the Context a
+// single Partition over the merged input would build — which is what
+// lets the campaign runner reduce each shard's observations as soon as
+// that shard finishes and discard its world. in needs no observation
+// buffers: the reducers read only the merged maps and in's Geo and
+// Bands. Nothing here is proportional to the survey's target count.
 func MergeContexts(in Input, parts []*Context) *Context {
 	in = in.withDefaults()
 	if len(parts) == 1 {
 		parts[0].in = in
 		return parts[0]
 	}
-	nASes, nReach, nLate, nQC, nQA := 0, 0, 0, 0, 0
+	nASes, nReach, nLate, nQC, nQA, nPorts := 0, 0, 0, 0, 0, 0
 	for _, p := range parts {
 		nASes += len(p.targets)
 		nReach += len(p.reachable)
 		nLate += len(p.late)
 		nQC += len(p.qminClients)
 		nQA += len(p.qminASNs)
+		nPorts += len(p.ports)
 	}
 	merged := &Context{
 		in:          in,
@@ -524,6 +577,7 @@ func MergeContexts(in Input, parts []*Context) *Context {
 		late:        make(map[netip.Addr]routing.ASN, nLate),
 		qminClients: make(map[netip.Addr]bool, nQC),
 		qminASNs:    make(map[routing.ASN]bool, nQA),
+		ports:       make(map[netip.Addr]portObs, nPorts),
 	}
 	for _, p := range parts {
 		for asn, n := range p.targets {
@@ -543,6 +597,9 @@ func MergeContexts(in Input, parts []*Context) *Context {
 		}
 		for asn := range p.qminASNs {
 			merged.qminASNs[asn] = true
+		}
+		for a, po := range p.ports {
+			merged.ports[a] = po
 		}
 	}
 	return merged
@@ -597,16 +654,39 @@ func computeReachable(c *Context, r *Report) {
 
 // targetObs is one reachable target's compact observation record: its
 // AS, the bitmask of spoofed-source categories that reached it, the
-// distinct-source count, and whether the non-spoofed open-resolver
-// probe got through. A value type a few words wide — the merged
-// reachable map stays a small multiple of the result size even at the
-// paper's 12M-target scale (the old record carried two maps per
-// target, and a survey-sized address→ASN index besides).
+// distinct-source count, whether the non-spoofed open-resolver probe
+// got through, and the seen bits of its timely hits' clients. A value
+// type a few words wide — the merged reachable map stays a small
+// multiple of the result size even at the paper's 12M-target scale
+// (the old record carried two maps per target, and a survey-sized
+// address→ASN index besides).
 type targetObs struct {
 	asn  routing.ASN
 	nsrc int32
 	cats uint8
 	open bool
+	seen uint8
+}
+
+// The seen bits of a targetObs.
+const (
+	// seenDirect and seenForwarded: a family-matched transport
+	// follow-up (§5.4) came from the target itself, or from another
+	// address.
+	seenDirect uint8 = 1 << iota
+	seenForwarded
+	// seenFromAS and seenPublic: a timely hit's client lies in the
+	// target's own AS, or in public-DNS space (§3.6.1).
+	seenFromAS
+	seenPublic
+)
+
+// portObs is a reachable target's complete §5.2 port sample: its first
+// FollowUpCount direct UDP follow-up ports in hit order, and the p0f
+// label of its last captured TCP SYN (LabelUnknown without one).
+type portObs struct {
+	ports []uint16
+	p0f   fingerprint.Label
 }
 
 // familyCounts is one AS's admitted target count per address family.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"net/netip"
 
-	"repro/internal/authserver"
 	"repro/internal/fingerprint"
 	"repro/internal/geo"
 	"repro/internal/routing"
@@ -144,44 +143,17 @@ func computePorts(c *Context, r *Report) {
 	pr.HistFullP0fLin = stats.NewHistogram(500, 65535)
 	pr.ZeroTopPorts = make(map[uint16]int)
 
-	// Gather direct follow-up observations per target: UDP transport
-	// queries whose source IP matches the probed target (§5.2: only
-	// direct responders are analyzed). The SYN hit is copied by value —
-	// a streamed hit does not survive its yield.
-	ports := make(map[netip.Addr][]uint16)
-	syn := make(map[netip.Addr]scanner.Hit)
-	c.eachHit(func(h *scanner.Hit) {
-		if h.Client != h.Dst || h.Lifetime > in.LifetimeThreshold {
-			return
-		}
-		if _, ok := reachable[h.Dst]; !ok {
-			return
-		}
-		switch {
-		case (h.Kind == scanner.ProbeV4 || h.Kind == scanner.ProbeV6) && h.Transport == authserver.TransportUDP:
-			ports[h.Dst] = append(ports[h.Dst], h.ClientPort)
-		case h.Kind == scanner.ProbeTC && h.Transport == authserver.TransportTCP && h.SYN != nil:
-			syn[h.Dst] = *h
-		}
-	})
-
 	zeroASNs := make(map[routing.ASN]bool)
 	zeroASNsClosed := make(map[routing.ASN]bool)
 	lowASNs := make(map[routing.ASN]bool)
 
-	for _, a := range sortedAddrsPorts(ports) {
-		raw := ports[a]
-		if len(raw) < in.FollowUpCount {
-			continue // incomplete sample: not comparable (§5.2.2 spirit)
-		}
-		raw = raw[:in.FollowUpCount]
-		o := reachable[a]
+	// Partition kept only the direct responders' complete samples.
+	for _, a := range sortedAddrsPorts(c.ports) {
+		po, o := c.ports[a], reachable[a]
+		raw := po.ports
 		sample := PortSample{
 			Addr: a, ASN: o.asn,
-			RawPorts: raw, Open: o.open,
-		}
-		if h, ok := syn[a]; ok {
-			sample.P0f = in.FPDB.Classify(h.SYN)
+			RawPorts: raw, Open: o.open, P0f: po.p0f,
 		}
 		adj := make([]int, len(raw))
 		for k, p := range raw {
@@ -270,7 +242,7 @@ func computePorts(c *Context, r *Report) {
 	}
 }
 
-func sortedAddrsPorts(m map[netip.Addr][]uint16) []netip.Addr {
+func sortedAddrsPorts(m map[netip.Addr]portObs) []netip.Addr {
 	out := make([]netip.Addr, 0, len(m))
 	for a := range m {
 		out = append(out, a)
@@ -280,65 +252,33 @@ func sortedAddrsPorts(m map[netip.Addr][]uint16) []netip.Addr {
 }
 
 func computeForwarding(c *Context, r *Report) {
-	in, reachable := c.in, c.reachable
-	type fw struct{ direct, forwarded bool }
-	perTarget := make(map[netip.Addr]*fw)
-	c.eachHit(func(h *scanner.Hit) {
-		// §5.4: the zone is dual-stack, so direct/forwarded is judged on
-		// the family-matching transport follow-ups only — a dual-stack
-		// resolver probed at its v6 address answers v4-zone queries from
-		// its v4 address, which must not be mistaken for forwarding.
-		if h.Dst.Is4() && h.Kind != scanner.ProbeV4 {
-			return
+	// Partition set the seen bits from the family-matched transport
+	// follow-ups (§5.4); a target with neither bit resolved none.
+	for a, o := range c.reachable {
+		direct, forwarded := o.seen&seenDirect != 0, o.seen&seenForwarded != 0
+		if !direct && !forwarded {
+			continue
 		}
-		if h.Dst.Is6() && h.Kind != scanner.ProbeV6 {
-			return
-		}
-		// Leaf-zone queries only: a v4-only (v6-only) zone is served by a
-		// v4-only (v6-only) server, so genuine transport-probe queries
-		// arrive over that family. Referral lookups at the dual-stack
-		// parent can arrive over the other family and must not count.
-		if h.Kind == scanner.ProbeV4 && !h.Client.Is4() {
-			return
-		}
-		if h.Kind == scanner.ProbeV6 && !h.Client.Is6() {
-			return
-		}
-		if _, ok := reachable[h.Dst]; !ok || h.Lifetime > in.LifetimeThreshold {
-			return
-		}
-		f := perTarget[h.Dst]
-		if f == nil {
-			f = &fw{}
-			perTarget[h.Dst] = f
-		}
-		if h.Client == h.Dst {
-			f.direct = true
-		} else {
-			f.forwarded = true
-		}
-	})
-	for a, f := range perTarget {
 		if a.Is4() {
 			r.Forwarding.V4Resolved++
-			if f.direct {
+			if direct {
 				r.Forwarding.V4Direct++
 			}
-			if f.forwarded {
+			if forwarded {
 				r.Forwarding.V4Forwarded++
 			}
-			if f.direct && f.forwarded {
+			if direct && forwarded {
 				r.Forwarding.V4Both++
 			}
 		} else {
 			r.Forwarding.V6Resolved++
-			if f.direct {
+			if direct {
 				r.Forwarding.V6Direct++
 			}
-			if f.forwarded {
+			if forwarded {
 				r.Forwarding.V6Forwarded++
 			}
-			if f.direct && f.forwarded {
+			if direct && forwarded {
 				r.Forwarding.V6Both++
 			}
 		}
@@ -346,38 +286,19 @@ func computeForwarding(c *Context, r *Report) {
 }
 
 func computeMiddlebox(c *Context, r *Report) {
-	in, reachable := c.in, c.reachable
-	reachAS := make(map[routing.ASN]bool)
-	directAS := make(map[routing.ASN]bool)
-	publicAS := make(map[routing.ASN]bool)
-	for _, o := range reachable {
-		reachAS[o.asn] = true
+	// An AS is explained by the seen bits of any of its reachable
+	// targets: a query from inside the AS first, else one from public
+	// DNS (§3.6.1).
+	seen := make(map[routing.ASN]uint8)
+	for _, o := range c.reachable {
+		seen[o.asn] |= o.seen
 	}
-	c.eachHit(func(h *scanner.Hit) {
-		o, ok := reachable[h.Dst]
-		if !ok || h.Lifetime > in.LifetimeThreshold {
-			return
-		}
-		asn := o.asn
-		// The registry's roles are the single source of truth: a client
-		// in public-DNS space (AS.PublicService) explains the relay;
-		// third-party upstream space carries no role and stays in
-		// "Unexplained", as §3.6.1 requires.
-		if origin := in.Reg.OriginOf(h.Client); origin != nil {
-			if origin.ASN == asn {
-				directAS[asn] = true
-			}
-			if origin.PublicService {
-				publicAS[asn] = true
-			}
-		}
-	})
-	r.Middlebox.ReachableASes = len(reachAS)
-	for asn := range reachAS {
+	r.Middlebox.ReachableASes = len(seen)
+	for _, bits := range seen {
 		switch {
-		case directAS[asn]:
+		case bits&seenFromAS != 0:
 			r.Middlebox.DirectFromAS++
-		case publicAS[asn]:
+		case bits&seenPublic != 0:
 			r.Middlebox.ViaPublicDNS++
 		default:
 			r.Middlebox.Unexplained++

@@ -73,7 +73,7 @@ func tinyConfig() Config {
 }
 
 // engineModes are the runner's output options: keep every world, drop
-// each when its shard ends, or also spill the runs.
+// each when its shard ends, or also keep no merged buffers.
 var engineModes = []struct {
 	name         string
 	stream, fold bool

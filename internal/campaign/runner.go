@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -66,16 +64,12 @@ type Config struct {
 	// otherwise every finished world is kept, so peak memory still ends
 	// at all of them.
 	MaxParallel int
-	// Fold extends Stream by spilling runs: each shard's sorted hit run
-	// spills to a temporary run file the moment the shard finishes, and
-	// the final reduce streams the hierarchical k-way merge of those
-	// files through the reducers instead of materializing merged
-	// buffers. Peak residency stays O(live shards) all the way through
-	// Report — nothing after a shard's simulation holds O(total targets)
-	// state. The Report is bit-identical; the trade-off is that
-	// Result.Scanner's Targets, Hits and Partials are nil (Stats still
-	// carries the counts, and reducers saw exactly the canonical
-	// sequences). Implies Stream.
+	// Fold extends Stream by keeping no merged buffers: Result.Scanner's
+	// Targets, Hits and Partials stay nil (Stats still carries the
+	// counts), so nothing after a shard's simulation holds O(total
+	// targets) state. Every mode reduces the per-shard partitions alone,
+	// so the Report is bit-identical either way, and a Fold run writes
+	// no file. Implies Stream.
 	Fold bool
 	// Chaos, when Enabled, subjects the campaign to a deterministic
 	// fault schedule keyed on causal identity. Infrastructure ASes (as
@@ -154,7 +148,8 @@ type Result struct {
 	World  *world.World
 	Worlds []*world.World
 	// Scanner holds the merged results: Targets, Hits, Partials and
-	// Stats aggregated across shards in canonical order.
+	// Stats aggregated across shards in canonical order (under
+	// Config.Fold only Stats; the buffers are nil).
 	Scanner *scanner.Scanner
 	Report  *analysis.Report
 	Geo     *geo.DB
@@ -204,17 +199,17 @@ type Result struct {
 // MaxParallel: build the world and admit in one sweep, plan once (a
 // total that differs from the shard's count fails the run), schedule,
 // churn and chaos, observe, simulate, seal and partition, then keep the
-// runs in memory or spill them, and keep the world unless Stream or
-// Fold is set. Workers share no mutable state: each reads frozen inputs
-// and writes only its own result.
+// sorted runs unless Fold is set and the world unless Stream or Fold
+// is. Workers share no mutable state: each reads frozen inputs and
+// writes only its own result.
 //
 // One merge then combines the shards' scanner and resolver stats,
-// partial reductions, public DNS and invariant reports in shard order,
-// and reduces the canonically ordered buffers — merged in memory, or
-// streamed from the spilled runs — into the Report with the phases'
-// deduplicated reducer set. The same seeds produce the same Report at
-// any shard count, including 1, whether worlds are kept and runs
-// spilled or not.
+// partitioned observations and invariant reports in shard order,
+// merges the kept runs into Result.Scanner's buffers, and reduces the
+// merged partitions into the Report with the phases' deduplicated
+// reducer set; the reduce reads no buffer. The same seeds produce the
+// same Report at any shard count, including 1, whether worlds and runs
+// are kept or not.
 func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -276,18 +271,6 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 		inj.SetEligibleRegistry(reg)
 	}
 
-	// Fold spills each shard's sorted hit run here the moment the shard
-	// finishes; the reduce streams the files back.
-	foldDir := ""
-	if cfg.Fold {
-		dir, err := os.MkdirTemp("", "doors-fold-")
-		if err != nil {
-			return nil, fmt.Errorf("campaign: fold spill dir: %w", err)
-		}
-		foldDir = dir
-		defer os.RemoveAll(dir)
-	}
-
 	// Pass B. The injector, registry, geo database, campaign and
 	// population view are all read-only across workers, and each worker
 	// writes only its own outs slot.
@@ -300,7 +283,7 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], counts[k], duration, foldDir)
+			outs[k] = runShard(c, pop, cfg, reg, gdb, inj, k, parts[k], counts[k], duration)
 		}(k, view, cfg, gdb, inj)
 	}
 	wg.Wait()
@@ -335,45 +318,20 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	}
 
 	// The merged result scanner: registry, addresses and stats, with no
-	// host and no world behind it. The in-memory merge materializes the
-	// merged buffers onto it; the fold reduce leaves them nil and
-	// streams the spilled runs instead.
+	// host and no world behind it. Unless Fold is set, the merged
+	// buffers go onto it too: targets concatenate in shard order; hits
+	// and partials — each shard's already a canonically sorted run after
+	// SealRuns — k-way merge stably by run index into exactly-sized
+	// buffers. A stable merge of per-shard stable sorts in shard order
+	// equals the stable sort of the concatenation, so the merged
+	// sequences are bit-identical however the campaign was split. One
+	// shard's buffers pass through uncopied, and an empty merged slice
+	// is nil at every shard count.
 	sc := &scanner.Scanner{
 		Addr4: outs[0].addr4, Addr6: outs[0].addr6,
 		Reg: reg, Cfg: planCfg, Stats: stats,
 	}
-	var in analysis.Input
-	if cfg.Fold {
-		// Hierarchical external merge: pre-merge the spilled shard runs
-		// in contiguous groups of mergeFanIn until one level fits, then
-		// stream the final k-way merge through the reducers. Contiguous
-		// grouping + run-index stability make any grouping byte-identical
-		// to the flat merge (see internal/runs).
-		paths := make([]string, len(outs))
-		for k, o := range outs {
-			paths[k] = o.runPath
-		}
-		paths, err := reduceRuns(foldDir, paths)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: fold pre-merge: %w", err)
-		}
-		in = analysis.Input{
-			ScannerAddrs:      []netip.Addr{sc.Addr4, sc.Addr6},
-			Reg:               reg,
-			Geo:               gdb,
-			LifetimeThreshold: cfg.LifetimeThreshold,
-			FollowUpCount:     cfg.Scanner.FollowUpCount,
-			Stream:            &analysis.Streams{Hits: foldHitStream(paths)},
-		}
-	} else {
-		// Targets concatenate in shard order; hits and partials — each
-		// shard's already a canonically sorted run after SealRuns — k-way
-		// merge stably by run index into exactly-sized buffers. A stable
-		// merge of per-shard stable sorts in shard order equals the
-		// stable sort of the concatenation, so the merged sequences are
-		// bit-identical however the campaign was split. One shard's
-		// buffers pass through uncopied, and an empty merged slice is
-		// nil at every shard count.
+	if !cfg.Fold {
 		sc.Targets, sc.Hits, sc.Partials = outs[0].targets, outs[0].hits, outs[0].partials
 		if len(outs) > 1 {
 			nT, nH, nP := 0, 0, 0
@@ -394,16 +352,11 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 			sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
 		}
 		sc.Targets, sc.Hits, sc.Partials = orNil(sc.Targets), orNil(sc.Hits), orNil(sc.Partials)
-		in = shardInput(sc, sc.Addr4, sc.Addr6, reg, gdb, cfg)
 	}
-	// MergeContexts re-binds the merged Input, so order-sensitive
-	// reducers read the canonical sequences, never shard-local order.
+	// The reducers read only the merged partitions, so the reduce's
+	// Input carries no buffers in any mode.
 	report := &analysis.Report{}
-	mctx := analysis.MergeContexts(in, ctxs)
-	mctx.Reduce(report, c.reducers())
-	if err := mctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: fold reduce: %w", err)
-	}
+	analysis.MergeContexts(analysisInput(sc.Addr4, sc.Addr6, reg, gdb, cfg), ctxs).Reduce(report, c.reducers())
 
 	result := &Result{
 		Campaign:   c,
@@ -427,18 +380,11 @@ func Run(pop ditl.Pop, cfg Config) (*Result, error) {
 	return result, nil
 }
 
-// shardInput assembles one shard's analysis input: its own buffers over
-// the shared registry and geo database. Partition's folds are
-// order-independent (set inserts and boolean ors keyed by target
-// address), so partitioning a shard's unsorted buffers yields the same
-// partial maps the canonical merged order would; the order-sensitive
-// reducers never see shard-local order because MergeContexts re-binds
-// the merged, canonically sorted Input before Reduce runs.
-func shardInput(sc *scanner.Scanner, addr4, addr6 netip.Addr, reg *routing.Registry, gdb *geo.DB, cfg Config) analysis.Input {
+// analysisInput is the analysis input over the shared registry and
+// geo database, with no observation buffers: runShard adds its shard's
+// sealed buffers for Partition, and the reduce needs none.
+func analysisInput(addr4, addr6 netip.Addr, reg *routing.Registry, gdb *geo.DB, cfg Config) analysis.Input {
 	return analysis.Input{
-		Hits:              sc.Hits,
-		Partials:          sc.Partials,
-		Targets:           sc.Targets,
 		ScannerAddrs:      []netip.Addr{addr4, addr6},
 		Reg:               reg,
 		Geo:               gdb,
@@ -456,11 +402,11 @@ func orNil[T any](s []T) []T {
 }
 
 // shardOut is everything the merge keeps from a finished shard: the
-// scanner's result buffers, the partitioned observations, and the
-// handful of world-level scalars the merge needs. The world itself —
-// resolvers, caches, zones, and the event queue — rides along unless
-// Stream or Fold is set; then it is garbage the moment the shard's
-// worker returns.
+// scanner's result buffers (nil under Fold), the partitioned
+// observations, and the handful of world-level scalars the merge needs.
+// The world itself — resolvers, caches, zones, and the event queue —
+// rides along unless Stream or Fold is set; then it is garbage the
+// moment the shard's worker returns.
 type shardOut struct {
 	targets      []scanner.Target
 	hits         []scanner.Hit
@@ -473,10 +419,7 @@ type shardOut struct {
 	crashes      int
 	// world is the shard's world (nil under Stream or Fold).
 	world *world.World
-	// runPath is the shard's spilled sorted hit run (Fold only;
-	// targets/hits/partials above stay nil in that mode).
-	runPath string
-	err     error
+	err   error
 }
 
 // admit streams the shard's candidates straight off the population
@@ -489,11 +432,10 @@ func admit(sc *scanner.Scanner, pop ditl.Pop, indices []int) {
 
 // runShard simulates one shard end to end: build its world and admit in
 // one sweep, plan (which must match pass A's count), schedule, churn and
-// chaos, observe, run, seal, partition — and, when foldDir is set, spill
-// the sealed hit run to disk and drop the buffers. The world rides out
-// on the shardOut unless Stream or Fold is set; otherwise everything but
-// the shardOut is garbage when it returns.
-func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, count int, duration time.Duration, foldDir string) *shardOut {
+// chaos, observe, run, seal and partition. The sealed buffers ride out
+// on the shardOut unless Fold is set, and the world unless Stream or
+// Fold is; everything else is garbage when it returns.
+func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, count int, duration time.Duration) *shardOut {
 	// Admission needs only the registry, so the scanner admits as a
 	// planner while the world builds and takes its host afterwards.
 	sc := scanner.NewPlanner(reg, cfg.Scanner)
@@ -536,121 +478,19 @@ func runShard(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb 
 	}
 	w.Net.Run()
 	sc.SealRuns()
-	out.ctx = analysis.Partition(shardInput(sc, w.ScannerAddr4, w.ScannerAddr6, reg, gdb, cfg))
+	in := analysisInput(w.ScannerAddr4, w.ScannerAddr6, reg, gdb, cfg)
+	in.Hits, in.Partials, in.Targets = sc.Hits, sc.Partials, sc.Targets
+	out.ctx = analysis.Partition(in)
 	out.rstats = w.ResolverStats()
 	out.stats = sc.Stats
 	out.addr4, out.addr6 = w.ScannerAddr4, w.ScannerAddr6
 	if !cfg.DisableInvariants {
 		out.inv = w.Invariants.Report()
 	}
-	if foldDir != "" {
-		// Partition has folded everything it needs; the sorted hit run
-		// spills and the shard's buffers die with this frame. Partials
-		// need no spill (folded into the per-shard qmin sets), nor does
-		// the target list (counted per AS).
-		path := filepath.Join(foldDir, fmt.Sprintf("shard-%05d.run", k))
-		if err := scanner.WriteHitRun(path, sc.Hits); err != nil {
-			return &shardOut{err: err}
-		}
-		out.runPath = path
-	} else {
+	if !cfg.Fold {
 		out.targets, out.hits, out.partials = sc.Targets, sc.Hits, sc.Partials
 	}
 	return out
-}
-
-// mergeFanIn bounds how many run files the fold reduce holds open at
-// once. Package variable so the grouping-invariance test can shrink it;
-// any value ≥ 2 produces byte-identical output.
-var mergeFanIn = 16
-
-// reduceRuns pre-merges the spilled shard runs in contiguous groups of
-// mergeFanIn, level by level, deleting each level's inputs, until at
-// most mergeFanIn files remain for the final streaming merge.
-func reduceRuns(dir string, paths []string) ([]string, error) {
-	for gen := 0; len(paths) > mergeFanIn; gen++ {
-		next := make([]string, 0, (len(paths)+mergeFanIn-1)/mergeFanIn)
-		for i := 0; i < len(paths); i += mergeFanIn {
-			group := paths[i:min(i+mergeFanIn, len(paths))]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			out := filepath.Join(dir, fmt.Sprintf("merge-%d-%05d.run", gen, i/mergeFanIn))
-			if err := mergeRunFiles(out, group); err != nil {
-				return nil, err
-			}
-			for _, p := range group {
-				os.Remove(p)
-			}
-			next = append(next, out)
-		}
-		paths = next
-	}
-	return paths, nil
-}
-
-// mergeRunFiles streams the stable k-way merge of the input run files
-// into a new run file. Peak residency: one decoded hit per input plus
-// the buffered writers.
-func mergeRunFiles(outPath string, inPaths []string) error {
-	w, err := scanner.CreateHitRun(outPath)
-	if err != nil {
-		return err
-	}
-	if err := drainRuns(inPaths, w.Write); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// foldHitStream returns the re-drainable merged hit stream over the
-// final level of run files.
-func foldHitStream(paths []string) func(yield func(h *scanner.Hit)) error {
-	return func(yield func(h *scanner.Hit)) error {
-		return drainRuns(paths, func(h *scanner.Hit) error {
-			yield(h)
-			return nil
-		})
-	}
-}
-
-// drainRuns opens the run files, streams their stable k-way merge
-// through fn one hit at a time, and closes them. fn's *Hit is valid
-// only for the call.
-func drainRuns(paths []string, fn func(h *scanner.Hit) error) error {
-	srcs := make([]runs.Source[scanner.Hit], len(paths))
-	readers := make([]*scanner.HitRunReader, len(paths))
-	defer func() {
-		for _, rd := range readers {
-			if rd != nil {
-				rd.Close()
-			}
-		}
-	}()
-	for i, p := range paths {
-		rd, err := scanner.OpenHitRun(p)
-		if err != nil {
-			return err
-		}
-		readers[i], srcs[i] = rd, rd
-	}
-	m := runs.NewMerger(scanner.LessHit, srcs...)
-	// One Hit for the whole drain: a per-iteration variable would put
-	// every hit on the heap, since fn sees its address.
-	var h scanner.Hit
-	for {
-		var ok bool
-		h, ok = m.Next()
-		if !ok {
-			break
-		}
-		if err := fn(&h); err != nil {
-			return err
-		}
-	}
-	return m.Err()
 }
 
 // V6HitList derives the IPv6 hit list (§3.2, [21]) from the population:

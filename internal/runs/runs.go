@@ -1,16 +1,16 @@
 // Package runs is the deterministic k-way merge core of the survey's
 // result path. A "run" is a canonically sorted sequence of observations
-// — one shard's hits or partials, sealed by scanner.SealRuns, held
-// in memory or spilled to a run file. Merging runs with a stable
-// run-index tie-break reproduces, byte for byte, what a stable sort of
-// the runs' concatenation (in run order) would produce: equal items
-// come out in run order, and items within a run stay in run order. That
-// equivalence is what lets the campaign runner replace its
-// concatenate-then-sort merge with a streaming merge whose peak
-// residency is one head item per open run, and it holds under any
-// contiguous grouping of the runs (pairwise or fan-in pre-merges), so a
-// hierarchical merge is byte-identical to a flat one — the associativity
-// property pinned by this package's tests.
+// — one shard's hits or partials, sealed by scanner.SealRuns. Merging
+// runs with a stable run-index tie-break reproduces, byte for byte,
+// what a stable sort of the runs' concatenation (in run order) would
+// produce: equal items come out in run order, and items within a run
+// stay in run order. That equivalence is what lets the campaign runner
+// merge the shards' sealed runs into Result.Scanner's buffers
+// (MergeSlices) instead of concatenating and re-sorting them. It holds
+// under any contiguous grouping of the runs, so nested Mergers are
+// byte-identical to a flat one — the associativity property pinned by
+// this package's tests, on which perfbench's traced replay relies when
+// it pre-merges its spilled run files.
 package runs
 
 // Source yields the items of one sorted run in order. Next returns the
@@ -128,7 +128,7 @@ func (m *Merger[T]) Next() (T, bool) {
 	}
 	top := m.heap[0]
 	v := m.heads[top]
-	//lint:allow hotalloc -- Source is the run-cursor seam (slice, run file, or nested Merger); the dynamic call allocates nothing on the slice and merger paths, and the file cursor's buffered reads are the spill engine's cost by design
+	//lint:allow hotalloc -- Source is the run-cursor seam (slice, nested Merger, or perfbench's run-file reader); the dynamic call allocates nothing on the slice and merger paths the engine drains
 	nv, ok := m.srcs[top].Next()
 	if ok {
 		m.heads[top] = nv
@@ -176,33 +176,4 @@ func MergeSlices[T any](dst []T, less func(a, b *T) bool, rs ...[]T) []T {
 		}
 		dst = append(dst, v)
 	}
-}
-
-// MergeGrouped merges sorted runs hierarchically: contiguous groups of
-// up to fanIn runs pre-merge into intermediate runs, repeatedly, until
-// one remains. Because the tie-break is by run index and groups are
-// contiguous, the result is byte-identical to a flat MergeSlices — the
-// grouping only bounds how many runs are live per merge step. fanIn < 2
-// merges flat.
-func MergeGrouped[T any](less func(a, b *T) bool, fanIn int, rs ...[]T) []T {
-	n := 0
-	for _, r := range rs {
-		n += len(r)
-	}
-	if fanIn < 2 || len(rs) <= fanIn {
-		return MergeSlices(make([]T, 0, n), less, rs...)
-	}
-	level := make([][]T, 0, (len(rs)+fanIn-1)/fanIn)
-	for lo := 0; lo < len(rs); lo += fanIn {
-		hi := lo + fanIn
-		if hi > len(rs) {
-			hi = len(rs)
-		}
-		gn := 0
-		for _, r := range rs[lo:hi] {
-			gn += len(r)
-		}
-		level = append(level, MergeSlices(make([]T, 0, gn), less, rs[lo:hi]...))
-	}
-	return MergeGrouped(less, fanIn, level...)
 }

@@ -61,24 +61,6 @@ func TestMergeSlicesMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestMergeGroupedAssociativity is the hierarchical-merge associativity
-// property: any contiguous grouping (any fan-in, applied recursively)
-// yields the same bytes as the flat merge — and therefore as the stable
-// sort of the concatenation.
-func TestMergeGroupedAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		rs := randomRuns(rng, 1+rng.Intn(17), 15, 4)
-		want := reference(rs)
-		for _, fanIn := range []int{2, 3, 5, 16} {
-			got := MergeGrouped(lessItem, fanIn, rs...)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d fanIn %d: grouped merge diverged\n got %v\nwant %v", trial, fanIn, got, want)
-			}
-		}
-	}
-}
-
 // TestMergerComposes nests Mergers as Sources: a two-level tree over
 // contiguous groups must equal the flat merge.
 func TestMergerComposes(t *testing.T) {

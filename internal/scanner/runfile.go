@@ -14,19 +14,19 @@ import (
 	"repro/internal/routing"
 )
 
-// Run files are the spill format of the fold engine: one shard's hits,
-// already in canonical LessHit order (SealRuns), encoded compactly so
-// the campaign's final merge can stream them back through the reducers
-// without ever holding more than one decoded hit per open run. The
-// encoding is self-delimiting per hit — varints for the time and
-// numeric fields, length-prefixed address bytes (4/16, preserving the
-// v4 / v6 / 4-in-6 distinction exactly), and the captured TCP SYN as
-// its original wire bytes, reconstructed through packet.Decode on read
-// so fingerprinting sees the same packet it would have seen in memory.
-//
-// Partial hits never need a spill format: Partition folds each shard's
-// partials into the per-shard QNAME-minimization sets, after which no
-// reducer reads raw partials.
+// Run files are the spill format of perfbench's traced replay
+// (perfbench/replay.go), which still spills each shard's hits under
+// Fold and streams them back: one shard's hits, already in canonical
+// LessHit order (SealRuns), encoded compactly so a merge of them never
+// holds more than one decoded hit per open run. The encoding is
+// self-delimiting per hit — varints for the time and numeric fields,
+// length-prefixed address bytes (4/16, preserving the v4 / v6 / 4-in-6
+// distinction exactly), and the captured TCP SYN as its original wire
+// bytes, reconstructed through packet.Decode on read so fingerprinting
+// sees the same packet it would have seen in memory. The campaign
+// engine writes none: Partition folds each shard's hits before the
+// shard's buffers go. The format stays only for that replay and goes
+// with it.
 
 // runMagic guards against feeding an unrelated file to the merge.
 const runMagic = "DRUN1"

@@ -11,7 +11,8 @@
 # a heap profile next to the JSON output (<out>.memprofile):
 #   - BenchmarkHeadlineReachability1M: 1M+ targets, streaming engine
 #   - BenchmarkHeadlineReachabilityPaperScale: ~12M targets (the
-#     paper's full §3 scale), fold engine (external-merge reduce)
+#     paper's full §3 scale), fold engine (per-shard folds, no merged
+#     buffers)
 #
 # With a baseline JSON argument (a previous run's output), the script
 # also guards against regressions: if the new

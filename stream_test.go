@@ -70,11 +70,11 @@ func TestStreamingMatchesRetained(t *testing.T) {
 }
 
 // TestFoldMatchesRetained pins the fold engine's guarantee: a survey
-// run under Config.Fold — shard hit runs spilled to disk, the reduce
-// streaming their hierarchical merge through the reducers, the targets
-// counted per AS — produces the identical Report, stats and scalars as
-// the retained engine, at several shard counts up to more shards than
-// ASes, with the merged buffers never materialized.
+// run under Config.Fold — each shard's hits and targets folded into its
+// partition, the reduce reading only the merged partitions — produces
+// the identical Report, stats and scalars as the retained engine, at
+// several shard counts up to more shards than ASes, with the merged
+// buffers never materialized.
 func TestFoldMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
