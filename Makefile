@@ -94,10 +94,13 @@ perfbench-smoke:
 # Resolver conformance: the differential suite proving the resolver
 # event-for-event identical to the frozen monolith
 # (internal/resolver/monolith) across the query × config × fault
-# matrix, plus the crash-flush and retransmission-key tests, all under
-# the race detector.
+# matrix, query by query and as bursts with every query in flight
+# (TestConformanceBurstMatchesMonolith, selected by the TestConformance
+# prefix), plus the crash-flush and retransmission-key tests and 200
+# simultaneous client queries on recycled records, all under the race
+# detector.
 conformance:
-	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending' -v ./internal/resolver
+	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending|TestManySimultaneousClientQueries' -v ./internal/resolver
 
 # Production Go line count: non-test .go files outside testdata/ and the
 # benchmark module (perfbench/), the figure tracked next to ns/op.

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	dsavsurvey [-ases N] [-seed N] [-rate QPS] [-loss P] [-shards K]
-//	           [-campaign NAME] [-phases LIST]
-//	           [-fold] [-maxparallel N]
+//	           [-campaign NAME] [-phases LIST] [-maxparallel N]
 //	           [-wildcard] [-alldsav] [-nodsav] [-figures]
 //	           [-chaos] [-invariants=false]
 //	           [-cpuprofile FILE] [-memprofile FILE]
@@ -43,7 +42,6 @@ func main() {
 		shards   = flag.Int("shards", -1, "parallel simulation shards (-1 = one per CPU, 1 = serial); results are identical at any value")
 		chaosOn  = flag.Bool("chaos", false, "inject the deterministic fault schedule (link flap, dup/reorder/corrupt, resolver crashes, clock skew)")
 		invar    = flag.Bool("invariants", true, "check simulation invariants on every delivery and cache event")
-		fold     = flag.Bool("fold", false, "keep no merged hit, partial or target buffers: each shard's observations fold into its partition and the reduce reads only those, so peak memory stays per-shard through the report")
 		maxPar   = flag.Int("maxparallel", 0, "max concurrently running shard simulations (0 = one per CPU), the peak-memory knob")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -89,6 +87,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The survey prints only the scanner's counters and the Report, so
+	// it keeps neither the shard worlds (Stream) nor the merged hit,
+	// partial and target buffers (Fold): each shard's observations fold
+	// into its partition, and peak memory stays per-shard through the
+	// report.
 	cfg := doors.SurveyConfig{
 		Campaign:   c,
 		Population: ditl.Params{Seed: *seed, ASes: *ases},
@@ -99,7 +102,7 @@ func main() {
 		Scanner:           scanner.Config{Seed: *seed + 2, Rate: *rate},
 		Shards:            *shards,
 		Stream:            true,
-		Fold:              *fold,
+		Fold:              true,
 		MaxParallel:       *maxPar,
 		DisableInvariants: !*invar,
 	}
@@ -116,8 +119,8 @@ func main() {
 	for i, ph := range s.Campaign.Phases {
 		names[i] = ph.Name()
 	}
-	// Under -fold the merged buffers are never materialized; the stats
-	// counters carry the same totals.
+	// The merged buffers are never materialized; the stats counters
+	// carry their totals.
 	fmt.Printf("Campaign %q (phases: %s): %d probes over %v of virtual time; %d hits, %d partial (QNAME-minimized) hits\n\n",
 		s.Campaign.Name, strings.Join(names, " → "),
 		s.Probes, s.Duration, s.Scanner.Stats.HitsObserved, s.Scanner.Stats.PartialHitsObserved)

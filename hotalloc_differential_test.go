@@ -136,7 +136,10 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	})
 
 	// Resolver admission: the ACL walk is the first hop of every
-	// client query.
+	// client query. The resolver's unexported hot paths, the server
+	// pick and the ephemeral port's bind and release, are pinned by its
+	// own package's tests (TestPickServerAllocations,
+	// TestBindPortAllocations).
 	acl := resolver.ACL{Allowed: []netip.Prefix{
 		netip.MustParsePrefix("192.0.2.0/24"),
 		netip.MustParsePrefix("2001:db8::/32"),

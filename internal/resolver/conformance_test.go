@@ -7,7 +7,10 @@ package resolver
 // snapshot — and the two runs must be event-for-event identical: every
 // packet the network delivers or drops (netsim.Tracer), every question
 // the authoritative server logs, every client response, every
-// cache-observer event, and the final Stats counters. This is the
+// cache-observer event, and the final Stats counters. Every cell runs
+// twice: once query by query, and once as a burst with every query in
+// flight at once, so that the resolver's recycled job and attempt
+// records overlap under loss, TCP retry and crashes. This is the
 // permanent regression suite pinning the resolver's behaviour; see
 // DESIGN.md §11.
 
@@ -76,17 +79,28 @@ type confScenario struct {
 	queries  []confQuery
 }
 
-// confFault is one cell of the fault axis.
+// confFault is one cell of the fault axis. crashAt times the crashes
+// of a query-by-query run, which fall after the first query has been
+// answered and so abandon nothing. burstCrashAt times those of a
+// burst: its queries reach the resolver 10-30 ms in and the last
+// answer of a clean open-iterative burst leaves about 210 ms in, so
+// both crashes fall mid-resolution, with upstream queries pending and
+// a TCP retry under way in most scenarios.
 type confFault struct {
-	name    string
-	loss    float64
-	crashAt []time.Duration
+	name         string
+	loss         float64
+	crashAt      []time.Duration
+	burstCrashAt []time.Duration
 }
 
 var confFaults = []confFault{
 	{name: "clean"},
 	{name: "loss", loss: 0.25},
-	{name: "crash", crashAt: []time.Duration{800 * time.Millisecond, 2500 * time.Millisecond}},
+	{
+		name:         "crash",
+		crashAt:      []time.Duration{800 * time.Millisecond, 2500 * time.Millisecond},
+		burstCrashAt: []time.Duration{140 * time.Millisecond, 200 * time.Millisecond},
+	},
 }
 
 func uniformPorts() PortAllocator {
@@ -228,12 +242,15 @@ func confScenarios() []confScenario {
 }
 
 // confTrace is everything one run emits, normalized to strings.
+// abandoned, counted for the resolver only, is how many pending
+// upstream queries its crashes abandoned.
 type confTrace struct {
 	wire      []string
 	authLog   []string
 	responses []string
 	cacheTr   []string
 	stats     map[string]uint64
+	abandoned int
 }
 
 // confWorld is the twin fixture: the resolver_test.go hierarchy plus a
@@ -350,10 +367,14 @@ func buildConfWorld(t *testing.T, sc confScenario, f confFault) *confWorld {
 
 // runConf drives one scenario × fault cell against one implementation
 // and returns its normalized trace. impl is "resolver" or "monolith".
-func runConf(t *testing.T, impl string, sc confScenario, f confFault) *confTrace {
+// Query i goes out from client port 40000+i. Without burst, each query
+// runs to completion before the next is sent; with it, every query is
+// sent at once and the network runs once.
+func runConf(t *testing.T, impl string, sc confScenario, f confFault, burst bool) *confTrace {
 	t.Helper()
 	w := buildConfWorld(t, sc, f)
 	obs := &traceObs{}
+	tr := &confTrace{}
 	cfg := sc.cfg(obs)
 	var (
 		crash func(time.Duration)
@@ -369,7 +390,10 @@ func runConf(t *testing.T, impl string, sc confScenario, f confFault) *confTrace
 		if err != nil {
 			t.Fatal(err)
 		}
-		crash = r.Crash
+		crash = func(now time.Duration) {
+			tr.abandoned += len(r.pending)
+			r.Crash(now)
+		}
 		stats = func() map[string]uint64 {
 			s := r.Stats
 			return map[string]uint64{
@@ -411,28 +435,31 @@ func runConf(t *testing.T, impl string, sc confScenario, f confFault) *confTrace
 		t.Fatalf("unknown impl %q", impl)
 	}
 
-	for _, at := range f.crashAt {
-		at := at
+	crashAt := f.crashAt
+	if burst {
+		crashAt = f.burstCrashAt
+	}
+	for _, at := range crashAt {
 		w.net.Q.After(at, func(now time.Duration) { crash(now) })
 	}
 
-	tr := &confTrace{}
 	queries := sc.queries
 	if queries == nil {
 		queries = confQueries
 	}
+	resps := make([]string, len(queries))
 	for i, q := range queries {
 		port := uint16(40000 + i)
-		var resp string
 		w.client.BindUDP(port, func(now time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, payload []byte) {
 			m, err := dnswire.Unpack(payload)
 			if err != nil || !m.QR {
 				return
 			}
-			resp = fmt.Sprintf("t=%d rcode=%d answers=%d", now, m.RCode, len(m.Answer))
+			resp := fmt.Sprintf("t=%d rcode=%d answers=%d", now, m.RCode, len(m.Answer))
 			for _, rr := range m.Answer {
 				resp += fmt.Sprintf(" [%s %d ttl=%d %v %s]", rr.Name, rr.Type, rr.TTL, rr.Addr, rr.Target)
 			}
+			resps[i] = resp
 		})
 		msg := dnswire.NewQuery(uint16(1000+i), q.name, q.qtype)
 		payload, err := msg.Pack()
@@ -442,11 +469,16 @@ func runConf(t *testing.T, impl string, sc confScenario, f confFault) *confTrace
 		if err := w.client.SendUDP(addr("192.0.2.10"), port, addr("198.51.100.53"), 53, payload); err != nil {
 			t.Fatal(err)
 		}
-		w.net.Run()
-		w.client.UnbindUDP(port)
-		tr.responses = append(tr.responses, fmt.Sprintf("q%d %s/%d -> %s", i, q.name, q.qtype, resp))
+		if !burst {
+			w.net.Run()
+			w.client.UnbindUDP(port)
+		}
 	}
-	w.net.Run() // drain any crash timers past the last query
+	w.net.Run() // drain the burst, or any crash timers past the last query
+	for i, q := range queries {
+		w.client.UnbindUDP(uint16(40000 + i))
+		tr.responses = append(tr.responses, fmt.Sprintf("q%d %s/%d -> %s", i, q.name, q.qtype, resps[i]))
+	}
 
 	for _, e := range w.tracer.Events() {
 		tr.wire = append(tr.wire, e.String())
@@ -481,28 +513,51 @@ func diffStrings(t *testing.T, kind string, mono, res []string) {
 	}
 }
 
+// diffConf requires the resolver's trace of a cell to equal the
+// monolith's, event for event.
+func diffConf(t *testing.T, mono, res *confTrace) {
+	t.Helper()
+	diffStrings(t, "wire", mono.wire, res.wire)
+	diffStrings(t, "auth-log", mono.authLog, res.authLog)
+	diffStrings(t, "client-responses", mono.responses, res.responses)
+	diffStrings(t, "cache-trace", mono.cacheTr, res.cacheTr)
+	for k, mv := range mono.stats {
+		if rv := res.stats[k]; rv != mv {
+			t.Errorf("Stats.%s: monolith=%d resolver=%d", k, mv, rv)
+		}
+	}
+	if t.Failed() {
+		t.Logf("monolith emitted %d wire events, resolver %d", len(mono.wire), len(res.wire))
+	}
+}
+
 // TestConformanceLayeredMatchesMonolith is the differential suite: the
 // full scenario × fault matrix, twin worlds, event-for-event equality.
 func TestConformanceLayeredMatchesMonolith(t *testing.T) {
 	for _, sc := range confScenarios() {
 		for _, f := range confFaults {
-			sc, f := sc, f
 			t.Run(sc.name+"/"+f.name, func(t *testing.T) {
-				mono := runConf(t, "monolith", sc, f)
-				res := runConf(t, "resolver", sc, f)
+				diffConf(t, runConf(t, "monolith", sc, f, false), runConf(t, "resolver", sc, f, false))
+			})
+		}
+	}
+}
 
-				diffStrings(t, "wire", mono.wire, res.wire)
-				diffStrings(t, "auth-log", mono.authLog, res.authLog)
-				diffStrings(t, "client-responses", mono.responses, res.responses)
-				diffStrings(t, "cache-trace", mono.cacheTr, res.cacheTr)
-				for k, mv := range mono.stats {
-					if rv := res.stats[k]; rv != mv {
-						t.Errorf("Stats.%s: monolith=%d resolver=%d", k, mv, rv)
-					}
-				}
-				if t.Failed() {
-					t.Logf("scenario %s fault %s: monolith emitted %d wire events, resolver %d",
-						sc.name, f.name, len(mono.wire), len(res.wire))
+// TestConformanceBurstMatchesMonolith replays the same matrix with every
+// query of a cell in flight at once. Jobs and upstream attempts then
+// overlap, so the resolver takes records that other queries' exchanges
+// gave back while they still run, under loss, TCP retry and crashes.
+// The crash cells time their crashes inside the burst, and between them
+// they must abandon pending queries wherever the scenario sends any
+// upstream.
+func TestConformanceBurstMatchesMonolith(t *testing.T) {
+	for _, sc := range confScenarios() {
+		for _, f := range confFaults {
+			t.Run(sc.name+"/"+f.name, func(t *testing.T) {
+				mono, res := runConf(t, "monolith", sc, f, true), runConf(t, "resolver", sc, f, true)
+				diffConf(t, mono, res)
+				if len(f.burstCrashAt) > 0 && res.stats["UpstreamQueries"] > 0 && res.abandoned == 0 {
+					t.Errorf("crashes at %v abandoned no pending query", f.burstCrashAt)
 				}
 			})
 		}

@@ -266,10 +266,10 @@ func TestManySimultaneousClientQueries(t *testing.T) {
 
 // TestRetransmitNeverOverwritesPending fills every transaction ID of a
 // fixed port with a pending query, then retransmits on that port. No
-// free key exists, so the retransmission must give up with SERVFAIL
-// rather than take over another query's entry: a replaced entry would
-// drop that query's response and its timeout would delete the
-// retransmission's key.
+// free key exists, so the retransmission must give up with SERVFAIL,
+// putting its record back on the free list, rather than take over
+// another query's entry: a replaced entry would drop that query's
+// response and its timeout would delete the retransmission's key.
 func TestRetransmitNeverOverwritesPending(t *testing.T) {
 	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 5300}, Seed: 58})
 	r := h.res
@@ -290,7 +290,9 @@ func TestRetransmitNeverOverwritesPending(t *testing.T) {
 		client: addr("192.0.2.10"), clientPort: 5353, local: addr("198.51.100.53"),
 		id: 7, qname: "retx.dns-lab.org", qtype: dnswire.TypeA, depth: r.cfg.MaxSteps,
 	}
-	r.retransmit(&outstanding{job: j, server: addr("192.0.9.1"), qname: j.qname, qtype: j.qtype, attempt: 1})
+	out := r.newAttempt()
+	out.job, out.server, out.qname, out.qtype, out.attempt, out.done = j, addr("192.0.9.1"), j.qname, j.qtype, 1, true
+	r.retransmit(out)
 	h.net.Run()
 
 	for id, out := range held {
@@ -301,6 +303,9 @@ func TestRetransmitNeverOverwritesPending(t *testing.T) {
 	}
 	if got == nil || got.RCode != dnswire.RCodeServFail {
 		t.Fatalf("resp = %+v, want SERVFAIL when no transaction ID is free", got)
+	}
+	if n := len(r.attempts); n != 1 || r.attempts[0] != out || out.job != nil {
+		t.Fatalf("the failed retransmission left %d records on the free list, want its own, emptied", n)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/detrand"
 	"repro/internal/dnswire"
+	"repro/internal/eventq"
 	"repro/internal/netsim"
 )
 
@@ -142,6 +143,10 @@ type Resolver struct {
 	// to port 53 and every ephemeral port, so a bind allocates no
 	// method value.
 	handler netsim.UDPHandler
+	// jobs and attempts are the free lists of job and attempt records
+	// whose exchanges have ended (see job and outstanding).
+	jobs     []*job
+	attempts []*outstanding
 
 	// The resolver handles one datagram at a time, so one decoded
 	// message, one outgoing message and one packed buffer serve every
@@ -158,8 +163,15 @@ type pendKey struct {
 	id   uint16
 }
 
-// outstanding is one in-flight upstream query.
+// outstanding is one in-flight upstream query over UDP, first attempt
+// and retransmissions alike: a retransmission reuses the record whose
+// attempt timed out. The resolver recycles a record when its timeout
+// event runs and arms no retransmission. That event is always the
+// record's last holder: pending drops an entry as soon as it is
+// answered, timed out or abandoned by Crash, and a record marked done
+// never reads its job again.
 type outstanding struct {
+	r        *Resolver
 	job      *job
 	key      pendKey
 	server   netip.Addr
@@ -169,9 +181,14 @@ type outstanding struct {
 	attempt  int
 	rd       bool // recursive (forwarded) rather than iterative
 	done     bool
+	expire   eventq.Event // timeout, bound once per record
 }
 
-// job is one client query being resolved.
+// job is one client query being resolved. It has at most one live
+// upstream attempt at a time, and it finishes only when it has none:
+// before its first, or once the last was answered or timed out. finish
+// therefore recycles it once the reply is sent. A job whose attempt
+// Crash abandons never finishes; it is dropped.
 type job struct {
 	client     netip.Addr
 	clientPort uint16
@@ -184,7 +201,6 @@ type job struct {
 	depth        int  // remaining resolution steps (MaxSteps budget)
 	minConfirmed int  // labels proven to exist (QNAME minimization)
 	fullFallback bool // lenient qmin switched to full-name queries
-	finished     bool
 }
 
 // New binds a resolver to host. roots are the root server addresses
@@ -252,7 +268,14 @@ func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, d
 		out.done = true
 		delete(r.pending, key)
 		r.releasePort(dstPort)
-		r.onResponse(out, msg, false)
+		// Truncated: retry the same query over TCP (RFC 7766), the
+		// behaviour the experiment's TC follow-up elicits to capture a
+		// SYN (§3.5).
+		if msg.TC {
+			r.queryTCP(out.job, out.server, out.qname, out.qtype)
+			return
+		}
+		r.onResponse(out.job, out.qname, out.qtype, msg)
 		return
 	}
 	r.handleQuery(src, srcPort, dst, msg)
@@ -288,12 +311,24 @@ func (r *Resolver) handleQuery(src netip.Addr, srcPort uint16, local netip.Addr,
 		r.reply(src, srcPort, local, rep)
 		return
 	}
-	j := &job{
+	j := r.newJob()
+	*j = job{
 		client: src, clientPort: srcPort, local: local,
 		id: msg.ID, rd: msg.RD, qname: q.Name, qtype: q.Type,
 		depth: r.cfg.MaxSteps,
 	}
 	r.step(j)
+}
+
+// newJob takes a job record off the free list, or makes one.
+func (r *Resolver) newJob() *job {
+	k := len(r.jobs)
+	if k == 0 {
+		return new(job)
+	}
+	j := r.jobs[k-1]
+	r.jobs = r.jobs[:k-1]
+	return j
 }
 
 // reply sends a response message to a client.
@@ -330,12 +365,9 @@ func (r *Resolver) message(id uint16, rd bool, name dnswire.Name, t dnswire.Type
 	return m
 }
 
-// finish responds to the job's client and marks it complete.
+// finish responds to the job's client and puts the job back on the
+// free list, clearing its name.
 func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
-	if j.finished {
-		return
-	}
-	j.finished = true
 	r.Stats.Responded++
 	if rcode == dnswire.RCodeServFail {
 		r.Stats.ServFail++
@@ -349,14 +381,13 @@ func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 		rep.Answer = append(rep.Answer, rr)
 	}
 	r.reply(j.client, j.clientPort, j.local, rep)
+	j.qname = ""
+	r.jobs = append(r.jobs, j)
 }
 
 // step advances j by one resolution step, spending one unit of its
 // depth budget; an exhausted budget ends the job with SERVFAIL.
 func (r *Resolver) step(j *job) {
-	if j.finished {
-		return
-	}
 	j.depth--
 	if j.depth < 0 {
 		r.finish(j, dnswire.RCodeServFail, nil)
@@ -446,18 +477,31 @@ func suffixLabels(name dnswire.Name, k int) dnswire.Name {
 }
 
 // pickServer chooses a server address reachable from the host's address
-// families.
+// families: it counts the usable servers, draws k = rng.Intn(count) and
+// returns the k-th usable one in list order.
+//
+//doors:hotpath
 func (r *Resolver) pickServer(servers []netip.Addr) (netip.Addr, bool) {
-	var usable []netip.Addr
+	has4, has6 := r.Host.Addr(false).IsValid(), r.Host.Addr(true).IsValid()
+	n := 0
 	for _, s := range servers {
-		if r.Host.Addr(s.Is6()).IsValid() {
-			usable = append(usable, s)
+		if s.Is6() && has6 || !s.Is6() && has4 {
+			n++
 		}
 	}
-	if len(usable) == 0 {
+	if n == 0 {
 		return netip.Addr{}, false
 	}
-	return usable[r.rng.Intn(len(usable))], true
+	k := r.rng.Intn(n) //lint:allow hotalloc -- a draw goes through *rand.Rand's Source interface; detrand's source draws allocation-free, and TestPickServerAllocations pins this function at 0
+	for _, s := range servers {
+		if s.Is6() && has6 || !s.Is6() && has4 {
+			if k == 0 {
+				return s, true
+			}
+			k--
+		}
+	}
+	panic("resolver: pickServer lost its draw")
 }
 
 func (r *Resolver) bindPort(port uint16) bool {
@@ -519,21 +563,44 @@ func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, q
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	out := &outstanding{job: j, key: key, server: server, qname: qname, wireName: wireName, qtype: qtype, rd: rd}
+	out := r.newAttempt()
+	out.job, out.key, out.server, out.qname, out.wireName, out.qtype, out.rd = j, key, server, qname, wireName, qtype, rd
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
 	r.Host.SendUDP(local, key.port, server, 53, payload)
-	r.armTimeout(out)
+	r.Host.Network().Q.After(r.cfg.Timeout, out.expire)
 }
 
-// retransmit re-issues an attempt with a fresh port and transaction ID.
+// newAttempt takes an attempt record off the free list, or makes one
+// with its timeout event bound, and marks it a live first attempt.
+func (r *Resolver) newAttempt() *outstanding {
+	var out *outstanding
+	if k := len(r.attempts); k > 0 {
+		out = r.attempts[k-1]
+		r.attempts = r.attempts[:k-1]
+	} else {
+		out = &outstanding{r: r}
+		out.expire = out.timeout
+	}
+	out.attempt, out.done = 0, false
+	return out
+}
+
+// freeAttempt puts a done attempt record back on the free list,
+// dropping its job and names.
+func (r *Resolver) freeAttempt(out *outstanding) {
+	out.job, out.qname, out.wireName = nil, "", ""
+	r.attempts = append(r.attempts, out)
+}
+
+// retransmit re-issues out's query on the same record with a fresh port
+// and transaction ID, and re-arms its timeout; when no key is free it
+// puts the record back and fails the job.
 func (r *Resolver) retransmit(out *outstanding) {
 	j := out.job
-	if j.finished {
-		return
-	}
 	key, ok := r.newKey(r.cfg.Ports.Next())
 	if !ok || !r.bindPort(key.port) {
+		r.freeAttempt(out)
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
@@ -544,58 +611,51 @@ func (r *Resolver) retransmit(out *outstanding) {
 	payload, err := r.pack(r.message(key.id, out.rd, out.wireName, out.qtype))
 	if err != nil {
 		r.releasePort(key.port)
+		r.freeAttempt(out)
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	out.key = key
+	out.key, out.done = key, false
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
 	local := r.Host.Addr(out.server.Is6())
 	r.Host.SendUDP(local, key.port, out.server, 53, payload)
-	r.armTimeout(out)
+	r.Host.Network().Q.After(r.cfg.Timeout, out.expire)
 }
 
-// armTimeout schedules out's timeout: an attempt still unanswered is
-// abandoned, then retransmitted while retries remain, and its job ends
-// in SERVFAIL once they are spent.
-func (r *Resolver) armTimeout(out *outstanding) {
-	r.Host.Network().Q.After(r.cfg.Timeout, func(now time.Duration) {
-		if out.done {
-			return
-		}
-		out.done = true
-		delete(r.pending, out.key)
-		r.releasePort(out.key.port)
-		r.Stats.Timeouts++
-		if out.attempt < r.cfg.Retries {
-			r.retransmit(&outstanding{job: out.job, server: out.server, qname: out.qname, qtype: out.qtype, attempt: out.attempt + 1, rd: out.rd})
-			return
-		}
-		r.finish(out.job, dnswire.RCodeServFail, nil)
-	})
+// timeout is out's timeout event. An attempt still unanswered is
+// abandoned, then retransmitted on the same record while retries
+// remain, and its job ends in SERVFAIL once they are spent. An attempt
+// already answered or abandoned just gives its record back.
+func (out *outstanding) timeout(time.Duration) {
+	r := out.r
+	if out.done {
+		r.freeAttempt(out)
+		return
+	}
+	out.done = true
+	delete(r.pending, out.key)
+	r.releasePort(out.key.port)
+	r.Stats.Timeouts++
+	if out.attempt < r.cfg.Retries {
+		out.attempt++
+		r.retransmit(out)
+		return
+	}
+	j := out.job
+	r.freeAttempt(out)
+	r.finish(j, dnswire.RCodeServFail, nil)
 }
 
-// onResponse processes an upstream response (UDP or TCP). msg is the
-// resolver's decode storage for a UDP response, which the next datagram
-// overwrites.
+// onResponse processes an upstream response (UDP or TCP) to j's query
+// for (qname, qtype). msg is the resolver's decode storage for a UDP
+// response, which the next datagram overwrites.
 //
 //doors:scratch msg
-func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP bool) {
-	j := out.job
-	if j.finished {
-		return
-	}
-
-	// Truncated: retry the same query over TCP (RFC 7766), the behaviour
-	// the experiment's TC follow-up elicits to capture a SYN (§3.5).
-	if msg.TC && !viaTCP {
-		r.queryTCP(out)
-		return
-	}
-
+func (r *Resolver) onResponse(j *job, qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message) {
 	switch {
 	case msg.RCode == dnswire.RCodeNXDomain:
-		if r.qmin && r.cfg.QnameMinLenient && !j.fullFallback && !out.qname.Equal(j.qname) {
+		if r.qmin && r.cfg.QnameMinLenient && !j.fullFallback && !qname.Equal(j.qname) {
 			// A lenient implementation distrusts an intermediate
 			// NXDOMAIN: it neither caches it nor halts, and retries with
 			// the full name (RFC 7816 fallback). A strict one caches it
@@ -604,21 +664,21 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 			r.step(j)
 			return
 		}
-		r.cache.putNegative(out.qname, negativeTTL(msg))
+		r.cache.putNegative(qname, negativeTTL(msg))
 		r.finish(j, dnswire.RCodeNXDomain, nil)
 
 	case len(msg.Answer) > 0:
 		ttl := msg.Answer[0].TTL
-		r.cache.putPositive(out.qname, out.qtype, msg.Answer, ttl)
-		if out.qname.Equal(j.qname) && out.qtype == j.qtype {
+		r.cache.putPositive(qname, qtype, msg.Answer, ttl)
+		if qname.Equal(j.qname) && qtype == j.qtype {
 			r.finish(j, dnswire.RCodeNoError, msg.Answer)
 			return
 		}
 		// Intermediate (minimized) answer: the name exists, descend.
-		j.minConfirmed = out.qname.CountLabels()
+		j.minConfirmed = qname.CountLabels()
 		r.step(j)
 
-	case isReferral(msg, out.qname):
+	case isReferral(msg, qname):
 		apex, addrs, ttl := referralInfo(msg)
 		if len(addrs) == 0 {
 			r.finish(j, dnswire.RCodeServFail, nil)
@@ -630,8 +690,8 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 	case msg.RCode == dnswire.RCodeNoError:
 		// NODATA: the name exists but has no records of this type. For
 		// a minimized query that proves the labels so far: descend.
-		if r.qmin && !j.fullFallback && !out.qname.Equal(j.qname) {
-			j.minConfirmed = out.qname.CountLabels()
+		if r.qmin && !j.fullFallback && !qname.Equal(j.qname) {
+			j.minConfirmed = qname.CountLabels()
 			r.step(j)
 			return
 		}
@@ -642,13 +702,16 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 	}
 }
 
-// queryTCP re-issues out's query over TCP after a truncated UDP reply.
-func (r *Resolver) queryTCP(out *outstanding) {
-	j := out.job
-	local := r.Host.Addr(out.server.Is6())
+// queryTCP re-issues j's query for (qname, qtype) to server over TCP
+// after a truncated UDP reply. The TCP exchange is j's one live attempt
+// until it answers or times out, whichever comes first; the UDP record
+// is done and may be recycled meanwhile, so the exchange keeps what it
+// needs itself.
+func (r *Resolver) queryTCP(j *job, server netip.Addr, qname dnswire.Name, qtype dnswire.Type) {
+	local := r.Host.Addr(server.Is6())
 	port := r.cfg.Ports.Next()
 	id := uint16(r.rng.Intn(65536))
-	q := dnswire.NewQuery(id, out.qname, out.qtype)
+	q := dnswire.NewQuery(id, qname, qtype)
 	payload, err := q.Pack()
 	if err != nil {
 		r.finish(j, dnswire.RCodeServFail, nil)
@@ -661,7 +724,7 @@ func (r *Resolver) queryTCP(out *outstanding) {
 	r.Stats.UpstreamTCP++
 	var buf []byte
 	responded := false
-	_, err = r.Host.DialTCP(local, port, out.server, 53, func(c *netsim.TCPConn) {
+	_, err = r.Host.DialTCP(local, port, server, 53, func(c *netsim.TCPConn) {
 		c.OnData = func(now time.Duration, data []byte) {
 			buf = append(buf, data...)
 			if len(buf) < 2 {
@@ -677,7 +740,7 @@ func (r *Resolver) queryTCP(out *outstanding) {
 				return
 			}
 			responded = true
-			r.onResponse(out, resp, true)
+			r.onResponse(j, qname, qtype, resp)
 		}
 		c.Send(framed)
 	})
@@ -686,7 +749,7 @@ func (r *Resolver) queryTCP(out *outstanding) {
 		return
 	}
 	r.Host.Network().Q.After(r.cfg.Timeout*time.Duration(1+r.cfg.Retries), func(time.Duration) {
-		if !responded && !j.finished {
+		if !responded {
 			responded = true
 			r.finish(j, dnswire.RCodeServFail, nil)
 		}
@@ -711,21 +774,30 @@ func isReferral(msg *dnswire.Message, qname dnswire.Name) bool {
 func referralInfo(msg *dnswire.Message) (dnswire.Name, []netip.Addr, uint32) {
 	var apex dnswire.Name
 	var ttl uint32 = 300
-	nsNames := make(map[dnswire.Name]bool)
 	for _, rr := range msg.Authority {
 		if rr.Type == dnswire.TypeNS {
 			apex = rr.Name
 			ttl = rr.TTL
-			nsNames[rr.Target.Canonical()] = true
 		}
 	}
 	var addrs []netip.Addr
 	for _, rr := range msg.Additional {
-		if (rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA) && nsNames[rr.Name.Canonical()] {
+		if (rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA) && isNSTarget(msg.Authority, rr.Name) {
 			addrs = append(addrs, rr.Addr)
 		}
 	}
 	return apex, addrs, ttl
+}
+
+// isNSTarget reports whether name is the target of an NS record in
+// authority, compared under DNS case folding.
+func isNSTarget(authority []dnswire.RR, name dnswire.Name) bool {
+	for i := range authority {
+		if rr := &authority[i]; rr.Type == dnswire.TypeNS && rr.Target.Equal(name) {
+			return true
+		}
+	}
+	return false
 }
 
 // negativeTTL extracts the negative-caching TTL from the SOA minimum

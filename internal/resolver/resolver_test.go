@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -274,10 +275,10 @@ func TestCachedRRsetSurvivesReuse(t *testing.T) {
 }
 
 // TestCachedAnswerAllocations pins a warmed resolver answering a client
-// query from its cache: the query's name and the job are the only
-// objects. The reply is built and packed in the resolver's reused
-// storage, and sent to a spoofed client no host owns, it is counted
-// without a datagram.
+// query from its cache: the query's name is the only object. The job
+// comes off the resolver's free list, the reply is built and packed in
+// its reused storage, and sent to a spoofed client no host owns, it is
+// counted without a datagram.
 func TestCachedAnswerAllocations(t *testing.T) {
 	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 20})
 	h.authZone.AddAddr("www.dns-lab.org", addr("192.0.9.100"), 300)
@@ -291,11 +292,86 @@ func TestCachedAnswerAllocations(t *testing.T) {
 	responded := h.res.Stats.Responded
 	if a := testing.AllocsPerRun(100, func() {
 		h.res.HandleQuery(h.net.Now(), spoofed, 40000, local, payload)
-	}); a != 2 {
-		t.Fatalf("answering from the cache allocates %v times, want 2 (the name and the job)", a)
+	}); a != 1 {
+		t.Fatalf("answering from the cache allocates %v times, want 1 (the name)", a)
 	}
 	if h.res.Stats.Responded-responded != 101 || h.net.Q.Len() != 0 || h.net.Drops()[netsim.DropNoHost] < 101 {
 		t.Fatalf("%d responses, %d events pending, drops %v", h.res.Stats.Responded-responded, h.net.Q.Len(), h.net.Drops())
+	}
+}
+
+// TestUpstreamNXDomainAllocations pins a warmed resolver answering a
+// client query through one upstream exchange: the dns-lab.org
+// delegation is cached, so it asks ns1.dns-lab.org, which says
+// NXDOMAIN. The only objects are the names the two decodes make (the
+// client's question; the server's copy of it; the response's question,
+// SOA owner, MName and RName) and the response's SOAData. The job, the
+// attempt and its timeout event come off the resolver's free lists,
+// the server pick walks the server list in place, and the datagrams
+// and arrival events are the network's recycled ones.
+func TestUpstreamNXDomainAllocations(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 22})
+	h.query(t, "0.gone.dns-lab.org", dnswire.TypeA) // cache the delegations
+	var payloads [][]byte
+	for i := 1; i <= 102; i++ {
+		p, err := dnswire.NewQuery(7, dnswire.Name(fmt.Sprintf("%d.gone.dns-lab.org", i)), dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	spoofed, local := addr("198.51.100.77"), addr("198.51.100.53")
+	h.res.HandleQuery(h.net.Now(), spoofed, 40000, local, payloads[0]) // warm the records and buffers
+	h.net.Run()
+	payloads = payloads[1:]
+	upstream, nx := h.res.Stats.UpstreamQueries, h.res.Stats.ServFail
+	if a := testing.AllocsPerRun(100, func() {
+		h.res.HandleQuery(h.net.Now(), spoofed, 40000, local, payloads[0])
+		payloads = payloads[1:]
+		h.net.Run()
+	}); a != 7 {
+		t.Fatalf("an upstream NXDOMAIN allocates %v times, want 7 (six names and the SOAData)", a)
+	}
+	if h.res.Stats.UpstreamQueries-upstream != 101 || h.res.Stats.ServFail != nx || len(h.res.pending) != 0 {
+		t.Fatalf("%d upstream queries, %d SERVFAILs, %d pending", h.res.Stats.UpstreamQueries-upstream, h.res.Stats.ServFail-nx, len(h.res.pending))
+	}
+}
+
+// TestPickServerAllocations pins the server pick, which //doors:hotpath
+// marks, at no allocation, and holds it to the draw it replaced: k =
+// rng.Intn(usable count), then the k-th usable server in list order.
+func TestPickServerAllocations(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 23})
+	servers := []netip.Addr{addr("192.0.9.1"), addr("2001:db8:9::1"), addr("192.0.9.2"), addr("2001:db8:9::2"), addr("192.0.9.3")}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := h.res.pickServer(servers); !ok {
+			t.Fatal("no usable server")
+		}
+	}); a != 0 {
+		t.Fatalf("pickServer allocates %v times, want 0", a)
+	}
+	v4Only, err := h.net.Attach("v4only", h.resAS, addr("198.51.100.54"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, host := range []*netsim.Host{h.resHost, v4Only} {
+		r := &Resolver{Host: host, rng: rand.New(rand.NewSource(5))}
+		ref := rand.New(rand.NewSource(5))
+		var usable []netip.Addr
+		for _, s := range servers {
+			if host.Addr(s.Is6()).IsValid() {
+				usable = append(usable, s)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			want := usable[ref.Intn(len(usable))]
+			if got, ok := r.pickServer(servers); !ok || got != want {
+				t.Fatalf("%s pick %d = %v, %v; want %v", host.Name, i, got, ok, want)
+			}
+		}
+	}
+	if _, ok := (&Resolver{Host: v4Only}).pickServer([]netip.Addr{addr("2001:db8:9::1")}); ok {
+		t.Fatal("an IPv4-only host picked an IPv6 server")
 	}
 }
 

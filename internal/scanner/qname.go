@@ -53,8 +53,12 @@ func EncodeAddr(a netip.Addr) string {
 
 // DecodeAddr parses a label produced by EncodeAddr, holding it to its
 // family tag: a "v4-" label's four decimal fields are read in place
-// into an IPv4 address, and a "v6-" label is rewritten to the
-// address's text form for netip.ParseAddr and must give an IPv6 one.
+// into an IPv4 address, and a "v6-" label must give an IPv6 one. A
+// "v6-" label's hex groups are read in place too, and the address is
+// taken when AppendAddrLabel writes it back as the same label, as it
+// does for every label it wrote of an address not 4-in-6. Any other
+// "v6-" label is rewritten to the address's text form for
+// netip.ParseAddr.
 func DecodeAddr(label string) (netip.Addr, error) {
 	switch {
 	case strings.HasPrefix(label, "v4-"):
@@ -62,11 +66,80 @@ func DecodeAddr(label string) (netip.Addr, error) {
 			return a, nil
 		}
 	case strings.HasPrefix(label, "v6-"):
+		if a, ok := parseV6Groups(label[3:]); ok {
+			var buf [64]byte
+			if string(AppendAddrLabel(buf[:0], a)) == label {
+				return a, nil
+			}
+		}
 		if a, err := netip.ParseAddr(strings.ReplaceAll(label[3:], "-", ":")); err != nil || a.Is6() {
 			return a, err
 		}
 	}
 	return netip.Addr{}, fmt.Errorf("scanner: bad address label %q", label)
+}
+
+// parseV6Groups reads "2001-db8--53": groups of one to four lower-case
+// hex digits separated by '-', eight of them, or fewer around one "--"
+// that stands for the zero groups between. ok is false for anything
+// else. It accepts some forms AppendAddrLabel never writes (a leading
+// zero, a "--" standing for one group), which DecodeAddr tells apart
+// by writing the address back.
+func parseV6Groups(s string) (a netip.Addr, ok bool) {
+	var g [8]uint16
+	head, tail, elided := strings.Cut(s, "--")
+	n, ok := readV6Groups(g[:], head)
+	if !ok {
+		return a, false
+	}
+	if elided {
+		var t [8]uint16
+		m, ok := readV6Groups(t[:], tail)
+		if !ok || n+m > 7 {
+			return a, false
+		}
+		copy(g[8-m:], t[:m])
+	} else if n != 8 {
+		return a, false
+	}
+	var b [16]byte
+	for i, v := range g {
+		b[2*i], b[2*i+1] = byte(v>>8), byte(v)
+	}
+	return netip.AddrFrom16(b), true
+}
+
+// readV6Groups reads s's '-'-separated hex groups into dst and returns
+// how many it read; an empty s holds none. ok is false when a group is
+// empty, longer than four digits or not hex, or when dst is too short.
+func readV6Groups(dst []uint16, s string) (n int, ok bool) {
+	if s == "" {
+		return 0, true
+	}
+	val, digits := 0, 0
+	for i := 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == '-' {
+			if digits == 0 || n == len(dst) {
+				return n, false
+			}
+			dst[n] = uint16(val)
+			n, val, digits = n+1, 0, 0
+			continue
+		}
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			val = val<<4 | int(c-'0')
+		case 'a' <= c && c <= 'f':
+			val = val<<4 | int(c-'a'+10)
+		default:
+			return n, false
+		}
+		if digits++; digits > 4 {
+			return n, false
+		}
+	}
+	return n, true
 }
 
 // parseV4Fields reads "198-51-100-7": four decimal fields, each 0 to

@@ -99,6 +99,9 @@ func FuzzDecodeQName(f *testing.F) {
 		"1.v4-::1.v4-1-2-3-4.5.x1.dns-lab.org", "1.v4-1-2-3-4.v4-1:2::3.5.x1.v6.dns-lab.org", "v4-1.2.3.4", "v6-1.2.3.4",
 		"1.v4-1-2-3-4-5.v6-zz.99999999999.x1.dns-lab.org", "-1.v4-0-0-0-0.v6---.0.x1.tc.dns-lab.org",
 		"www.example.com", "a.b.other.org", "", "v4-1-2-3-4", "v6-2001-db8--1%eth0",
+		"v6---", "v6---1", "v6-2001-db8--", "v6-1-2-3-4-5-6-7-8", "v6-1-2-3-4-5-6-7--", "v6-1-2-3-4-5-6-7-8-9",
+		"v6-0001--1", "v6-1--2--3", "v6-ABCD--1", "v6-12345--1", "v6---ffff-102-304", "v6-1-0-0-0-0-0-0-1",
+		"v6-1-0-0-2-0-0-0-3", "v6-1---2", "v6--1", "v6-1-", "v6-", "v6--",
 	} {
 		f.Add(name, "x1")
 	}
@@ -126,13 +129,17 @@ func FuzzDecodeQName(f *testing.F) {
 	})
 }
 
-// TestDecodeQNameAllocations pins a full IPv4 name's decode, the one
+// TestDecodeQNameAllocations pins the decode of a full name, the one
 // the scanner's monitor runs on every experiment query, at no
-// allocation.
+// allocation, with IPv4 addresses and with IPv6 ones.
 func TestDecodeQNameAllocations(t *testing.T) {
-	name := EncodeQName(1234567890, addr("203.0.113.7"), addr("198.51.100.53"), 64500, "x1", ProbeV4)
-	var full bool
-	if a := testing.AllocsPerRun(100, func() { _, full, _ = DecodeQName(name, "x1") }); a != 0 || !full {
-		t.Fatalf("decoding %q allocates %v times (full=%v), want 0", string(name), a, full)
+	for _, name := range []dnswire.Name{
+		EncodeQName(1234567890, addr("203.0.113.7"), addr("198.51.100.53"), 64500, "x1", ProbeV4),
+		EncodeQName(1234567890, addr("2001:db8:0:7::53"), addr("2001:db8:1:2:3:4:5:6"), 64500, "x1", ProbeV6),
+	} {
+		var full bool
+		if a := testing.AllocsPerRun(100, func() { _, full, _ = DecodeQName(name, "x1") }); a != 0 || !full {
+			t.Fatalf("decoding %q allocates %v times (full=%v), want 0", string(name), a, full)
+		}
 	}
 }
