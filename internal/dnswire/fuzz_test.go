@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -72,18 +73,22 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzUnpack asserts the wire parser's safety properties on arbitrary
-// bytes: Unpack never panics; whatever it accepts, Pack can serialize
+// bytes: Unpack never panics; Message.Unpack decodes what Unpack does,
+// both into a message holding a longer one and into one whose recent
+// names are the seeds'; whatever Unpack accepts, Pack can serialize
 // without panicking; and what Pack emits, Unpack accepts again with the
 // header and section counts preserved and every question and record
 // name equal to the one packed (parse→serialize→parse is a fixed point
 // of acceptance, and compression never swaps one name for another).
 func FuzzUnpack(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
-		checkUnpackInto(t, data, m, err)
+		checkUnpackInto(t, staleMessage(m), data, m, err)
+		checkUnpackInto(t, warmMessage(t, seeds), data, m, err)
 		if err != nil {
 			return
 		}
@@ -111,21 +116,21 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
-// checkUnpackInto holds Message.Unpack to Unpack: decoded into a
-// Message that holds a previous, longer message, data gives Unpack's
-// result want (wantErr), counting a nil section and an empty one as
-// equal, and fails where Unpack fails.
-func checkUnpackInto(t *testing.T, data []byte, want *Message, wantErr error) {
+// checkUnpackInto holds Message.Unpack to Unpack: decoded into m, data
+// gives Unpack's result want, counting a nil section and an empty one
+// as equal and ignoring m's recent names, or fails with Unpack's error
+// wantErr.
+func checkUnpackInto(t *testing.T, m *Message, data []byte, want *Message, wantErr error) {
 	t.Helper()
-	m := staleMessage(want)
 	err := m.Unpack(data)
-	if (err != nil) != (wantErr != nil) {
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("Message.Unpack error %v, Unpack error %v\ndata: %x", err, wantErr, data)
 	}
 	if err != nil {
 		return
 	}
 	norm := func(m Message) Message {
+		m.names = nil
 		for _, sec := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
 			if len(*sec) == 0 {
 				*sec = nil
@@ -137,8 +142,21 @@ func checkUnpackInto(t *testing.T, data []byte, want *Message, wantErr error) {
 		return m
 	}
 	if got, want := norm(*m), norm(*want); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Message.Unpack over a stale message = %+v, Unpack = %+v\ndata: %x", got, want, data)
+		t.Fatalf("Message.Unpack = %+v, Unpack = %+v\ndata: %x", got, want, data)
 	}
+}
+
+// warmMessage is a message that has decoded every seed, so its recent
+// names are theirs.
+func warmMessage(t *testing.T, seeds [][]byte) *Message {
+	t.Helper()
+	m := new(Message)
+	for _, s := range seeds {
+		if err := m.Unpack(s); err != nil {
+			t.Fatalf("seed decode: %v", err)
+		}
+	}
+	return m
 }
 
 // staleMessage is a message longer than longerThan (nil for a failed

@@ -147,6 +147,8 @@ type Message struct {
 	Answer     []RR
 	Authority  []RR
 	Additional []RR
+
+	names *nameCache // the names recently decoded into m by m.Unpack
 }
 
 // maxUDPPayload is the classic 512-byte UDP limit; PackUDP truncates
@@ -356,10 +358,10 @@ func packRR(buf []byte, c *compressor, rr *RR) ([]byte, error) {
 	return buf, nil
 }
 
-// Unpack parses a wire-format message.
+// Unpack parses a wire-format message. Every name is a fresh string.
 func Unpack(msg []byte) (*Message, error) {
 	m := new(Message)
-	if err := m.Unpack(msg); err != nil {
+	if err := m.unpack(msg); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -368,16 +370,27 @@ func Unpack(msg []byte) (*Message, error) {
 // Unpack parses a wire-format message into m, reusing the storage of
 // m's sections: the result is the package Unpack's, except that a
 // section m had storage for is empty rather than nil when the message
-// has none. Names and record data are fresh, so a record copied out of
-// m stays valid after m's next decode. On error m holds part of the
-// message.
+// has none. m keeps the last few names decoded into it, and a name
+// with the same bytes as one of them, case included, is that same
+// string rather than a new one. Record data is fresh, so a record
+// copied out of m stays valid after m's next decode. On error m holds
+// part of the message.
 func (m *Message) Unpack(msg []byte) error {
+	if m.names == nil {
+		m.names = new(nameCache)
+	}
+	return m.unpack(msg)
+}
+
+// unpack parses msg into m, taking names from m.names, which it keeps.
+func (m *Message) unpack(msg []byte) error {
 	if len(msg) < 12 {
 		return errTruncated
 	}
 	*m = Message{
 		ID:       binary.BigEndian.Uint16(msg[0:2]),
 		Question: m.Question[:0], Answer: m.Answer[:0], Authority: m.Authority[:0], Additional: m.Additional[:0],
+		names: m.names,
 	}
 	flags := binary.BigEndian.Uint16(msg[2:4])
 	m.QR = flags&(1<<15) != 0
@@ -396,7 +409,7 @@ func (m *Message) Unpack(msg []byte) error {
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
-		q.Name, off, err = readName(msg, off)
+		q.Name, off, err = readName(msg, off, m.names)
 		if err != nil {
 			return err
 		}
@@ -414,7 +427,7 @@ func (m *Message) Unpack(msg []byte) error {
 	}{{an, &m.Answer}, {ns, &m.Authority}, {ar, &m.Additional}} {
 		for i := 0; i < sec.n; i++ {
 			var rr RR
-			rr, off, err = unpackRR(msg, off)
+			rr, off, err = unpackRR(msg, off, m.names)
 			if err != nil {
 				return err
 			}
@@ -424,10 +437,10 @@ func (m *Message) Unpack(msg []byte) error {
 	return nil
 }
 
-func unpackRR(msg []byte, off int) (RR, int, error) {
+func unpackRR(msg []byte, off int, names *nameCache) (RR, int, error) {
 	var rr RR
 	var err error
-	rr.Name, off, err = readName(msg, off)
+	rr.Name, off, err = readName(msg, off, names)
 	if err != nil {
 		return rr, 0, err
 	}
@@ -459,23 +472,27 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 		}
 		rr.Addr = netip.AddrFrom16([16]byte(rdata))
 	case TypeNS, TypeCNAME, TypePTR:
-		rr.Target, _, err = readName(msg, off)
+		var p int
+		rr.Target, p, err = readName(msg, off, names)
 		if err != nil {
 			return rr, 0, err
+		}
+		if p != end {
+			return rr, 0, fmt.Errorf("dnswire: bad %v rdata length", rr.Type)
 		}
 	case TypeSOA:
 		soa := &SOAData{}
 		p := off
-		soa.MName, p, err = readName(msg, p)
+		soa.MName, p, err = readName(msg, p, names)
 		if err != nil {
 			return rr, 0, err
 		}
-		soa.RName, p, err = readName(msg, p)
+		soa.RName, p, err = readName(msg, p, names)
 		if err != nil {
 			return rr, 0, err
 		}
-		if p+20 > len(msg) || p+20 > end {
-			return rr, 0, errTruncated
+		if p+20 != end {
+			return rr, 0, errors.New("dnswire: bad SOA rdata length")
 		}
 		soa.Serial = binary.BigEndian.Uint32(msg[p : p+4])
 		soa.Refresh = binary.BigEndian.Uint32(msg[p+4 : p+8])

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"strings"
 	"testing"
@@ -251,6 +252,99 @@ func TestNameTooLong(t *testing.T) {
 	long := NewName(labels...)
 	if _, err := NewQuery(1, long, TypeA).Pack(); err == nil {
 		t.Fatal("overlong name packed without error")
+	}
+}
+
+// TestUnpackNameLengthLimit: a name is at most 255 octets in wire form
+// (RFC 1035 §3.1), its length octets and root octet included. Unpack
+// accepts what Pack can emit again and refuses one octet more.
+func TestUnpackNameLengthLimit(t *testing.T) {
+	for _, wire := range []int{254, 255, 256} {
+		// Three 63-octet labels, and a last one that brings the name
+		// to wire octets.
+		var name []byte
+		for _, l := range []int{63, 63, 63, wire - 3*64 - 2} {
+			name = append(name, byte(l))
+			name = append(name, strings.Repeat("a", l)...)
+		}
+		name = append(name, 0)
+		if len(name) != wire {
+			t.Fatalf("built a %d-octet name, want %d", len(name), wire)
+		}
+		msg := append([]byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}, name...) // QDCOUNT=1
+		msg = append(msg, 0, 1, 0, 1)
+		m, err := Unpack(msg)
+		if wire > 255 {
+			if err == nil {
+				t.Errorf("%d-octet name decoded as %d characters", wire, len(m.Q().Name))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d-octet name: %v", wire, err)
+		}
+		if got := len(m.Q().Name); got != wire-2 {
+			t.Fatalf("%d-octet name decoded as %d characters, want %d", wire, got, wire-2)
+		}
+		if _, err := m.Pack(); err != nil {
+			t.Fatalf("%d-octet name does not pack again: %v", wire, err)
+		}
+		if _, err := AppendName(nil, m.Q().Name); err != nil {
+			t.Fatalf("%d-octet name does not append again: %v", wire, err)
+		}
+	}
+}
+
+// TestUnpackBoundsRDataNames: the names in an NS, CNAME, PTR or SOA
+// record's RDATA end where its RDLENGTH says, so a record cannot take
+// its target from the bytes of the record after it.
+func TestUnpackBoundsRDataNames(t *testing.T) {
+	wire := func(n Name) []byte {
+		b, err := AppendName(nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	soa := append(append(wire("ns1.example"), wire("research.example")...), make([]byte, 20)...)
+	type rr struct {
+		t     Type
+		rdata []byte
+	}
+	for _, tc := range []struct {
+		name string
+		rrs  []rr
+		ok   bool
+	}{
+		{"NS", []rr{{TypeNS, wire("ns1.example")}}, true},
+		{"SOA", []rr{{TypeSOA, soa}}, true},
+		{"empty NS before an A", []rr{{TypeNS, nil}, {TypeA, []byte{192, 0, 2, 1}}}, false},
+		{"NS with a trailing octet", []rr{{TypeNS, append(wire("ns1.example"), 0)}}, false},
+		{"CNAME cut short", []rr{{TypeCNAME, wire("www.example")[:5]}, {TypeA, []byte{192, 0, 2, 1}}}, false},
+		{"PTR with a trailing octet", []rr{{TypePTR, append(wire("host.example"), 0)}}, false},
+		{"SOA with a trailing octet", []rr{{TypeSOA, append(soa[:len(soa):len(soa)], 0)}}, false},
+		{"SOA cut short", []rr{{TypeSOA, soa[:len(soa)-1]}, {TypeA, []byte{192, 0, 2, 1}}}, false},
+	} {
+		msg := []byte{0, 1, 0x81, 0, 0, 0, 0, byte(len(tc.rrs)), 0, 0, 0, 0}
+		for _, r := range tc.rrs {
+			owner := Name("example")
+			if r.t == TypeA {
+				owner = "evil.example"
+			}
+			msg = append(msg, wire(owner)...)
+			msg = binary.BigEndian.AppendUint16(msg, uint16(r.t))
+			msg = binary.BigEndian.AppendUint16(msg, uint16(ClassIN))
+			msg = binary.BigEndian.AppendUint32(msg, 60)
+			msg = binary.BigEndian.AppendUint16(msg, uint16(len(r.rdata)))
+			msg = append(msg, r.rdata...)
+		}
+		m, err := Unpack(msg)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s decoded as %v", tc.name, m.Answer)
+		}
 	}
 }
 

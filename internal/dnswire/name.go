@@ -10,14 +10,18 @@
 // them, and PackBuffer and PackUDPBuffer pack into the buffer, each
 // producing what its allocating counterpart would. The sections and
 // the buffer are then valid only until the next decode, reply or pack
-// into them: whoever keeps records copies the RR values out (names and
-// record data are fresh on every decode, so a copied RR stays valid),
-// and whoever sends packed bytes must have them copied before the next
-// pack.
+// into them: whoever keeps records copies the RR values out, and
+// whoever sends packed bytes must have them copied before the next
+// pack. A copied RR stays valid: record data is fresh on every decode,
+// and a name is an immutable string, though it may be the very string
+// an earlier decode into the same Message returned (each such Message
+// keeps its recent names, so a response echoing the question its host
+// just decoded costs no new string).
 package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -296,10 +300,52 @@ func (c *compressor) append(buf []byte, n Name) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// readName decodes a (possibly compressed) name starting at off in msg.
-// It returns the name and the offset just past the name's in-place bytes.
-func readName(msg []byte, off int) (Name, int, error) {
-	var name [maxNameWire + 1]byte // each label and its trailing dot
+// nameCache holds the names most recently decoded into one Message,
+// so that a name its host decodes again (a response echoing the
+// question the host just decoded, the SOA names every NXDOMAIN
+// carries) comes back as the string it already made. It has 8 sets of
+// 2 names, newest first. A name's set is the top 3 bits of an FNV-1a
+// hash over its 8-byte words: taken a byte at a time, the hash of a
+// probe's name costs more than the allocation a hit saves, and a
+// multiply carries each input bit only upward, so only the top bits
+// depend on every byte. A name matches only byte for byte, case
+// included, so a decode returns exactly the bytes it read.
+type nameCache [8][2]Name
+
+// name returns b as a Name: the string c holds with b's bytes, or else
+// a new one, which then displaces the older name of its set. A nil c
+// holds nothing.
+func (c *nameCache) name(b []byte) Name {
+	if c == nil {
+		return Name(b)
+	}
+	h := uint64(14695981039346656037)
+	w := b
+	for ; len(w) >= 8; w = w[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(w)) * 1099511628211
+	}
+	for _, x := range w {
+		h = (h ^ uint64(x)) * 1099511628211
+	}
+	set := &c[h>>61]
+	if string(set[0]) == string(b) {
+		return set[0]
+	}
+	if string(set[1]) == string(b) {
+		return set[1]
+	}
+	n := Name(b)
+	set[0], set[1] = n, set[0]
+	return n
+}
+
+// readName decodes a (possibly compressed) name starting at off in msg,
+// taking its string from c. It returns the name and the offset just
+// past the name's in-place bytes.
+func readName(msg []byte, off int, c *nameCache) (Name, int, error) {
+	// Each label and its trailing dot: the wire form less its root
+	// octet.
+	var name [maxNameWire - 1]byte
 	n := 0
 	jumped := false
 	next := off
@@ -314,10 +360,7 @@ func readName(msg []byte, off int) (Name, int, error) {
 			if !jumped {
 				next = off + 1
 			}
-			if n > maxNameWire {
-				return "", 0, errNameTooLong
-			}
-			return Name(name[:max(n-1, 0)]), next, nil
+			return c.name(name[:max(n-1, 0)]), next, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
 				return "", 0, errTruncated

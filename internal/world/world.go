@@ -119,6 +119,9 @@ type World struct {
 	Invariants *Invariants
 
 	rootZone *authserver.Zone
+	// ids is the IDS drop hooks' decode storage. A hook never runs
+	// inside another hook and keeps only the name it decodes.
+	ids dnswire.Message
 
 	seed              uint64
 	publicAS, thirdAS *routing.AS
@@ -796,8 +799,8 @@ func (w *World) wireIDS(asn routing.ASN, analyst *netsim.Host, upstream netip.Ad
 		if pkt == nil || pkt.UDP == nil || pkt.UDP.DstPort != 53 {
 			return
 		}
-		msg, err := dnswire.Unpack(pkt.Data)
-		if err != nil || msg.QR || len(msg.Question) == 0 {
+		msg := &w.ids
+		if msg.Unpack(pkt.Data) != nil || msg.QR || len(msg.Question) == 0 {
 			return
 		}
 		name := msg.Q().Name
