@@ -7,7 +7,7 @@ BIN ?= bin
 # Tier-1 verification: formatting + build + vet + determinism lint +
 # the suppression audit + full tests + race detector over the parallel
 # sharded engine + the concurrency cross-validation harness + a short
-# fuzz smoke over the wire parsers, run files and datagram reuse + the
+# fuzz smoke over the wire parsers, run files and flight records + the
 # benchmark module's own tests.
 check: fmt build vet lint pragmas test race racestress fuzz perfbench-test
 
@@ -58,8 +58,9 @@ racestress:
 # Short native-fuzz smoke over the wire parsers, the DNS packer against
 # its reference, the datagram writers, the resolver's client-query
 # path, the run files, the query-name decoder against its reference and
-# the network's reuse of UDP datagrams (one -fuzz target per invocation
-# is a go tool limitation). Raise FUZZTIME for a real hunt.
+# the network's flight records, doomed datagrams' included (one -fuzz
+# target per invocation is a go tool limitation). Raise FUZZTIME for a
+# real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/dnswire

@@ -6,6 +6,8 @@ package doors
 // zero allocations. A failure means either a real hot-path regression
 // (the function started allocating) or an analyzer false negative (it
 // allocates and hotalloc missed it) — both are bugs worth a red build.
+// Next to them, assertAllocs pins the few objects a faulted netsim send
+// makes on purpose.
 //
 // The dynamic bench guard (scripts/bench.sh allocs/op gates) watches
 // one headline benchmark; this test pins the individual building
@@ -44,6 +46,16 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(200, f); avg != 0 {
 		t.Errorf("%s: %v allocs/op; hotalloc classifies it Never — analyzer false negative or hot-path regression", name, avg)
+	}
+}
+
+// assertAllocs pins f at exactly want allocations a run, for a path
+// whose objects are part of its contract: more is a regression, and
+// fewer changes the contract.
+func assertAllocs(t *testing.T, name string, want float64, f func()) {
+	t.Helper()
+	if avg := testing.AllocsPerRun(200, f); avg != want {
+		t.Errorf("%s: %v allocs/op, want %v", name, avg, want)
 	}
 }
 
@@ -211,11 +223,12 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	if d := nw.Drops(); d[netsim.DropDSAV] == 0 || d[netsim.DropNoHost] == 0 || nw.Q.Len() != 0 {
 		t.Fatalf("doomed sends: drops %v, %d events pending", d, nw.Q.Len())
 	}
-	// Under loss and a fault hook, a doomed datagram is written on the
-	// network's scratch buffer for the draws, so once the buffer has
-	// grown, sending one still allocates nothing. The hook drops some
-	// datagrams and duplicates others; each send varies the source port,
-	// and with it the bytes the draws read.
+	// Under loss and a fault hook, a doomed datagram is written on a
+	// flight record for the draws, which goes back to the network as
+	// soon as transit has counted the drop, so once a record's bytes
+	// have grown, sending one still allocates nothing. The hook drops
+	// some datagrams and duplicates others; each send varies the source
+	// port, and with it the bytes the draws read.
 	lw := netsim.New(nreg, netsim.Config{Seed: 1, LossRate: 0.3})
 	lw.SetFaultHook(func(_ time.Duration, fold uint64, _ *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
 		return netsim.TransitFault{Drop: fold%4 == 0, Duplicate: fold%4 == 1, ExtraDelay: time.Duration(fold % 8)}
@@ -225,7 +238,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sport := uint16(40000)
-	lsender.SendUDP(spoofed, sport, dst4, 53, payload) // grow the scratch buffer
+	lsender.SendUDP(spoofed, sport, dst4, 53, payload) // grow a record's bytes
 	assertZeroAllocs(t, "netsim.Host.SendUDP under loss and faults, DSAV drop", func() {
 		sport++
 		sinkBool = lsender.SendUDP(spoofed, sport, dst4, 53, payload) == nil
@@ -239,13 +252,13 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatalf("doomed sends under loss and faults: drops %v, %d events pending", d, lw.Q.Len())
 	}
 
-	// A datagram that travels is written on one whose journey has
-	// ended, its Packet and its bytes, and its arrival event runs on a
-	// record the network recycles. The network owns the bytes SendUDP
-	// writes, so the TTL decrement at the border writes them in place.
-	// Once warm, a delivered send across a border allocates nothing, and
-	// neither does a request-and-reply round trip whose handler answers
-	// with SendUDP while its own datagram is still out.
+	// A datagram that travels is written on the Packet and bytes of a
+	// flight record whose journey has ended, and its arrival event is
+	// the record's own. The network owns the bytes SendUDP writes, so
+	// the TTL decrement at the border writes them in place. Once warm, a
+	// delivered send across a border allocates nothing, and neither does
+	// a request-and-reply round trip whose handler answers with SendUDP
+	// while its own datagram's record is still out.
 	tw := netsim.New(nreg, netsim.Config{Seed: 1})
 	tsender, err := tw.Attach("sender", nreg.AS(64500), a4)
 	if err != nil {
@@ -273,7 +286,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tsender.SendUDP(a4, 40000, dst4, 53, payload) // warm the event queue
-	tsender.SendUDP(a4, 40001, dst4, 54, payload) // and the datagram list
+	tsender.SendUDP(a4, 40001, dst4, 54, payload) // and two records
 	tw.Run()
 	assertZeroAllocs(t, "netsim.Host.SendUDP across a border, delivered", func() {
 		sinkBool = tsender.SendUDP(a4, 40000, dst4, 53, payload) == nil
@@ -285,6 +298,50 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	})
 	if tw.Delivered() == 0 || got+replies != int(tw.Delivered())*len(payload) || replies == 0 {
 		t.Fatalf("travelling sends: %d delivered, %d payload bytes, %d of them replies", tw.Delivered(), got+replies, replies)
+	}
+	// A faulted send travels on a record as well. A duplicate's second
+	// copy gets bytes of its own and decodes into a Packet of its own at
+	// arrival, so a server that keeps a TCP SYN never holds recycled
+	// storage: two objects. A corrupted datagram is decoded at arrival,
+	// where its flipped payload bit fails the UDP checksum, and its
+	// record goes back: the failed decode's Packet is its one object.
+	fw := netsim.New(nreg, netsim.Config{Seed: 1})
+	corrupt := false
+	fw.SetFaultHook(func(_ time.Duration, _ uint64, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		if corrupt {
+			return netsim.TransitFault{Corrupt: true, CorruptBit: 8 * (len(pkt.Raw) - 1)}
+		}
+		return netsim.TransitFault{Duplicate: true, DupDelay: time.Millisecond}
+	})
+	fsender, err := fw.Attach("sender", nreg.AS(64500), a4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freceiver, err := fw.Attach("receiver", nreg.AS(64501), dst4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupGot := 0
+	if err := freceiver.BindUDP(53, func(_ time.Duration, _ netip.Addr, _ uint16, _ netip.Addr, _ uint16, data []byte) {
+		dupGot += len(data)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fsender.SendUDP(a4, 40000, dst4, 53, payload) // warm the event queue and two records
+	fw.Run()
+	assertAllocs(t, "netsim.Host.SendUDP across a border, duplicated", 2, func() {
+		sinkBool = fsender.SendUDP(a4, 40000, dst4, 53, payload) == nil
+		fw.Run()
+	})
+	corrupt = true
+	assertAllocs(t, "netsim.Host.SendUDP across a border, corrupted", 1, func() {
+		sinkBool = fsender.SendUDP(a4, 40000, dst4, 53, payload) == nil
+		fw.Run()
+	})
+	if d := fw.Drops(); d[netsim.DropMalformed] == 0 || len(d) != 1 || fw.Delivered()%2 != 0 ||
+		dupGot != int(fw.Delivered())*len(payload) || fw.Q.Len() != 0 {
+		t.Fatalf("faulted sends: %d delivered, %d payload bytes, drops %v, %d events pending",
+			fw.Delivered(), dupGot, d, fw.Q.Len())
 	}
 
 	// The probe writer every probe goes through, the probe cursor's main

@@ -153,9 +153,9 @@ func (c Config) Validate() error {
 // state after setup, so one Injector is safely shared (read-only) by
 // every shard's network.
 type Injector struct {
-	cfg      Config
-	window   time.Duration
-	eligible func(routing.ASN) bool
+	cfg    Config
+	window time.Duration
+	reg    *routing.Registry // its Infra ASes are exempt; nil exempts none
 }
 
 // NewInjector returns an injector for cfg.
@@ -172,22 +172,16 @@ func (inj *Injector) Config() Config { return inj.cfg }
 // depend on sharding.
 func (inj *Injector) SetWindow(d time.Duration) { inj.window = d }
 
-// SetEligible restricts which ASes experience faults. The survey uses
-// this to exempt its own infrastructure (scanner, roots, public DNS):
-// chaos is meant to stress measured paths, not sever the experiment's
-// control plane.
-func (inj *Injector) SetEligible(fn func(routing.ASN) bool) { inj.eligible = fn }
-
 // SetEligibleRegistry restricts faults to non-infrastructure ASes as
 // recorded on the registry (AS.Infra), the single source of truth for
-// the experiment's control-plane ASNs. The registry is frozen after
-// construction, so the closure is safe to evaluate from every shard.
-func (inj *Injector) SetEligibleRegistry(reg *routing.Registry) {
-	inj.eligible = func(asn routing.ASN) bool { return !reg.InfraAS(asn) }
-}
+// the experiment's control-plane ASNs (scanner, roots, public DNS):
+// chaos is meant to stress measured paths, not sever the experiment's
+// control plane. The registry is frozen after construction, so every
+// shard may read it.
+func (inj *Injector) SetEligibleRegistry(reg *routing.Registry) { inj.reg = reg }
 
 func (inj *Injector) isEligible(asn routing.ASN) bool {
-	return inj.eligible == nil || inj.eligible(asn)
+	return inj.reg == nil || !inj.reg.InfraAS(asn)
 }
 
 // FlapActive reports whether asn's border link is down at virtual time

@@ -107,19 +107,69 @@ func TestFlapScheduleShape(t *testing.T) {
 	}
 }
 
-// TestEligibilityExemptsInfrastructure pins SetEligible: an exempt AS
-// never flaps, never skews, and sees no per-packet faults.
+// TestEligibilityExemptsInfrastructure pins SetEligibleRegistry: on a
+// registry where AS 20 is infrastructure, with every AS flapping and
+// every per-packet fault certain, AS 20 never flaps, never skews, and a
+// UDP datagram within it sees no fault, while one into the eligible
+// AS 30 is duplicated and corrupted.
 func TestEligibilityExemptsInfrastructure(t *testing.T) {
-	inj := testInjector(3)
-	const infra routing.ASN = 20
-	inj.SetEligible(func(asn routing.ASN) bool { return asn != infra })
-	for now := time.Duration(0); now < 60*time.Second; now += 50 * time.Millisecond {
-		if inj.FlapActive(infra, now) {
-			t.Fatal("exempt AS flapped")
+	reg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 20, Infra: true, Prefixes: []netip.Prefix{netip.MustParsePrefix("20.0.0.0/16")}},
+		{ASN: 30, Prefixes: []netip.Prefix{netip.MustParsePrefix("30.0.0.0/16")}},
+	} {
+		if err := reg.Add(as); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if inj.Skew(infra) != 0 {
+	cfg := Default(3)
+	cfg.FlapRate, cfg.DupProb, cfg.ReorderProb, cfg.CorruptProb = 1, 1, 1, 1
+	inj := NewInjector(cfg)
+	inj.SetWindow(60 * time.Second)
+	inj.SetEligibleRegistry(reg)
+	infra, eligible := reg.AS(20), reg.AS(30)
+
+	flapped := false
+	for now := time.Duration(0); now < 60*time.Second; now += 50 * time.Millisecond {
+		if inj.FlapActive(infra.ASN, now) {
+			t.Fatal("exempt AS flapped")
+		}
+		flapped = flapped || inj.FlapActive(eligible.ASN, now)
+	}
+	if !flapped {
+		t.Fatal("eligible AS never flapped at FlapRate 1")
+	}
+	if inj.Skew(infra.ASN) != 0 {
 		t.Fatal("exempt AS skewed")
+	}
+
+	src := netip.MustParseAddr("20.0.0.1")
+	faulted := 0
+	for i := 0; i < 200; i++ {
+		now := time.Duration(i) * 300 * time.Millisecond
+		for _, dst := range []*routing.AS{infra, eligible} {
+			raw, err := packet.BuildUDP(src, dst.Prefixes[0].Addr().Next(), 40000, 53, 64, []byte{byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkt, err := packet.Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := inj.Transit(now, detrand.FoldBytes(raw), pkt, infra, dst)
+			switch {
+			case dst == infra && f != (netsim.TransitFault{}):
+				t.Fatalf("datagram within the exempt AS faulted at %v: %+v", now, f)
+			case dst == eligible && !f.Drop:
+				if !f.Duplicate || !f.Corrupt {
+					t.Fatalf("datagram into the eligible AS escaped certain faults at %v: %+v", now, f)
+				}
+				faulted++
+			}
+		}
+	}
+	if faulted == 0 {
+		t.Fatal("every datagram into the eligible AS met a flap")
 	}
 }
 

@@ -19,27 +19,33 @@ const (
 	lifeCorrupt
 )
 
+// lifeDoomed is the flag bit of a send to an address in AS 200 that no
+// host holds: the fault hook draws on it, and it is never delivered.
+const lifeDoomed = 32
+
 // lifeOp encodes one send of FuzzDatagramLifecycle's input: flags (bit
 // 0 IPv6, bit 1 within AS 200, bits 2-3 the fault verdict, bit 4 extra
-// delay), the gap in milliseconds after the previous send, and the
-// payload's length past its 4-byte index.
+// delay, bit 5 lifeDoomed), the gap in milliseconds after the previous
+// send, and the payload's length past its 4-byte index.
 func lifeOp(flags, gapMs byte, extra uint16) []byte {
 	return []byte{flags, gapMs, byte(extra >> 8), byte(extra)}
 }
 
-// FuzzDatagramLifecycle drives the network's reuse of UDP datagrams
-// through an arbitrary schedule. The input's first byte says which of
-// the two port-53 handlers answer each delivery with a send of their
-// own; each 4 bytes after it are one send (lifeOp): IPv4 or IPv6, from
-// AS 100 across AS 200's border or within AS 200, a payload of 4 to
-// 1,500 bytes, so a reused datagram must sometimes grow, and a fault
-// verdict (drop, duplicate, corrupt a payload bit, or none, each with
-// or without extra delay). A reply draws its verdict and length from
-// the input's sends in turn. Every payload starts with its send's
-// index. Whatever the network reuses, each delivered payload is its
-// send's bytes, each send is delivered as often as its verdict says,
-// and each datagram ends once: delivered plus dropped is sends plus
-// duplicates.
+// FuzzDatagramLifecycle drives the network's flight records through an
+// arbitrary schedule. The input's first byte says which of the two
+// port-53 handlers answer each delivery with a send of their own; each
+// 4 bytes after it are one send (lifeOp): IPv4 or IPv6, from AS 100
+// across AS 200's border or within AS 200, to a bound host or to an
+// address no host holds, a payload of 4 to 1,500 bytes, so a record's
+// bytes must sometimes grow, and a fault verdict (drop, duplicate,
+// corrupt a payload bit, or none, each with or without extra delay). A
+// doomed send's record goes back in transit, often while other records
+// are still out. A reply draws its flags and length from the input's
+// sends in turn. Every payload starts with its send's index. Whatever
+// the network recycles, each delivered payload is its send's bytes,
+// each send is delivered as often as its verdict says (a doomed one
+// never), and each datagram ends once: delivered plus dropped is sends
+// plus duplicates.
 func FuzzDatagramLifecycle(f *testing.F) {
 	seed := func(replies byte, ops ...[]byte) []byte {
 		return append([]byte{replies}, bytes.Join(ops, nil)...)
@@ -58,6 +64,20 @@ func FuzzDatagramLifecycle(f *testing.F) {
 		lifeOp(2, 1, 1496),
 		lifeOp(1, 1, 3)))
 	f.Add(seed(0, lifeOp(1|2|lifeDuplicate<<2, 0, 100), lifeOp(1|2, 0, 1496)))
+	f.Add(seed(3,
+		lifeOp(lifeDoomed|lifeDuplicate<<2, 0, 1496),
+		lifeOp(lifeDuplicate<<2|16, 0, 30),
+		lifeOp(1|lifeDoomed|lifeCorrupt<<2, 0, 200),
+		lifeOp(1|lifeCorrupt<<2, 1, 900),
+		lifeOp(2|lifeDoomed|lifeDrop<<2, 0, 12),
+		lifeOp(2|lifeDrop<<2, 2, 1400),
+		lifeOp(1|2|lifeDoomed, 0, 64),
+		lifeOp(0, 0, 64)))
+	f.Add(seed(2,
+		lifeOp(1|2|lifeDuplicate<<2|16, 0, 700),
+		lifeOp(1|lifeDoomed|lifeDuplicate<<2|16, 1, 1200),
+		lifeOp(lifeDoomed|lifeCorrupt<<2|16, 0, 5),
+		lifeOp(2|lifeDoomed|lifeDrop<<2, 0, 1496)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -71,6 +91,17 @@ func FuzzDatagramLifecycle(f *testing.F) {
 		peer, err := w.net.Attach("peer", w.as2, addr("198.51.100.54"), addr("2001:db8:200::54"))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// to returns the destination of a send under op: dst, or the
+		// address of dst's family that no host holds.
+		to := func(op []byte, dst netip.Addr) netip.Addr {
+			switch {
+			case op[0]&lifeDoomed == 0:
+				return dst
+			case dst.Is6():
+				return addr("2001:db8:200::99")
+			}
+			return addr("198.51.100.99")
 		}
 
 		type send struct {
@@ -127,7 +158,7 @@ func FuzzDatagramLifecycle(f *testing.F) {
 				check(payload)
 				if answers {
 					op := ops[4*(len(sends)%(len(ops)/4)):]
-					if err := h.SendUDP(dst, dp, src, sp, write(op[:4])); err != nil {
+					if err := h.SendUDP(dst, dp, to(op, src), sp, write(op[:4])); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -148,12 +179,12 @@ func FuzzDatagramLifecycle(f *testing.F) {
 			op := ops[k : k+4]
 			at += time.Duration(op[1]%16) * time.Millisecond
 			w.net.Q.At(at, func(time.Duration) {
-				from, to := w.scanner, w.target
+				from, dst := w.scanner, w.target
 				if op[0]&2 != 0 {
-					from, to = w.target, peer
+					from, dst = w.target, peer
 				}
 				v6 := op[0]&1 != 0
-				if err := from.SendUDP(from.Addr(v6), 5300, to.Addr(v6), 53, write(op)); err != nil {
+				if err := from.SendUDP(from.Addr(v6), 5300, to(op, dst.Addr(v6)), 53, write(op)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -162,6 +193,9 @@ func FuzzDatagramLifecycle(f *testing.F) {
 
 		for i, s := range sends {
 			want := map[int]int{lifeNone: 1, lifeDrop: 0, lifeDuplicate: 2, lifeCorrupt: 0}[int(s.op[0]>>2&3)]
+			if s.op[0]&lifeDoomed != 0 {
+				want = 0
+			}
 			if counts[i] != want {
 				t.Errorf("send %d (flags %#x) delivered %d times, want %d", i, s.op[0], counts[i], want)
 			}

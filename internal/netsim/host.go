@@ -88,35 +88,27 @@ func (h *Host) UnbindUDP(port uint16) { delete(h.udp, port) }
 // SendUDP transmits a datagram from src (which may be spoofed; the
 // host's own addresses for honest traffic) to dst. It returns
 // packet.BuildUDP's error for addresses or a payload no datagram can
-// carry. A datagram that travels, or whose drop something records, is
-// written on one the network took back (see the package comment): only
-// the network's first datagrams, or one longer than the bytes it
-// reuses, allocate. A datagram whose addresses alone doom it, with
-// nothing to record its drop, is never built on the heap: with no loss
-// draw or fault hook to read its bytes it is only counted, and with
-// them it is written on the network's scratch datagram for the draws.
+// carry. A datagram whose addresses alone doom it is only counted when
+// no loss draw, fault hook, drop hook or tracer would read it. Any other
+// is written on a flight record's own Packet and bytes (see the package
+// comment), so only the network's first datagrams, or one longer than
+// the record's bytes, allocate.
 func (h *Host) SendUDP(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) error {
 	if err := packet.CheckUDP(src, dst, len(payload)); err != nil {
 		return err
 	}
 	n, ttl := h.net, h.ttl()
 	v := n.judge(h.AS, src, dst, ttl)
-	var pkt *packet.Packet
-	reuse := v.drop == DropNone || !n.unwatched(v.dstAS)
-	switch {
-	case reuse:
-		pkt = n.datagram()
-	case v.dstAS != nil && (n.cfg.LossRate > 0 || n.faults != nil):
-		pkt = &n.scratch
+	if v.drop != DropNone && n.unwatched(v.dstAS) && !n.draws(v.dstAS) {
+		n.drops[v.drop]++
+		return nil
 	}
-	if pkt != nil {
-		packet.WriteUDP(pkt, pkt.Raw, src, dst, srcPort, dstPort, ttl, payload)
-	}
-	switch fault, travels := n.transit(h.AS, v, pkt); {
-	case travels:
-		n.carry(h.AS, v, pkt, reuse, fault)
-	case reuse: // its journey ended in transit
-		n.datagrams = append(n.datagrams, pkt)
+	f := n.flight()
+	f.raw, f.pkt = packet.WriteUDP(&f.own, f.own.Raw, src, dst, srcPort, dstPort, ttl, payload), &f.own
+	if fault, travels := n.transit(h.AS, v, f.pkt); travels {
+		n.carry(h.AS, v, f, fault)
+	} else {
+		n.land(f)
 	}
 	return nil
 }

@@ -11,26 +11,20 @@
 // raw socket would produce. The one exception is a datagram nobody
 // reads: when its drop depends on its addresses alone (loopback
 // destination, OSAV, no route, TTL, bogon source, DSAV, no host) and no
-// socket, drop hook or tracer will read it, it is counted under the same
-// drop reason without a datagram of its own, or without an arrival
-// event when it arrived as bytes. Under loss or a fault hook, such a
-// datagram past its route lookup is written on a buffer the Network
-// reuses, byte for byte what packet.BuildUDP writes, for the loss draw
-// and the hook to read; only one a fault corrupts, whose flipped bit the
-// receiver's decode must meet, is copied and travels on.
-// The draws fold a datagram's bytes once (detrand.FoldBytes) and seed
-// the fold, so a datagram draws the same wherever its bytes were
-// written. A tracer turns the exception off, so a traced network is the
-// reference path.
+// socket, drop hook, tracer, loss draw or fault hook will read it, it is
+// counted under the same drop reason without a datagram of its own, or
+// without an arrival event when it arrived as bytes. A tracer turns the
+// exception off, so a traced network is the reference path.
 //
-// A UDP datagram Host.SendUDP sends goes back to the Network when its
-// journey ends: once arrive has run its handler, middlebox or drop, or
-// once transit has counted its loss or fault drop and shown it to the
-// drop hook. SendUDP writes the next datagram on its Packet and bytes,
-// so a handler's payload and a hook's Packet are valid only during the
-// call. Nothing else is taken back: not TCP segments (a server keeps a
-// SYN), datagrams sent as raw bytes, a datagram a fault corrupts, or a
-// duplicate's second copy, which gets bytes of its own.
+// Every other datagram travels on a flight record, the one thing a
+// Network recycles: Host.SendUDP writes a UDP datagram on the record's
+// own Packet and bytes, and inject (raw sends and TCP) points one at the
+// bytes and Packet it decoded. The record goes back when the journey
+// ends: once arrive has run its handler, middlebox or drop, or once
+// transit has counted a drop and shown it to any drop hook. So a
+// handler's payload and a hook's Packet are valid only during the call. A duplicate's second copy gets bytes of its own and decodes
+// into a Packet of its own, so a server that keeps a TCP SYN never holds
+// recycled storage.
 //
 // Each Network is single-threaded and driven by a virtual-time event
 // queue, so a seeded run is fully deterministic. All randomness (jitter,
@@ -175,8 +169,9 @@ type TransitFault struct {
 // the loss draw took, so detrand.Mix(seed, fold) is
 // detrand.HashBytes(seed, pkt.Raw) without a second pass over the
 // bytes. pkt, and the bytes in pkt.Raw, are valid only during the call:
-// a datagram its addresses doom is written on a buffer the Network
-// reuses. A hook copies what it keeps, and sends nothing.
+// SendUDP writes a datagram on a record the Network recycles, and a
+// datagram its addresses doom goes back as soon as the draws are done.
+// A hook copies what it keeps, and sends nothing.
 type FaultHook func(now time.Duration, fold uint64, pkt *packet.Packet, srcAS, dstAS *routing.AS) TransitFault
 
 // Config tunes the simulated transit characteristics.
@@ -206,15 +201,9 @@ type Network struct {
 	drops        [numDropReasons]uint64
 	delivered    uint64
 	tracer       *Tracer
-	// scratch holds the datagram the draws read when its addresses doom
-	// it and nothing watches it (see SendUDP), written on scratch.Raw.
-	scratch packet.Packet
-	// datagrams holds the UDP datagrams SendUDP wrote whose journeys
-	// have ended, for SendUDP to write the next ones on.
-	datagrams []*packet.Packet
-	// arrivals holds the arrival records whose events have run, for
-	// carry to reuse.
-	arrivals []*arrival
+	// flights holds the records whose journeys have ended, for the next
+	// datagrams to travel on.
+	flights []*flight
 }
 
 // New creates a network over the given routing registry.
@@ -444,28 +433,27 @@ func (n *Network) inject(origin *routing.AS, raw []byte) {
 	}
 	v := n.judge(origin, pkt.Src(), pkt.Dst(), pkt.TTL())
 	if fault, travels := n.transit(origin, v, pkt); travels {
-		n.carry(origin, v, pkt, false, fault)
+		f := n.flight()
+		f.raw, f.pkt = raw, pkt
+		n.carry(origin, v, f, fault)
 	}
 }
 
-// transit runs the sender's side of the pipeline past judge on a
+// transit runs the sender's side of the pipeline past judge on the
 // datagram pkt describes: the loss draw and the fault hook, both on one
 // fold of its bytes, then the TTL; a bogon, DSAV or no-host verdict ends
 // the datagram here too, counted once per copy, unless a fault flips a
 // bit the receiver's decode must meet or something records the drop. It
-// returns the fault and whether the datagram travels on to carry. pkt
-// may be nil only when no draw is on, or the datagram drops before its
-// route lookup, and nothing watches the drop. Sending and injecting both
-// run it, so the fault hook is consulted once per datagram, whichever
-// way it was sent.
+// returns the fault and whether the datagram travels on to carry.
+// Sending and injecting both run it, so the fault hook is consulted once
+// per datagram, whichever way it was sent.
 func (n *Network) transit(origin *routing.AS, v verdict, pkt *packet.Packet) (fault TransitFault, travels bool) {
 	drop := v.drop
 	// Loss and faults hash the packet's own bytes plus send time, so a
 	// decision is independent of how many other packets preceded it and
 	// a retransmission of identical bytes still gets a fresh draw. No
 	// draw consumes a shared stream: a packet's fate is shard-invariant.
-	// Neither reaches a datagram that dropped before its route lookup.
-	if v.dstAS != nil && (n.cfg.LossRate > 0 || n.faults != nil) {
+	if n.draws(v.dstAS) {
 		fold, now := detrand.FoldBytes(pkt.Raw), n.Q.Now()
 		if n.cfg.LossRate > 0 && detrand.Float64(detrand.Mix(n.seed, fold), uint64(now), saltLoss) < n.cfg.LossRate {
 			drop = DropLoss
@@ -493,17 +481,21 @@ func (n *Network) transit(origin *routing.AS, v verdict, pkt *packet.Packet) (fa
 	return fault, false
 }
 
-// carry moves a datagram that transit let through to its arrival: the
-// flow's jitter and the fault's delay, the TTL decrement at the border
-// and the fault's bit flip, and the arrival event (two with a
-// duplicate). The network owns the bytes it is handed (SendRaw copies
-// a caller's), so both writes land in place; only the scratch datagram,
-// which gets here when a fault corrupts it, is copied first, so the
-// arrival never holds the scratch bytes. reuse
-// marks a datagram SendUDP wrote on one from n.datagrams, which goes
-// back there when its journey ends; a corrupted one's Packet does not.
-func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, reuse bool, fault TransitFault) {
-	dstAS := v.dstAS
+// draws reports whether a loss draw or a fault hook reads the bytes of
+// a datagram into dstAS (nil before the route lookup, which none reads).
+func (n *Network) draws(dstAS *routing.AS) bool {
+	return dstAS != nil && (n.cfg.LossRate > 0 || n.faults != nil)
+}
+
+// carry moves the datagram on record f, which transit let through, to
+// its arrival: the flow's jitter and the fault's delay, the TTL
+// decrement at the border and the fault's bit flip, and f's arrival
+// event, with a second record for a duplicate. The network owns the
+// bytes f holds (SendRaw copies a caller's), so both writes land in
+// place; a duplicate's copy gets bytes of its own, since f's go back to
+// the network when it lands.
+func (n *Network) carry(origin *routing.AS, v verdict, f *flight, fault TransitFault) {
+	pkt, raw, dstAS := f.pkt, f.raw, v.dstAS
 	crossesBorder := dstAS != origin
 	// Jitter hashes the flow identity (addresses + ports), not the packet
 	// bytes: every packet of a flow rides the same simulated path, so
@@ -514,10 +506,6 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, reuse
 		latency += time.Duration(detrand.Mix(n.seed, flowKey(pkt), saltJitter) % uint64(n.cfg.JitterMax))
 	}
 
-	raw := pkt.Raw
-	if pkt == &n.scratch {
-		raw = append([]byte(nil), raw...)
-	}
 	// Transit TTL decrement, applied to the serialized packet so the
 	// receiver observes a hop-decremented TTL (what p0f sees).
 	if crossesBorder {
@@ -534,81 +522,70 @@ func (n *Network) carry(origin *routing.AS, v verdict, pkt *packet.Packet, reuse
 	if fault.Corrupt {
 		bit := fault.CorruptBit % (len(raw) * 8)
 		raw[bit/8] ^= 1 << (bit % 8)
-		pkt, reuse = nil, false // the flipped bit must meet the receiver's decode
+		f.pkt = nil // the flipped bit must meet the receiver's decode
 	}
 
-	n.Q.After(latency, n.arrival(raw, pkt, reuse, dstAS, crossesBorder))
+	f.dstAS, f.crossedBorder = dstAS, crossesBorder
+	n.Q.After(latency, f.fire)
 	if fault.Duplicate {
-		// The copy decodes into a Packet of its own, from bytes of its
-		// own when the first copy's go back to n.datagrams as it lands.
-		if reuse {
-			raw = append([]byte(nil), raw...)
-		}
-		n.Q.After(latency+fault.DupDelay, n.arrival(raw, nil, false, dstAS, crossesBorder))
+		dup := n.flight()
+		dup.raw, dup.dstAS, dup.crossedBorder = append([]byte(nil), raw...), dstAS, crossesBorder
+		n.Q.After(latency+fault.DupDelay, dup.fire)
 	}
 }
 
-// datagram returns a UDP datagram whose journey has ended, for SendUDP
-// to write the next one on, or a new one when none is back yet.
-func (n *Network) datagram() *packet.Packet {
-	k := len(n.datagrams)
-	if k == 0 {
-		return new(packet.Packet)
-	}
-	pkt := n.datagrams[k-1]
-	n.datagrams = n.datagrams[:k-1]
-	return pkt
-}
-
-// arrival is a travelling datagram's arrival event: arrive's arguments
-// and the event that hands them over. The Network recycles a record
-// once its event has run, so a datagram in flight costs no closure of
-// its own.
-type arrival struct {
-	n             *Network
-	raw           []byte
+// flight carries one datagram: the Packet and bytes SendUDP writes it
+// on, arrive's arguments and the arrival event that hands them over.
+// The Network recycles a record once its datagram's journey has ended,
+// so a datagram in flight costs no object of its own.
+type flight struct {
+	n   *Network
+	own packet.Packet // what SendUDP writes, on own.Raw
+	raw []byte
+	// pkt is raw decoded: &own, or the Packet inject decoded; nil when
+	// arrive must decode raw.
 	pkt           *packet.Packet
-	reuse         bool // pkt goes back to n.datagrams once arrive returns
 	dstAS         *routing.AS
 	crossedBorder bool
 	fire          eventq.Event // run, bound once per record
 }
 
-// arrival returns the event that delivers raw (pkt, when decoded) to
-// dstAS, on a recycled record when there is one.
-func (n *Network) arrival(raw []byte, pkt *packet.Packet, reuse bool, dstAS *routing.AS, crossedBorder bool) eventq.Event {
-	var a *arrival
-	if k := len(n.arrivals); k > 0 {
-		a = n.arrivals[k-1]
-		n.arrivals = n.arrivals[:k-1]
-	} else {
-		a = &arrival{n: n}
-		a.fire = a.run
+// flight returns a record whose journey has ended, or a new one when
+// none is back yet.
+func (n *Network) flight() *flight {
+	k := len(n.flights)
+	if k == 0 {
+		f := &flight{n: n}
+		f.fire = f.run
+		return f
 	}
-	a.raw, a.pkt, a.reuse, a.dstAS, a.crossedBorder = raw, pkt, reuse, dstAS, crossedBorder
-	return a.fire
+	f := n.flights[k-1]
+	n.flights = n.flights[:k-1]
+	return f
 }
 
-// run hands the record's fields to arrive after putting the record back
-// for reuse, emptied: the delivery can send, and that send can take the
-// same record. A datagram SendUDP wrote goes back to n.datagrams only
-// once arrive returns, since the handler, middlebox or hook it met
-// read it until then.
-func (a *arrival) run(time.Duration) {
-	n, raw, pkt, reuse, dstAS, crossedBorder := a.n, a.raw, a.pkt, a.reuse, a.dstAS, a.crossedBorder
-	a.raw, a.pkt, a.dstAS = nil, nil, nil
-	n.arrivals = append(n.arrivals, a)
-	n.arrive(raw, pkt, dstAS, crossedBorder)
-	if reuse {
-		n.datagrams = append(n.datagrams, pkt)
-	}
+// land takes f back once its datagram's journey has ended, keeping its
+// own Packet and bytes for the next datagram SendUDP writes.
+func (n *Network) land(f *flight) {
+	f.raw, f.pkt, f.dstAS = nil, nil, nil
+	n.flights = append(n.flights, f)
+}
+
+// run delivers the record's datagram, then takes the record back: the
+// handler, middlebox or hook the datagram met read its Packet and bytes
+// until arrive returned. A send during the delivery takes another
+// record.
+func (f *flight) run(time.Duration) {
+	f.n.arrive(f.raw, f.pkt, f.dstAS, f.crossedBorder)
+	f.n.land(f)
 }
 
 // arrive runs the destination-side pipeline: border filters, middlebox
 // interception, host lookup, kernel checks, socket demux. pkt is raw as
-// inject decoded it, or nil when raw must be decoded here. Transit
-// rewrote at most the TTL or hop limit and the IPv4 header checksum,
-// so of everything Decode checks only that checksum is verified again.
+// SendUDP wrote it or inject decoded it, or nil when raw must be decoded
+// here. Transit rewrote at most the TTL or hop limit and the IPv4
+// header checksum, so of everything Decode checks only that checksum is
+// verified again.
 func (n *Network) arrive(raw []byte, pkt *packet.Packet, dstAS *routing.AS, crossedBorder bool) {
 	if pkt == nil {
 		var err error

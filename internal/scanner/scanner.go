@@ -777,7 +777,7 @@ func appendAddrWire(b []byte, a netip.Addr) []byte {
 func (s *Scanner) send(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	txn, sport := s.probeIDs(now, src, t.Addr, kind)
 	s.msgBuf = dnswire.AppendQuery(s.msgBuf[:0], txn, s.nameBuf, dnswire.TypeA)
-	//lint:allow hotalloc -- Host is the netsim boundary: a datagram that can arrive is written on one the network got back, Packet and bytes, so only the network's first datagrams, or one longer than the storage it reuses, allocate; one its addresses doom is counted without being built, its loss and fault draws taken on the network's scratch datagram
+	//lint:allow hotalloc -- Host is the netsim boundary: a datagram that can arrive, or that a loss or fault draw reads, is written on a flight record the network got back, Packet and bytes, so only the network's first records, or a datagram longer than a record's bytes, allocate; one its addresses doom with nothing to read it is only counted
 	if s.Host.SendUDP(src, sport, t.Addr, 53, s.msgBuf) == nil {
 		s.Stats.ProbesSent++
 	}
