@@ -97,11 +97,12 @@ perfbench-smoke:
 # (internal/resolver/monolith) across the query × config × fault
 # matrix, query by query and as bursts with every query in flight
 # (TestConformanceBurstMatchesMonolith, selected by the TestConformance
-# prefix), plus the crash-flush and retransmission-key tests and 200
-# simultaneous client queries on recycled records, all under the race
-# detector.
+# prefix), plus the crash-flush and retransmission-key tests, 200
+# simultaneous client queries on recycled records, and queries spaced
+# under the timeout that reuse one attempt record while the stale
+# timeouts run, all under the race detector.
 conformance:
-	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending|TestManySimultaneousClientQueries' -v ./internal/resolver
+	$(GO) test -race -run 'TestConformance|TestCrashWith|TestRetransmitNeverOverwritesPending|TestManySimultaneousClientQueries|TestAnsweredAttemptRecordIsReused' -v ./internal/resolver
 
 # Production Go line count: non-test .go files outside testdata/ and the
 # benchmark module (perfbench/), the figure tracked next to ns/op.

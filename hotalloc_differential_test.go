@@ -367,6 +367,20 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	if sc.Stats.ProbesSent == 0 || nw.Q.Len() != 0 {
 		t.Fatalf("doomed main probes: %d sent, %d events pending", sc.Stats.ProbesSent, nw.Q.Len())
 	}
+	// A follow-up set runs on a record from the scanner's free list and
+	// re-arms the record's one bound event for each send, so once a set
+	// has run, the next one, all 22 of its sends included, allocates
+	// nothing when its probes' addresses doom them.
+	hit := scanner.Decoded{Src: spoofed, Dst: dst4, ASN: 64501, Kind: scanner.ProbeMain}
+	sc.ScheduleFollowUps(hit) // warm the record and the event queue
+	nw.Run()
+	assertZeroAllocs(t, "scanner.Scanner.ScheduleFollowUps, warm set and its sends", func() {
+		sc.ScheduleFollowUps(hit)
+		nw.Run()
+	})
+	if st := sc.Stats; st.FollowUpSetsSent == 0 || st.FollowUpQueries != 22*st.FollowUpSetsSent || nw.Q.Len() != 0 {
+		t.Fatalf("doomed follow-up sets: %d sets, %d queries, %d events pending", st.FollowUpSetsSent, st.FollowUpQueries, nw.Q.Len())
+	}
 
 	// The merge core: run comparators and a warmed Merger draining
 	// in-memory runs. Merger.Next's only dynamic calls are the Source

@@ -80,21 +80,20 @@ func (inboundSAVPhase) Name() string { return PhaseInboundSAV }
 // error naming the shard.
 func (inboundSAVPhase) Count(sh *Shard) int { return len(sh.Scanner.Targets) }
 
-// Plan plans each target's one source on the scanner, every source cut
-// from one array.
+// Plan plans each target's one source on the scanner, handing PlanWith
+// a one-address scratch it copies.
 func (inboundSAVPhase) Plan(sh *Shard) int {
 	sc := sh.Scanner
 	seed := uint64(sc.Cfg.Seed)
-	srcs := make([]netip.Addr, 0, len(sc.Targets))
+	var one [1]netip.Addr
 	rng := detrand.Rand()
 	return sc.PlanWith(saltSAVPhase, func(t scanner.Target) []netip.Addr {
 		src, ok := savSourceFor(sc.Reg, t, seed, rng)
 		if !ok {
 			return nil
 		}
-		srcs = append(srcs, src)
-		n := len(srcs)
-		return srcs[n-1 : n : n]
+		one[0] = src
+		return one[:]
 	})
 }
 

@@ -7,6 +7,8 @@
 // timestamps), so a seeded simulation always produces identical results.
 // An event armed with AtSeq takes its place in that order from the
 // moment Reserve claimed its number, not from when it was armed.
+// Running reports the number of the event being run, so one callback
+// armed under many numbers can tell which of them is running.
 //
 // The queue is the hottest structure in a survey run: every packet hop
 // costs at least one event. It is therefore a hand-rolled binary heap of
@@ -37,6 +39,7 @@ type Queue struct {
 	heap    []uint32 // binary heap of indices into items
 	items   []item   // slab; slots recycled through free
 	free    []uint32 // recycled slab slots
+	running uint64   // the running event's schedule-order number
 	stopped bool
 	ran     uint64
 }
@@ -52,6 +55,11 @@ func (q *Queue) Len() int { return len(q.heap) }
 
 // Processed reports how many events have run so far.
 func (q *Queue) Processed() uint64 { return q.ran }
+
+// Running reports the schedule-order number of the event being run:
+// the number At gave it, or the one AtSeq armed it under. It is valid
+// only inside an event's callback.
+func (q *Queue) Running() uint64 { return q.running }
 
 func (q *Queue) less(i, j uint32) bool {
 	a, b := &q.items[i], &q.items[j]
@@ -170,6 +178,7 @@ func (q *Queue) Step() bool {
 	}
 	it := &q.items[idx]
 	at, fn := it.at, it.fn
+	q.running = it.seq
 	it.fn = nil // release the closure while the slot waits on the free-list
 	q.free = append(q.free, idx)
 	q.now = at

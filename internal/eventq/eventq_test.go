@@ -168,6 +168,46 @@ func TestInterleavedScheduleAndStep(t *testing.T) {
 	}
 }
 
+// TestRunningReportsTheRunningEvent requires Running, inside a
+// callback, to report the number its event went under: the fresh
+// number At or After handed out (Reserve(0) names the next one without
+// claiming it), or the reserved one AtSeq armed it under. An event
+// armed from inside another reports its own number when it runs, and
+// arming it leaves the running event's number as it was.
+func TestRunningReportsTheRunningEvent(t *testing.T) {
+	q := New()
+	got, want := map[string]uint64{}, map[string]uint64{}
+	record := func(name string) Event {
+		return func(time.Duration) { got[name] = q.Running() }
+	}
+	reserved := q.Reserve(2)
+	want["At"] = q.Reserve(0)
+	q.At(2*time.Millisecond, record("At"))
+	want["After"] = q.Reserve(0)
+	q.After(time.Millisecond, record("After"))
+	want["AtSeq"] = reserved + 1
+	q.AtSeq(3*time.Millisecond, reserved+1, record("AtSeq"))
+	want["outer"] = q.Reserve(0)
+	q.At(time.Millisecond, func(time.Duration) {
+		got["outer"] = q.Running()
+		want["inner After"] = q.Reserve(0)
+		q.After(0, record("inner After"))
+		want["inner AtSeq"] = reserved
+		q.AtSeq(q.Now(), reserved, record("inner AtSeq"))
+		got["outer, after arming"] = q.Running()
+	})
+	want["outer, after arming"] = want["outer"]
+	q.Run()
+	if len(got) != len(want) {
+		t.Fatalf("%d events recorded a number, want %d: %v", len(got), len(want), got)
+	}
+	for name, seq := range want {
+		if got[name] != seq {
+			t.Errorf("%s: Running reported %d, want %d", name, got[name], seq)
+		}
+	}
+}
+
 // BenchmarkQueue measures steady-state scheduling cost: the slab and
 // free-list should make the amortized allocs/op ~0 (run with -benchmem).
 func BenchmarkQueue(b *testing.B) {
@@ -279,6 +319,7 @@ const (
 	armEager    cursorArm = iota // every event through At up front
 	armReserved                  // Reserve up front, re-arm through AtSeq
 	armPlainAt                   // re-arm through At: fresh numbers
+	armShared                    // one callback for every cursor, found from Running
 )
 
 // runCursors plays a set of cursors — each a non-decreasing run of
@@ -287,18 +328,26 @@ const (
 // the same millisecond grid, so run-time events land on instants
 // cursor events also hold. Cursor event (c, j) logs c*100+j; the
 // run-time event it schedules logs -(c*100+j+1).
+//
+// Under armShared one Reserve claims a fixed stride of numbers per
+// cursor, the longest cursor's length, and every cursor event is the
+// one shared callback, which works out its cursor and position from
+// the running event's number, as the scanner's probe cursors do.
 func runCursors(times [][]time.Duration, arm cursorArm) []int {
 	q := New()
 	var log []int
+	visit := func(c, j int) {
+		id := c*100 + j
+		log = append(log, id)
+		if (c*7+j)%3 == 0 {
+			q.After(time.Duration(j%3)*time.Millisecond, func(time.Duration) { log = append(log, -(id + 1)) })
+		}
+	}
 	first := make([]uint64, len(times))
 	var event func(c, j int) Event
 	event = func(c, j int) Event {
-		return func(now time.Duration) {
-			id := c*100 + j
-			log = append(log, id)
-			if (c*7+j)%3 == 0 {
-				q.After(time.Duration(j%3)*time.Millisecond, func(time.Duration) { log = append(log, -(id + 1)) })
-			}
+		return func(time.Duration) {
+			visit(c, j)
 			if j+1 == len(times[c]) {
 				return
 			}
@@ -309,6 +358,22 @@ func runCursors(times [][]time.Duration, arm cursorArm) []int {
 				q.At(times[c][j+1], event(c, j+1))
 			}
 		}
+	}
+	var base, stride uint64
+	var shared Event
+	shared = func(time.Duration) {
+		seq := q.Running()
+		c, j := int((seq-base)/stride), int((seq-base)%stride)
+		visit(c, j)
+		if j+1 < len(times[c]) {
+			q.AtSeq(times[c][j+1], seq+1, shared)
+		}
+	}
+	if arm == armShared {
+		for _, ts := range times {
+			stride = max(stride, uint64(len(ts)))
+		}
+		base = q.Reserve(int(stride) * len(times))
 	}
 	for c, ts := range times {
 		switch arm {
@@ -321,6 +386,8 @@ func runCursors(times [][]time.Duration, arm cursorArm) []int {
 			q.AtSeq(ts[0], first[c], event(c, 0))
 		case armPlainAt:
 			q.At(ts[0], event(c, 0))
+		case armShared:
+			q.AtSeq(ts[0], base+uint64(c)*stride, shared)
 		}
 	}
 	q.Run()
@@ -330,9 +397,11 @@ func runCursors(times [][]time.Duration, arm cursorArm) []int {
 // TestReservedSeqMatchesEagerOrder is the differential pin for lazy
 // scheduling: cursors that hold one pending event each and re-arm
 // under reserved numbers run every event in the order eager At
-// scheduling gives, ties and run-time events included. Re-arming
-// through plain At on the same scenario must diverge, which shows the
-// scenario has the ties that make the reservation necessary.
+// scheduling gives, ties and run-time events included, whether each
+// cursor has callbacks of its own or all share one that reads
+// Running. Re-arming through plain At on the same scenario must
+// diverge, which shows the scenario has the ties that make the
+// reservation necessary.
 func TestReservedSeqMatchesEagerOrder(t *testing.T) {
 	x := uint64(0x9e3779b97f4a7c15)
 	draw := func(n uint64) uint64 { // xorshift64
@@ -356,13 +425,18 @@ func TestReservedSeqMatchesEagerOrder(t *testing.T) {
 	if len(eager) <= events {
 		t.Fatalf("%d events logged for %d cursor events: no run-time events", len(eager), events)
 	}
-	if got := runCursors(times, armReserved); !slices.Equal(got, eager) {
-		i := 0
-		for i < len(got) && i < len(eager) && got[i] == eager[i] {
-			i++
+	for _, mode := range []struct {
+		name string
+		arm  cursorArm
+	}{{"reserved", armReserved}, {"shared-callback", armShared}} {
+		if got := runCursors(times, mode.arm); !slices.Equal(got, eager) {
+			i := 0
+			for i < len(got) && i < len(eager) && got[i] == eager[i] {
+				i++
+			}
+			t.Fatalf("%s re-arming diverges from eager order at event %d of %d: %v vs %v",
+				mode.name, i, len(eager), got[i:min(i+5, len(got))], eager[i:min(i+5, len(eager))])
 		}
-		t.Fatalf("reserved re-arming diverges from eager order at event %d of %d: %v vs %v",
-			i, len(eager), got[i:min(i+5, len(got))], eager[i:min(i+5, len(eager))])
 	}
 	if got := runCursors(times, armPlainAt); slices.Equal(got, eager) {
 		t.Fatal("plain At re-arming matched eager order: the scenario lacks the ties it is meant to test")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -264,6 +265,114 @@ func TestManySimultaneousClientQueries(t *testing.T) {
 	}
 }
 
+// checkRecords fails t unless the resolver has no attempt pending and
+// its free lists hold jobs job records and attempts attempt records,
+// each once and emptied: a record on a list twice would serve two
+// exchanges at once, and one missing was dropped while its exchange
+// could still reach it.
+func checkRecords(t *testing.T, r *Resolver, jobs, attempts int) {
+	t.Helper()
+	if n := len(r.pending); n != 0 {
+		t.Fatalf("%d attempts still pending", n)
+	}
+	seenJobs := make(map[*job]bool)
+	for _, j := range r.jobs {
+		if seenJobs[j] || j.qname != "" {
+			t.Fatalf("job record %p is on the free list twice or still holds %q", j, j.qname)
+		}
+		seenJobs[j] = true
+	}
+	seenAttempts := make(map[*outstanding]bool)
+	for _, out := range r.attempts {
+		if seenAttempts[out] || out.job != nil || out.qname != "" || out.seq != 0 {
+			t.Fatalf("attempt record %p is on the free list twice or not emptied: %+v", out, *out)
+		}
+		seenAttempts[out] = true
+	}
+	if len(r.jobs) != jobs || len(r.attempts) != attempts {
+		t.Fatalf("free lists hold %d job and %d attempt records, want %d and %d", len(r.jobs), len(r.attempts), jobs, attempts)
+	}
+}
+
+// TestAnsweredAttemptRecordIsReused spaces client queries closer than
+// the upstream timeout, though far enough apart that each is answered
+// before the next arrives. An answered attempt's record goes back at
+// once, so the first query's three hops and every later query run on
+// one record, while the earlier attempts' timeout events are still
+// queued. Each of those stale events runs, counts no timeout, fails no
+// job and puts no record on a free list twice.
+func TestAnsweredAttemptRecordIsReused(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 58, Timeout: 10 * time.Second})
+	h.authZone.Wildcard = true
+	r := h.res
+	answered := 0
+	h.client.BindUDP(7600, func(now time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, payload []byte) {
+		if m, err := dnswire.Unpack(payload); err == nil && m.QR && m.RCode == dnswire.RCodeNoError && len(m.Answer) == 1 {
+			answered++
+		}
+	})
+	const n, gap = 10, 500 * time.Millisecond
+	for i := 0; i < n; i++ {
+		payload, err := dnswire.NewQuery(uint16(i), dnswire.Name(fmt.Sprintf("q%d.reuse.dns-lab.org", i)), dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.net.Q.At(time.Duration(i)*gap, func(time.Duration) {
+			h.client.SendUDP(addr("192.0.2.10"), 7600, addr("198.51.100.53"), 53, payload)
+		})
+	}
+	h.net.Q.RunUntil(n * gap)
+	stale := int(r.Stats.UpstreamQueries)
+	if answered != n || stale <= n {
+		t.Fatalf("%d of %d queries answered through %d upstream queries by %v", answered, n, stale, h.net.Now())
+	}
+	if got := h.net.Q.Len(); got != stale {
+		t.Fatalf("%d events queued once every query is answered, want the %d upstream attempts' timeouts", got, stale)
+	}
+	if len(r.attempts) != 1 {
+		t.Fatalf("%d attempt records back before any timeout ran, want the one every query used", len(r.attempts))
+	}
+	h.net.Run()
+	if st := r.Stats; st.Timeouts != 0 || st.ServFail != 0 || st.Responded != n {
+		t.Fatalf("stats after the stale timeouts ran: %+v", st)
+	}
+	checkRecords(t, r, 1, 1)
+}
+
+// TestWarmIterativeResolutionMakesNoAttemptRecord pins a warm
+// three-hop iterative resolution (root, org, dns-lab.org) at 0 new
+// attempt records: each hop's record goes back when its answer
+// arrives and the next hop takes it, though the previous resolution's
+// timeouts are still queued.
+func TestWarmIterativeResolutionMakesNoAttemptRecord(t *testing.T) {
+	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 58})
+	h.authZone.Wildcard = true
+	r := h.res
+	resolve := func(name dnswire.Name) {
+		t.Helper()
+		payload, err := dnswire.NewQuery(1, name, dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := r.Stats
+		h.client.SendUDP(addr("192.0.2.10"), 7700, addr("198.51.100.53"), 53, payload)
+		h.net.RunFor(time.Second)
+		if st := r.Stats; st.UpstreamQueries-before.UpstreamQueries != 3 || st.Responded-before.Responded != 1 || st.ServFail != 0 {
+			t.Fatalf("resolving %s: stats went from %+v to %+v, want three upstream queries and an answer", name, before, st)
+		}
+	}
+	resolve("a.warm.dns-lab.org")
+	r.Crash(h.net.Now()) // flush the delegations: the next resolution starts at the root
+	warm := slices.Clone(r.attempts)
+	resolve("b.warm.dns-lab.org")
+	h.net.Run()
+	if !slices.Equal(r.attempts, warm) || r.Stats.Timeouts != 0 {
+		t.Fatalf("a warm three-hop resolution left %d attempt records on the free list, want its warm %d; %d timeouts",
+			len(r.attempts), len(warm), r.Stats.Timeouts)
+	}
+	checkRecords(t, r, 1, 1)
+}
+
 // TestRetransmitNeverOverwritesPending fills every transaction ID of a
 // fixed port with a pending query, then retransmits on that port. No
 // free key exists, so the retransmission must give up with SERVFAIL,
@@ -291,7 +400,7 @@ func TestRetransmitNeverOverwritesPending(t *testing.T) {
 		id: 7, qname: "retx.dns-lab.org", qtype: dnswire.TypeA, depth: r.cfg.MaxSteps,
 	}
 	out := r.newAttempt()
-	out.job, out.server, out.qname, out.qtype, out.attempt, out.done = j, addr("192.0.9.1"), j.qname, j.qtype, 1, true
+	out.job, out.server, out.qname, out.qtype, out.attempt = j, addr("192.0.9.1"), j.qname, j.qtype, 1
 	r.retransmit(out)
 	h.net.Run()
 

@@ -13,7 +13,11 @@ import (
 // or lenient QNAME minimization, and with or without 0x20. The resolver
 // must not panic and must reply at most once; every reply must decode
 // as a response, and it never answers or refuses more queries than it
-// received.
+// received. Once the network drains, nothing is pending and every
+// record sits on its free list once: a job for the query it admitted,
+// and one attempt record if it queried upstream at all, since the one
+// job's attempts never overlap and each gives its record back as it
+// ends.
 func FuzzClientQuery(f *testing.F) {
 	for _, q := range []struct {
 		name dnswire.Name
@@ -59,8 +63,10 @@ func FuzzClientQuery(f *testing.F) {
 		if replies > 1 {
 			t.Fatalf("one datagram drew %d replies", replies)
 		}
-		if s := h.res.Stats; s.Responded+s.Refused > s.ClientQueries {
+		s := h.res.Stats
+		if s.Responded+s.Refused > s.ClientQueries {
 			t.Fatalf("stats %+v: more replies than client queries", s)
 		}
+		checkRecords(t, h.res, int(s.ClientQueries-s.Refused), int(min(s.UpstreamQueries, 1)))
 	})
 }

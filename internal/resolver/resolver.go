@@ -165,11 +165,13 @@ type pendKey struct {
 
 // outstanding is one in-flight upstream query over UDP, first attempt
 // and retransmissions alike: a retransmission reuses the record whose
-// attempt timed out. The resolver recycles a record when its timeout
-// event runs and arms no retransmission. That event is always the
-// record's last holder: pending drops an entry as soon as it is
-// answered, timed out or abandoned by Crash, and a record marked done
-// never reads its job again.
+// attempt timed out. A record is in pending exactly while its attempt
+// is live, and it goes back on the free list as soon as the attempt
+// ends: answered (dispatch), abandoned (Crash), or timed out with no
+// retransmission left or possible. Its timeout event, armed under a
+// number of its own (seq), may still be queued then; when it runs
+// under any other number than the record's current one, the attempt it
+// was armed for has ended, and it does nothing.
 type outstanding struct {
 	r        *Resolver
 	job      *job
@@ -179,8 +181,8 @@ type outstanding struct {
 	wireName dnswire.Name // case-randomized form when 0x20 is enabled
 	qtype    dnswire.Type
 	attempt  int
-	rd       bool // recursive (forwarded) rather than iterative
-	done     bool
+	rd       bool         // recursive (forwarded) rather than iterative
+	seq      uint64       // the number the timeout was last armed under; 0 on the free list
 	expire   eventq.Event // timeout, bound once per record
 }
 
@@ -259,23 +261,26 @@ func (r *Resolver) dispatch(now time.Duration, src netip.Addr, srcPort uint16, d
 	if msg.QR {
 		key := pendKey{port: dstPort, id: msg.ID}
 		out, ok := r.pending[key]
-		if !ok || out.done || out.server != src || !msg.Q().Name.Equal(out.qname) {
+		if !ok || out.server != src || !msg.Q().Name.Equal(out.qname) {
 			return
 		}
 		if r.cfg.Use0x20 && string(msg.Q().Name) != string(out.wireName) {
 			return // 0x20: echoed case mismatch — forged response
 		}
-		out.done = true
+		// Answered: the record goes back now, so the job's next
+		// attempt can take it; its timeout event finds it moved on.
+		j, server, qname, qtype := out.job, out.server, out.qname, out.qtype
 		delete(r.pending, key)
 		r.releasePort(dstPort)
+		r.freeAttempt(out)
 		// Truncated: retry the same query over TCP (RFC 7766), the
 		// behaviour the experiment's TC follow-up elicits to capture a
 		// SYN (§3.5).
 		if msg.TC {
-			r.queryTCP(out.job, out.server, out.qname, out.qtype)
+			r.queryTCP(j, server, qname, qtype)
 			return
 		}
-		r.onResponse(out.job, out.qname, out.qtype, msg)
+		r.onResponse(j, qname, qtype, msg)
 		return
 	}
 	r.handleQuery(src, srcPort, dst, msg)
@@ -568,11 +573,11 @@ func (r *Resolver) sendUpstream(j *job, server netip.Addr, qname dnswire.Name, q
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
 	r.Host.SendUDP(local, key.port, server, 53, payload)
-	r.Host.Network().Q.After(r.cfg.Timeout, out.expire)
+	r.armTimeout(out)
 }
 
 // newAttempt takes an attempt record off the free list, or makes one
-// with its timeout event bound, and marks it a live first attempt.
+// with its timeout event bound, and marks it a first attempt.
 func (r *Resolver) newAttempt() *outstanding {
 	var out *outstanding
 	if k := len(r.attempts); k > 0 {
@@ -582,14 +587,22 @@ func (r *Resolver) newAttempt() *outstanding {
 		out = &outstanding{r: r}
 		out.expire = out.timeout
 	}
-	out.attempt, out.done = 0, false
+	out.attempt = 0
 	return out
 }
 
-// freeAttempt puts a done attempt record back on the free list,
-// dropping its job and names.
+// armTimeout schedules out's timeout Timeout from now where After would,
+// under a number it reserves and the record keeps.
+func (r *Resolver) armTimeout(out *outstanding) {
+	q := r.Host.Network().Q
+	out.seq = q.Reserve(1)
+	q.AtSeq(q.Now()+r.cfg.Timeout, out.seq, out.expire)
+}
+
+// freeAttempt puts an ended attempt's record back on the free list,
+// dropping its job and names and the number its timeout went under.
 func (r *Resolver) freeAttempt(out *outstanding) {
-	out.job, out.qname, out.wireName = nil, "", ""
+	out.job, out.qname, out.wireName, out.seq = nil, "", "", 0
 	r.attempts = append(r.attempts, out)
 }
 
@@ -615,25 +628,25 @@ func (r *Resolver) retransmit(out *outstanding) {
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	out.key, out.done = key, false
+	out.key = key
 	r.pending[key] = out
 	r.Stats.UpstreamQueries++
 	local := r.Host.Addr(out.server.Is6())
 	r.Host.SendUDP(local, key.port, out.server, 53, payload)
-	r.Host.Network().Q.After(r.cfg.Timeout, out.expire)
+	r.armTimeout(out)
 }
 
 // timeout is out's timeout event. An attempt still unanswered is
 // abandoned, then retransmitted on the same record while retries
-// remain, and its job ends in SERVFAIL once they are spent. An attempt
-// already answered or abandoned just gives its record back.
+// remain, and its job ends in SERVFAIL once they are spent. An event
+// armed for an attempt that has ended runs under another number than
+// the record's, which is back on the free list or serving a later
+// attempt, and does nothing.
 func (out *outstanding) timeout(time.Duration) {
 	r := out.r
-	if out.done {
-		r.freeAttempt(out)
+	if r.Host.Network().Q.Running() != out.seq {
 		return
 	}
-	out.done = true
 	delete(r.pending, out.key)
 	r.releasePort(out.key.port)
 	r.Stats.Timeouts++
@@ -705,8 +718,8 @@ func (r *Resolver) onResponse(j *job, qname dnswire.Name, qtype dnswire.Type, ms
 // queryTCP re-issues j's query for (qname, qtype) to server over TCP
 // after a truncated UDP reply. The TCP exchange is j's one live attempt
 // until it answers or times out, whichever comes first; the UDP record
-// is done and may be recycled meanwhile, so the exchange keeps what it
-// needs itself.
+// went back when the truncated answer arrived, so the exchange keeps
+// what it needs itself.
 func (r *Resolver) queryTCP(j *job, server netip.Addr, qname dnswire.Name, qtype dnswire.Type) {
 	local := r.Host.Addr(server.Is6())
 	port := r.cfg.Ports.Next()
@@ -832,9 +845,9 @@ func (r *Resolver) Crash(now time.Duration) {
 	r.Stats.Crashes++
 	r.cache.flush()
 	for key, out := range r.pending {
-		out.done = true
 		delete(r.pending, key)
 		r.releasePort(key.port)
+		r.freeAttempt(out)
 	}
 }
 

@@ -264,19 +264,28 @@ func (st *Stats) Add(o Stats) {
 	st.PartialHitsObserved += o.PartialHitsObserved
 }
 
-// probePlan is one target's planned probes and the probe cursor
-// Schedule arms: the target's spoofed sources and phase in the window,
-// the send's reserved schedule-order number, the one event that sends
-// and re-arms, the target's index in Targets, and the next source to
-// send. It lives as long as the shard, so it stays this small.
+// probePlan is one target's planned probes: its spoofed sources, a
+// run of a chunk PlanWith copied them into, its phase in the window,
+// and its index in Targets. The probe cursor keeps no state here: the
+// running event's number names the plan and source (see Schedule). A
+// plan lives as long as the shard, so it stays this small.
 type probePlan struct {
 	sources []netip.Addr
 	phase   float64
-	seq     uint64
-	fire    eventq.Event
 	target  int32
-	next    int32
 }
+
+// armBlock is one Schedule call's reservation: stride numbers from seq
+// on for each plan from plan on, source j of plan plan+i under
+// seq+i*stride+j.
+type armBlock struct {
+	seq    uint64
+	plan   int
+	stride uint64
+}
+
+// planChunk caps the addresses in one of PlanWith's source chunks.
+const planChunk = 4096
 
 // Scanner is the measurement client.
 type Scanner struct {
@@ -305,9 +314,12 @@ type Scanner struct {
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
-	armed    int    // plans[:armed] are on the event queue
-	nameBuf  []byte // scratch: wire-form probe name
-	msgBuf   []byte // scratch: packed query message
+	armed    int            // plans[:armed] are on the event queue
+	blocks   []armBlock     // one per Schedule call that armed plans
+	fire     eventq.Event   // sendNext, bound by Attach: every plan's probe cursor
+	sets     []*followUpSet // follow-up set records whose sends are done
+	nameBuf  []byte         // scratch: wire-form probe name
+	msgBuf   []byte         // scratch: packed query message
 	// tails holds the wire form of keyword.zone per probe kind, encoded
 	// once by New; nil when the keyword makes no valid name.
 	tails [ProbeTC + 1][]byte
@@ -364,6 +376,7 @@ func (s *Scanner) Attach(host *netsim.Host, addr4, addr6 netip.Addr, auths []*au
 		}
 	}
 	s.Host, s.Addr4, s.Addr6 = host, addr4, addr6
+	s.fire = s.sendNext
 	for _, a := range auths {
 		a.OnQuery = s.monitor
 	}
@@ -603,7 +616,7 @@ func (s *Scanner) Count() int {
 // Plan plans every admitted target's §3.2 spoofed sources (SourcesFor)
 // and returns the number of probes planned, Count's total.
 func (s *Scanner) Plan() int {
-	total := s.PlanWith(saltPhase, func(t Target) []netip.Addr { return slices.Clone(s.SourcesFor(t)) })
+	total := s.PlanWith(saltPhase, s.SourcesFor)
 	if s.Hits == nil {
 		s.Hits = make([]Hit, 0, 2*len(s.Targets))
 	}
@@ -611,26 +624,39 @@ func (s *Scanner) Plan() int {
 }
 
 // PlanWith plans every admitted target's probes for one campaign phase:
-// sources returns the target's spoofed sources, which the plan keeps,
-// and salt, the phase's, keys the target's phase in the campaign
-// window. A target without a source gets no plan. PlanWith returns the
-// number of probes planned; the next Schedule arms them after every
-// plan made before.
+// sources returns the target's spoofed sources, and salt, the phase's,
+// keys the target's phase in the campaign window. The plan keeps a copy
+// of the sources, so sources may return its own scratch. A target
+// without a source gets no plan. PlanWith returns the number of probes
+// planned; the next Schedule arms them after every plan made before.
+//
+// The copies are cut from chunks PlanWith allocates, each sized for
+// what is left to plan at the current target's source count, up to
+// planChunk addresses. A chunk is never grown, so no copy moves and no
+// chunk holds twice the addresses it needs; it is freed once every
+// plan cut from it has sent its last probe.
 func (s *Scanner) PlanWith(salt uint64, sources func(Target) []netip.Addr) int {
 	s.plans = slices.Grow(s.plans, len(s.Targets))
 	total := 0
+	var chunk []netip.Addr
 	for i, t := range s.Targets {
 		srcs := sources(t)
-		if len(srcs) == 0 {
+		n := len(srcs)
+		if n == 0 {
 			continue
 		}
+		if cap(chunk)-len(chunk) < n {
+			chunk = make([]netip.Addr, 0, max(n, min(planChunk, n*(len(s.Targets)-i))))
+		}
+		at := len(chunk)
+		chunk = append(chunk, srcs...)
 		hi, lo := detrand.AddrWords(t.Addr)
 		s.plans = append(s.plans, probePlan{
-			sources: srcs,
+			sources: chunk[at:len(chunk):len(chunk)],
 			phase:   detrand.Float64(s.seed, hi, lo, salt),
 			target:  int32(i),
 		})
-		total += len(srcs)
+		total += n
 	}
 	return total
 }
@@ -658,39 +684,61 @@ func CampaignDuration(total int, rate float64) time.Duration {
 // run at the instants and in the order enqueueing them all up front
 // would give, ties included, while the queue holds one event per
 // target instead of one per probe.
+//
+// A call reserves one block of numbers, a fixed stride per plan (its
+// plans' most sources), and arms every cursor with the scanner's one
+// bound sendNext. Plan by plan and source by source, the block orders
+// probes as a run reserved per plan would, and sendNext finds its plan
+// and source from the running event's number.
 func (s *Scanner) Schedule(window time.Duration) {
 	q := s.Host.Network().Q
 	s.window = window
-	for pi := s.armed; pi < len(s.plans); pi++ {
-		p := &s.plans[pi]
-		p.seq = q.Reserve(len(p.sources))
-		p.fire = func(now time.Duration) { s.sendNext(now, pi) }
-		q.AtSeq(s.probeAt(p, 0), p.seq, p.fire)
+	plans := s.plans[s.armed:]
+	if len(plans) == 0 {
+		return
+	}
+	b := armBlock{plan: s.armed}
+	for i := range plans {
+		b.stride = max(b.stride, uint64(len(plans[i].sources)))
+	}
+	b.seq = q.Reserve(int(b.stride) * len(plans))
+	s.blocks = append(s.blocks, b)
+	for i := range plans {
+		q.AtSeq(s.probeAt(&plans[i], 0), b.seq+uint64(i)*b.stride, s.fire)
 	}
 	s.armed = len(s.plans)
 }
 
 // probeAt is the send time of plan p's source j: (j+phase)/k of the
 // window, for k sources.
-func (s *Scanner) probeAt(p *probePlan, j int32) time.Duration {
+func (s *Scanner) probeAt(p *probePlan, j int) time.Duration {
 	return time.Duration((float64(j) + p.phase) / float64(len(p.sources)) * float64(s.window))
 }
 
-// sendNext is plan pi's probe cursor: it sends the next source's probe
-// and re-arms for the one after.
+// sendNext is every plan's probe cursor: the running event's number
+// names the plan and source to send, in the newest Schedule block at or
+// below it. It sends that source's probe and re-arms for the next under
+// the next number.
 //
 //doors:hotpath
-func (s *Scanner) sendNext(now time.Duration, pi int) {
-	p := &s.plans[pi]
-	src := p.sources[p.next]
-	p.next++
-	if int(p.next) < len(p.sources) {
-		p.seq++
-		s.Host.Network().Q.AtSeq(s.probeAt(p, p.next), p.seq, p.fire)
+func (s *Scanner) sendNext(now time.Duration) {
+	q := s.Host.Network().Q
+	seq := q.Running()
+	k := len(s.blocks) - 1
+	for s.blocks[k].seq > seq {
+		k--
+	}
+	b := &s.blocks[k]
+	off := seq - b.seq
+	p := &s.plans[b.plan+int(off/b.stride)]
+	j := int(off % b.stride)
+	src := p.sources[j]
+	if j+1 < len(p.sources) {
+		q.AtSeq(s.probeAt(p, j+1), seq+1, s.fire)
 	} else {
-		// The target's last probe: the plan lets go of its sources and
-		// its cursor, which would otherwise live as long as the shard.
-		p.sources, p.fire = nil, nil
+		// The target's last probe: the plan lets go of its sources,
+		// which would otherwise live as long as the shard.
+		p.sources = nil
 	}
 	s.SendProbe(now, src, s.Targets[p.target], ProbeMain)
 }
@@ -811,35 +859,77 @@ func (s *Scanner) monitor(e authserver.LogEntry) {
 // ScheduleFollowUps sends the §3.5 follow-up set using the spoofed
 // source that worked: FollowUpCount each of IPv4-only and IPv6-only
 // queries, one non-spoofed open-resolver probe, and one TCP-eliciting
-// (truncated) probe. It is the default FollowUp hook, installed by the
-// survey campaign's characterization phase.
+// (truncated) probe, FollowUpSpacing apart from now on. It is the
+// default FollowUp hook, installed by the survey campaign's
+// characterization phase.
+//
+// The set runs on a record from the scanner's free list. It reserves
+// the set's numbers now and arms one send at a time under them, so the
+// sends run where the set's events would run had they all been
+// scheduled now.
 func (s *Scanner) ScheduleFollowUps(d Decoded) {
 	s.Stats.FollowUpSetsSent++
-	t := Target{Addr: d.Dst, ASN: d.ASN}
-	q := s.Host.Network().Q
-	delay := s.Cfg.FollowUpSpacing
-	n := 0
-	send := func(src netip.Addr, kind ProbeKind) {
-		n++
-		q.After(time.Duration(n)*delay, func(now time.Duration) {
-			s.Stats.FollowUpQueries++
-			s.SendProbe(now, src, t, kind)
-		})
+	var f *followUpSet
+	if k := len(s.sets); k > 0 {
+		f = s.sets[k-1]
+		s.sets = s.sets[:k-1]
+	} else {
+		f = &followUpSet{s: s}
+		f.fire = f.send
 	}
-	for i := 0; i < s.Cfg.FollowUpCount; i++ {
-		send(d.Src, ProbeV4)
-	}
-	for i := 0; i < s.Cfg.FollowUpCount; i++ {
-		send(d.Src, ProbeV6)
-	}
+	f.t, f.src, f.sent = Target{Addr: d.Dst, ASN: d.ASN}, d.Src, 0
 	// Open-resolver probe: real source (§3.5, §5.1).
-	openSrc := s.Addr4
+	f.open = s.Addr4
 	if d.Dst.Is6() {
-		openSrc = s.Addr6
+		f.open = s.Addr6
 	}
-	if openSrc.IsValid() {
-		send(openSrc, ProbeMain)
+	f.n = 2*max(s.Cfg.FollowUpCount, 0) + 1
+	if f.open.IsValid() {
+		f.n++
 	}
-	// TCP probe via the always-truncate zone.
-	send(d.Src, ProbeTC)
+	q := s.Host.Network().Q
+	f.seq = q.Reserve(f.n)
+	q.AtSeq(q.Now()+s.Cfg.FollowUpSpacing, f.seq, f.fire)
+}
+
+// followUpSet is one target's follow-up set in flight: the target, the
+// spoofed source that worked, the real source for the open-resolver
+// probe (invalid when the scanner has no address of the target's
+// family), the number of the next send and how many of the set's n
+// sends are done. Its one event, bound once per record, sends and
+// re-arms until the last send puts the record back.
+type followUpSet struct {
+	s         *Scanner
+	fire      eventq.Event // send, bound once per record
+	t         Target
+	src, open netip.Addr
+	seq       uint64
+	sent, n   int
+}
+
+// send sends the set's next probe and re-arms FollowUpSpacing later:
+// FollowUpCount IPv4-only queries, as many IPv6-only ones, the
+// open-resolver probe when the set has one, then the TCP probe, through
+// the always-truncate zone.
+//
+//doors:hotpath
+func (f *followUpSet) send(now time.Duration) {
+	s, t, src, kind := f.s, f.t, f.src, ProbeTC
+	c := max(s.Cfg.FollowUpCount, 0)
+	switch k := f.sent; {
+	case k < c:
+		kind = ProbeV4
+	case k < 2*c:
+		kind = ProbeV6
+	case k == 2*c && f.open.IsValid():
+		src, kind = f.open, ProbeMain
+	}
+	if f.sent++; f.sent < f.n {
+		f.seq++
+		s.Host.Network().Q.AtSeq(now+s.Cfg.FollowUpSpacing, f.seq, f.fire)
+	} else {
+		s.sets = append(s.sets, f)
+	}
+	s.Stats.FollowUpQueries++
+	s.SendProbe(now, src, t, kind)
 }

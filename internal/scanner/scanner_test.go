@@ -531,6 +531,151 @@ func TestScheduleKeepsEagerOrderUnderTies(t *testing.T) {
 	}
 }
 
+// TestFollowUpsKeepEagerOrder runs follow-up sets on recycled records
+// beside the main probes and requires every send in the order of the
+// closure-per-send schedule, played on a queue of its own: each set's
+// sends enqueued with After when the set is scheduled, and the main
+// probes all enqueued up front. The campaign is squeezed into one
+// microsecond and the sends are 7 ns apart, so sets overlap, a record
+// serves a later set once its own is done, and follow-up sends tie with
+// main probes and with each other. One target is IPv6 on a scanner with
+// no IPv6 address: its set has no open-resolver probe and sends 21.
+func TestFollowUpsKeepEagerOrder(t *testing.T) {
+	const window, spacing = time.Microsecond, 7 * time.Nanosecond
+	reg := routing.NewRegistry()
+	for _, as := range []*routing.AS{
+		{ASN: 64500, Prefixes: []netip.Prefix{prefix("5.1.0.0/22"), prefix("2a00:5::/48")}},
+		{ASN: 64501, Prefixes: []netip.Prefix{prefix("6.0.0.0/16")}},
+		{ASN: 64502, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}},
+	} {
+		if err := reg.Add(as); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := netsim.New(reg, netsim.Config{Seed: 1})
+	host, err := nw.Attach("scanner", reg.AS(64502), addr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(host, addr("198.51.100.1"), netip.Addr{}, reg, nil, Config{Seed: 7, FollowUpSpacing: spacing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		s.AdmitOne(netip.AddrFrom4([4]byte{6, 0, byte(i), 10}))
+	}
+	s.AdmitOne(addr("5.1.1.77"))
+	s.AdmitOne(addr("2a00:5::53"))
+	s.Plan()
+
+	// One set per target, on the first source of its plan, and a second
+	// set for the first target tied with the third target's.
+	type trigger struct {
+		at time.Duration
+		d  Decoded
+	}
+	var triggers []trigger
+	for i := range s.plans {
+		p := &s.plans[i]
+		tgt := s.Targets[p.target]
+		d := Decoded{Src: p.sources[0], Dst: tgt.Addr, ASN: tgt.ASN, Kind: ProbeMain}
+		triggers = append(triggers, trigger{time.Duration(i*i*11) * time.Nanosecond, d})
+		if i == 2 {
+			triggers = append(triggers, trigger{triggers[i].at, triggers[0].d})
+		}
+	}
+
+	type send struct {
+		at       time.Duration
+		src, dst netip.Addr
+		kind     ProbeKind
+	}
+	ref := eventq.New()
+	var want []send
+	for _, tr := range triggers {
+		d := tr.d
+		ref.At(tr.at, func(time.Duration) {
+			n := 0
+			after := func(src netip.Addr, kind ProbeKind) {
+				n++
+				ref.After(time.Duration(n)*spacing, func(now time.Duration) { want = append(want, send{now, src, d.Dst, kind}) })
+			}
+			for i := 0; i < s.Cfg.FollowUpCount; i++ {
+				after(d.Src, ProbeV4)
+			}
+			for i := 0; i < s.Cfg.FollowUpCount; i++ {
+				after(d.Src, ProbeV6)
+			}
+			if d.Dst.Is4() {
+				after(s.Addr4, ProbeMain)
+			}
+			after(d.Src, ProbeTC)
+		})
+	}
+	for pi := range s.plans {
+		p := &s.plans[pi]
+		dst := s.Targets[p.target].Addr
+		for j, src := range p.sources {
+			at := time.Duration((float64(j) + p.phase) / float64(len(p.sources)) * float64(window))
+			ref.At(at, func(now time.Duration) { want = append(want, send{now, src, dst, ProbeMain}) })
+		}
+	}
+	ref.Run()
+	followUp := func(w send) bool { return w.kind != ProbeMain || w.src == s.Addr4 }
+	followUps, v6Sends, ties := 0, 0, 0
+	for i, w := range want {
+		if followUp(w) {
+			followUps++
+			if w.dst.Is6() {
+				v6Sends++
+			}
+		}
+		if i > 0 && w.at == want[i-1].at && followUp(w) != followUp(want[i-1]) {
+			ties++
+		}
+	}
+	if v6Sends != 21 {
+		t.Fatalf("the IPv6 target's set sends %d probes in the reference, want 21", v6Sends)
+	}
+	if ties < 20 {
+		t.Fatalf("only %d follow-up sends tie with a main probe; the schedule is not tight enough to test tie order", ties)
+	}
+
+	for _, tr := range triggers {
+		d := tr.d
+		nw.Q.At(tr.at, func(time.Duration) { s.ScheduleFollowUps(d) })
+	}
+	var got []send
+	nw.SetFaultHook(func(now time.Duration, _ uint64, pkt *packet.Packet, _, _ *routing.AS) netsim.TransitFault {
+		msg, err := dnswire.Unpack(pkt.Data)
+		if err != nil {
+			t.Fatalf("send %d does not decode: %v", len(got), err)
+		}
+		d, full, _ := DecodeQName(msg.Q().Name, s.Cfg.Keyword)
+		if !full {
+			t.Fatalf("send %d carries %q, not a full probe name", len(got), msg.Q().Name)
+		}
+		got = append(got, send{now, pkt.Src(), pkt.Dst(), d.Kind})
+		return netsim.TransitFault{Drop: true}
+	})
+	s.Schedule(window)
+	nw.Run()
+	if len(got) != len(want) {
+		t.Fatalf("sent %d probes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("send %d of %d: sent %+v, closure-per-send schedule sends %+v", i, len(want), got[i], want[i])
+		}
+	}
+	if st := s.Stats; st.FollowUpSetsSent != uint64(len(triggers)) || st.FollowUpQueries != uint64(followUps) {
+		t.Fatalf("stats %+v: want %d sets of %d follow-up queries", st, len(triggers), followUps)
+	}
+	if n := len(s.sets); n == 0 || n >= len(triggers) {
+		t.Fatalf("%d set records back on the free list for %d sets; want fewer, all returned", n, len(triggers))
+	}
+}
+
 // TestProbesAreEncodeQNamePacked pins the wire-form probe writers:
 // every probe, scheduled or sent through SendProbe, of every kind and
 // family, carries exactly the query EncodeQName's name packs to, under
@@ -576,8 +721,8 @@ func TestProbesAreEncodeQNamePacked(t *testing.T) {
 	nw.Run()
 	planned := len(got)
 	kinds := []ProbeKind{ProbeMain, ProbeV4, ProbeV6, ProbeTC, ProbeKind(9)}
-	// A plan lets go of its sources after its last probe; Plan cloned
-	// exactly what SourcesFor returns.
+	// A plan lets go of its sources after its last probe; PlanWith
+	// copied exactly what SourcesFor returns into its chunk.
 	for _, tgt := range s.Targets {
 		src := s.SourcesFor(tgt)[0]
 		for _, k := range kinds {

@@ -77,11 +77,20 @@ type Invariants struct {
 // txnKey identifies a DNS transaction independent of its ID: who asked,
 // from which port, whom they asked, and (hashed, case-folded) for what.
 // The server port is implicitly 53 — only port-53 traffic is checked.
+// The addresses are kept as 16 bytes each, so the checker's maps hold
+// no pointer; an IPv4 address and its IPv4-mapped IPv6 form have the
+// same bytes, and v4 (the packet's IP version) tells them apart.
 type txnKey struct {
-	client     netip.Addr
-	clientPort uint16
-	server     netip.Addr
-	qnameHash  uint64
+	client, server [16]byte
+	qnameHash      uint64
+	clientPort     uint16
+	v4             bool
+}
+
+// newTxnKey is the key of a transaction between client and server,
+// the two addresses of one packet.
+func newTxnKey(client netip.Addr, clientPort uint16, server netip.Addr, qnameHash uint64) txnKey {
+	return txnKey{client: client.As16(), server: server.As16(), qnameHash: qnameHash, clientPort: clientPort, v4: client.Is4()}
 }
 
 // txnID is one recorded ID of a transaction.
@@ -151,7 +160,7 @@ func (v *Invariants) OnDelivery(now time.Duration, pkt *packet.Packet, dstAS *ro
 		if u.DstPort != 53 {
 			return
 		}
-		key := txnKey{client: pkt.Src(), clientPort: u.SrcPort, server: pkt.Dst(), qnameHash: qh}
+		key := newTxnKey(pkt.Src(), u.SrcPort, pkt.Dst(), qh)
 		if first, recorded := v.qids[key]; !recorded {
 			v.qids[key] = id
 		} else if first != id {
@@ -162,7 +171,7 @@ func (v *Invariants) OnDelivery(now time.Duration, pkt *packet.Packet, dstAS *ro
 	if u.SrcPort != 53 {
 		return
 	}
-	key := txnKey{client: pkt.Dst(), clientPort: u.DstPort, server: pkt.Src(), qnameHash: qh}
+	key := newTxnKey(pkt.Dst(), u.DstPort, pkt.Src(), qh)
 	first, recorded := v.qids[key]
 	if !recorded {
 		// Unsolicited: spoofed-source probing legitimately lands
